@@ -31,14 +31,6 @@ def entropy_nats(p: np.ndarray) -> float:
     return float(-np.dot(q, np.log(q))) + 0.0
 
 
-def kahan_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray) -> None:
-    """Accumulate term into total in place with per-entry Kahan compensation."""
-    y = term - comp
-    t = total + y
-    comp[...] = (t - total) - y
-    total[...] = t
-
-
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion (default 95%)."""
     if trials <= 0:

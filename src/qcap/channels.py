@@ -89,9 +89,10 @@ def shannon_entropy(P, base: float) -> float:
     return entropy_nats(arr) / math.log(base)
 
 
-def channel_from_file(path) -> PauliChannel:
-    """Read a custom channel from text lines 'u v prob' (d inferred)."""
-    entries: dict[tuple[int, int], float] = {}
+def channel_from_file(path, d: int) -> PauliChannel:
+    """Read a custom channel over F_d from text lines 'u v prob'; letters
+    not listed have probability 0."""
+    mat = np.zeros((d, d))
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -100,11 +101,8 @@ def channel_from_file(path) -> PauliChannel:
             toks = line.split()
             if len(toks) != 3:
                 raise ValidationError(f"bad channel line: {line!r}")
-            entries[(int(toks[0]), int(toks[1]))] = float(toks[2])
-    if not entries:
-        raise ValidationError("channel file has no entries")
-    d = max(max(u, v) for u, v in entries) + 1
-    mat = np.zeros((d, d))
-    for (u, v), prob in entries.items():
-        mat[u, v] = prob
+            u, v = int(toks[0]), int(toks[1])
+            if not (0 <= u < d and 0 <= v < d):
+                raise ValidationError(f"letter ({u}, {v}) is outside F_{d}: {line!r}")
+            mat[u, v] = float(toks[2])
     return PauliChannel(d, mat)

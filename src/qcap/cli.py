@@ -72,10 +72,7 @@ def _resolve_channel(args, d: int) -> PauliChannel:
     if kind == "custom":
         if not args.probs:
             raise ValidationError("--probs FILE is required for a custom channel")
-        ch = channel_from_file(args.probs)
-        if ch.d != d:
-            raise ValidationError(f"channel file has d={ch.d}, expected {d}")
-        return ch
+        return channel_from_file(args.probs, d)
     raise ValidationError(f"unknown channel {kind!r}")
 
 
@@ -93,7 +90,7 @@ def _base(args, d: int) -> float:
 def _cmd_bound(args, start) -> None:
     code = _resolve_code(args)
     ch = _resolve_channel(args, code.d)
-    rep = coherent_bound(code, ch, _base(args, code.d), threads=args.threads)
+    rep = coherent_bound(code, ch, _base(args, code.d))
     _emit_json(args, start, rep.as_dict())
 
 
@@ -105,8 +102,7 @@ def _cmd_sweep(args, start) -> None:
         raise ValidationError("--steps must be >= 1")
     ps = [args.p_min + (args.p_max - args.p_min) * i / max(args.steps - 1, 1)
           for i in range(args.steps)]
-    reports = bound_sweep(code, (depolarizing(code.d, p) for p in ps),
-                          _base(args, code.d), threads=args.threads)
+    reports = bound_sweep(code, (depolarizing(code.d, p) for p in ps), _base(args, code.d))
     lines = [f"# manifest: {json.dumps(_manifest(args, start), sort_keys=True)}",
              f"# schema: {SWEEP_SCHEMA}",
              ",".join(SWEEP_COLUMNS)]
@@ -182,10 +178,9 @@ def _add_code_channel_flags(sp, *, code_flag: bool = True) -> None:
     sp.add_argument("--d", type=int, help="field size (prime); required for catalog names")
     sp.add_argument("--channel", default="depolarizing", choices=["depolarizing", "custom"])
     sp.add_argument("--p", type=float, help="depolarizing parameter")
-    sp.add_argument("--probs", help="custom channel file: lines 'u v prob'")
+    sp.add_argument("--probs", help="custom channel file: lines 'u v prob', zero letters optional")
     sp.add_argument("--log-base", dest="log_base", choices=["d", "2", "e"], default="d")
     sp.add_argument("--out", help="write the result to a file instead of stdout")
-    sp.add_argument("--threads", type=int, help="enumeration threads (default QCAP_THREADS or 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("fbound", help="exact type-sum bound on average infidelity")
     sp.add_argument("--inner", required=True)
     sp.add_argument("--d", type=int)
-    sp.add_argument("--outer")  # accepted for symmetry; the bound averages over outers
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--K", type=int, required=True)
     sp.add_argument("--channel", default="depolarizing", choices=["depolarizing", "custom"])

@@ -94,13 +94,26 @@ def test_channel_file_round_trip(tmp_path):
     ch = depolarizing(3, 0.6)
     lines = [f"{u} {v} {ch.prob(u, v):.17g}" for u in range(3) for v in range(3)]
     path.write_text("\n".join(lines) + "\n")
-    back = channel_from_file(path)
+    back = channel_from_file(path, 3)
     assert back.d == 3
     assert np.allclose(back.matrix, ch.matrix, atol=1e-16)
 
 
 def test_channel_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("0 0\n")
-    with pytest.raises(ValidationError):
-        channel_from_file(path)
+    # a short line, then letters outside F_3
+    for text in ("0 0\n", "0 0 0.9\n3 0 0.1\n", "0 0 0.9\n0 -1 0.1\n"):
+        path.write_text(text)
+        with pytest.raises(ValidationError):
+            channel_from_file(path, 3)
+
+
+def test_channel_file_omitted_letters_are_zero(tmp_path):
+    # a d=3 channel whose support avoids the digit 2 still reads as d=3
+    path = tmp_path / "chan.txt"
+    path.write_text("# bit flips only\n0 0 0.9\n1 0 0.1\n")
+    ch = channel_from_file(path, 3)
+    assert ch.d == 3
+    expect = np.zeros((3, 3))
+    expect[0, 0], expect[1, 0] = 0.9, 0.1
+    assert (ch.matrix == expect).all()

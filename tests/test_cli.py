@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from qcap import catalog, coherent_bound, depolarizing, write_code_file
+from qcap import PauliChannel, catalog, coherent_bound, depolarizing, write_code_file
 from qcap.cli import SWEEP_COLUMNS, SWEEP_SCHEMA, run
 from qcap.exponent import exponent
 from qcap.simconcat import fidelity_bound_exact
@@ -134,9 +134,23 @@ def test_validation_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_custom_channel_file_takes_d_from_the_code(tmp_path, capsys):
+    path = tmp_path / "chan.txt"
+    path.write_text("0 0 0.8\n1 0 0.1\n0 1 0.1\n")  # a d=3 channel that never uses 2
+    payload = run_json(capsys, ["bound", "--code", "rep2", "--d", "3", "--channel", "custom",
+                                "--probs", str(path)])
+    probs = [[0.8, 0.1, 0.0], [0.1, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    rep = coherent_bound(catalog("rep2", 3), PauliChannel(3, probs))
+    assert payload["result"]["c_n"] == rep.c_n
+    path.write_text("0 0 0.8\n3 0 0.2\n")
+    assert run(["bound", "--code", "rep2", "--d", "3", "--channel", "custom",
+                "--probs", str(path)]) == 2
+    capsys.readouterr()
+
+
 def test_guard_exit_code(tmp_path, capsys):
     path = tmp_path / "big.code"
-    path.write_text("2 21 21\n")  # d^(2n) = 2^42 exceeds the enumeration guard
+    path.write_text("2 21 21\n")  # d^(n+k) = 2^42 exceeds the array guard
     assert run(["bound", "--code", str(path), "--p", "0.1"]) == 3
     capsys.readouterr()
 

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcap import (
     FieldVector,
     GuardError,
+    PauliChannel,
+    StabilizerCode,
     catalog,
     coherent_bound,
     depolarizing,
@@ -15,8 +19,8 @@ from qcap import (
     symplectic_form,
 )
 from qcap.gf import enumerate_vectors
-from qcap.spectra import CosetBinner, bound_from_array, bound_sweep
-from qcap.symplectic import hyperbolic_complete
+from qcap.spectra import bound_from_array, bound_sweep
+from qcap.symplectic import hyperbolic_complete, sample_self_orthogonal
 
 
 def brute_force_array(code, channel):
@@ -164,13 +168,27 @@ def test_direct_sum_array_is_product():
                     assert got == pytest.approx(want, abs=1e-14)
 
 
-def test_threads_do_not_change_results():
-    code = catalog("rep2", 3)
-    ch = depolarizing(3, 0.31)
-    binner = CosetBinner(code)
-    one = binner.array(ch, threads=1).table
-    two = binner.array(ch, threads=2).table
-    assert (one == two).all()
+@st.composite
+def random_code_and_channel(draw):
+    """A random isotropic code with d^(2n) <= 4096 and a random Pauli channel
+    whose integer weights leave some letters at probability 0."""
+    d = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, {2: 6, 3: 3, 5: 2}[d]))
+    k = draw(st.integers(0, n))
+    seed, seed2 = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1))
+    subspace = sample_self_orthogonal(d, 2 * n, n - k, seed)
+    code = StabilizerCode(subspace, hyperbolic_complete(subspace, seed2))
+    weights = np.array(draw(st.lists(st.integers(0, 4), min_size=d * d, max_size=d * d)
+                            .filter(any)), dtype=float)
+    return code, PauliChannel(d, weights / weights.sum())
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(random_code_and_channel())
+def test_pushforward_matches_brute_force_on_random_codes(case):
+    code, ch = case
+    arr = probability_array(code, ch)
+    assert np.abs(arr.table - brute_force_array(code, ch)).max() <= 1e-13
 
 
 def test_enumeration_guard():
