@@ -7,9 +7,11 @@ decay constant is a convex minimization over joint distributions:
 
     E(R) = min_P' [ D(P' || P_L) + | k - kR - H(logical|syndrome under P') |+ ].
 
-The solver pairs a closed-form dual line search with exponentiated-gradient
-polish, and reports a certified optimality residual.  A brute-force grid
-oracle over the probability simplex validates it.
+The solver bisects on the dual hinge multiplier, whose inner minimum is a
+closed-form tilting of P_L, until the interval collapses in floating point.
+The tilted distribution it lands on is primal-optimal, so the solver returns
+its objective value with the gap to the dual bound as a certified optimality
+residual.  A brute-force grid oracle over the probability simplex validates it.
 """
 
 import numpy as np

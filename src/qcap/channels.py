@@ -27,6 +27,8 @@ class PauliChannel:
         if mat.size != self.d * self.d:
             raise ValidationError(f"need {self.d * self.d} probabilities, got {mat.size}")
         mat = mat.reshape(self.d, self.d)
+        if not np.isfinite(mat).all():
+            raise ValidationError("probabilities must be finite")
         if (mat < 0).any():
             raise ValidationError("probabilities must be nonnegative")
         if abs(mat.sum() - 1.0) > _SUM_TOL:
@@ -91,8 +93,9 @@ def shannon_entropy(P, base: float) -> float:
 
 def channel_from_file(path, d: int) -> PauliChannel:
     """Read a custom channel over F_d from text lines 'u v prob'; letters
-    not listed have probability 0."""
+    not listed have probability 0, and a letter may be listed only once."""
     mat = np.zeros((d, d))
+    seen = set()
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -104,5 +107,8 @@ def channel_from_file(path, d: int) -> PauliChannel:
             u, v = int(toks[0]), int(toks[1])
             if not (0 <= u < d and 0 <= v < d):
                 raise ValidationError(f"letter ({u}, {v}) is outside F_{d}: {line!r}")
+            if (u, v) in seen:
+                raise ValidationError(f"letter ({u}, {v}) is listed twice: {line!r}")
+            seen.add((u, v))
             mat[u, v] = float(toks[2])
     return PauliChannel(d, mat)

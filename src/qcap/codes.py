@@ -20,7 +20,6 @@ from .gf import FieldVector, _check_modulus
 from .symplectic import (
     HyperbolicBasis,
     Subspace,
-    gram_matrix,
     hyperbolic_complete,
     is_self_orthogonal,
 )
@@ -332,12 +331,3 @@ def direct_sum(a: StabilizerCode, b: StabilizerCode) -> StabilizerCode:
     sub = Subspace(d, 2 * n, gens) if gens.shape[0] else Subspace.zero(d, 2 * n)
     return StabilizerCode(sub, completion,
                           name=f"({a.name or '?'})+({b.name or '?'})")
-
-
-def gram_conditions_exact(code: StabilizerCode) -> bool:
-    """Exact pairing-condition check on a code's completion."""
-    basis = code.completion
-    n = basis.n
-    gh = gram_matrix(basis.g, basis.h, code.d)
-    return (basis.gram_ok()
-            and bool((gh == np.eye(n, dtype=np.int64)).all()))

@@ -47,9 +47,6 @@ class DenseOperator:
         eye = np.eye(self.dim)
         return bool(np.allclose(self.matrix @ self.matrix.conj().T, eye, atol=tol))
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return bool(np.allclose(self.matrix, self.matrix.conj().T, atol=tol))
-
 
 @dataclass(frozen=True)
 class EigenvalueList:

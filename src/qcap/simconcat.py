@@ -387,6 +387,8 @@ def fidelity_bound_exact(inner: StabilizerCode, N: int, K: int, channel: PauliCh
     included, resolved by exact integer keys).
     """
     d, n, k = inner.d, inner.n, inner.k
+    if N < 1:
+        raise ValidationError("need at least one outer block")
     if not 0 <= K <= k * N:
         raise ValidationError(f"K must lie in [0, kN] = [0, {k * N}]")
     ntypes = count_types(d, n, k, N)
@@ -443,6 +445,8 @@ def fidelity_bound_brute(inner: StabilizerCode, N: int, K: int, channel: PauliCh
     """The same bound evaluated without type grouping: a direct sum over all
     [z, v] sequences, counting competitor sequences one by one."""
     d, n, k = inner.d, inner.n, inner.k
+    if N < 1:
+        raise ValidationError("need at least one outer block")
     if not 0 <= K <= k * N:
         raise ValidationError(f"K must lie in [0, kN] = [0, {k * N}]")
     arr = probability_array(inner, channel)

@@ -40,6 +40,12 @@ def test_channel_validation():
         PauliChannel(2, [1.2, -0.2, 0.0, 0.0])
 
 
+def test_channel_rejects_non_finite_probabilities():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            PauliChannel(2, [bad, 0.0, 0.0, 0.0])
+
+
 def test_product_prob_single_letter():
     ch = depolarizing(3, 0.3)
     for u in range(3):
@@ -106,6 +112,13 @@ def test_channel_file_rejects_garbage(tmp_path):
         path.write_text(text)
         with pytest.raises(ValidationError):
             channel_from_file(path, 3)
+
+
+def test_channel_file_rejects_repeated_letter(tmp_path):
+    path = tmp_path / "twice.txt"
+    path.write_text("0 0 0.5\n0 0 1.0\n")  # the second line would overwrite the first
+    with pytest.raises(ValidationError):
+        channel_from_file(path, 2)
 
 
 def test_channel_file_omitted_letters_are_zero(tmp_path):

@@ -148,6 +148,21 @@ def test_custom_channel_file_takes_d_from_the_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_custom_channel_file_rejects_nan_and_repeated_letters(tmp_path, capsys):
+    path = tmp_path / "chan.txt"
+    for text in ("0 0 nan\n", "0 0 0.5\n0 0 1.0\n"):
+        path.write_text(text)
+        assert run(["bound", "--code", "rep3", "--d", "2", "--channel", "custom",
+                    "--probs", str(path)]) == 2
+        capsys.readouterr()
+
+
+def test_fbound_rejects_no_outer_blocks(capsys):
+    assert run(["fbound", "--inner", "rep3", "--d", "2", "--N", "0", "--K", "0",
+                "--p", "0.1"]) == 2
+    capsys.readouterr()
+
+
 def test_guard_exit_code(tmp_path, capsys):
     path = tmp_path / "big.code"
     path.write_text("2 21 21\n")  # d^(n+k) = 2^42 exceeds the array guard

@@ -2,8 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcap import GuardError, ValidationError, catalog, depolarizing
+from qcap import (
+    ConvergenceError,
+    GuardError,
+    PauliChannel,
+    StabilizerCode,
+    ValidationError,
+    catalog,
+    depolarizing,
+    hyperbolic_complete,
+    sample_self_orthogonal,
+)
 from qcap.exponent import (
     _Objective,
     compositions,
@@ -157,3 +169,65 @@ def test_grid_oracle_guard():
     code = catalog("rep3", 2)  # 16 support cells: a 200-step grid is infeasible
     with pytest.raises(GuardError):
         exponent_grid_oracle(code, depolarizing(2, 0.1), 0.0, 200)
+
+
+def test_exponent_nonnegative_just_below_threshold():
+    code = catalog("rep3", 2)
+    ch = depolarizing(2, 0.08)
+    thr = exponent(code, ch, 0.0).threshold
+    for offset in (1e-8, 1e-12, 1e-15):
+        rep = exponent(code, ch, (thr - offset) / code.k)
+        assert rep.value >= 0.0
+        assert rep.kkt_residual <= 1e-8
+
+
+def test_exponent_raises_when_the_certificate_fails(monkeypatch):
+    code = catalog("rep3", 2)
+    ch = depolarizing(2, 0.08)
+    monkeypatch.setattr(_Objective, "value", lambda self, x: 1.0)
+    with pytest.raises(ConvergenceError):
+        exponent(code, ch, 0.0)
+
+
+def test_exponent_has_no_polish_knobs():
+    code = catalog("trivial1", 2)
+    ch = depolarizing(2, 0.05)
+    for kwarg in ("polish_iters", "max_iter"):
+        with pytest.raises(TypeError):
+            exponent(code, ch, 0.0, **{kwarg: 10})
+
+
+@st.composite
+def random_exponent_case(draw):
+    """A random isotropic code with k >= 1 and d^(n+k) <= 64, a random Pauli
+    channel whose integer weights leave some letters at probability 0, and a
+    rate.  The identity letter gets a heavier weight so that many draws fall
+    below the threshold, where the exponent is positive."""
+    d = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, {2: 3, 3: 2, 5: 1}[d]))
+    k = draw(st.integers(1, min(n, {2: 6, 3: 3, 5: 2}[d] - n)))
+    seed, seed2 = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1))
+    subspace = sample_self_orthogonal(d, 2 * n, n - k, seed)
+    code = StabilizerCode(subspace, hyperbolic_complete(subspace, seed2))
+    weights = np.array([draw(st.integers(1, 200))]
+                       + draw(st.lists(st.integers(0, 4), min_size=d * d - 1,
+                                       max_size=d * d - 1)), dtype=float)
+    R = draw(st.floats(0.0, 1.0))
+    return code, PauliChannel(d, weights / weights.sum()), R
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(random_exponent_case())
+def test_exponent_certificate_on_random_codes(case):
+    code, ch, R = case
+    rep = exponent(code, ch, R)
+    assert rep.value >= 0.0
+    assert rep.kkt_residual <= 1e-8
+    # weak duality: every dual value phi(beta) bounds the exponent from below,
+    # and rep.value is the objective at a feasible point, independently of
+    # where the bisection stopped
+    obj = _Objective(probability_array(code, ch), code.k, R)
+    dual = max(obj.tilted(beta)[1] for beta in np.linspace(0.0, 1.0, 41))
+    assert rep.value >= dual - 1e-10
+    if obj.p.size <= 4:
+        assert rep.value <= exponent_grid_oracle(code, ch, R, 60) + 1e-9

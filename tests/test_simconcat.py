@@ -180,6 +180,13 @@ def test_fidelity_bound_matches_brute_force_rep3_inner():
         fidelity_bound_brute(REP3, 3, 1, ch), abs=1e-12)
 
 
+def test_fidelity_bounds_reject_no_outer_blocks():
+    ch = depolarizing(2, 0.1)
+    for bound in (fidelity_bound_exact, fidelity_bound_brute):
+        with pytest.raises(ValidationError):
+            bound(REP3, 0, 0, ch)
+
+
 def test_fidelity_bound_guard():
     with pytest.raises(GuardError):
         fidelity_bound_exact(REP3, 10, 2, depolarizing(2, 0.1), max_types=1000)
