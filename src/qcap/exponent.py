@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -62,28 +61,29 @@ def count_types(d: int, n: int, k: int, N: int) -> int:
     return math.comb(N + m - 1, m - 1)
 
 
-@lru_cache(maxsize=64)
-def _compositions_cached(total: int, parts: int) -> np.ndarray:
-    if parts == 1:
-        out = np.array([[total]], dtype=np.int32)
-        out.setflags(write=False)
-        return out
-    blocks = []
-    for first in range(total + 1):
-        rest = _compositions_cached(total - first, parts - 1)
-        col = np.full((rest.shape[0], 1), first, dtype=np.int32)
-        blocks.append(np.hstack([col, rest]))
-    out = np.vstack(blocks)
-    out.setflags(write=False)
-    return out
-
-
 def compositions(total: int, parts: int) -> np.ndarray:
     """All nonnegative integer vectors of the given length summing to total,
     one per row, in lexicographic order."""
     if parts < 1 or total < 0:
         raise ValidationError("compositions needs parts >= 1 and total >= 0")
-    return _compositions_cached(int(total), int(parts))
+    # Grow prefixes one part at a time, a prefix with `left` to place getting
+    # children 0..left in order; keep only parent links and read them back.
+    left = np.array([total], dtype=np.int64)
+    levels = []
+    for _ in range(parts - 1):
+        fan = left + 1
+        parent = np.repeat(np.arange(left.size), fan)
+        value = np.arange(parent.size) - np.repeat(np.cumsum(fan) - fan, fan)
+        levels.append((parent, value))
+        left = left[parent] - value
+    out = np.empty((left.size, parts), dtype=np.int32)
+    out[:, -1] = left
+    row = np.arange(left.size)
+    for j in range(parts - 2, -1, -1):
+        parent, value = levels[j]
+        out[:, j] = value[row]
+        row = parent[row]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,12 @@ decoded block succeeds iff v_hat - v lands in C_out.
 Entropy comparisons between types are resolved exactly: for counts c the
 quantity N*H_c differs from a constant by -log(prod c^c), so candidate
 order and tie handling reduce to integer comparisons of prod c^c.
+
+The exact bound never lists joint types.  A type enters it only through its
+z-marginal a, its key prod c^c, its shell (the number of v per fixed z) and
+its probability, and given a all four factor over syndrome rows.  So each
+row's contents are folded into classes by (row total, key), and the rows'
+classes are multiplied together once per z-marginal.
 """
 
 from __future__ import annotations
@@ -75,6 +81,8 @@ class SimConfig:
             raise ValidationError("channel and inner code moduli differ")
         sub = self.outer_subspace()
         if sub is not None:
+            if sub.d != self.inner.d:
+                raise ValidationError("outer and inner code moduli differ")
             if sub.ambient != 2 * k * N:
                 raise ValidationError(
                     f"outer ambient {sub.ambient} != 2kN = {2 * k * N}")
@@ -345,35 +353,33 @@ def sample_self_orthogonal_outer(d: int, k: int, N: int, K: int, seed) -> Subspa
 # exact ensemble-average fidelity bound
 
 
-def _entropy_keys(counts: np.ndarray, pow_table: list[int]) -> list[int]:
-    """prod c^c per row, as exact integers; larger key = smaller entropy."""
-    keys = []
-    for row in counts:
-        acc = 1
-        for c in row:
-            if c > 1:
-                acc *= pow_table[c]
-        keys.append(acc)
-    return keys
+def _row_classes(q: list[float], N: int, lone: bool) -> list[tuple[dict, dict]]:
+    """classes[c] = (shells, probability), two dicts keyed by prod t^t, over
+    the contents t of one syndrome row that hold c blocks in total.
 
-
-def _binom_table(n: int) -> np.ndarray:
-    tab = np.zeros((n + 1, n + 1))
-    for a in range(n + 1):
-        for b in range(a + 1):
-            tab[a, b] = math.comb(a, b)
-    return tab
-
-
-def _multinomials(counts: np.ndarray, totals: np.ndarray, binom: np.ndarray) -> np.ndarray:
-    """Exact multinomial coefficients (as floats) row by row: counts rows sum
-    to the matching entry of totals."""
-    rem = totals.astype(np.int64).copy()
-    out = np.ones(counts.shape[0])
-    for j in range(counts.shape[1]):
-        out *= binom[rem, counts[:, j]]
-        rem -= counts[:, j]
-    return out
+    The shell is the number of logical sequences on those c blocks with the
+    given per-column counts t; the probability sums shell * prod q^t.  The
+    row's columns are folded in one at a time: placing b more blocks on a
+    column multiplies the shells of a row already holding `used` blocks by
+    comb(used + b, b).  A lone row holds all N blocks, so only that total is
+    kept from its last column.
+    """
+    powers = [b**b for b in range(N + 1)]
+    classes = [({1: 1}, {1: 1.0})] + [({}, {}) for _ in range(N)]
+    for j, qc in enumerate(q):
+        least = N if lone and j == len(q) - 1 else 0
+        folded = [({}, {}) for _ in range(N + 1)]
+        for used, (shells, probs) in enumerate(classes):
+            for b in range(max(least - used, 0), N - used + 1):
+                ways = math.comb(used + b, b)
+                weight, power = ways * qc**b, powers[b]
+                to_shells, to_probs = folded[used + b]
+                for key, shell in shells.items():
+                    new = key * power
+                    to_shells[new] = to_shells.get(new, 0) + shell * ways
+                    to_probs[new] = to_probs.get(new, 0.0) + probs[key] * weight
+        classes = folded
+    return classes
 
 
 def fidelity_bound_exact(inner: StabilizerCode, N: int, K: int, channel: PauliChannel,
@@ -385,6 +391,11 @@ def fidelity_bound_exact(inner: StabilizerCode, N: int, K: int, channel: PauliCh
     min{ #competitors * d^-(kN-K), 1 }, where the competitors are the v'
     sharing z whose joint type has conditional entropy <= that of T (ties
     included, resolved by exact integer keys).
+
+    Per z-marginal a, the rows' classes multiply: keys and shells multiply,
+    and the probability starts from N!/prod a_s!.  Sorting a's keys in
+    descending order and accumulating shells gives every competitor count.
+    The guard counts the joint types summed over, although none is built.
     """
     d, n, k = inner.d, inner.n, inner.k
     if N < 1:
@@ -395,49 +406,29 @@ def fidelity_bound_exact(inner: StabilizerCode, N: int, K: int, channel: PauliCh
     if ntypes > max_types:
         raise GuardError(f"{ntypes} joint types exceed the guard {max_types}")
     arr = probability_array(inner, channel)
-    rows, cols = arr.rows, arr.cols
-    m = rows * cols
-    flat = arr.table.ravel()
-
-    types = compositions(N, m).astype(np.int64)
-    binom = _binom_table(N)
-    # exact probability of observing each type: multinomial * prod p^count
-    multis = _multinomials(types, np.full(types.shape[0], N), binom)
-    ptype = multis * np.power(flat[None, :], types).prod(axis=1)
-
-    by_row = types.reshape(-1, rows, cols)
-    zcounts = by_row.sum(axis=2)
-    # shell size: for one fixed z of the type's z-marginal, the number of v
-    # with this joint type is a product of per-row multinomials
-    shells = np.ones(types.shape[0])
-    for s in range(rows):
-        shells *= _multinomials(by_row[:, s, :], zcounts[:, s], binom)
-
-    pow_table = [c**c for c in range(N + 1)]
-    keys = _entropy_keys(types, pow_table)
-
-    groups: dict[bytes, list[int]] = {}
-    for idx in range(types.shape[0]):
-        groups.setdefault(zcounts[idx].tobytes(), []).append(idx)
-
-    competitors = np.zeros(types.shape[0])
-    for members in groups.values():
-        members.sort(key=lambda i: keys[i], reverse=True)
-        run_start = 0
-        cum = 0.0
-        while run_start < len(members):
-            run_end = run_start
-            while run_end < len(members) and keys[members[run_end]] == keys[members[run_start]]:
-                run_end += 1
-            run_total = cum + sum(shells[i] for i in members[run_start:run_end])
-            for i in members[run_start:run_end]:
-                competitors[i] = run_total
-            cum = run_total
-            run_start = run_end
+    row_classes = [_row_classes(q, N, arr.rows == 1) for q in arr.table.tolist()]
 
     scale = float(d) ** (K - k * N)
-    return math.fsum(float(ptype[i]) * min(float(competitors[i]) * scale, 1.0)
-                     for i in range(types.shape[0]) if ptype[i] > 0.0)
+    terms = []
+    for a in compositions(N, arr.rows).tolist():
+        weight = math.factorial(N) // math.prod(math.factorial(c) for c in a)
+        shells, probs = {1: 1}, {1: float(weight)}
+        for classes, c in zip(row_classes, a):
+            row_shells, row_probs = classes[c]
+            to_shells, to_probs = {}, {}
+            for key, shell in shells.items():
+                prob = probs[key]
+                for row_key, row_shell in row_shells.items():
+                    new = key * row_key
+                    to_shells[new] = to_shells.get(new, 0) + shell * row_shell
+                    to_probs[new] = to_probs.get(new, 0.0) + prob * row_probs[row_key]
+            shells, probs = to_shells, to_probs
+        cum = 0
+        for key in sorted(shells, reverse=True):
+            cum += shells[key]
+            terms.append(probs[key] * min(cum * scale, 1.0))
+    # the probabilities sum to 1 only up to rounding
+    return min(math.fsum(terms), 1.0)
 
 
 def fidelity_bound_brute(inner: StabilizerCode, N: int, K: int, channel: PauliChannel,

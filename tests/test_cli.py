@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,10 @@ def check_schema(payload, title):
     variants = {v["title"]: v for v in SCHEMA["properties"]["result"]["oneOf"]}
     for key in variants[title]["required"]:
         assert key in payload["result"]
+    for key, spec in variants[title]["properties"].items():
+        if key in payload["result"]:
+            assert spec.get("minimum", -math.inf) <= payload["result"][key], key
+            assert payload["result"][key] <= spec.get("maximum", math.inf), key
 
 
 def test_bound_json_matches_library(capsys):
@@ -97,11 +102,21 @@ def test_simulate_json_and_reproducibility(capsys):
 
 
 def test_fbound_json(capsys):
-    payload = run_json(capsys, ["fbound", "--inner", "trivial1", "--d", "2",
-                                "--N", "6", "--K", "1", "--p", "0.1"])
-    check_schema(payload, "fbound")
-    expect = fidelity_bound_exact(catalog("trivial1", 2), 6, 1, depolarizing(2, 0.1))
-    assert payload["result"]["infidelity_bound"] == expect
+    # at N = K = 2, p = 0.065 the type probabilities sum to just above 1
+    for N, K, p in ((6, 1, 0.1), (2, 2, 0.065)):
+        payload = run_json(capsys, ["fbound", "--inner", "trivial1", "--d", "2",
+                                    "--N", str(N), "--K", str(K), "--p", str(p)])
+        check_schema(payload, "fbound")
+        expect = fidelity_bound_exact(catalog("trivial1", 2), N, K, depolarizing(2, p))
+        assert payload["result"]["infidelity_bound"] == expect
+
+
+def test_many_part_compositions_run(capsys):
+    # trivial5/d=2 has 2^10 cells, the number of parts of its simplex grid
+    run_json(capsys, ["fbound", "--inner", "trivial5", "--d", "2", "--N", "1", "--K", "0",
+                      "--p", "0.1"])
+    run_json(capsys, ["exponent", "--code", "trivial5", "--d", "2", "--p", "0.1",
+                      "--rate", "0.5", "--oracle-grid", "1"])
 
 
 def test_oracle_check(capsys):
@@ -160,6 +175,14 @@ def test_custom_channel_file_rejects_nan_and_repeated_letters(tmp_path, capsys):
 def test_fbound_rejects_no_outer_blocks(capsys):
     assert run(["fbound", "--inner", "rep3", "--d", "2", "--N", "0", "--K", "0",
                 "--p", "0.1"]) == 2
+    capsys.readouterr()
+
+
+def test_simulate_rejects_outer_code_over_another_field(tmp_path, capsys):
+    path = tmp_path / "outer.code"
+    write_code_file(catalog("rep4", 3), path)  # the shape of rep4/d=3 fits N=4, K=1
+    assert run(["simulate", "--inner", "trivial1", "--d", "2", "--outer", str(path),
+                "--N", "4", "--K", "1", "--p", "0.1", "--trials", "20"]) == 2
     capsys.readouterr()
 
 

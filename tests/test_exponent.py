@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -55,6 +56,25 @@ def test_compositions_shape_and_sums():
     assert arr.shape == (math.comb(9, 3), 4)
     assert (arr.sum(axis=1) == 6).all()
     assert len({tuple(r) for r in arr}) == arr.shape[0]
+
+
+def test_compositions_match_stars_and_bars_in_order():
+    for total in range(5):
+        for parts in range(1, 6):
+            # bars at sorted positions among total + parts - 1 slots, in
+            # lexicographic order of the bar positions, give the rows in
+            # lexicographic order of the parts
+            want = []
+            for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+                edges = (-1, *bars, total + parts - 1)
+                want.append([edges[i + 1] - edges[i] - 1 for i in range(parts)])
+            assert compositions(total, parts).tolist() == want
+
+
+def test_compositions_with_many_parts():
+    arr = compositions(1, 1000)
+    assert arr.shape == (1000, 1000)
+    assert (arr == np.eye(1000, dtype=int)[::-1]).all()
 
 
 def test_exponent_zero_at_and_above_threshold():

@@ -1,7 +1,21 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcap import GuardError, ValidationError, catalog, depolarizing
+from qcap import (
+    GuardError,
+    PauliChannel,
+    StabilizerCode,
+    ValidationError,
+    catalog,
+    depolarizing,
+    hyperbolic_complete,
+    sample_self_orthogonal,
+)
+from qcap.exponent import compositions
 from qcap.gf import index_to_digits
 from qcap.simconcat import (
     SimConfig,
@@ -140,6 +154,9 @@ def test_simconfig_validation():
     with pytest.raises(ValidationError):
         SimConfig(inner=catalog("trivial1", 3), outer=None, N=4, K=1,
                   channel=depolarizing(2, 0.1), trials=10, seed=0)
+    with pytest.raises(ValidationError):  # right shape, wrong field
+        SimConfig(inner=TRIV, outer=sample_self_orthogonal_outer(3, 1, 4, 1, 0),
+                  N=4, K=1, channel=depolarizing(2, 0.1), trials=10, seed=0)
 
 
 def test_search_guard():
@@ -167,6 +184,12 @@ def test_fidelity_bound_range_and_monotonicity_in_gap():
         prev = b
 
 
+def test_fidelity_bound_never_exceeds_one():
+    # with K = kN the factor d^(K-kN) is 1, so every type counts in full and
+    # the bound is the sum of all type probabilities, which rounds above 1 here
+    assert fidelity_bound_exact(TRIV, 2, 2, depolarizing(2, 0.065)) == 1.0
+
+
 def test_fidelity_bound_matches_brute_force_trivial_inner():
     for p in (0.05, 0.1, 0.25):
         ch = depolarizing(2, p)
@@ -178,6 +201,69 @@ def test_fidelity_bound_matches_brute_force_rep3_inner():
     ch = depolarizing(2, 0.15)
     assert fidelity_bound_exact(REP3, 3, 1, ch) == pytest.approx(
         fidelity_bound_brute(REP3, 3, 1, ch), abs=1e-12)
+
+
+def _multinomial(counts) -> int:
+    return math.factorial(sum(counts)) // math.prod(math.factorial(c) for c in counts)
+
+
+def type_by_type_bound(inner, N, K, channel):
+    """The bound straight from its definition: list every joint type and
+    count its competitors among the types with the same z-marginal."""
+    arr = probability_array(inner, channel)
+    flat = arr.table.ravel().tolist()
+    groups = {}
+    for t in compositions(N, len(flat)).tolist():
+        rows = [t[s * arr.cols:(s + 1) * arr.cols] for s in range(arr.rows)]
+        shell = math.prod(_multinomial(r) for r in rows)
+        prob = _multinomial(t) * math.prod(q**c for q, c in zip(flat, t))
+        key = math.prod(c**c for c in t)
+        groups.setdefault(tuple(map(sum, rows)), []).append((key, shell, prob))
+    scale = float(inner.d) ** (K - inner.k * N)
+    return math.fsum(
+        prob * min(sum(s for other, s, _ in members if other >= key) * scale, 1.0)
+        for members in groups.values() for key, _, prob in members)
+
+
+def test_fidelity_bound_matches_type_by_type_sum():
+    # N beyond the reach of the brute force, so that the competitor counts of
+    # types well below the top key stay under d^(kN-K) and their order shows
+    for name, d, N, K, p in (("trivial1", 2, 12, 0, 0.02), ("trivial1", 2, 12, 3, 0.05),
+                             ("trivial1", 3, 7, 1, 0.05), ("rep3", 2, 4, 1, 0.05)):
+        code, ch = catalog(name, d), depolarizing(d, p)
+        assert fidelity_bound_exact(code, N, K, ch) == pytest.approx(
+            type_by_type_bound(code, N, K, ch), rel=1e-12)
+
+
+@st.composite
+def random_bound_case(draw):
+    """A random isotropic inner code with k >= 1 and m = d^(n+k) <= 27, a
+    number of outer blocks N with m^N <= 4096 sequences, K in [0, kN], and a
+    random Pauli channel whose integer weights leave some letters at 0.  The
+    identity letter gets a heavier weight so that many bounds lie below 1."""
+    d = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, {2: 3, 3: 2, 5: 1}[d]))
+    k = draw(st.integers(1, min(n, {2: 4, 3: 3, 5: 2}[d] - n)))
+    m = d ** (n + k)
+    n_max = max(N for N in range(1, 7) if m**N <= 4096)
+    N = n_max - draw(st.integers(0, n_max - 1))  # N = 1 always bounds at 1
+    K = draw(st.integers(0, k * N))
+    seed, seed2 = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1))
+    subspace = sample_self_orthogonal(d, 2 * n, n - k, seed)
+    code = StabilizerCode(subspace, hyperbolic_complete(subspace, seed2))
+    weights = np.array([draw(st.integers(1, 200))]
+                       + draw(st.lists(st.integers(0, 4), min_size=d * d - 1,
+                                       max_size=d * d - 1)), dtype=float)
+    return code, N, K, PauliChannel(d, weights / weights.sum())
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(random_bound_case())
+def test_fidelity_bound_matches_brute_force_on_random_codes(case):
+    code, N, K, ch = case
+    exact = fidelity_bound_exact(code, N, K, ch)
+    assert 0.0 <= exact <= 1.0
+    assert abs(exact - fidelity_bound_brute(code, N, K, ch)) <= 1e-12
 
 
 def test_fidelity_bounds_reject_no_outer_blocks():
