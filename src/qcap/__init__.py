@@ -17,14 +17,13 @@ from .codes import (
     write_code_file,
 )
 from .exponent import exponent, exponent_grid_oracle
-from .gf import FieldElement, FieldVector, enumerate_vectors, symplectic_form, vec_add
+from .gf import symplectic_form
 from .qoracle import coherent_info_direct, oracle_report
 from .simconcat import SimConfig, SimReport, fidelity_bound_exact, simulate
 from .spectra import BoundReport, ProbabilityArray, bound_sweep, coherent_bound, probability_array
 from .symplectic import (
     HyperbolicBasis,
     Subspace,
-    chi_coordinates,
     hyperbolic_complete,
     is_self_orthogonal,
     perp,
@@ -49,11 +48,7 @@ __all__ = [
     "direct_sum",
     "read_code_file",
     "write_code_file",
-    "FieldElement",
-    "FieldVector",
-    "enumerate_vectors",
     "symplectic_form",
-    "vec_add",
     "exponent",
     "exponent_grid_oracle",
     "coherent_info_direct",
@@ -69,7 +64,6 @@ __all__ = [
     "probability_array",
     "HyperbolicBasis",
     "Subspace",
-    "chi_coordinates",
     "hyperbolic_complete",
     "is_self_orthogonal",
     "perp",

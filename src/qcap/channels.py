@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from ._util import ValidationError, entropy_nats
-from .gf import FieldVector, _check_modulus
+from .gf import _check_modulus
 
 _SUM_TOL = 1e-12
 
@@ -66,16 +66,12 @@ def depolarizing(d: int, p: float) -> PauliChannel:
     return PauliChannel(d, mat)
 
 
-def product_prob(ch: PauliChannel, x: FieldVector) -> float:
+def product_prob(ch: PauliChannel, x: np.ndarray) -> float:
     """Probability P^n(x) = prod_i P(u_i, v_i) of an interleaved error vector."""
-    if x.modulus != ch.d:
-        raise ValidationError("modulus mismatch between channel and vector")
-    if len(x) % 2 != 0:
-        raise ValidationError("error vector must have even length")
-    out = 1.0
-    for u, v in x.pairs():
-        out *= ch.matrix[u, v]
-    return out
+    x = np.asarray(x, dtype=np.int64)
+    if x.ndim != 1 or x.size % 2 != 0:
+        raise ValidationError("error vector must be a 1-d array of even length")
+    return float(np.prod(ch.matrix[x[0::2] % ch.d, x[1::2] % ch.d]))
 
 
 def shannon_entropy(P, base: float) -> float:

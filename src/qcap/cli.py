@@ -122,7 +122,7 @@ def _cmd_exponent(args, start) -> None:
     ch = _resolve_channel(args, code.d)
     rep = exponent(code, ch, args.rate)
     result = rep.as_dict()
-    if args.oracle_grid:
+    if args.oracle_grid is not None:
         result["grid_oracle"] = exponent_grid_oracle(code, ch, args.rate, args.oracle_grid)
         result["grid_steps"] = args.oracle_grid
     _emit_json(args, start, result)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import ValidationError
-from .gf import FieldVector, _check_modulus
+from .gf import _check_modulus
 from .symplectic import (
     HyperbolicBasis,
     Subspace,
@@ -167,7 +167,7 @@ def catalog(name: str, d: int) -> StabilizerCode:
 # digit strings and code files
 
 
-def vector_from_digit_string(d: int, digits: str) -> FieldVector:
+def vector_from_digit_string(d: int, digits: str) -> np.ndarray:
     """Decode a length-n string over Z_{d^2}: digit t -> (t mod d, t div d)."""
     coords: list[int] = []
     for ch in digits:
@@ -175,14 +175,7 @@ def vector_from_digit_string(d: int, digits: str) -> FieldVector:
         if not 0 <= t < d * d:
             raise ValidationError(f"digit {t} out of range for d={d}")
         coords += [t % d, t // d]
-    return FieldVector(d, tuple(coords))
-
-
-def vector_to_digit_string(x: FieldVector) -> str:
-    d = x.modulus
-    if d * d > 10:
-        raise ValidationError("digit strings need d^2 <= 10")
-    return "".join(str(u + d * v) for u, v in x.pairs())
+    return np.array(coords, dtype=np.int64)
 
 
 def write_code_file(code: StabilizerCode, path) -> None:
@@ -211,7 +204,7 @@ def read_code_file(path, *, seed: int = 0) -> StabilizerCode:
         else:
             if len(ln) != n:
                 raise ValidationError(f"digit string has length {len(ln)}, expected {n}")
-            rows.append(list(vector_from_digit_string(d, ln).coords))
+            rows.append(vector_from_digit_string(d, ln))
     if len(rows) != n - k:
         raise ValidationError(f"expected {n - k} generators, found {len(rows)}")
     return StabilizerCode.from_generators(d, n, np.array(rows, dtype=np.int64).reshape(n - k, 2 * n),
@@ -241,21 +234,19 @@ def _bar_matrix(inner: StabilizerCode, N: int) -> np.ndarray:
     return B % d
 
 
-def bar_map(inner: StabilizerCode, x: FieldVector) -> FieldVector:
+def bar_map(inner: StabilizerCode, x: np.ndarray) -> np.ndarray:
     """Embed a logical-label vector x in F_d^{2kN} into F_d^{2nN}.
 
     Coordinate pair (u_{j,m}, u'_{j,m}) of x multiplies the logical pair
     (g_{n-k+m}, h_{n-k+m}) of inner block j.  The map is a symplectic isometry.
     """
-    if x.modulus != inner.d:
-        raise ValidationError("modulus mismatch")
+    x = np.asarray(x, dtype=np.int64)
     if inner.k == 0:
         raise ValidationError("inner code has no logical pairs (k = 0)")
-    if len(x) % (2 * inner.k) != 0:
-        raise ValidationError(f"vector length {len(x)} is not a multiple of 2k = {2 * inner.k}")
-    N = len(x) // (2 * inner.k)
-    out = (x.as_array() @ _bar_matrix(inner, N)) % inner.d
-    return FieldVector._from_trusted(inner.d, tuple(int(c) for c in out))
+    if x.ndim != 1 or x.size % (2 * inner.k) != 0:
+        raise ValidationError(f"vector length {x.size} is not a multiple of 2k = {2 * inner.k}")
+    N = x.size // (2 * inner.k)
+    return (x @ _bar_matrix(inner, N)) % inner.d
 
 
 @dataclass(frozen=True)

@@ -226,6 +226,8 @@ def exponent_grid_oracle(code: StabilizerCode, channel: PauliChannel, R: float,
     R = float(R)
     if not 0.0 <= R <= 1.0:
         raise ValidationError(f"rate must lie in [0, 1], got {R}")
+    if grid_steps < 1:
+        raise ValidationError(f"grid_steps must be >= 1, got {grid_steps}")
     arr = probability_array(code, channel)
     obj = _Objective(arr, code.k, R)
     m = obj.p.size

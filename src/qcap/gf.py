@@ -1,21 +1,20 @@
-"""Exact arithmetic in the prime field F_d and vectors over it.
+"""Arithmetic in the prime field F_d on int64 digit arrays.
 
 Conventions used throughout the package:
 
+* A vector over F_d is a 1-d int64 numpy array of digits in [0, d); there is
+  no other vector type.
 * Vector coordinates are interleaved as (u_1, v_1, ..., u_n, v_n), where the
   pair (u_i, v_i) indexes the error letter acting on the i-th subsystem
   (u = X power, v = Z power).  No other coordinate layout exists anywhere in
   the codebase.
 * A vector of length L corresponds to the integer index
   sum_j coords[j] * d**j, i.e. coordinate 0 is the least significant digit of
-  a little-endian mixed-radix counter.  `enumerate_vectors` yields vectors in
-  increasing index order.
+  a little-endian mixed-radix counter.  `index_to_digits(np.arange(d**L), d, L)`
+  lists all of F_d^L in increasing index order.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -41,184 +40,15 @@ def _check_modulus(d: int) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of F_d, stored as an integer in [0, d)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        _check_modulus(self.modulus)
-        object.__setattr__(self, "value", int(self.value) % self.modulus)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.modulus != self.modulus:
-                raise ValidationError("modulus mismatch")
-            return other.value
-        return int(other) % self.modulus
-
-    def __add__(self, other):
-        return FieldElement((self.value + self._coerce(other)) % self.modulus, self.modulus)
-
-    def __sub__(self, other):
-        return FieldElement((self.value - self._coerce(other)) % self.modulus, self.modulus)
-
-    def __mul__(self, other):
-        return FieldElement((self.value * self._coerce(other)) % self.modulus, self.modulus)
-
-    def __neg__(self):
-        return FieldElement((-self.value) % self.modulus, self.modulus)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ValidationError("zero has no inverse")
-        return FieldElement(pow(self.value, self.modulus - 2, self.modulus), self.modulus)
-
-    def __int__(self) -> int:
-        return self.value
-
-
-@dataclass(frozen=True)
-class FieldVector:
-    """A vector over F_d with interleaved (u_i, v_i) coordinates.
-
-    Length-2n vectors index n-fold error operators; the class also serves as
-    a plain F_d vector of any length (syndrome tuples, logical labels).
-    """
-
-    modulus: int
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        d = _check_modulus(self.modulus)
-        object.__setattr__(self, "coords", tuple(int(c) % d for c in self.coords))
-
-    @classmethod
-    def _from_trusted(cls, modulus: int, coords: tuple[int, ...]) -> "FieldVector":
-        # fast path for bulk construction; caller guarantees the invariants
-        self = object.__new__(cls)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "coords", coords)
-        return self
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
-    @property
-    def pair_count(self) -> int:
-        if len(self.coords) % 2 != 0:
-            raise ValidationError("vector length is odd; no (u, v) pair structure")
-        return len(self.coords) // 2
-
-    def pairs(self) -> list[tuple[int, int]]:
-        """The (u_i, v_i) pairs of an even-length vector."""
-        n = self.pair_count
-        return [(self.coords[2 * i], self.coords[2 * i + 1]) for i in range(n)]
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.coords, dtype=np.int64)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def __add__(self, other: "FieldVector") -> "FieldVector":
-        return vec_add(self, other)
-
-    def __sub__(self, other: "FieldVector") -> "FieldVector":
-        if not isinstance(other, FieldVector):
-            return NotImplemented
-        _check_compatible(self, other)
-        d = self.modulus
-        return FieldVector._from_trusted(
-            d, tuple((a - b) % d for a, b in zip(self.coords, other.coords))
-        )
-
-    def scale(self, a: int) -> "FieldVector":
-        d = self.modulus
-        a = int(a) % d
-        return FieldVector._from_trusted(d, tuple((a * c) % d for c in self.coords))
-
-    def to_text(self) -> str:
-        """Space-separated integer form, e.g. '1 0 1 0'."""
-        return " ".join(str(c) for c in self.coords)
-
-    @classmethod
-    def from_text(cls, modulus: int, text: str) -> "FieldVector":
-        return cls(modulus, tuple(int(tok) for tok in text.split()))
-
-
-def _check_compatible(a: FieldVector, b: FieldVector) -> None:
-    if a.modulus != b.modulus:
-        raise ValidationError(f"modulus mismatch: {a.modulus} vs {b.modulus}")
-    if len(a) != len(b):
-        raise ValidationError(f"length mismatch: {len(a)} vs {len(b)}")
-
-
-def vec_add(a: FieldVector, b: FieldVector) -> FieldVector:
-    """Componentwise sum mod d."""
-    _check_compatible(a, b)
-    d = a.modulus
-    return FieldVector._from_trusted(d, tuple((x + y) % d for x, y in zip(a.coords, b.coords)))
-
-
-def symplectic_form(x: FieldVector, y: FieldVector) -> FieldElement:
+def symplectic_form(x: np.ndarray, y: np.ndarray, d: int) -> int:
     """The standard symplectic pairing sum_i (u_i v'_i - v_i u'_i) mod d."""
-    _check_compatible(x, y)
-    if len(x) % 2 != 0:
+    x = np.asarray(x, dtype=np.int64)
+    y = np.asarray(y, dtype=np.int64)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValidationError(f"need two 1-d vectors of equal length, got shapes {x.shape} and {y.shape}")
+    if x.size % 2 != 0:
         raise ValidationError("symplectic form requires even-length vectors")
-    d = x.modulus
-    total = 0
-    for i in range(0, len(x), 2):
-        total += x.coords[i] * y.coords[i + 1] - x.coords[i + 1] * y.coords[i]
-    return FieldElement(total % d, d)
-
-
-def symplectic_form_array(x: np.ndarray, y: np.ndarray, d: int) -> int:
-    """Symplectic pairing of two raw coordinate arrays (internal fast path)."""
-    u = x[0::2]
-    v = x[1::2]
-    up = y[0::2]
-    vp = y[1::2]
-    return int((np.dot(u, vp) - np.dot(v, up)) % d)
-
-
-def enumerate_vectors(d: int, length: int) -> Iterator[FieldVector]:
-    """Yield every vector of F_d^length once, in little-endian counter order.
-
-    The first coordinate is the fastest-moving digit, so vector number t has
-    coordinates ((t // d**j) % d for j in range(length)).
-    """
-    d = _check_modulus(d)
-    length = int(length)
-    if length < 0:
-        raise ValidationError("length must be nonnegative")
-    if length * np.log2(d) >= 63:
-        raise OverflowError(f"d**length does not fit a 64-bit count (d={d}, length={length})")
-    total = d**length
-    coords = [0] * length
-    for _ in range(total):
-        yield FieldVector._from_trusted(d, tuple(coords))
-        for j in range(length):
-            coords[j] += 1
-            if coords[j] < d:
-                break
-            coords[j] = 0
-
-
-def vector_count(d: int, length: int) -> int:
-    """d**length, guarded like enumerate_vectors."""
-    d = _check_modulus(d)
-    if length * np.log2(d) >= 63:
-        raise OverflowError(f"d**length does not fit a 64-bit count (d={d}, length={length})")
-    return d**length
+    return int((np.dot(x[0::2], y[1::2]) - np.dot(x[1::2], y[0::2])) % d)
 
 
 def index_to_digits(indices: np.ndarray, d: int, length: int) -> np.ndarray:

@@ -39,7 +39,6 @@ from .symplectic import (
     Subspace,
     nullspace,
     random_isotropic_basis,
-    rref,
     solve_affine_multi,
     symplectic_dual,
 )
@@ -165,13 +164,13 @@ class _OuterContext:
     """Per-outer-code machinery: syndrome map, candidate coset enumeration,
     and membership tests, specialized to bit packing when d = 2."""
 
-    def __init__(self, outer: Subspace | np.ndarray, d: int, k: int, N: int):
+    def __init__(self, outer: Subspace, d: int, k: int, N: int):
         self.d = d
         self.k = k
         self.N = N
         self.length = 2 * k * N
-        gens = outer.basis if isinstance(outer, Subspace) else np.asarray(outer, dtype=np.int64)
-        gens = gens.reshape(-1, self.length)  # (kN-K, 2kN)
+        self.contains = outer.contains
+        gens = outer.basis  # (kN-K, 2kN)
         self.n_checks = gens.shape[0]
         self.search_size = d ** (self.length - self.n_checks)
         if self.search_size > _SEARCH_GUARD:
@@ -190,7 +189,6 @@ class _OuterContext:
             self.dual = np.zeros((0, self.length), dtype=np.int64)
             self.perp_basis = np.eye(self.length, dtype=np.int64)
             self.reps = np.zeros((0, self.length), dtype=np.int64)
-        self.member_rref, self.member_pivots = rref(gens, d) if gens.shape[0] else (gens, [])
         self._packed = None
         if d == 2:
             weights = (1 << np.arange(self.length, dtype=np.uint64))
@@ -203,13 +201,6 @@ class _OuterContext:
 
     def syndrome(self, v_digits: np.ndarray) -> np.ndarray:
         return (self.dual @ v_digits) % self.d
-
-    def contains(self, v_digits: np.ndarray) -> bool:
-        v = v_digits % self.d
-        for r, pc in enumerate(self.member_pivots):
-            if v[pc] != 0:
-                v = (v - v[pc] * self.member_rref[r]) % self.d
-        return not v.any()
 
     def candidate_symbols(self, sigma: np.ndarray) -> tuple[np.ndarray, object]:
         """Per-block logical symbols of every v' with syndrome sigma.
@@ -324,7 +315,7 @@ def simulate(cfg: SimConfig) -> SimReport:
         else:
             basis = random_isotropic_basis(d, 2 * k * N, k * N - K,
                                            np.random.default_rng((cfg.seed, t, 1)))
-            ctx = _OuterContext(basis, d, k, N)
+            ctx = _OuterContext(Subspace(d, 2 * k * N, basis), d, k, N)
         z_idx, v_idx = sample_error(arr, N, rng)
         v_digits = col_digits[v_idx].ravel()
         sigma = ctx.syndrome(v_digits)

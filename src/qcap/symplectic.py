@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import ValidationError
-from .gf import FieldVector, _check_modulus
+from .gf import _check_modulus
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +168,6 @@ class Subspace:
     def zero(cls, d: int, ambient: int) -> "Subspace":
         return cls(d, ambient, np.zeros((0, ambient), dtype=np.int64))
 
-    @classmethod
-    def from_vectors(cls, vectors: list[FieldVector]) -> "Subspace":
-        if not vectors:
-            raise ValidationError("from_vectors needs at least one vector; use Subspace.zero")
-        d = vectors[0].modulus
-        ambient = len(vectors[0])
-        return cls(d, ambient, np.array([v.coords for v in vectors], dtype=np.int64))
-
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
@@ -184,17 +176,14 @@ class Subspace:
     def canonical(self) -> np.ndarray:
         return self._rref
 
-    def contains(self, vec) -> bool:
-        v = np.asarray(vec.coords if isinstance(vec, FieldVector) else vec, dtype=np.int64) % self.d
+    def contains(self, vec: np.ndarray) -> bool:
+        v = np.asarray(vec, dtype=np.int64) % self.d
         if v.shape != (self.ambient,):
             raise ValidationError("vector/ambient dimension mismatch")
         for r, pc in enumerate(self._pivots):
             if v[pc] != 0:
                 v = (v - v[pc] * self._rref[r]) % self.d
         return not v.any()
-
-    def vectors(self) -> list[FieldVector]:
-        return [FieldVector(self.d, tuple(int(c) for c in row)) for row in self.basis]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -276,8 +265,11 @@ class HyperbolicBasis:
         return self._chi
 
     def coordinates(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(w, z) arrays with x = sum_i w_i g_i + z_i h_i."""
+        """Chi coordinates: the (w, z) arrays with x = sum_i w_i g_i + z_i h_i,
+        where z_i = <g_i, x> and w_i = <x, h_i>."""
         x = np.asarray(x, dtype=np.int64)
+        if x.shape != (2 * self.n,):
+            raise ValidationError("vector length does not match the basis")
         full = (self._chi @ x) % self.d
         return full[0::2], full[1::2]
 
@@ -285,20 +277,6 @@ class HyperbolicBasis:
         """The first n-k pairings (<g_i, x>)_i identifying the coset of perp(L)."""
         x = np.asarray(x, dtype=np.int64)
         return (self._chi[1:2 * n_minus_k:2] @ x) % self.d
-
-
-def chi_coordinates(basis: HyperbolicBasis, x: FieldVector) -> tuple[FieldVector, FieldVector]:
-    """Expansion coefficients (w, z) of x in the hyperbolic basis.
-
-    z_i = <g_i, x> and w_i = <x, h_i>, so that sum_i (w_i g_i + z_i h_i) = x.
-    """
-    if len(x) != 2 * basis.n:
-        raise ValidationError("vector length does not match the basis")
-    if x.modulus != basis.d:
-        raise ValidationError("modulus mismatch")
-    w, z = basis.coordinates(x.as_array())
-    return (FieldVector._from_trusted(basis.d, tuple(int(c) for c in w)),
-            FieldVector._from_trusted(basis.d, tuple(int(c) for c in z)))
 
 
 def _constrained_vector(v_basis: np.ndarray, targets: np.ndarray, rhs: np.ndarray,

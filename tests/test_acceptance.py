@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from qcap import (
-    FieldVector,
     catalog,
     coherent_bound,
     depolarizing,
@@ -190,10 +189,10 @@ def test_criterion_6_structural_property_suites():
         inner = catalog(inner_name, d)
         for _ in range(5000):
             N = int(rng.integers(1, 4))
-            x = FieldVector(d, tuple(rng.integers(0, d, 2 * inner.k * N)))
-            y = FieldVector(d, tuple(rng.integers(0, d, 2 * inner.k * N)))
-            lhs = int(symplectic_form(bar_map(inner, x), bar_map(inner, y)))
-            assert lhs == int(symplectic_form(x, y))
+            x = rng.integers(0, d, 2 * inner.k * N)
+            y = rng.integers(0, d, 2 * inner.k * N)
+            lhs = symplectic_form(bar_map(inner, x), bar_map(inner, y), d)
+            assert lhs == symplectic_form(x, y, d)
             pair_count += 1
 
     for name, d, p in (("rep3", 2, 0.11), ("rep2", 3, 0.2)):

@@ -3,10 +3,13 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qcap import PauliChannel, catalog, coherent_bound, depolarizing, write_code_file
 from qcap.cli import SWEEP_COLUMNS, SWEEP_SCHEMA, run
 from qcap.exponent import exponent
+from qcap.gf import is_prime
 from qcap.simconcat import fidelity_bound_exact
 
 SCHEMA = json.loads(
@@ -172,6 +175,12 @@ def test_custom_channel_file_rejects_nan_and_repeated_letters(tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_exponent_rejects_oracle_grid_zero(capsys):
+    assert run(["exponent", "--code", "trivial1", "--d", "2", "--p", "0.1", "--rate", "0.5",
+                "--oracle-grid", "0"]) == 2
+    capsys.readouterr()
+
+
 def test_fbound_rejects_no_outer_blocks(capsys):
     assert run(["fbound", "--inner", "rep3", "--d", "2", "--N", "0", "--K", "0",
                 "--p", "0.1"]) == 2
@@ -205,3 +214,74 @@ def test_out_flag_writes_json(tmp_path, capsys):
                 "--out", str(dest)]) == 0
     payload = json.loads(dest.read_text())
     assert payload["result"]["c_n"] < 0  # ternary unencoded bound is negative here
+
+
+# tokens that int() or float() reject, or that parse to a value out of range
+GARBAGE = ("x", "-1", "1e3", "nan", "inf", "1e400", "0x1", "1.5", "\u00b2", "99999999999999999999")
+# non-ASCII decimal digits, which int() reads as 2 and 3
+NON_ASCII = {2: "\u0662", 3: "\uff13"}
+
+
+@st.composite
+def number_tokens(draw, value):
+    """str(value) mostly; sometimes its non-ASCII form or a garbage token."""
+    roll = draw(st.integers(0, 15))
+    if roll == 0:
+        return draw(st.sampled_from(GARBAGE))
+    if roll == 1 and value in NON_ASCII:
+        return NON_ASCII[value]
+    return str(value)
+
+
+@st.composite
+def code_file_texts(draw):
+    d = draw(st.sampled_from([2, 3, 5, 7] * 3 + [-1, 0, 1, 4, 6]))
+    # a prime d with a valid n builds an array of up to d^(2n) cells: keep it small
+    largest = max(m for m in range(5) if d ** (2 * m) <= 3**8) if is_prime(d) else 4
+    n = draw(st.integers(-1, largest))
+    k = draw(st.integers(-1, max(n, 0) + 1))
+    header = [draw(number_tokens(v)) for v in (d, n, k)]
+    if draw(st.integers(0, 7)) == 0:  # a wrong token count
+        header = draw(st.sampled_from([header[:2], header + ["0"]]))
+    lines = [" ".join(header)]
+    count = max(n - k, 0)
+    for _ in range(draw(st.sampled_from([count] * 4 + [count + 1, max(count - 1, 0)]))):
+        if draw(st.booleans()):  # 2n space-separated digits
+            size = draw(st.sampled_from([2 * n] * 8 + [2 * n + 1, max(2 * n - 1, 0)]))
+            toks = [draw(number_tokens(draw(st.integers(-1, max(d, 1))))) for _ in range(size)]
+            lines.append(" ".join(toks))
+        else:  # a digit string over Z_{d^2}
+            size = draw(st.sampled_from([n] * 8 + [n + 1, max(n - 1, 0)]))
+            digits = [draw(number_tokens(draw(st.integers(0, 9)))) for _ in range(size)]
+            lines.append("".join(digits))
+    lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "# comment"])))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def channel_file_texts(draw):
+    probs = st.sampled_from(["1", "0.5", "0.25", "0", "-0.1"] + list(GARBAGE))
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        toks = [draw(number_tokens(draw(st.integers(-1, 3)))) for _ in range(2)] + [draw(probs)]
+        lines.append(" ".join(draw(st.sampled_from([toks] * 8 + [toks[:2], toks + ["0"]]))))
+    if lines and draw(st.integers(0, 3)) == 0:
+        lines.append(lines[0])  # a repeated letter
+    valid = ["0 0 1\n", "0 0 0.5\n1 0 0.5\n", "0 0 0.7\n1 0 0.1\n0 1 0.1\n1 1 0.1\n"]
+    return draw(st.sampled_from(["\n".join(lines) + "\n"] * 2 + valid))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(code_text=code_file_texts(), channel_text=channel_file_texts())
+def test_bound_parses_any_code_and_channel_file(tmp_path, capsys, code_text, channel_text):
+    code_path = tmp_path / "fuzz.code"
+    channel_path = tmp_path / "fuzz.chan"
+    code_path.write_text(code_text, encoding="utf-8")
+    channel_path.write_text(channel_text, encoding="utf-8")
+    # the second run reads the channel file even when the code file is invalid
+    for code in ([str(code_path)], ["trivial1", "--d", "3"]):
+        status = run(["bound", "--code", *code, "--channel", "custom",
+                      "--probs", str(channel_path)])
+        capsys.readouterr()
+        assert status in (0, 2, 3)

@@ -191,6 +191,13 @@ def test_grid_oracle_guard():
         exponent_grid_oracle(code, depolarizing(2, 0.1), 0.0, 200)
 
 
+def test_grid_oracle_rejects_an_empty_grid():
+    code = catalog("trivial1", 2)
+    for steps in (0, -1):
+        with pytest.raises(ValidationError):
+            exponent_grid_oracle(code, depolarizing(2, 0.1), 0.0, steps)
+
+
 def test_exponent_nonnegative_just_below_threshold():
     code = catalog("rep3", 2)
     ch = depolarizing(2, 0.08)

@@ -1,62 +1,42 @@
 import numpy as np
 import pytest
 
-from qcap import FieldElement, FieldVector, ValidationError, enumerate_vectors, symplectic_form, vec_add
-from qcap.gf import digits_to_index, index_to_digits, is_prime, vector_count
+from qcap import PauliChannel, Subspace, ValidationError, catalog, symplectic_form
+from qcap.gf import digits_to_index, index_to_digits, is_prime
 
 
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
 
-def test_field_element_rejects_composite_modulus():
+def test_rejects_composite_modulus():
     with pytest.raises(ValidationError):
-        FieldElement(1, 4)
+        Subspace(4, 2, [[1, 0]])
     with pytest.raises(ValidationError):
-        FieldVector(6, (1, 2))
-
-
-def test_field_element_arithmetic():
-    a = FieldElement(2, 5)
-    b = FieldElement(4, 5)
-    assert int(a + b) == 1
-    assert int(a - b) == 3
-    assert int(a * b) == 3
-    assert int(-a) == 3
-    assert int(b.inverse() * b) == 1
+        PauliChannel(6, np.full(36, 1 / 36))
     with pytest.raises(ValidationError):
-        FieldElement(0, 5).inverse()
-    with pytest.raises(ValidationError):
-        a + FieldElement(1, 3)
-
-
-def test_vec_add_examples():
-    d2 = lambda *c: FieldVector(2, c)
-    d3 = lambda *c: FieldVector(3, c)
-    assert vec_add(d2(1, 0), d2(1, 0)).coords == (0, 0)
-    assert vec_add(d3(1, 2), d3(2, 2)).coords == (0, 1)
-    x = d3(1, 2, 0, 2)
-    assert vec_add(x, d3(0, 0, 0, 0)) == x
-
-
-def test_vec_add_mismatch():
-    with pytest.raises(ValidationError):
-        vec_add(FieldVector(2, (1, 0)), FieldVector(3, (1, 0)))
-    with pytest.raises(ValidationError):
-        vec_add(FieldVector(2, (1, 0)), FieldVector(2, (1, 0, 0, 0)))
+        catalog("rep3", 1)
 
 
 def test_symplectic_form_examples():
-    assert int(symplectic_form(FieldVector(2, (1, 0)), FieldVector(2, (0, 1)))) == 1
+    assert symplectic_form(np.array([1, 0]), np.array([0, 1]), 2) == 1
     # direct evaluation over F_3: (1*1 - 2*2) + (0*1 - 1*1) = -4 = 2 mod 3
-    x = FieldVector(3, (1, 2, 0, 1))
-    y = FieldVector(3, (2, 1, 1, 1))
-    assert int(symplectic_form(x, y)) == 2
+    x = np.array([1, 2, 0, 1])
+    y = np.array([2, 1, 1, 1])
+    value = symplectic_form(x, y, 3)
+    assert value == 2 and type(value) is int
 
 
 def test_symplectic_form_requires_even_length():
     with pytest.raises(ValidationError):
-        symplectic_form(FieldVector(2, (1,)), FieldVector(2, (1,)))
+        symplectic_form(np.array([1]), np.array([1]), 2)
+
+
+def test_symplectic_form_rejects_unequal_lengths():
+    with pytest.raises(ValidationError):
+        symplectic_form(np.array([1, 0]), np.array([1, 0, 0, 0]), 2)
+    with pytest.raises(ValidationError):
+        symplectic_form(np.zeros((2, 2), dtype=np.int64), np.zeros((2, 2), dtype=np.int64), 2)
 
 
 def test_symplectic_form_is_alternating_and_antisymmetric():
@@ -64,10 +44,10 @@ def test_symplectic_form_is_alternating_and_antisymmetric():
     for d in (2, 3, 5):
         for _ in range(200):
             n = rng.integers(1, 4)
-            x = FieldVector(d, tuple(rng.integers(0, d, 2 * n)))
-            y = FieldVector(d, tuple(rng.integers(0, d, 2 * n)))
-            assert int(symplectic_form(x, x)) == 0
-            assert (int(symplectic_form(x, y)) + int(symplectic_form(y, x))) % d == 0
+            x = rng.integers(0, d, 2 * n)
+            y = rng.integers(0, d, 2 * n)
+            assert symplectic_form(x, x, d) == 0
+            assert (symplectic_form(x, y, d) + symplectic_form(y, x, d)) % d == 0
 
 
 def test_symplectic_form_bilinear():
@@ -76,47 +56,28 @@ def test_symplectic_form_bilinear():
         for _ in range(200):
             n = rng.integers(1, 4)
             a, b = int(rng.integers(0, d)), int(rng.integers(0, d))
-            x = FieldVector(d, tuple(rng.integers(0, d, 2 * n)))
-            y = FieldVector(d, tuple(rng.integers(0, d, 2 * n)))
-            z = FieldVector(d, tuple(rng.integers(0, d, 2 * n)))
-            lhs = int(symplectic_form(vec_add(x.scale(a), y.scale(b)), z))
-            rhs = (a * int(symplectic_form(x, z)) + b * int(symplectic_form(y, z))) % d
+            x = rng.integers(0, d, 2 * n)
+            y = rng.integers(0, d, 2 * n)
+            z = rng.integers(0, d, 2 * n)
+            lhs = symplectic_form((a * x + b * y) % d, z, d)
+            rhs = (a * symplectic_form(x, z, d) + b * symplectic_form(y, z, d)) % d
             assert lhs == rhs
 
 
 def test_symplectic_form_nondegenerate_small():
     for d in (2, 3):
         for n in (1, 2):
-            vectors = list(enumerate_vectors(d, 2 * n))
-            for x in vectors:
-                if x.is_zero():
-                    continue
-                assert any(int(symplectic_form(x, y)) != 0 for y in vectors)
+            vectors = index_to_digits(np.arange(d ** (2 * n)), d, 2 * n)
+            for x in vectors[1:]:
+                assert any(symplectic_form(x, y, d) != 0 for y in vectors)
 
 
-def test_enumerate_vectors_order_and_counts():
-    got = [v.coords for v in enumerate_vectors(2, 2)]
-    assert got == [(0, 0), (1, 0), (0, 1), (1, 1)]
-    assert len(list(enumerate_vectors(3, 1))) == 3
-    seen = {v.coords for v in enumerate_vectors(3, 4)}
+def test_index_to_digits_enumerates_in_index_order():
+    got = index_to_digits(np.arange(4), 2, 2).tolist()
+    assert got == [[0, 0], [1, 0], [0, 1], [1, 1]]
+    assert index_to_digits(np.arange(3), 3, 1).shape == (3, 1)
+    seen = {tuple(v) for v in index_to_digits(np.arange(3**4), 3, 4).tolist()}
     assert len(seen) == 3**4
-
-
-def test_enumerate_vectors_large_stream_count():
-    # 3^14 vectors, counted one by one
-    count = sum(1 for _ in enumerate_vectors(3, 14))
-    assert count == 4_782_969 == vector_count(3, 14)
-
-
-def test_enumerate_vectors_overflow_guard():
-    with pytest.raises(OverflowError):
-        next(enumerate_vectors(2, 70))
-
-
-def test_text_round_trip():
-    v = FieldVector(3, (1, 0, 2, 1))
-    assert v.to_text() == "1 0 2 1"
-    assert FieldVector.from_text(3, v.to_text()) == v
 
 
 def test_index_digit_round_trip():
@@ -127,7 +88,10 @@ def test_index_digit_round_trip():
 
 
 def test_pairs_layout():
-    v = FieldVector(2, (1, 0, 0, 1))
-    assert v.pairs() == [(1, 0), (0, 1)]
+    # coordinates (2i, 2i+1) are the (u_i, v_i) pair of site i: the form
+    # pairs u_i only with v_i
+    e = np.eye(4, dtype=np.int64)
+    gram = [[symplectic_form(e[a], e[b], 2) for b in range(4)] for a in range(4)]
+    assert gram == [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
     with pytest.raises(ValidationError):
-        FieldVector(2, (1, 0, 1)).pairs()
+        symplectic_form(np.array([1, 0, 1]), np.array([1, 0, 1]), 2)

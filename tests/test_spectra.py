@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcap import (
-    FieldVector,
     GuardError,
     PauliChannel,
     StabilizerCode,
@@ -18,7 +17,7 @@ from qcap import (
     product_prob,
     symplectic_form,
 )
-from qcap.gf import enumerate_vectors
+from qcap.gf import index_to_digits
 from qcap.spectra import bound_from_array, bound_sweep
 from qcap.symplectic import hyperbolic_complete, sample_self_orthogonal
 
@@ -30,18 +29,11 @@ def brute_force_array(code, channel):
     g = code.completion.g
     h = code.completion.h
     table = np.zeros((d**nk, d ** (2 * k)))
-    for x in enumerate_vectors(d, 2 * n):
-        s_digits = []
-        for i in range(nk):
-            gv = FieldVector(d, tuple(int(c) for c in g[i]))
-            s_digits.append(int(symplectic_form(gv, x)))
+    for x in index_to_digits(np.arange(d ** (2 * n)), d, 2 * n):
+        s_digits = [symplectic_form(g[i], x, d) for i in range(nk)]
         col_digits = []
         for m in range(nk, n):
-            hv = FieldVector(d, tuple(int(c) for c in h[m]))
-            gv = FieldVector(d, tuple(int(c) for c in g[m]))
-            w = int(symplectic_form(x, hv))
-            z = int(symplectic_form(gv, x))
-            col_digits += [w, z]
+            col_digits += [symplectic_form(x, h[m], d), symplectic_form(g[m], x, d)]
         row = sum(s * d**i for i, s in enumerate(s_digits))
         col = sum(c * d**i for i, c in enumerate(col_digits))
         table[row, col] += product_prob(channel, x)
@@ -93,8 +85,8 @@ def test_syndrome_marginal_matches_direct_binning():
     ch = depolarizing(2, 0.17)
     arr = probability_array(code, ch)
     direct = np.zeros(4)
-    for x in enumerate_vectors(2, 6):
-        s = code.completion.syndrome(x.as_array(), 2)
+    for x in index_to_digits(np.arange(2**6), 2, 6):
+        s = code.completion.syndrome(x, 2)
         direct[s[0] + 2 * s[1]] += product_prob(ch, x)
     assert np.abs(arr.syndrome_marginal() - direct).max() < 1e-14
 

@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 
 from qcap import (
-    FieldVector,
     Subspace,
     ValidationError,
-    chi_coordinates,
     hyperbolic_complete,
     is_self_orthogonal,
     perp,
     sample_self_orthogonal,
+    symplectic_form,
 )
-from qcap.gf import symplectic_form_array
 from qcap.symplectic import gram_matrix, nullspace, random_isotropic_basis, rref, solve_affine
 
 # chi-square(14 dof) upper critical value at significance 0.01
@@ -83,7 +81,7 @@ def test_perp_against_exhaustive_scan():
         powers = d ** np.arange(2 * n, dtype=np.int64)
         for idx in range(d ** (2 * n)):
             v = (idx // powers) % d
-            orth = all(symplectic_form_array(row, v, d) == 0 for row in L.basis)
+            orth = all(symplectic_form(row, v, d) == 0 for row in L.basis)
             assert orth == P.contains(v)
             count += orth
         assert count == d**P.dim
@@ -131,13 +129,16 @@ def test_hyperbolic_complete_deterministic_per_seed():
 def test_chi_coordinates_basis_vectors():
     L = Subspace(2, 6, [[1, 0, 1, 0, 0, 0], [1, 0, 0, 0, 1, 0]])
     B = hyperbolic_complete(L, 1)
+    unit = np.eye(B.n, dtype=np.int64)
     for j in range(B.n):
-        w, z = chi_coordinates(B, FieldVector(2, tuple(int(c) for c in B.g[j])))
-        assert w.coords == tuple(int(i == j) for i in range(B.n))
-        assert z.is_zero()
-        w, z = chi_coordinates(B, FieldVector(2, tuple(int(c) for c in B.h[j])))
-        assert w.is_zero()
-        assert z.coords == tuple(int(i == j) for i in range(B.n))
+        w, z = B.coordinates(B.g[j])
+        assert (w == unit[j]).all()
+        assert not z.any()
+        w, z = B.coordinates(B.h[j])
+        assert not w.any()
+        assert (z == unit[j]).all()
+    with pytest.raises(ValidationError):
+        B.coordinates(np.zeros(4, dtype=np.int64))
 
 
 def test_chi_coordinates_reconstruction_and_linearity():
