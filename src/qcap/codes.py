@@ -194,6 +194,8 @@ def read_code_file(path, *, seed: int = 0) -> StabilizerCode:
     if len(head) != 3:
         raise ValidationError("code file header must be 'd n k'")
     d, n, k = (int(t) for t in head)
+    if n < 1:
+        raise ValidationError(f"code file header needs n >= 1 qudits, got n = {n}")
     rows = []
     for ln in lines[1:]:
         if " " in ln:

@@ -33,8 +33,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Past 2^20 the d^2 letters of a one-qudit channel alone exceed the 2^40-cell
+# array guard; refusing such d first also keeps is_prime's trial division short.
+_MAX_MODULUS = 1 << 20
+
+
 def _check_modulus(d: int) -> int:
     d = int(d)
+    if d > _MAX_MODULUS:
+        raise ValidationError(f"modulus {d} exceeds 2^20: its d^2 channel letters pass the array guard")
     if not is_prime(d):
         raise ValidationError(f"modulus must be prime, got {d}")
     return d

@@ -10,9 +10,21 @@ with the observed outer syndrome (a coset of perp(C_out), of size d^{kN+K})
 for the one whose joint type with z has minimum conditional entropy; the
 decoded block succeeds iff v_hat - v lands in C_out.
 
+The coset is v0 + span(B) for a basis B of perp(C_out).  Splitting B into
+halves B1, B2, the decoder lists the per-block symbols of v0 + span(B1) and
+of span(B2), about sqrt(d^{kN+K}) vectors each, and forms every candidate's
+symbols by looking up, per block, the sum of a v0 + span(B1) symbol and a
+span(B2) symbol in a table built once per outer code.
+
 Entropy comparisons between types are resolved exactly: for counts c the
 quantity N*H_c differs from a constant by -log(prod c^c), so candidate
-order and tie handling reduce to integer comparisons of prod c^c.
+order and tie handling reduce to integer comparisons of prod c^c.  The key
+needs no table of cells: if block j's joint symbol (z_j, v'_j) is shared by
+n_j of the N blocks, then prod_j n_j = prod_cells c^c, since a cell holding
+c blocks contributes c factors of c.  A float product screens the
+candidates, and Python ints compare the near-best ones, so which candidates
+tie never depends on rounding; ties go to the lexicographically smallest
+digit vector.
 
 The exact bound never lists joint types.  A type enters it only through its
 z-marginal a, its key prod c^c, its shell (the number of v per fixed z) and
@@ -25,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +48,9 @@ from .gf import index_to_digits
 from .spectra import ProbabilityArray, probability_array
 from .symplectic import (
     Subspace,
+    _GF2Echelon,
+    _pack,
+    _unpack,
     nullspace,
     random_isotropic_basis,
     solve_affine_multi,
@@ -136,113 +150,72 @@ def sample_error(array: ProbabilityArray, N: int, rng: np.random.Generator
 # outer-code decoding context
 
 
-@lru_cache(maxsize=8)
-def _sorted_ntz(q: int) -> np.ndarray:
-    """Number-of-trailing-zeros sequence for a 2^b Gray-code walk."""
-    t = np.arange(1, q, dtype=np.uint64)
-    out = np.zeros(q - 1, dtype=np.int64)
-    shift = t.copy()
-    while True:
-        odd = (shift & 1).astype(bool)
-        if odd.all():
-            break
-        out[~odd] += 1
-        shift = shift >> 1
-        shift[odd] = 1
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=8)
-def _row_offsets(q: int, m: int) -> np.ndarray:
-    out = np.arange(q, dtype=np.int64)[:, None] * m
-    out.setflags(write=False)
-    return out
-
-
 class _OuterContext:
-    """Per-outer-code machinery: syndrome map, candidate coset enumeration,
-    and membership tests, specialized to bit packing when d = 2."""
+    """Per-outer-code machinery: syndrome map, the two halves of the candidate
+    coset enumeration, and membership tests."""
 
     def __init__(self, outer: Subspace, d: int, k: int, N: int):
         self.d = d
         self.k = k
         self.N = N
-        self.length = 2 * k * N
+        self.length = length = 2 * k * N
         self.contains = outer.contains
         gens = outer.basis  # (kN-K, 2kN)
         self.n_checks = gens.shape[0]
-        self.search_size = d ** (self.length - self.n_checks)
+        self.search_size = d ** (length - self.n_checks)
         if self.search_size > _SEARCH_GUARD:
             raise GuardError(
                 f"decoder search set d^(kN+K) = {self.search_size} exceeds 2^24")
-        if self.n_checks:
-            self.dual = np.array([symplectic_dual(g, d) for g in gens]) % d
-            self.perp_basis = nullspace(self.dual, d, self.length)
-            # representatives y_i with <g'_i, y_j> = delta_ij give a particular
-            # solution v0 = sigma @ reps for any target syndrome
-            reps = solve_affine_multi(self.dual, np.eye(self.n_checks, dtype=np.int64), d)
-            if reps is None:
-                raise ValidationError("outer generators are degenerate")
-            self.reps = reps
-        else:
-            self.dual = np.zeros((0, self.length), dtype=np.int64)
-            self.perp_basis = np.eye(self.length, dtype=np.int64)
-            self.reps = np.zeros((0, self.length), dtype=np.int64)
-        self._packed = None
+        self.dual = symplectic_dual(gens, d)
+        # representatives y_i with <g'_i, y_j> = delta_ij give a particular
+        # solution v0 = sigma @ reps for any target syndrome
         if d == 2:
-            weights = (1 << np.arange(self.length, dtype=np.uint64))
-            basis_packed = (self.perp_basis.astype(np.uint64) @ weights)
-            flips = _sorted_ntz(1 << self.perp_basis.shape[0]) if self.perp_basis.shape[0] else None
-            self._packed = (weights, basis_packed, flips)
+            ech = _GF2Echelon(row | 1 << (length + i) for i, row in enumerate(_pack(self.dual)))
+            self.perp_basis = _unpack(ech.nullspace(length), length)
+            reps = ech.solutions(length, self.n_checks)
+            reps = None if reps is None else _unpack(reps, length)
         else:
-            dim = self.perp_basis.shape[0]
-            self._combos = index_to_digits(np.arange(self.search_size), d, dim)
+            self.perp_basis = nullspace(self.dual, d, length)
+            reps = solve_affine_multi(self.dual, np.eye(self.n_checks, dtype=np.int64), d)
+        if reps is None:
+            raise ValidationError("outer generators are degenerate")
+        self.reps = reps
+        cols = d ** (2 * k)
+        self._dtype = np.min_scalar_type(cols - 1)
+        self._powers = d ** np.arange(2 * k, dtype=np.int64)
+        half = self.perp_basis.shape[0] // 2
+        self._head_span = self._span(self.perp_basis[:half])
+        tail = self._symbols(self._span(self.perp_basis[half:]))
+        # _tail_sums[j, s, b]: the symbol of s plus block j of the b-th vector
+        # of the second half's span, added digit by digit
+        symbols = np.arange(cols, dtype=self._dtype)
+        self._tail_sums = np.zeros((N, cols, tail.shape[1]), dtype=self._dtype)
+        for power in self._powers.tolist():
+            digit_sum = symbols[None, :, None] // power % d + tail[:, None, :] // power % d
+            self._tail_sums += digit_sum % d * power
+
+    def _span(self, basis: np.ndarray) -> np.ndarray:
+        """All d^h vectors of span(basis), basis (h, 2kN), as digit rows."""
+        h = basis.shape[0]
+        return index_to_digits(np.arange(self.d**h), self.d, h) @ basis % self.d
+
+    def _symbols(self, vecs: np.ndarray) -> np.ndarray:
+        """(N, m) per-block symbols of m digit vectors."""
+        blocks = vecs.reshape(-1, self.N, 2 * self.k) @ self._powers
+        return blocks.T.astype(self._dtype)
 
     def syndrome(self, v_digits: np.ndarray) -> np.ndarray:
         return (self.dual @ v_digits) % self.d
 
-    def candidate_symbols(self, sigma: np.ndarray) -> tuple[np.ndarray, object]:
-        """Per-block logical symbols of every v' with syndrome sigma.
+    def candidate_symbols(self, sigma: np.ndarray) -> np.ndarray:
+        """Per-block logical symbols (N x Q) of every v' with syndrome sigma.
 
-        Returns (symbols (Q x N), handle) where the handle recovers digit
-        vectors of individual candidates via `candidate_digits`.
+        The coset v0 + perp(C_out) is enumerated as v0 + span(first half of
+        the basis) plus span(second half), summing symbols block by block.
         """
-        d, k, N = self.d, self.k, self.N
-        v0 = (sigma @ self.reps) % d if self.n_checks else np.zeros(self.length, dtype=np.int64)
-        if self._packed is not None:
-            weights, basis_packed, flips = self._packed
-            start = np.uint64(v0.astype(np.uint64) @ weights)
-            if basis_packed.size:
-                seq = np.concatenate([[start], basis_packed[flips]]).astype(np.uint64)
-                elems = np.bitwise_xor.accumulate(seq)
-            else:
-                elems = np.array([start], dtype=np.uint64)
-            mask = np.uint64((1 << (2 * k)) - 1)
-            syms = np.empty((elems.size, N), dtype=np.int64)
-            for j in range(N):
-                syms[:, j] = ((elems >> np.uint64(2 * k * j)) & mask).astype(np.int64)
-            return syms, elems
-        cands = (v0[None, :] + self._combos @ self.perp_basis) % d
-        syms = np.empty((cands.shape[0], N), dtype=np.int64)
-        dpow = d ** np.arange(2 * k, dtype=np.int64)
-        for j in range(N):
-            syms[:, j] = cands[:, 2 * k * j:2 * k * (j + 1)] @ dpow
-        return syms, cands
-
-    def candidate_digits(self, handle, idx: int) -> np.ndarray:
-        if self._packed is not None:
-            word = int(handle[idx])
-            return np.array([(word >> b) & 1 for b in range(self.length)], dtype=np.int64)
-        return handle[idx].astype(np.int64)
-
-
-def _clogc_table(n: int) -> np.ndarray:
-    c = np.arange(n + 1, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = c * np.log(c)
-    t[0] = 0.0
-    return t
+        v0 = (sigma @ self.reps) % self.d
+        head = self._symbols((self._head_span + v0) % self.d)
+        return self._tail_sums[np.arange(self.N)[:, None], head].reshape(self.N, -1)
 
 
 def decode_min_conditional_entropy(inner: StabilizerCode, outer: Subspace | StabilizerCode,
@@ -261,25 +234,29 @@ def decode_min_conditional_entropy(inner: StabilizerCode, outer: Subspace | Stab
 
 def _decode_ctx(inner: StabilizerCode, ctx: _OuterContext, z_indices: np.ndarray,
                 sigma: np.ndarray) -> np.ndarray:
-    rows = inner.d ** (inner.n - inner.k)
-    cols = inner.d ** (2 * inner.k)
-    N = len(z_indices)
-    syms, handle = ctx.candidate_symbols(sigma)
-    q = syms.shape[0]
-    m = rows * cols
-    joint = z_indices[None, :] * cols + syms
-    flat = (_row_offsets(q, m) + joint).ravel()
-    counts = np.bincount(flat, minlength=q * m).reshape(q, m)
-    table = _clogc_table(N)
-    scores = -table[counts].sum(axis=1)  # minimizing this minimizes H(joint type)
-    best = scores.min()
-    ties = np.flatnonzero(scores == best)
-    if ties.size > 1:
-        digit_rows = [tuple(ctx.candidate_digits(handle, int(i))) for i in ties]
-        winner = int(ties[min(range(ties.size), key=lambda j: digit_rows[j])])
+    syms = ctx.candidate_symbols(sigma)
+    z = np.asarray(z_indices)
+    # counts[j, c]: the blocks of candidate c whose joint symbol (z, v') equals
+    # block j's; blocks with different syndromes never share one
+    counts = np.empty(syms.shape, dtype=np.uint8)
+    for s in set(z.tolist()):
+        group = np.flatnonzero(z == s)
+        block = syms[group]
+        counts[group] = (block[:, None, :] == block[None, :, :]).sum(axis=1, dtype=np.uint8)
+    # the product over blocks is the entropy key prod c^c; as a float it is
+    # exact below 2^53 and within N ulps beyond, so it only screens
+    score = counts.prod(axis=0, dtype=np.float64)
+    near = np.flatnonzero(score >= score.max() * (1 - 1e-12))
+    if near.size > 1:
+        keys = [math.prod(col) for col in counts[:, near].T.tolist()]
+        top = max(keys)
+        tied = near[[key == top for key in keys]]
+        digits = index_to_digits(syms[:, tied].T.ravel(), inner.d, 2 * inner.k)
+        rows = digits.reshape(tied.size, -1).tolist()
+        winner = int(tied[min(range(tied.size), key=rows.__getitem__)])
     else:
-        winner = int(ties[0])
-    return syms[winner]
+        winner = int(near[0])
+    return syms[:, winner].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,11 @@ The sampler `sample_self_orthogonal` grows a subspace one dimension at a
 time with a uniform vector from perp(current) \\ current.  At dimension m'
 in ambient dimension 2m the number of valid extension vectors is
 d**(2m - m') - d**m', a function of m' alone, so every isotropic subspace of
-the target dimension is reached with equal probability.  This counting claim
-is asserted by exhaustive enumeration when the ambient space is small.
+the target dimension is reached with equal probability.
+
+At d = 2 the sampler, `Subspace` and the decoder's coset machinery run on
+bit-packed rows (`_GF2Echelon`); the mod-d routines serve every other d and
+are the reference the packed ones are tested against.
 """
 
 from __future__ import annotations
@@ -123,11 +126,13 @@ def solve_affine_multi(mat: np.ndarray, rhs_cols: np.ndarray, d: int) -> np.ndar
 
 
 def symplectic_dual(vec: np.ndarray, d: int) -> np.ndarray:
-    """The ordinary-dot representative of <vec, .>: dual(v) @ x = <v, x> mod d."""
+    """The ordinary-dot representative of <vec, .>: dual(v) @ x = <v, x> mod d.
+
+    A matrix is mapped row by row."""
     vec = np.asarray(vec, dtype=np.int64)
     out = np.empty_like(vec)
-    out[0::2] = (-vec[1::2]) % d
-    out[1::2] = vec[0::2] % d
+    out[..., 0::2] = (-vec[..., 1::2]) % d
+    out[..., 1::2] = vec[..., 0::2] % d
     return out
 
 
@@ -137,6 +142,90 @@ def gram_matrix(rows_a: np.ndarray, rows_b: np.ndarray, d: int) -> np.ndarray:
     rows_b = np.atleast_2d(np.asarray(rows_b, dtype=np.int64))
     duals = np.array([symplectic_dual(a, d) for a in rows_a]).reshape(rows_a.shape)
     return (duals @ rows_b.T) % d
+
+
+# ---------------------------------------------------------------------------
+# bit-packed linear algebra over F_2
+#
+# A row is a Python int with bit j = column j, so a row operation is one XOR
+# and a row's leading column is its lowest set bit.  Over F_2 the reduced row
+# echelon form of a row space is unique, and the nullspace basis read off it
+# is canonical, so the packed routines return exactly the rows that rref,
+# nullspace and solve_affine_multi return at d = 2.
+
+
+def _pack(mat: np.ndarray) -> list[int]:
+    """The rows of a 0/1 matrix as ints, bit j = column j."""
+    bits = np.packbits(np.asarray(mat, dtype=np.uint8), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in bits]
+
+
+def _unpack(rows: list[int], ncols: int) -> np.ndarray:
+    """The (len(rows), ncols) int64 0/1 matrix of packed rows."""
+    nbytes = (ncols + 7) // 8
+    buf = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows), dtype=np.uint8)
+    bits = np.unpackbits(buf.reshape(len(rows), nbytes), axis=1, count=ncols, bitorder="little")
+    return bits.astype(np.int64)
+
+
+def _dual_gf2(row: int, ambient: int) -> int:
+    """symplectic_dual at d = 2: swap the bits of every (u_i, v_i) pair."""
+    even = int("01" * (ambient // 2), 2)
+    return ((row & even) << 1) | ((row >> 1) & even)
+
+
+class _GF2Echelon:
+    """The reduced row echelon form over F_2 of a growing set of packed rows,
+    kept as {lowest set bit: row}; every row is zero at the others' pivots."""
+
+    def __init__(self, rows=()) -> None:
+        self.rows: dict[int, int] = {}
+        for row in rows:
+            self.add(row)
+
+    def reduce(self, v: int) -> int:
+        """v minus its component in the span; 0 iff v lies in the span."""
+        for bit, row in self.rows.items():
+            if v & bit:
+                v ^= row
+        return v
+
+    def add(self, v: int) -> bool:
+        """Insert v; False if it was already in the span."""
+        v = self.reduce(v)
+        if not v:
+            return False
+        low = v & -v
+        for bit, row in self.rows.items():
+            if row & low:
+                self.rows[bit] = row ^ v
+        self.rows[low] = v
+        return True
+
+    def echelon(self) -> tuple[list[int], list[int]]:
+        """(rows, pivot columns) in increasing pivot order, as rref returns."""
+        order = sorted(self.rows)
+        return [self.rows[b] for b in order], [b.bit_length() - 1 for b in order]
+
+    def _column(self, j: int) -> int:
+        """The pivot bits of the rows that have bit j set."""
+        col = 0
+        for bit, row in self.rows.items():
+            if row >> j & 1:
+                col |= bit
+        return col
+
+    def nullspace(self, ncols: int) -> list[int]:
+        """nullspace's basis of {x : row . x = 0 for every row}, over the
+        first ncols columns, one vector per free column in increasing order."""
+        return [1 << fc | self._column(fc) for fc in range(ncols) if 1 << fc not in self.rows]
+
+    def solutions(self, ncols: int, nrhs: int) -> list[int] | None:
+        """For rows [A | B] (B in bits ncols..ncols+nrhs-1), solve_affine_multi's
+        solutions x_i of A x = b_i; None if some system is inconsistent."""
+        if any(bit >> ncols for bit in self.rows):
+            return None
+        return [self._column(i) for i in range(ncols, ncols + nrhs)]
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +247,13 @@ class Subspace:
         rows = np.asarray(basis, dtype=np.int64).reshape(-1, self.ambient) % self.d
         self.basis = rows
         self.basis.setflags(write=False)
-        red, pivots = rref(rows, self.d)
+        self._gf2 = None
+        if self.d == 2:
+            self._gf2 = _GF2Echelon(_pack(rows))
+            packed, pivots = self._gf2.echelon()
+            red = _unpack(packed, self.ambient)
+        else:
+            red, pivots = rref(rows, self.d)
         if red.shape[0] != rows.shape[0]:
             raise ValidationError("generators are linearly dependent")
         self._rref = red
@@ -180,6 +275,8 @@ class Subspace:
         v = np.asarray(vec, dtype=np.int64) % self.d
         if v.shape != (self.ambient,):
             raise ValidationError("vector/ambient dimension mismatch")
+        if self._gf2 is not None:
+            return not self._gf2.reduce(_pack(v[None, :])[0])
         for r, pc in enumerate(self._pivots):
             if v[pc] != 0:
                 v = (v - v[pc] * self._rref[r]) % self.d
@@ -351,37 +448,23 @@ def hyperbolic_complete(L: Subspace, rng_seed: int) -> HyperbolicBasis:
 # uniform sampling of self-orthogonal subspaces
 
 
-_CHECKED_EXTENSION_SIGNATURES: set[tuple[int, int, int]] = set()
-
-
-def _extension_count_check(d: int, ambient: int, current_dim: int,
-                           perp_basis: np.ndarray, reduce_fn) -> None:
-    # exhaustive cross-check of the counting identity on tiny ambient spaces;
-    # the count depends only on (d, ambient, dim), so verify each signature once
-    if (d, ambient, current_dim) in _CHECKED_EXTENSION_SIGNATURES:
-        return
-    expected = d ** (ambient - current_dim) - d**current_dim
-    powers = d ** np.arange(ambient, dtype=np.int64)
-    perp_space = Subspace(d, ambient, perp_basis)
-    count = 0
-    for idx in range(d**ambient):
-        digits = (idx // powers) % d
-        if perp_space.contains(digits) and reduce_fn(digits).any():
-            count += 1
-    if count != expected:
-        raise AssertionError(
-            f"extension count {count} != d^{ambient - current_dim} - d^{current_dim} = {expected}")
-    _CHECKED_EXTENSION_SIGNATURES.add((d, ambient, current_dim))
-
-
-def random_isotropic_basis(d: int, ambient: int, dim: int, rng: np.random.Generator,
-                           *, check_counts: bool = False) -> np.ndarray:
+def random_isotropic_basis(d: int, ambient: int, dim: int, rng: np.random.Generator
+                           ) -> np.ndarray:
     """Basis rows of a uniformly random self-orthogonal subspace.
 
     Grows one dimension at a time with a uniform vector from
     perp(current) \\ current; an echelon form is carried along so membership
-    tests stay cheap.
+    tests stay cheap.  At d = 2 the rows are bit-packed; both paths draw the
+    same coefficients from rng and return the same rows.
     """
+    if d == 2:
+        return _unpack(_random_isotropic_gf2(ambient, dim, rng), ambient)
+    return _random_isotropic_dense(d, ambient, dim, rng)
+
+
+def _random_isotropic_dense(d: int, ambient: int, dim: int, rng: np.random.Generator
+                            ) -> np.ndarray:
+    """random_isotropic_basis on int64 digit rows, for any prime d."""
     rows = np.zeros((0, ambient), dtype=np.int64)
     duals = np.zeros((0, ambient), dtype=np.int64)
     ech: list[np.ndarray] = []  # rows with normalized leading pivots
@@ -394,10 +477,8 @@ def random_isotropic_basis(d: int, ambient: int, dim: int, rng: np.random.Genera
                 v = (v - v[pc] * r) % d
         return v
 
-    for step in range(dim):
+    for _ in range(dim):
         perp_basis = nullspace(duals, d, ambient)
-        if check_counts and d**ambient <= 4096:
-            _extension_count_check(d, ambient, step, perp_basis, reduce_vec)
         while True:
             coeffs = rng.integers(0, d, size=perp_basis.shape[0])
             v = (coeffs @ perp_basis) % d
@@ -412,12 +493,28 @@ def random_isotropic_basis(d: int, ambient: int, dim: int, rng: np.random.Genera
     return rows
 
 
+def _random_isotropic_gf2(ambient: int, dim: int, rng: np.random.Generator) -> list[int]:
+    """random_isotropic_basis at d = 2, on packed rows."""
+    rows: list[int] = []
+    span, duals = _GF2Echelon(), _GF2Echelon()
+    for _ in range(dim):
+        perp_basis = duals.nullspace(ambient)
+        while True:
+            v = 0
+            for c, b in zip(rng.integers(0, 2, size=len(perp_basis)).tolist(), perp_basis):
+                if c:
+                    v ^= b
+            if span.add(v):
+                break
+        rows.append(v)
+        duals.add(_dual_gf2(v, ambient))
+    return rows
+
+
 def sample_self_orthogonal(d: int, ambient: int, dim: int, rng_seed) -> Subspace:
     """A uniformly random self-orthogonal subspace of the given dimension.
 
-    ambient is the full dimension 2m; dim must not exceed m.  On small
-    ambient spaces the extension-count identity behind the uniformity claim
-    is verified exhaustively (once per dimension signature).
+    ambient is the full dimension 2m; dim must not exceed m.
     """
     d = _check_modulus(d)
     if ambient % 2 != 0:
@@ -426,5 +523,5 @@ def sample_self_orthogonal(d: int, ambient: int, dim: int, rng_seed) -> Subspace
     if dim < 0 or dim > m:
         raise ValidationError(f"no isotropic subspace of dimension {dim} in dimension {ambient}")
     rng = np.random.default_rng(rng_seed)
-    rows = random_isotropic_basis(d, ambient, dim, rng, check_counts=True)
+    rows = random_isotropic_basis(d, ambient, dim, rng)
     return Subspace(d, ambient, rows) if dim else Subspace.zero(d, ambient)

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,22 @@ def test_guard_exit_code(tmp_path, capsys):
     path.write_text("2 21 21\n")  # d^(n+k) = 2^42 exceeds the array guard
     assert run(["bound", "--code", str(path), "--p", "0.1"]) == 3
     capsys.readouterr()
+
+
+def test_code_file_with_huge_modulus_fails_fast(tmp_path, capsys):
+    path = tmp_path / "huge.code"
+    path.write_text("1000000000000000003 1 1\n")  # a prime near 10^18
+    start = time.perf_counter()
+    assert run(["bound", "--code", str(path), "--p", "0.1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    capsys.readouterr()
+
+
+def test_code_file_rejects_no_qudits(tmp_path, capsys):
+    path = tmp_path / "empty.code"
+    path.write_text("2 0 0\n")
+    assert run(["bound", "--code", str(path), "--p", "0.1"]) == 2
+    assert "n = 0" in capsys.readouterr().err
 
 
 def test_bad_flags_exit_code():

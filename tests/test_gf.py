@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qcap import PauliChannel, Subspace, ValidationError, catalog, symplectic_form
-from qcap.gf import digits_to_index, index_to_digits, is_prime
+from qcap.gf import _check_modulus, digits_to_index, index_to_digits, is_prime
 
 
 def test_is_prime():
@@ -16,6 +16,12 @@ def test_rejects_composite_modulus():
         PauliChannel(6, np.full(36, 1 / 36))
     with pytest.raises(ValidationError):
         catalog("rep3", 1)
+
+
+def test_modulus_cap():
+    assert _check_modulus(1048573) == 1048573  # the largest prime below 2^20
+    with pytest.raises(ValidationError):
+        _check_modulus(1000000000000000003)
 
 
 def test_symplectic_form_examples():

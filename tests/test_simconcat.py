@@ -17,6 +17,7 @@ from qcap import (
 )
 from qcap.exponent import compositions
 from qcap.gf import index_to_digits
+from qcap.symplectic import nullspace, solve_affine, symplectic_dual
 from qcap.simconcat import (
     SimConfig,
     _OuterContext,
@@ -101,6 +102,58 @@ def test_decoder_success_indicator_cross_validated():
         assert ctx.contains(diff) == (tuple(diff) in members)
         agree += 1
     assert agree == 1000
+
+
+def reference_decode(inner, outer, z, sigma):
+    """The decoder from its definition: list the syndrome's whole coset
+    densely, count each candidate's joint type with bincount, keep the
+    largest key prod c^c, and break ties by the lexicographically smallest
+    digit vector."""
+    d, k, N = inner.d, inner.k, len(z)
+    length = 2 * k * N
+    dual = np.array([symplectic_dual(g, d) for g in outer.basis]).reshape(-1, length)
+    basis = nullspace(dual, d, length)
+    v0 = solve_affine(dual, sigma, d) if outer.dim else np.zeros(length, dtype=np.int64)
+    cands = (v0 + index_to_digits(np.arange(d ** basis.shape[0]), d, basis.shape[0]) @ basis) % d
+    syms = cands.reshape(len(cands), N, 2 * k) @ d ** np.arange(2 * k)
+    cols, m = d ** (2 * k), d ** (inner.n + inner.k)
+    cells = np.arange(len(cands))[:, None] * m + np.asarray(z) * cols + syms
+    counts = np.bincount(cells.ravel(), minlength=len(cands) * m).reshape(len(cands), m)
+    keys = [math.prod(c**c for c in row if c > 1) for row in counts.tolist()]
+    top = max(keys)
+    winner = min((i for i, key in enumerate(keys) if key == top), key=lambda i: cands[i].tolist())
+    return syms[winner]
+
+
+@st.composite
+def random_decode_case(draw):
+    """A random inner code with k >= 1, a random isotropic outer code whose
+    coset search lists at most 4096 candidates, and random z and sigma; z is
+    drawn from few syndromes so that candidates often tie."""
+    d = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, {2: 3, 3: 2, 5: 1}[d]))
+    k = draw(st.integers(1, n))
+    subspace = sample_self_orthogonal(d, 2 * n, n - k, draw(st.integers(0, 2**32 - 1)))
+    inner = StabilizerCode(subspace, hyperbolic_complete(subspace, draw(st.integers(0, 2**32 - 1))))
+    n_max = max(N for N in range(1, 13) if d ** (k * N) <= 4096)
+    N = draw(st.integers(1, n_max))
+    K = draw(st.integers(0, max(K for K in range(k * N + 1) if d ** (k * N + K) <= 4096)))
+    outer = sample_self_orthogonal_outer(d, k, N, K, draw(st.integers(0, 2**32 - 1)))
+    rows = d ** (n - k)
+    z = np.array(draw(st.lists(st.integers(0, min(rows, draw(st.integers(1, 3))) - 1),
+                               min_size=N, max_size=N)), dtype=np.int64)
+    sigma = np.array(draw(st.lists(st.integers(0, d - 1), min_size=outer.dim, max_size=outer.dim)),
+                     dtype=np.int64)
+    return inner, outer, z, sigma
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(random_decode_case())
+def test_decoder_matches_reference_on_random_codes(case):
+    inner, outer, z, sigma = case
+    ctx = _OuterContext(outer, inner.d, inner.k, len(z))
+    v_hat = _decode_ctx(inner, ctx, z, sigma)
+    assert v_hat.tolist() == reference_decode(inner, outer, z, sigma).tolist()
 
 
 def test_syndrome_invariant_under_code_shifts():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcap import (
     Subspace,
@@ -10,7 +12,19 @@ from qcap import (
     sample_self_orthogonal,
     symplectic_form,
 )
-from qcap.symplectic import gram_matrix, nullspace, random_isotropic_basis, rref, solve_affine
+from qcap.gf import digits_to_index, index_to_digits
+from qcap.symplectic import (
+    _GF2Echelon,
+    _pack,
+    _random_isotropic_dense,
+    _unpack,
+    gram_matrix,
+    nullspace,
+    random_isotropic_basis,
+    rref,
+    solve_affine,
+    solve_affine_multi,
+)
 
 # chi-square(14 dof) upper critical value at significance 0.01
 CHI2_99_14 = 29.141237740672796
@@ -205,6 +219,61 @@ def test_sampler_uniform_over_isotropic_lines():
     expected = trials / 15
     stat = sum((c - expected) ** 2 / expected for c in counts.values())
     assert stat < CHI2_99_14, f"chi-square statistic {stat:.2f}"
+
+
+def extension_count(L: Subspace) -> int:
+    """The number of vectors in perp(L) \\ L, by listing all of F_d^ambient."""
+    d, ambient = L.d, L.ambient
+    space = index_to_digits(np.arange(d**ambient), d, ambient)
+    orthogonal = (gram_matrix(L.basis, space, d) == 0).all(axis=0)
+    members = digits_to_index(index_to_digits(np.arange(d**L.dim), d, L.dim) @ L.basis % d, d)
+    orthogonal[members] = False
+    return int(orthogonal.sum())
+
+
+def test_sampler_extension_count_identity():
+    # the uniformity argument: at dimension m' there are d^(ambient - m') - d^m'
+    # extension vectors, whatever the isotropic subspace; checked on every
+    # signature with d^ambient <= 4096
+    for d in (2, 3, 5):
+        for ambient in range(2, 13, 2):
+            if d**ambient > 4096:
+                break
+            for dim in range(ambient // 2 + 1):
+                L = sample_self_orthogonal(d, ambient, dim, (d, ambient, dim))
+                assert extension_count(L) == d ** (ambient - dim) - d**dim, (d, ambient, dim)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.integers(0, 8), st.integers(1, 14), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_packed_gf2_algebra_matches_mod_2(nrows, ncols, nrhs, seed):
+    rng = np.random.default_rng(seed)
+    mat = rng.integers(0, 2, (nrows, ncols))
+    if nrows and rng.integers(0, 2):  # force a dependent row
+        mat[-1] = mat[0] ^ mat[rng.integers(0, nrows)]
+    rows, pivots = _GF2Echelon(_pack(mat)).echelon()
+    red, want_pivots = rref(mat, 2)
+    assert pivots == want_pivots and np.array_equal(_unpack(rows, ncols), red)
+    if nrows:
+        ech = _GF2Echelon(_pack(mat))
+        assert np.array_equal(_unpack(ech.nullspace(ncols), ncols), nullspace(mat, 2, ncols))
+        rhs = rng.integers(0, 2, (nrows, nrhs))
+        got = _GF2Echelon(_pack(np.hstack([mat, rhs]))).solutions(ncols, nrhs)
+        want = solve_affine_multi(mat, rhs, 2)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(_unpack(got, ncols), want)
+    # the packed sampler draws the same coefficients as the mod-d one
+    ambient = 2 * (1 + ncols // 2)
+    dim = int(rng.integers(0, ambient // 2 + 1))
+    packed = random_isotropic_basis(2, ambient, dim, np.random.default_rng(seed))
+    dense = _random_isotropic_dense(2, ambient, dim, np.random.default_rng(seed))
+    assert np.array_equal(packed, dense)
+    L = Subspace(2, ambient, packed)
+    assert np.array_equal(L.canonical, rref(packed, 2)[0])
+    for v in rng.integers(0, 2, (20, ambient)).tolist() + packed.tolist():
+        v = np.array(v)
+        assert L.contains(v) == (rref(np.vstack([packed, v]), 2)[0].shape[0] == dim)
 
 
 def test_random_isotropic_basis_matches_subspace_contract():
