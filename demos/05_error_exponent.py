@@ -7,8 +7,9 @@ decay constant is a convex minimization over joint distributions:
 
     E(R) = min_P' [ D(P' || P_L) + | k - kR - H(logical|syndrome under P') |+ ].
 
-The solver bisects on the dual hinge multiplier, whose inner minimum is a
-closed-form tilting of P_L, until the interval collapses in floating point.
+The solver finds the dual hinge multiplier, whose inner minimum is a
+closed-form tilting of P_L, by safeguarded Newton steps on the dual's slope,
+which also has a closed form; a handful of steps resolve it to a few ulps.
 The tilted distribution it lands on is primal-optimal, so the solver returns
 its objective value with the gap to the dual bound as a certified optimality
 residual.  A brute-force grid oracle over the probability simplex validates it.

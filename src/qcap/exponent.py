@@ -11,9 +11,16 @@ restricted to the support.
 The objective is convex (relative entropy plus a hinge of an affine term
 minus a concave conditional entropy).  Writing |t|+ = max_{0<=beta<=1} beta*t
 turns it into a concave one-dimensional dual whose inner minimum has a closed
-form, a Renyi-type tilting of P_L.  The solver bisects on beta until the
-interval collapses in floating point.  The tilted distribution at the
-maximizer is feasible and primal-optimal: at an interior root its hinge is
+form, a Renyi-type tilting of P_L.  The dual's slope is gap - H_c(x_beta),
+and with t = 1/(1+beta) both H_c(x_beta) and its derivative,
+Var_w(H_s) + t^3 E_w[Var_s(log cond)] >= 0 over the tilted row weights w and
+rows s, have closed forms.  So the solver runs Newton's method on
+g(beta) = H_c(x_beta) - gap from beta = 0, inside the bracket [0, 1] kept
+from the signs of g seen so far, and bisects the bracket whenever a Newton
+step would leave it, the slope is 0 or |g| fails to halve.  It stops when
+g = 0 or a step moves beta by at most a few ulps of 1: H_c carries about
+1e-16 of round-off, so a finer beta buys nothing.  The tilted distribution at
+the maximizer is feasible and primal-optimal: at an interior root its hinge is
 zero, and at beta = 1 the hinge is active and its value equals the dual
 bound.  So the solver returns that primal value together with the gap to the
 dual bound as an auditable optimality residual, and needs no iterative
@@ -37,21 +44,7 @@ from .spectra import ProbabilityArray, probability_array
 
 
 # ---------------------------------------------------------------------------
-# divergences and type combinatorics
-
-
-def kl_divergence(P, Q, base: float) -> float:
-    """D(P||Q) in the given base; +inf iff P puts mass outside supp(Q)."""
-    P = np.asarray(P, dtype=float).ravel()
-    Q = np.asarray(Q, dtype=float).ravel()
-    if P.shape != Q.shape:
-        raise ValidationError("distributions must have the same shape")
-    if (P < 0).any() or (Q < 0).any():
-        raise ValidationError("distributions must be nonnegative")
-    if np.any((P > 0) & (Q == 0)):
-        return math.inf
-    mask = P > 0
-    return float(np.sum(P[mask] * np.log(P[mask] / Q[mask])) / math.log(base))
+# type combinatorics
 
 
 def count_types(d: int, n: int, k: int, N: int) -> int:
@@ -112,6 +105,7 @@ class _Objective:
         self.logd = math.log(self.d)
         self.gap = k - k * R  # k - kR, the hinge threshold on H_c
         self.marg = self.row_sums(self.p)
+        self.log_marg = np.log(self.marg)
         self.log_cond = np.log(self.p / self.marg[self.row_of])
 
     def row_sums(self, x: np.ndarray) -> np.ndarray:
@@ -142,13 +136,44 @@ class _Objective:
         phi = beta * self.gap - math.log(total) / self.logd
         return x, phi
 
+    def tilted_entropy(self, beta: float) -> tuple[float, float]:
+        """H_c(x_beta) of the minimizer that tilted(beta) returns, and its
+        derivative in beta, both base d, without building x_beta.
+
+        With t = 1/(1+beta), row s holds cond_beta ∝ cond^t with entropy
+        H_s = log Z_s - t E_s[log cond], and carries the row weight
+        w_s ∝ marg_s Z_s^(1/t).  H_c = E_w[H_s], and differentiating in beta
+        gives Var_w(H_s) + t^3 E_w[Var_s(log cond)].
+        """
+        t = 1.0 / (1.0 + beta)
+        tilted = np.exp(t * self.log_cond)
+        z = self.row_sums(tilted)
+        cond = tilted / z[self.row_of]
+        mean = self.row_sums(cond * self.log_cond)
+        spread = self.row_sums(cond * (self.log_cond - mean[self.row_of]) ** 2)
+        log_z = np.log(z)
+        h_rows = log_z - t * mean
+        log_w = self.log_marg + log_z / t
+        w = np.exp(log_w - log_w.max())
+        w /= w.sum()
+        h = w @ h_rows
+        slope = w @ (h_rows - h) ** 2 + t**3 * (w @ spread)
+        return float(h / self.logd), float(slope / self.logd)
+
+
+# the Newton iteration stops once a step moves beta by at most this much
+_BETA_TOL = 4.0 * math.ulp(1.0)
+
 
 @dataclass(frozen=True)
 class ExponentReport:
     """Solver output: the exponent value, its certificate, and context.
 
     iterations counts evaluations of the dual function (closed-form tiltings
-    of P_L); it is 0 when the rate is at or above the threshold.
+    of P_L): one at beta = 1, one per Newton or bisection step, and one for
+    the witness at the maximizer.  It is 0 when the rate is at or above the
+    threshold, 2 when the maximizer is beta = 1, and typically 6 to 10 at an
+    interior root; its worst case is about twice bisection's.
     """
 
     value: float
@@ -187,24 +212,41 @@ def exponent(code: StabilizerCode, channel: PauliChannel, R: float, *,
         return ExponentReport(0.0, 0.0, R, threshold, 0)
 
     # concave dual line search over the hinge multiplier beta.  The dual
-    # derivative is gap - H_c(x_beta), nonincreasing by concavity, so the
-    # maximizer is either beta = 1 (derivative still positive there) or the
-    # root of H_c(x_beta) = gap, found by bisection down to adjacent floats.
+    # derivative is -g(beta) = gap - H_c(x_beta), nonincreasing by concavity,
+    # so the maximizer is either beta = 1 (g still <= 0 there) or the root of
+    # g, found by safeguarded Newton steps from beta = 0.
     evals = 0
 
-    def hinge_slack(beta: float) -> float:
+    def slack(beta: float) -> tuple[float, float]:
         nonlocal evals
         evals += 1
-        return obj.h_cond(obj.tilted(beta)[0]) - obj.gap
+        h, slope = obj.tilted_entropy(beta)
+        return h - obj.gap, slope
 
     beta_star = 1.0
-    if hinge_slack(1.0) > 0.0:
-        lo_b, hi_b = 0.0, 1.0
-        while lo_b < (beta_star := 0.5 * (lo_b + hi_b)) < hi_b:
-            if hinge_slack(beta_star) < 0.0:
-                lo_b = beta_star
+    if slack(1.0)[0] > 0.0:
+        lo_b, hi_b, beta, last = 0.0, 1.0, 0.0, math.inf
+        while True:
+            g, slope = slack(beta)
+            if g == 0.0:
+                break
+            if g < 0.0:
+                lo_b = beta
             else:
-                hi_b = beta_star
+                hi_b = beta
+            newton = beta - g / slope if slope > 0.0 else math.nan
+            if abs(newton - beta) <= _BETA_TOL:
+                beta = min(max(newton, lo_b), hi_b)
+                break
+            # bisect when Newton leaves the bracket or, right after a Newton
+            # step, |g| did not halve
+            if lo_b < newton < hi_b and abs(g) <= 0.5 * last:
+                beta, last = newton, abs(g)
+            else:
+                beta, last = 0.5 * (lo_b + hi_b), math.inf
+                if hi_b - lo_b <= 2.0 * _BETA_TOL:
+                    break
+        beta_star = beta
     witness, phi_star = obj.tilted(beta_star)
     evals += 1
 

@@ -43,7 +43,7 @@ import numpy as np
 from ._util import GuardError, ValidationError, wilson_interval
 from .channels import PauliChannel
 from .codes import StabilizerCode
-from .exponent import compositions, count_types
+from .exponent import compositions
 from .gf import index_to_digits
 from .spectra import ProbabilityArray, probability_array
 from .symplectic import (
@@ -218,20 +218,6 @@ class _OuterContext:
         return self._tail_sums[np.arange(self.N)[:, None], head].reshape(self.N, -1)
 
 
-def decode_min_conditional_entropy(inner: StabilizerCode, outer: Subspace | StabilizerCode,
-                                   z_indices: np.ndarray, sigma: np.ndarray
-                                   ) -> np.ndarray:
-    """The syndrome-compatible candidate v' minimizing the conditional type
-    entropy H(type of [z, v'] | type of z); ties go to the lexicographically
-    smallest candidate digit vector.
-
-    Returns the column indices of the decoded logical labels, one per block.
-    """
-    sub = outer.subspace if isinstance(outer, StabilizerCode) else outer
-    ctx = _OuterContext(sub, inner.d, inner.k, len(z_indices))
-    return _decode_ctx(inner, ctx, np.asarray(z_indices), np.asarray(sigma))
-
-
 def _decode_ctx(inner: StabilizerCode, ctx: _OuterContext, z_indices: np.ndarray,
                 sigma: np.ndarray) -> np.ndarray:
     syms = ctx.candidate_symbols(sigma)
@@ -321,7 +307,7 @@ def sample_self_orthogonal_outer(d: int, k: int, N: int, K: int, seed) -> Subspa
 # exact ensemble-average fidelity bound
 
 
-def _row_classes(q: list[float], N: int, lone: bool) -> list[tuple[dict, dict]]:
+def _row_classes(q: list[float], N: int, lone: bool, spend) -> list[tuple[dict, dict]]:
     """classes[c] = (shells, probability), two dicts keyed by prod t^t, over
     the contents t of one syndrome row that hold c blocks in total.
 
@@ -330,7 +316,8 @@ def _row_classes(q: list[float], N: int, lone: bool) -> list[tuple[dict, dict]]:
     row's columns are folded in one at a time: placing b more blocks on a
     column multiplies the shells of a row already holding `used` blocks by
     comb(used + b, b).  A lone row holds all N blocks, so only that total is
-    kept from its last column.
+    kept from its last column.  spend(n) is told of each block of n
+    dictionary updates before the block runs.
     """
     powers = [b**b for b in range(N + 1)]
     classes = [({1: 1}, {1: 1.0})] + [({}, {}) for _ in range(N)]
@@ -338,7 +325,11 @@ def _row_classes(q: list[float], N: int, lone: bool) -> list[tuple[dict, dict]]:
         least = N if lone and j == len(q) - 1 else 0
         folded = [({}, {}) for _ in range(N + 1)]
         for used, (shells, probs) in enumerate(classes):
-            for b in range(max(least - used, 0), N - used + 1):
+            if not shells:
+                continue
+            first = max(least - used, 0)
+            spend(len(shells) * (N - used + 1 - first))
+            for b in range(first, N - used + 1):
                 ways = math.comb(used + b, b)
                 weight, power = ways * qc**b, powers[b]
                 to_shells, to_probs = folded[used + b]
@@ -351,7 +342,7 @@ def _row_classes(q: list[float], N: int, lone: bool) -> list[tuple[dict, dict]]:
 
 
 def fidelity_bound_exact(inner: StabilizerCode, N: int, K: int, channel: PauliChannel,
-                         *, max_types: int = 10_000_000) -> float:
+                         *, max_work: int = 5_000_000) -> float:
     """Exact evaluation of the type-grouped upper bound on the ensemble
     average infidelity 1 - Fbar of the concatenated code.
 
@@ -363,18 +354,30 @@ def fidelity_bound_exact(inner: StabilizerCode, N: int, K: int, channel: PauliCh
     Per z-marginal a, the rows' classes multiply: keys and shells multiply,
     and the probability starts from N!/prod a_s!.  Sorting a's keys in
     descending order and accumulating shells gives every competitor count.
-    The guard counts the joint types summed over, although none is built.
+    The guard counts the fold's dictionary updates, weighted by the machine
+    words of an N-block key, a block at a time before the block runs, and
+    raises GuardError once they would pass max_work.
     """
-    d, n, k = inner.d, inner.n, inner.k
+    d, k = inner.d, inner.k
     if N < 1:
         raise ValidationError("need at least one outer block")
     if not 0 <= K <= k * N:
         raise ValidationError(f"K must lie in [0, kN] = [0, {k * N}]")
-    ntypes = count_types(d, n, k, N)
-    if ntypes > max_types:
-        raise GuardError(f"{ntypes} joint types exceed the guard {max_types}")
+    # keys and shells reach N^N, so one update costs about this many words
+    words = 1 + N * N.bit_length() // 64
+    work = 0
+
+    def spend(updates: int) -> None:
+        nonlocal work
+        work += updates * words
+        if work > max_work:
+            raise GuardError(f"the type-sum fold needs more than {max_work} word-sized "
+                             "dictionary updates (the guard)")
+
     arr = probability_array(inner, channel)
-    row_classes = [_row_classes(q, N, arr.rows == 1) for q in arr.table.tolist()]
+    # every z-marginal updates at least one entry per row
+    spend(math.comb(N + arr.rows - 1, arr.rows - 1) * arr.rows)
+    row_classes = [_row_classes(q, N, arr.rows == 1, spend) for q in arr.table.tolist()]
 
     scale = float(d) ** (K - k * N)
     terms = []
@@ -383,6 +386,7 @@ def fidelity_bound_exact(inner: StabilizerCode, N: int, K: int, channel: PauliCh
         shells, probs = {1: 1}, {1: float(weight)}
         for classes, c in zip(row_classes, a):
             row_shells, row_probs = classes[c]
+            spend(len(shells) * len(row_shells))
             to_shells, to_probs = {}, {}
             for key, shell in shells.items():
                 prob = probs[key]
@@ -397,55 +401,3 @@ def fidelity_bound_exact(inner: StabilizerCode, N: int, K: int, channel: PauliCh
             terms.append(probs[key] * min(cum * scale, 1.0))
     # the probabilities sum to 1 only up to rounding
     return min(math.fsum(terms), 1.0)
-
-
-def fidelity_bound_brute(inner: StabilizerCode, N: int, K: int, channel: PauliChannel,
-                         *, max_sequences: int = 1 << 20) -> float:
-    """The same bound evaluated without type grouping: a direct sum over all
-    [z, v] sequences, counting competitor sequences one by one."""
-    d, n, k = inner.d, inner.n, inner.k
-    if N < 1:
-        raise ValidationError("need at least one outer block")
-    if not 0 <= K <= k * N:
-        raise ValidationError(f"K must lie in [0, kN] = [0, {k * N}]")
-    arr = probability_array(inner, channel)
-    rows, cols = arr.rows, arr.cols
-    m = rows * cols
-    total = m**N
-    if total > max_sequences:
-        raise GuardError(f"{total} sequences exceed the guard {max_sequences}")
-    flat = arr.table.ravel()
-
-    seqs = index_to_digits(np.arange(total), m, N)
-    probs = flat[seqs].prod(axis=1)
-    zseqs = seqs // cols
-
-    pow_table = [c**c for c in range(N + 1)]
-    keys = []
-    for row in seqs:
-        counts = np.bincount(row, minlength=m)
-        acc = 1
-        for c in counts:
-            if c > 1:
-                acc *= pow_table[c]
-        keys.append(acc)
-
-    groups: dict[bytes, list[int]] = {}
-    for idx in range(total):
-        groups.setdefault(zseqs[idx].tobytes(), []).append(idx)
-
-    scale = float(d) ** (K - k * N)
-    bound_terms = []
-    for members in groups.values():
-        members.sort(key=lambda i: keys[i], reverse=True)
-        run_start = 0
-        cum = 0
-        while run_start < len(members):
-            run_end = run_start
-            while run_end < len(members) and keys[members[run_end]] == keys[members[run_start]]:
-                run_end += 1
-            cum += run_end - run_start
-            for i in members[run_start:run_end]:
-                bound_terms.append(probs[i] * min(cum * scale, 1.0))
-            run_start = run_end
-    return math.fsum(bound_terms)

@@ -1,0 +1,121 @@
+"""Independent oracles for the tests: slow, direct implementations of what
+the library computes by faster means, kept here so that the fast paths are
+always checked against them."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from qcap import GuardError, PauliChannel, StabilizerCode, ValidationError
+from qcap.exponent import _Objective
+from qcap.gf import index_to_digits
+from qcap.simconcat import _decode_ctx, _OuterContext
+from qcap.spectra import probability_array
+from qcap.symplectic import Subspace
+
+
+def kl_divergence(P, Q, base: float) -> float:
+    """D(P||Q) in the given base; +inf iff P puts mass outside supp(Q)."""
+    P = np.asarray(P, dtype=float).ravel()
+    Q = np.asarray(Q, dtype=float).ravel()
+    if P.shape != Q.shape:
+        raise ValidationError("distributions must have the same shape")
+    if (P < 0).any() or (Q < 0).any():
+        raise ValidationError("distributions must be nonnegative")
+    if np.any((P > 0) & (Q == 0)):
+        return math.inf
+    mask = P > 0
+    return float(np.sum(P[mask] * np.log(P[mask] / Q[mask])) / math.log(base))
+
+
+def reference_exponent(code: StabilizerCode, channel: PauliChannel, R: float) -> float:
+    """E(R) by bisection on the hinge multiplier beta down to adjacent floats,
+    with H_c measured on the built tilted distribution: the solver that
+    `exponent()` used before its Newton iteration."""
+    arr = probability_array(code, channel)
+    obj = _Objective(arr, code.k, R)
+    if code.k * R >= code.k - arr.conditional_entropy(code.d):
+        return 0.0
+
+    def hinge_slack(beta: float) -> float:
+        return obj.h_cond(obj.tilted(beta)[0]) - obj.gap
+
+    beta_star = 1.0
+    if hinge_slack(1.0) > 0.0:
+        lo_b, hi_b = 0.0, 1.0
+        while lo_b < (beta_star := 0.5 * (lo_b + hi_b)) < hi_b:
+            if hinge_slack(beta_star) < 0.0:
+                lo_b = beta_star
+            else:
+                hi_b = beta_star
+    witness, _ = obj.tilted(beta_star)
+    return max(obj.value(witness), 0.0)
+
+
+def decode_min_conditional_entropy(inner: StabilizerCode, outer: Subspace | StabilizerCode,
+                                   z_indices: np.ndarray, sigma: np.ndarray
+                                   ) -> np.ndarray:
+    """The syndrome-compatible candidate v' minimizing the conditional type
+    entropy H(type of [z, v'] | type of z); ties go to the lexicographically
+    smallest candidate digit vector.
+
+    Returns the column indices of the decoded logical labels, one per block.
+    """
+    sub = outer.subspace if isinstance(outer, StabilizerCode) else outer
+    ctx = _OuterContext(sub, inner.d, inner.k, len(z_indices))
+    return _decode_ctx(inner, ctx, np.asarray(z_indices), np.asarray(sigma))
+
+
+def fidelity_bound_brute(inner: StabilizerCode, N: int, K: int, channel: PauliChannel,
+                         *, max_sequences: int = 1 << 20) -> float:
+    """The type-sum bound of `fidelity_bound_exact` evaluated without type
+    grouping: a direct sum over all [z, v] sequences, counting competitor
+    sequences one by one."""
+    d, n, k = inner.d, inner.n, inner.k
+    if N < 1:
+        raise ValidationError("need at least one outer block")
+    if not 0 <= K <= k * N:
+        raise ValidationError(f"K must lie in [0, kN] = [0, {k * N}]")
+    arr = probability_array(inner, channel)
+    rows, cols = arr.rows, arr.cols
+    m = rows * cols
+    total = m**N
+    if total > max_sequences:
+        raise GuardError(f"{total} sequences exceed the guard {max_sequences}")
+    flat = arr.table.ravel()
+
+    seqs = index_to_digits(np.arange(total), m, N)
+    probs = flat[seqs].prod(axis=1)
+    zseqs = seqs // cols
+
+    pow_table = [c**c for c in range(N + 1)]
+    keys = []
+    for row in seqs:
+        counts = np.bincount(row, minlength=m)
+        acc = 1
+        for c in counts:
+            if c > 1:
+                acc *= pow_table[c]
+        keys.append(acc)
+
+    groups: dict[bytes, list[int]] = {}
+    for idx in range(total):
+        groups.setdefault(zseqs[idx].tobytes(), []).append(idx)
+
+    scale = float(d) ** (K - k * N)
+    bound_terms = []
+    for members in groups.values():
+        members.sort(key=lambda i: keys[i], reverse=True)
+        run_start = 0
+        cum = 0
+        while run_start < len(members):
+            run_end = run_start
+            while run_end < len(members) and keys[members[run_end]] == keys[members[run_start]]:
+                run_end += 1
+            cum += run_end - run_start
+            for i in members[run_start:run_end]:
+                bound_terms.append(probs[i] * min(cum * scale, 1.0))
+            run_start = run_end
+    return math.fsum(bound_terms)

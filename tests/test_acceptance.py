@@ -20,7 +20,9 @@ from qcap import (
 from qcap.codes import StabilizerCode
 from qcap.exponent import exponent, exponent_grid_oracle
 from qcap.qoracle import oracle_report
-from qcap.simconcat import SimConfig, fidelity_bound_brute, fidelity_bound_exact, simulate
+from qcap.simconcat import SimConfig, fidelity_bound_exact, simulate
+
+from oracles import fidelity_bound_brute
 
 # frozen on first run: zero crossing of the qubit hashing bound 1 - h(p) - p log2(3)
 HASHING_CROSSING = 0.189289624915232

@@ -188,6 +188,17 @@ def test_fbound_rejects_no_outer_blocks(capsys):
     capsys.readouterr()
 
 
+def test_fbound_guard_exits_fast(capsys):
+    # the fold's big-integer work grows about as N^4 on one syndrome row:
+    # N = 380 runs for about 30 s, yet has fewer than 10^7 joint types
+    for N in (380, 400):
+        start = time.perf_counter()
+        assert run(["fbound", "--inner", "trivial1", "--d", "2", "--N", str(N), "--K", "1",
+                    "--p", "0.05"]) == 3
+        assert time.perf_counter() - start < 2.0
+    capsys.readouterr()
+
+
 def test_simulate_rejects_outer_code_over_another_field(tmp_path, capsys):
     path = tmp_path / "outer.code"
     write_code_file(catalog("rep4", 3), path)  # the shape of rep4/d=3 fits N=4, K=1

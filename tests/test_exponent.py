@@ -23,9 +23,13 @@ from qcap.exponent import (
     count_types,
     exponent,
     exponent_grid_oracle,
-    kl_divergence,
 )
 from qcap.spectra import probability_array
+
+from oracles import kl_divergence, reference_exponent
+
+# dual evaluations one solve may use: bisection needed up to about 107
+EVAL_BUDGET = 16
 
 
 def test_kl_basics():
@@ -199,13 +203,19 @@ def test_grid_oracle_rejects_an_empty_grid():
 
 
 def test_exponent_nonnegative_just_below_threshold():
-    code = catalog("rep3", 2)
-    ch = depolarizing(2, 0.08)
-    thr = exponent(code, ch, 0.0).threshold
-    for offset in (1e-8, 1e-12, 1e-15):
-        rep = exponent(code, ch, (thr - offset) / code.k)
-        assert rep.value >= 0.0
-        assert rep.kkt_residual <= 1e-8
+    # the root sits near beta = 0 here, where bisection took up to 107 steps;
+    # the Newton iteration must match it within the evaluation budget
+    for name, d, p in (("rep3", 2, 0.08), ("trivial1", 2, 0.05), ("five_qubit", 2, 0.1),
+                       ("rep2", 3, 0.1)):
+        code, ch = catalog(name, d), depolarizing(d, p)
+        thr = exponent(code, ch, 0.0).threshold
+        for offset in (1e-4, 1e-8, 1e-12, 1e-15):
+            R = (thr - offset) / code.k
+            rep = exponent(code, ch, R)
+            assert rep.value >= 0.0
+            assert rep.kkt_residual <= 1e-8
+            assert abs(rep.value - reference_exponent(code, ch, R)) <= 1e-12, (name, offset)
+            assert rep.iterations <= EVAL_BUDGET, (name, offset, rep.iterations)
 
 
 def test_exponent_raises_when_the_certificate_fails(monkeypatch):
@@ -252,9 +262,29 @@ def test_exponent_certificate_on_random_codes(case):
     assert rep.kkt_residual <= 1e-8
     # weak duality: every dual value phi(beta) bounds the exponent from below,
     # and rep.value is the objective at a feasible point, independently of
-    # where the bisection stopped
+    # where the solver stopped
     obj = _Objective(probability_array(code, ch), code.k, R)
     dual = max(obj.tilted(beta)[1] for beta in np.linspace(0.0, 1.0, 41))
     assert rep.value >= dual - 1e-10
     if obj.p.size <= 4:
         assert rep.value <= exponent_grid_oracle(code, ch, R, 60) + 1e-9
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(random_exponent_case(), st.floats(0.0, 1.0))
+def test_exponent_matches_bisection_on_random_codes(case, beta):
+    code, ch, R = case
+    rep = exponent(code, ch, R)
+    assert abs(rep.value - reference_exponent(code, ch, R)) <= 1e-12
+    assert rep.iterations <= EVAL_BUDGET
+    # the closed-form slope of H_c(x_beta) against a central difference of
+    # the entropy of the built tilted distribution
+    obj = _Objective(probability_array(code, ch), code.k, R)
+    h, slope = obj.tilted_entropy(beta)
+    assert h == pytest.approx(obj.h_cond(obj.tilted(beta)[0]), abs=1e-12)
+    step = 1e-5
+    central = (obj.h_cond(obj.tilted(beta + step)[0])
+               - obj.h_cond(obj.tilted(beta - step)[0])) / (2 * step)
+    assert slope >= 0.0
+    assert slope == pytest.approx(central, rel=1e-5, abs=1e-9)
+

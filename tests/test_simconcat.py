@@ -22,14 +22,14 @@ from qcap.simconcat import (
     SimConfig,
     _OuterContext,
     _decode_ctx,
-    decode_min_conditional_entropy,
-    fidelity_bound_brute,
     fidelity_bound_exact,
     sample_error,
     sample_self_orthogonal_outer,
     simulate,
 )
 from qcap.spectra import probability_array
+
+from oracles import decode_min_conditional_entropy, fidelity_bound_brute
 
 
 TRIV = catalog("trivial1", 2)
@@ -328,7 +328,14 @@ def test_fidelity_bounds_reject_no_outer_blocks():
 
 def test_fidelity_bound_guard():
     with pytest.raises(GuardError):
-        fidelity_bound_exact(REP3, 10, 2, depolarizing(2, 0.1), max_types=1000)
+        fidelity_bound_exact(REP3, 10, 2, depolarizing(2, 0.1), max_work=1000)
+
+
+def test_fidelity_bound_guard_counts_the_fold_not_the_types():
+    # 10,518,300 joint types, which the fold never lists: it finishes at once
+    code = catalog("trivial1", 5)
+    assert fidelity_bound_exact(code, 8, 2, depolarizing(5, 0.1)) == pytest.approx(
+        0.30574248371199714, rel=1e-12)
 
 
 def test_empirical_failure_below_bound():
