@@ -125,16 +125,20 @@ class _Objective:
         div = np.sum(x[mask] * np.log(x[mask] / self.p[mask])) / self.logd
         return div + max(0.0, self.gap - self.h_cond(x))
 
+    def _tilt(self, beta: float) -> tuple[np.ndarray, np.ndarray]:
+        """cond_beta ∝ cond^(1/(1+beta)) and its row normalizers Z_s."""
+        tilted = np.exp(self.log_cond / (1.0 + beta))
+        z = self.row_sums(tilted)
+        return tilted / z[self.row_of], z
+
     def tilted(self, beta: float) -> tuple[np.ndarray, float]:
         """Closed-form minimizer of D(P'||P_L) - beta * H_c(P') and the value
         of the dual function phi(beta) = beta*gap + that minimum."""
-        tilted = np.exp(self.log_cond / (1.0 + beta))
-        z = self.row_sums(tilted)  # Z_s = sum_u cond(u|s)^(1/(1+beta))
+        cond, z = self._tilt(beta)
         row_weight = self.marg * z ** (1.0 + beta)
         total = row_weight.sum()
-        x = row_weight[self.row_of] / total * (tilted / z[self.row_of])
-        phi = beta * self.gap - math.log(total) / self.logd
-        return x, phi
+        x = row_weight[self.row_of] / total * cond
+        return x, beta * self.gap - math.log(total) / self.logd
 
     def tilted_entropy(self, beta: float) -> tuple[float, float]:
         """H_c(x_beta) of the minimizer that tilted(beta) returns, and its
@@ -146,9 +150,7 @@ class _Objective:
         gives Var_w(H_s) + t^3 E_w[Var_s(log cond)].
         """
         t = 1.0 / (1.0 + beta)
-        tilted = np.exp(t * self.log_cond)
-        z = self.row_sums(tilted)
-        cond = tilted / z[self.row_of]
+        cond, z = self._tilt(beta)
         mean = self.row_sums(cond * self.log_cond)
         spread = self.row_sums(cond * (self.log_cond - mean[self.row_of]) ** 2)
         log_z = np.log(z)

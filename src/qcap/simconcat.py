@@ -355,8 +355,9 @@ def fidelity_bound_exact(inner: StabilizerCode, N: int, K: int, channel: PauliCh
     and the probability starts from N!/prod a_s!.  Sorting a's keys in
     descending order and accumulating shells gives every competitor count.
     The guard counts the fold's dictionary updates, weighted by the machine
-    words of an N-block key, a block at a time before the block runs, and
-    raises GuardError once they would pass max_work.
+    words of an N-block key, a block at a time before the block runs (a
+    lower bound before the array is built), and raises GuardError once they
+    would pass max_work.
     """
     d, k = inner.d, inner.k
     if N < 1:
@@ -374,9 +375,11 @@ def fidelity_bound_exact(inner: StabilizerCode, N: int, K: int, channel: PauliCh
             raise GuardError(f"the type-sum fold needs more than {max_work} word-sized "
                              "dictionary updates (the guard)")
 
+    # each array cell is folded, and each z-marginal touches every row
+    rows = d ** (inner.n - k)
+    spend(rows * d ** (2 * k))
+    spend(math.comb(N + rows - 1, N) * rows)
     arr = probability_array(inner, channel)
-    # every z-marginal updates at least one entry per row
-    spend(math.comb(N + arr.rows - 1, arr.rows - 1) * arr.rows)
     row_classes = [_row_classes(q, N, arr.rows == 1, spend) for q in arr.table.tolist()]
 
     scale = float(d) ** (K - k * N)

@@ -338,6 +338,17 @@ def test_fidelity_bound_guard_counts_the_fold_not_the_types():
         0.30574248371199714, rel=1e-12)
 
 
+def test_fidelity_bound_guard_refuses_large_inner_codes_before_the_array(monkeypatch):
+    # 2^28 and 2^27 cells: the refusal must not wait for the array to be built
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the probability array was built")
+
+    monkeypatch.setattr("qcap.simconcat.probability_array", unbuilt)
+    for name, N in (("trivial14", 1), ("rep26", 2)):
+        with pytest.raises(GuardError):
+            fidelity_bound_exact(catalog(name, 2), N, 0, depolarizing(2, 0.1))
+
+
 def test_empirical_failure_below_bound():
     p = 0.08
     cfg = SimConfig(inner=TRIV, outer=None, N=6, K=1, channel=depolarizing(2, p),
