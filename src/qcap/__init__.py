@@ -18,7 +18,7 @@ from .codes import (
 )
 from .exponent import exponent, exponent_grid_oracle
 from .gf import symplectic_form
-from .qoracle import coherent_info_direct, oracle_report
+from .qoracle import oracle_report
 from .simconcat import SimConfig, SimReport, fidelity_bound_exact, simulate
 from .spectra import BoundReport, ProbabilityArray, bound_sweep, coherent_bound, probability_array
 from .symplectic import (
@@ -51,7 +51,6 @@ __all__ = [
     "symplectic_form",
     "exponent",
     "exponent_grid_oracle",
-    "coherent_info_direct",
     "oracle_report",
     "SimConfig",
     "SimReport",

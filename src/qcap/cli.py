@@ -172,14 +172,14 @@ def _cmd_catalog(args, start) -> None:
         print(name)
 
 
-def _add_code_channel_flags(sp, *, code_flag: bool = True) -> None:
-    if code_flag:
-        sp.add_argument("--code", required=True, help="catalog name or code file path")
+def _add_code_channel_flags(sp, *, log_base: bool = True) -> None:
+    sp.add_argument("--code", required=True, help="catalog name or code file path")
     sp.add_argument("--d", type=int, help="field size (prime); required for catalog names")
     sp.add_argument("--channel", default="depolarizing", choices=["depolarizing", "custom"])
     sp.add_argument("--p", type=float, help="depolarizing parameter")
     sp.add_argument("--probs", help="custom channel file: lines 'u v prob', zero letters optional")
-    sp.add_argument("--log-base", dest="log_base", choices=["d", "2", "e"], default="d")
+    if log_base:
+        sp.add_argument("--log-base", dest="log_base", choices=["d", "2", "e"], default="d")
     sp.add_argument("--out", help="write the result to a file instead of stdout")
 
 
@@ -198,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, required=True)
     sp.set_defaults(func=_cmd_sweep)
 
-    sp = sub.add_parser("exponent", help="error exponent at an outer rate")
-    _add_code_channel_flags(sp)
+    sp = sub.add_parser("exponent", help="error exponent at an outer rate (base-d logarithms)")
+    _add_code_channel_flags(sp, log_base=False)
     sp.add_argument("--rate", type=float, required=True, help="outer rate R in [0, 1]")
     sp.add_argument("--oracle-grid", dest="oracle_grid", type=int,
                     help="also evaluate the brute-force grid oracle at this resolution")

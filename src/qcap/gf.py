@@ -63,10 +63,3 @@ def index_to_digits(indices: np.ndarray, d: int, length: int) -> np.ndarray:
     indices = np.asarray(indices, dtype=np.int64)
     powers = d ** np.arange(length, dtype=np.int64)
     return ((indices[:, None] // powers) % d).astype(np.int64)
-
-
-def digits_to_index(digits: np.ndarray, d: int) -> np.ndarray:
-    """Fold little-endian base-d digit rows back into integer indices."""
-    digits = np.asarray(digits, dtype=np.int64)
-    powers = d ** np.arange(digits.shape[-1], dtype=np.int64)
-    return digits @ powers

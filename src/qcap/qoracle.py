@@ -1,10 +1,13 @@
-"""Small-dimension dense-matrix oracle: Weyl operators, code projectors,
-channel actions, purifications, and a direct coherent-information computation.
+"""Small-dimension dense-matrix oracle for the coherent-information bound.
 
-This module exists to cross-check the classical probability-array route.
-Everything is explicit complex linear algebra with an intentional dimension
-cap, so phases never need bookkeeping: they are carried exactly by the
-matrix products.
+The bound c_n = k - H(logical | syndrome) is the coherent information of the
+code-space state Pi / d^k.  This module computes that quantity the hard way,
+on plain complex arrays: Weyl strings as matrices, the code projector as a
+product of generator averages, one Kraus sum over the d^(2n) error letters
+acting on a purification, and von Neumann entropies.  It shares only the
+code and channel objects with the probability-array route, so agreement is
+an end-to-end check of both.  Phases never need bookkeeping: the matrix
+products carry them.  The dimension is capped on purpose.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -20,174 +22,63 @@ import numpy as np
 from ._util import GuardError, ValidationError
 from .channels import PauliChannel
 from .codes import StabilizerCode
-from .gf import _check_modulus
 
 DEFAULT_DIM_CAP = 256
 _PSD_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class DenseOperator:
-    """A dense complex matrix with a guarded dimension."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError("operator must be a square matrix")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def is_unitary(self, tol: float = 1e-12) -> bool:
-        eye = np.eye(self.dim)
-        return bool(np.allclose(self.matrix @ self.matrix.conj().T, eye, atol=tol))
-
-
-@dataclass(frozen=True)
-class EigenvalueList:
-    """Chosen eigenvalues mu_i of the stabilizer generators; mu_i^d is the
-    scalar lambda_i with N_{g_i}^d = lambda_i * I."""
-
-    values: tuple[complex, ...]
-
-    def __post_init__(self):
-        for mu in self.values:
-            if abs(abs(mu) - 1.0) > 1e-9:
-                raise ValidationError("stabilizer eigenvalues must have modulus 1")
-
-
-def weyl_operator(d: int, u: tuple[int, int]) -> DenseOperator:
-    """The d x d operator X^i Z^j for the letter u = (i, j).
+def weyl_string(d: int, coords) -> np.ndarray:
+    """The operator X^u_1 Z^v_1 (x) ... (x) X^u_n Z^v_n of the interleaved
+    vector (u_1, v_1, ..., u_n, v_n); on one qudit, weyl_string(d, (u, v)).
 
     X sends basis vector e_j to e_{(j-1) mod d}; Z multiplies e_j by omega^j
     with omega = exp(2*pi*i/d).
     """
-    d = _check_modulus(d)
-    return DenseOperator(_weyl_matrix(d, int(u[0]) % d, int(u[1]) % d))
-
-
-def _weyl_matrix(d: int, i: int, j: int) -> np.ndarray:
-    omega = cmath.exp(2j * cmath.pi / d)
-    x = np.zeros((d, d), dtype=np.complex128)
-    for col in range(d):
-        x[(col - 1) % d, col] = 1.0
-    z = np.diag([omega**row for row in range(d)])
-    return np.linalg.matrix_power(x, i) @ np.linalg.matrix_power(z, j)
-
-
-def weyl_string(d: int, coords) -> np.ndarray:
-    """The n-fold tensor product operator indexed by an interleaved vector."""
-    coords = list(int(c) % d for c in coords)
+    coords = [int(c) % d for c in coords]
     if len(coords) % 2 != 0:
         raise ValidationError("error index must have even length")
-    singles = {(i, j): _weyl_matrix(d, i, j) for i in range(d) for j in range(d)}
-    factors = [singles[(coords[2 * t], coords[2 * t + 1])] for t in range(len(coords) // 2)]
-    return reduce(np.kron, factors) if factors else np.eye(1, dtype=np.complex128)
+    cols = np.arange(d)
+    out = np.eye(1, dtype=np.complex128)
+    for u, v in zip(coords[0::2], coords[1::2]):
+        single = np.zeros((d, d), dtype=np.complex128)
+        single[(cols - u) % d, cols] = np.exp(2j * np.pi * v * cols / d)
+        out = np.kron(out, single)
+    return out
 
 
-def _generator_operators(code: StabilizerCode, cap: int) -> list[np.ndarray]:
-    dim = code.d**code.n
-    if dim > cap:
-        raise GuardError(f"dimension d^n = {dim} exceeds the oracle cap {cap}")
-    return [weyl_string(code.d, row) for row in code.generators]
+def code_projector(code: StabilizerCode, *, cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+    """The rank-d^k projector onto a joint eigenspace of the stabilizer.
 
-
-def _scalar_of_power(op: np.ndarray, d: int) -> complex:
-    power = np.linalg.matrix_power(op, d)
-    lam = power[0, 0]
-    if not np.allclose(power, lam * np.eye(power.shape[0]), atol=1e-10):
-        raise ValidationError("generator's d-th power is not scalar")
-    return complex(lam)
-
-
-def stabilizer_eigenvalues(code: StabilizerCode, *, cap: int = DEFAULT_DIM_CAP) -> EigenvalueList:
-    """Principal d-th roots of the scalars N_{g_i}^d = lambda_i I."""
-    ops = _generator_operators(code, cap)
-    mus = []
-    for op in ops:
-        lam = _scalar_of_power(op, code.d)
-        mus.append(cmath.exp(cmath.log(lam) / code.d))
-    return EigenvalueList(tuple(mus))
-
-
-def _averager(op: np.ndarray, mu: complex, d: int) -> np.ndarray:
-    dim = op.shape[0]
-    acc = np.eye(dim, dtype=np.complex128)
-    term = np.eye(dim, dtype=np.complex128)
-    scaled = op / mu
-    for _ in range(d - 1):
-        term = term @ scaled
-        acc = acc + term
-    return acc / d
-
-
-def code_projector(code: StabilizerCode, mu: EigenvalueList | None = None, *,
-                   cap: int = DEFAULT_DIM_CAP) -> tuple[DenseOperator, EigenvalueList]:
-    """The rank-d^k projector onto the joint eigenspace of the stabilizer.
-
-    With mu=None the eigenvalues start from the principal roots and, should
-    that choice annihilate (rank != d^k), the other root combinations are
-    tried in lexicographic order.  An explicit mu that fails the rank check
-    is rejected with diagnostics.
+    Each generator N contributes the average (1/d) sum_t (N / mu)^t, where mu
+    is the principal d-th root of the scalar N^d.  Every choice of roots
+    gives a rank-d^k projector, because every nonzero product of independent
+    commuting generators is a traceless Weyl string; the principal one is
+    used.
     """
     d = code.d
     dim = d**code.n
-    rank_target = d**code.k
-    ops = _generator_operators(code, cap)
-    if not ops:
-        return DenseOperator(np.eye(dim, dtype=np.complex128)), EigenvalueList(())
-
-    lams = [_scalar_of_power(op, d) for op in ops]
-    principal = [cmath.exp(cmath.log(lam) / d) for lam in lams]
-    omega = cmath.exp(2j * cmath.pi / d)
-
-    def build(mus) -> np.ndarray:
-        proj = np.eye(dim, dtype=np.complex128)
-        for op, m in zip(ops, mus):
-            proj = proj @ _averager(op, m, d)
-        return proj
-
-    if mu is not None:
-        for m, lam in zip(mu.values, lams):
-            if abs(m**d - lam) > 1e-9:
-                raise ValidationError(
-                    f"eigenvalue {m} is not a d-th root of the generator scalar {lam}")
-        proj = build(mu.values)
-        if abs(proj.trace().real - rank_target) > 1e-6:
-            raise ValidationError(
-                f"eigenvalue list gives rank {proj.trace().real:.6f}, expected {rank_target}")
-        return DenseOperator(proj), mu
-
-    for shifts in product(range(d), repeat=len(ops)):
-        mus = tuple(p * omega**s for p, s in zip(principal, shifts))
-        proj = build(mus)
-        if abs(proj.trace().real - rank_target) <= 1e-6:
-            if not np.allclose(proj, proj @ proj, atol=1e-10):
-                raise ValidationError("projector candidate is not idempotent")
-            return DenseOperator(proj), EigenvalueList(mus)
-    raise ValidationError("no eigenvalue combination yields the expected rank")
-
-
-def apply_pauli_channel(rho: np.ndarray, channel: PauliChannel, n: int) -> np.ndarray:
-    """sum_x P^n(x) N_x rho N_x^dagger over all error vectors of length 2n."""
-    d = channel.d
-    flat = channel.flat()
-    singles = {c: _weyl_matrix(d, c % d, c // d) for c in range(d * d)}
-    out = np.zeros_like(rho)
-    for letters in product(range(d * d), repeat=n):
-        p = 1.0
-        for c in letters:
-            p *= flat[c]
-        if p == 0.0:
-            continue
-        op = reduce(np.kron, [singles[c] for c in letters]) if n else np.eye(1)
-        out += p * (op @ rho @ op.conj().T)
-    return out
+    if dim > cap:
+        raise GuardError(f"dimension d^n = {dim} exceeds the oracle cap {cap}")
+    eye = np.eye(dim, dtype=np.complex128)
+    proj = eye
+    for row in code.generators:
+        op = weyl_string(d, row)
+        power = np.linalg.matrix_power(op, d)
+        lam = complex(power[0, 0])
+        if not np.allclose(power, lam * eye, atol=1e-10):
+            raise ValidationError("generator's d-th power is not scalar")
+        scaled = op / cmath.exp(cmath.log(lam) / d)
+        term, acc = eye, eye
+        for _ in range(d - 1):
+            term = term @ scaled
+            acc = acc + term
+        proj = proj @ (acc / d)
+    rank = proj.trace().real
+    if abs(rank - d**code.k) > 1e-6:
+        raise ValidationError(f"projector has rank {rank:.6f}, expected {d**code.k}")
+    if not np.allclose(proj, proj @ proj, atol=1e-10):
+        raise ValidationError("projector is not idempotent")
+    return proj
 
 
 def von_neumann_entropy(rho: np.ndarray, base: float) -> float:
@@ -206,29 +97,30 @@ def von_neumann_entropy(rho: np.ndarray, base: float) -> float:
     return float(-(evals[mask] * np.log(evals[mask])).sum() / math.log(base))
 
 
-def _codeword_basis(proj: np.ndarray, rank: int) -> np.ndarray:
-    """Orthonormal basis of the projector's range by pivoted orthogonalization."""
-    cols = proj.copy()
-    basis = []
-    for _ in range(rank):
-        norms = np.linalg.norm(cols, axis=0)
-        piv = int(np.argmax(norms))
-        if norms[piv] < 1e-9:
-            raise ValidationError("projector rank is lower than expected")
-        vec = cols[:, piv] / norms[piv]
-        basis.append(vec)
-        cols = cols - np.outer(vec, vec.conj() @ cols)
-    return np.column_stack(basis)
+def _channel_states(proj: np.ndarray, channel: PauliChannel, n: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The channel output for rho = proj / rank, and the joint state on
+    reference (x) system of its purification, from one Kraus sum.
 
-
-def _purification(proj: np.ndarray, k_dim: int) -> np.ndarray:
-    """|Psi> = k_dim^{-1/2} sum_b |b> (x) |codeword b> as a flat vector."""
-    words = _codeword_basis(proj, k_dim)
-    dim = proj.shape[0]
-    psi = np.zeros(k_dim * dim, dtype=np.complex128)
-    for b in range(k_dim):
-        psi[b * dim:(b + 1) * dim] = words[:, b]
-    return psi / math.sqrt(k_dim)
+    The purification is |Psi> = rank^{-1/2} sum_b |b> (x) |w_b> over an
+    orthonormal basis w_b of the projector's range; the output is the joint
+    state's partial trace over the reference.
+    """
+    d = channel.d
+    evals, evecs = np.linalg.eigh(proj)
+    words = evecs[:, evals > 0.5]
+    dim, k_dim = words.shape
+    flat = channel.flat()
+    joint = np.zeros((k_dim * dim, k_dim * dim), dtype=np.complex128)
+    for letters in product(range(d * d), repeat=n):
+        p = math.prod(flat[c] for c in letters)
+        if p == 0.0:
+            continue
+        op = weyl_string(d, [a for c in letters for a in (c % d, c // d)])
+        vec = (op @ words).T.ravel()  # (I (x) N_x) |Psi>, reference index first
+        joint += (p / k_dim) * np.outer(vec, vec.conj())
+    out = np.trace(joint.reshape(k_dim, dim, k_dim, dim), axis1=0, axis2=2)
+    return out, joint
 
 
 @dataclass(frozen=True)
@@ -243,43 +135,16 @@ class OracleReport:
 
 def oracle_report(code: StabilizerCode, channel: PauliChannel,
                   base: float | None = None, *, cap: int = DEFAULT_DIM_CAP) -> OracleReport:
-    """Build rho = Pi / d^k, push it (and its purification) through the
-    channel, and return S(output), S(joint) and their difference."""
+    """Push rho = Pi / d^k and its purification through the channel and
+    return S(output), S(joint) and their difference."""
     if channel.d != code.d:
         raise ValidationError("channel and code moduli differ")
     d, n, k = code.d, code.n, code.k
     if d ** (n + k) > cap:
         raise GuardError(f"purification dimension d^(n+k) = {d**(n+k)} exceeds cap {cap}")
     base = float(base) if base is not None else float(d)
-
-    proj, _ = code_projector(code, cap=cap)
-    k_dim = d**k
-    rho = proj.matrix / k_dim
-
-    out = apply_pauli_channel(rho, channel, n)
+    out, joint = _channel_states(code_projector(code, cap=cap), channel, n)
     s_out = von_neumann_entropy(out, base)
-
-    psi = _purification(proj.matrix, k_dim)
-    joint = np.zeros((k_dim * d**n, k_dim * d**n), dtype=np.complex128)
-    flat = channel.flat()
-    singles = {c: _weyl_matrix(d, c % d, c // d) for c in range(d * d)}
-    eye_ref = np.eye(k_dim, dtype=np.complex128)
-    for letters in product(range(d * d), repeat=n):
-        p = 1.0
-        for c in letters:
-            p *= flat[c]
-        if p == 0.0:
-            continue
-        op = reduce(np.kron, [singles[c] for c in letters]) if n else np.eye(1)
-        vec = np.kron(eye_ref, op) @ psi
-        joint += p * np.outer(vec, vec.conj())
     s_joint = von_neumann_entropy(joint, base)
-
     return OracleReport(coherent_info=s_out - s_joint, entropy_output=s_out,
                         entropy_joint=s_joint, base=base)
-
-
-def coherent_info_direct(code: StabilizerCode, channel: PauliChannel,
-                         base: float | None = None, *, cap: int = DEFAULT_DIM_CAP) -> float:
-    """S(channel(rho)) - S((I (x) channel)(purification)) for rho = Pi / d^k."""
-    return oracle_report(code, channel, base, cap=cap).coherent_info

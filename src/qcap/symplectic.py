@@ -140,8 +140,7 @@ def gram_matrix(rows_a: np.ndarray, rows_b: np.ndarray, d: int) -> np.ndarray:
     """Matrix of pairings <a_i, b_j> mod d."""
     rows_a = np.atleast_2d(np.asarray(rows_a, dtype=np.int64))
     rows_b = np.atleast_2d(np.asarray(rows_b, dtype=np.int64))
-    duals = np.array([symplectic_dual(a, d) for a in rows_a]).reshape(rows_a.shape)
-    return (duals @ rows_b.T) % d
+    return (symplectic_dual(rows_a, d) @ rows_b.T) % d
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +308,7 @@ def perp(L: Subspace) -> Subspace:
         raise ValidationError("perp requires an even ambient dimension")
     if L.dim == 0:
         return Subspace(L.d, L.ambient, np.eye(L.ambient, dtype=np.int64))
-    duals = np.array([symplectic_dual(row, L.d) for row in L.basis])
-    return Subspace(L.d, L.ambient, nullspace(duals, L.d, L.ambient))
+    return Subspace(L.d, L.ambient, nullspace(symplectic_dual(L.basis, L.d), L.d, L.ambient))
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +334,8 @@ class HyperbolicBasis:
             raise ValidationError("hyperbolic basis needs n pairs of length-2n vectors")
         # chi rows: row 2i -> w_{i+1} = <x, h_i> = -<h_i, x>; row 2i+1 -> z_{i+1} = <g_i, x>
         chi = np.empty((2 * n, 2 * n), dtype=np.int64)
-        for i in range(n):
-            chi[2 * i] = (-symplectic_dual(h[i], self.d)) % self.d
-            chi[2 * i + 1] = symplectic_dual(g[i], self.d)
+        chi[0::2] = (-symplectic_dual(h, self.d)) % self.d
+        chi[1::2] = symplectic_dual(g, self.d)
         chi.setflags(write=False)
         g.setflags(write=False)
         h.setflags(write=False)
@@ -379,7 +376,7 @@ class HyperbolicBasis:
 def _constrained_vector(v_basis: np.ndarray, targets: np.ndarray, rhs: np.ndarray,
                         d: int, rng: np.random.Generator) -> np.ndarray:
     """A uniformly random v in span(v_basis) with <t_i, v> = rhs_i for each target row."""
-    products = np.array([(v_basis @ symplectic_dual(t, d)) % d for t in targets])
+    products = (symplectic_dual(targets, d) @ v_basis.T) % d
     coeffs = solve_affine(products, rhs, d, rng)
     if coeffs is None:
         raise ValidationError("constraint system has no solution; input is not a valid code")
@@ -388,8 +385,7 @@ def _constrained_vector(v_basis: np.ndarray, targets: np.ndarray, rhs: np.ndarra
 
 def _shrink(v_basis: np.ndarray, g: np.ndarray, h: np.ndarray, d: int) -> np.ndarray:
     """Basis of {v in span(v_basis) : <g, v> = <h, v> = 0}."""
-    products = np.array([(v_basis @ symplectic_dual(g, d)) % d,
-                         (v_basis @ symplectic_dual(h, d)) % d])
+    products = (symplectic_dual(np.array([g, h]), d) @ v_basis.T) % d
     ker = nullspace(products, d, v_basis.shape[0])
     return (ker @ v_basis) % d
 

@@ -16,6 +16,14 @@ from qcap.spectra import probability_array
 from qcap.symplectic import Subspace
 
 
+def digits_to_index(digits: np.ndarray, d: int) -> np.ndarray:
+    """Fold little-endian base-d digit rows back into integer indices: the
+    inverse of qcap.gf.index_to_digits."""
+    digits = np.asarray(digits, dtype=np.int64)
+    powers = d ** np.arange(digits.shape[-1], dtype=np.int64)
+    return digits @ powers
+
+
 def kl_divergence(P, Q, base: float) -> float:
     """D(P||Q) in the given base; +inf iff P puts mass outside supp(Q)."""
     P = np.asarray(P, dtype=float).ravel()

@@ -182,6 +182,18 @@ def test_exponent_rejects_oracle_grid_zero(capsys):
     capsys.readouterr()
 
 
+def test_exponent_has_no_log_base_flag(capsys):
+    # E is reported in base-d logarithms only; the flag is refused rather
+    # than recorded in the manifest and ignored
+    with pytest.raises(SystemExit) as exc:
+        run(["exponent", "--code", "trivial1", "--d", "2", "--p", "0.05", "--rate", "0.25",
+             "--log-base", "2"])
+    assert exc.value.code == 2
+    payload = run_json(capsys, ["exponent", "--code", "trivial1", "--d", "2", "--p", "0.05",
+                                "--rate", "0.25"])
+    assert "log_base" not in payload["manifest"]["parameters"]
+
+
 def test_fbound_rejects_no_outer_blocks(capsys):
     assert run(["fbound", "--inner", "rep3", "--d", "2", "--N", "0", "--K", "0",
                 "--p", "0.1"]) == 2

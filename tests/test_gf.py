@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from qcap import PauliChannel, Subspace, ValidationError, catalog, symplectic_form
-from qcap.gf import _check_modulus, digits_to_index, index_to_digits, is_prime
+from qcap.gf import _check_modulus, index_to_digits, is_prime
+
+from oracles import digits_to_index
 
 
 def test_is_prime():

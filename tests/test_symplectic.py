@@ -12,7 +12,7 @@ from qcap import (
     sample_self_orthogonal,
     symplectic_form,
 )
-from qcap.gf import digits_to_index, index_to_digits
+from qcap.gf import index_to_digits
 from qcap.symplectic import (
     _GF2Echelon,
     _pack,
@@ -25,6 +25,8 @@ from qcap.symplectic import (
     solve_affine,
     solve_affine_multi,
 )
+
+from oracles import digits_to_index
 
 # chi-square(14 dof) upper critical value at significance 0.01
 CHI2_99_14 = 29.141237740672796
