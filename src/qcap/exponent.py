@@ -263,10 +263,14 @@ def exponent(code: StabilizerCode, channel: PauliChannel, R: float, *,
 
 
 def exponent_grid_oracle(code: StabilizerCode, channel: PauliChannel, R: float,
-                         grid_steps: int, *, max_points: int = 5_000_000) -> float:
+                         grid_steps: int, *, max_cells: int = 2**24) -> float:
     """Minimum of the exponent objective over the rational grid of the
     support simplex with denominator grid_steps.  Upper-bounds the true
-    exponent; refining the grid never increases it."""
+    exponent; refining the grid never increases it.
+
+    The search holds several float arrays of (grid points x support cells);
+    the guard counts those cells and raises GuardError past max_cells,
+    before the grid is built."""
     R = float(R)
     if not 0.0 <= R <= 1.0:
         raise ValidationError(f"rate must lie in [0, 1], got {R}")
@@ -276,9 +280,9 @@ def exponent_grid_oracle(code: StabilizerCode, channel: PauliChannel, R: float,
     obj = _Objective(arr, code.k, R)
     m = obj.p.size
     npoints = math.comb(grid_steps + m - 1, m - 1)
-    if npoints > max_points:
-        raise GuardError(
-            f"grid of {npoints} points exceeds the oracle guard {max_points}")
+    if npoints * m > max_cells:
+        raise GuardError(f"grid of {npoints} points x {m} support cells exceeds the "
+                         f"oracle guard of {max_cells} cells")
     counts = compositions(grid_steps, m).astype(np.float64)
     dist = counts / grid_steps
 

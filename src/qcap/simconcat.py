@@ -48,12 +48,9 @@ from .gf import index_to_digits
 from .spectra import ProbabilityArray, probability_array
 from .symplectic import (
     Subspace,
-    _GF2Echelon,
-    _pack,
-    _unpack,
-    nullspace,
+    _echelon,
     random_isotropic_basis,
-    solve_affine_multi,
+    sample_self_orthogonal,
     symplectic_dual,
 )
 
@@ -151,35 +148,33 @@ def sample_error(array: ProbabilityArray, N: int, rng: np.random.Generator
 
 
 class _OuterContext:
-    """Per-outer-code machinery: syndrome map, the two halves of the candidate
-    coset enumeration, and membership tests."""
+    """Per-outer-code machinery, built from the generator rows (kN-K, 2kN) of
+    C_out: syndrome map, the two halves of the candidate coset enumeration,
+    and membership tests."""
 
-    def __init__(self, outer: Subspace, d: int, k: int, N: int):
+    def __init__(self, gens: np.ndarray, d: int, k: int, N: int):
         self.d = d
         self.k = k
         self.N = N
         self.length = length = 2 * k * N
-        self.contains = outer.contains
-        gens = outer.basis  # (kN-K, 2kN)
         self.n_checks = gens.shape[0]
         self.search_size = d ** (length - self.n_checks)
         if self.search_size > _SEARCH_GUARD:
             raise GuardError(
                 f"decoder search set d^(kN+K) = {self.search_size} exceeds 2^24")
         self.dual = symplectic_dual(gens, d)
-        # representatives y_i with <g'_i, y_j> = delta_ij give a particular
-        # solution v0 = sigma @ reps for any target syndrome
-        if d == 2:
-            ech = _GF2Echelon(row | 1 << (length + i) for i, row in enumerate(_pack(self.dual)))
-            self.perp_basis = _unpack(ech.nullspace(length), length)
-            reps = ech.solutions(length, self.n_checks)
-            reps = None if reps is None else _unpack(reps, length)
-        else:
-            self.perp_basis = nullspace(self.dual, d, length)
-            reps = solve_affine_multi(self.dual, np.eye(self.n_checks, dtype=np.int64), d)
+        # one elimination of [dual | I] gives a basis of perp(C_out) and
+        # representatives y_i with <g'_i, y_j> = delta_ij, so that
+        # v0 = sigma @ reps has syndrome sigma
+        ech = _echelon(d, np.hstack([self.dual, np.eye(self.n_checks, dtype=np.int64)]))
+        self.perp_basis = ech.unpack(ech.nullspace(length), length)
+        reps = ech.solutions(length, self.n_checks)
         if reps is None:
             raise ValidationError("outer generators are degenerate")
-        self.reps = reps
+        self.reps = ech.unpack(reps, length)
+        # C_out = perp(perp(C_out)): x lies in C_out iff it pairs to zero
+        # with every row of perp_basis
+        self._perp_dual = symplectic_dual(self.perp_basis, d)
         cols = d ** (2 * k)
         self._dtype = np.min_scalar_type(cols - 1)
         self._powers = d ** np.arange(2 * k, dtype=np.int64)
@@ -206,6 +201,9 @@ class _OuterContext:
 
     def syndrome(self, v_digits: np.ndarray) -> np.ndarray:
         return (self.dual @ v_digits) % self.d
+
+    def contains(self, x: np.ndarray) -> bool:
+        return not (self._perp_dual @ x % self.d).any()
 
     def candidate_symbols(self, sigma: np.ndarray) -> np.ndarray:
         """Per-block logical symbols (N x Q) of every v' with syndrome sigma.
@@ -266,7 +264,7 @@ def simulate(cfg: SimConfig) -> SimReport:
     fixed_sub = cfg.outer_subspace()
     if fixed_sub is None and not cfg.resample_outer:
         fixed_sub = sample_self_orthogonal_outer(d, k, N, K, (cfg.seed, 0, 2))
-    fixed_ctx = _OuterContext(fixed_sub, d, k, N) if fixed_sub is not None else None
+    fixed_ctx = _OuterContext(fixed_sub.basis, d, k, N) if fixed_sub is not None else None
 
     col_digits = index_to_digits(np.arange(cols), d, 2 * k)
     failures = 0
@@ -278,7 +276,7 @@ def simulate(cfg: SimConfig) -> SimReport:
         else:
             basis = random_isotropic_basis(d, 2 * k * N, k * N - K,
                                            np.random.default_rng((cfg.seed, t, 1)))
-            ctx = _OuterContext(Subspace(d, 2 * k * N, basis), d, k, N)
+            ctx = _OuterContext(basis, d, k, N)
         z_idx, v_idx = sample_error(arr, N, rng)
         v_digits = col_digits[v_idx].ravel()
         sigma = ctx.syndrome(v_digits)
@@ -298,8 +296,6 @@ def simulate(cfg: SimConfig) -> SimReport:
 
 def sample_self_orthogonal_outer(d: int, k: int, N: int, K: int, seed) -> Subspace:
     """A uniform self-orthogonal outer code of dimension kN - K in F_d^{2kN}."""
-    from .symplectic import sample_self_orthogonal
-
     return sample_self_orthogonal(d, 2 * k * N, k * N - K, seed)
 
 

@@ -18,9 +18,15 @@ in ambient dimension 2m the number of valid extension vectors is
 d**(2m - m') - d**m', a function of m' alone, so every isotropic subspace of
 the target dimension is reached with equal probability.
 
-At d = 2 the sampler, `Subspace` and the decoder's coset machinery run on
-bit-packed rows (`_GF2Echelon`); the mod-d routines serve every other d and
-are the reference the packed ones are tested against.
+All of this linear algebra (canonical forms, membership, nullspaces, the
+completion's constraint systems, the sampler and the decoder's coset
+machinery) runs on one incremental reduced row echelon form in two
+arithmetics: rows bit-packed into Python ints at d = 2 (`_GF2Echelon`) and
+int64 digit rows mod d for every other prime (`_ModEchelon`).  The factory
+`_echelon` is the only place that chooses between them.  Over any field the
+reduced row echelon form of a row space is unique, and so is the nullspace
+basis read off it, so both arithmetics give the same rows; the dense
+Gauss-Jordan elimination in tests/oracles.py is the reference for both.
 """
 
 from __future__ import annotations
@@ -34,95 +40,7 @@ from .gf import _check_modulus
 
 
 # ---------------------------------------------------------------------------
-# dense linear algebra mod a prime
-
-
-def rref(mat: np.ndarray, d: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over F_d.
-
-    Returns (R, pivots) where R holds the nonzero rows and pivots the pivot
-    column of each row, in increasing order.
-    """
-    a = np.array(mat, dtype=np.int64) % d
-    if a.ndim != 2:
-        raise ValidationError("rref expects a 2-d array")
-    nrows, ncols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), d - 2, d)
-        a[r] = (a[r] * inv) % d
-        for rr in range(nrows):
-            if rr != r and a[rr, c] != 0:
-                a[rr] = (a[rr] - a[rr, c] * a[r]) % d
-        pivots.append(c)
-        r += 1
-    return a[:r], pivots
-
-
-def nullspace(mat: np.ndarray, d: int, ncols: int | None = None) -> np.ndarray:
-    """Basis rows of {x : mat @ x = 0 mod d}."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=np.int64))
-    if ncols is None:
-        ncols = mat.shape[1]
-    if mat.shape[0] == 0 or mat.size == 0:
-        return np.eye(ncols, dtype=np.int64)
-    red, pivots = rref(mat, d)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[i, pc] = (-red[r, fc]) % d
-    return basis
-
-
-def solve_affine(mat: np.ndarray, rhs: np.ndarray, d: int,
-                 rng: np.random.Generator | None = None) -> np.ndarray | None:
-    """One solution x of mat @ x = rhs mod d, or None if inconsistent.
-
-    With an rng, the solution is drawn uniformly from the full solution set
-    (particular solution plus a random nullspace combination).
-    """
-    mat = np.atleast_2d(np.asarray(mat, dtype=np.int64)) % d
-    rhs = np.asarray(rhs, dtype=np.int64) % d
-    nrows, ncols = mat.shape
-    aug = np.hstack([mat, rhs.reshape(-1, 1)])
-    red, pivots = rref(aug, d)
-    if ncols in pivots:
-        return None
-    x = np.zeros(ncols, dtype=np.int64)
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r, ncols]
-    if rng is not None:
-        ker = nullspace(mat, d, ncols)
-        if ker.shape[0] > 0:
-            coeffs = rng.integers(0, d, size=ker.shape[0])
-            x = (x + coeffs @ ker) % d
-    return x % d
-
-
-def solve_affine_multi(mat: np.ndarray, rhs_cols: np.ndarray, d: int) -> np.ndarray | None:
-    """Solutions X (one row per rhs column) of mat @ x = rhs for several
-    right-hand sides at once; None if any system is inconsistent."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=np.int64)) % d
-    rhs_cols = np.atleast_2d(np.asarray(rhs_cols, dtype=np.int64)) % d
-    nrows, ncols = mat.shape
-    red, pivots = rref(np.hstack([mat, rhs_cols]), d)
-    if any(pc >= ncols for pc in pivots):
-        return None
-    out = np.zeros((rhs_cols.shape[1], ncols), dtype=np.int64)
-    for r, pc in enumerate(pivots):
-        out[:, pc] = red[r, ncols:]
-    return out
+# the pairing as a matrix
 
 
 def symplectic_dual(vec: np.ndarray, d: int) -> np.ndarray:
@@ -144,43 +62,51 @@ def gram_matrix(rows_a: np.ndarray, rows_b: np.ndarray, d: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# bit-packed linear algebra over F_2
+# the echelon form
 #
-# A row is a Python int with bit j = column j, so a row operation is one XOR
-# and a row's leading column is its lowest set bit.  Over F_2 the reduced row
-# echelon form of a row space is unique, and the nullspace basis read off it
-# is canonical, so the packed routines return exactly the rows that rref,
-# nullspace and solve_affine_multi return at d = 2.
-
-
-def _pack(mat: np.ndarray) -> list[int]:
-    """The rows of a 0/1 matrix as ints, bit j = column j."""
-    bits = np.packbits(np.asarray(mat, dtype=np.uint8), axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in bits]
-
-
-def _unpack(rows: list[int], ncols: int) -> np.ndarray:
-    """The (len(rows), ncols) int64 0/1 matrix of packed rows."""
-    nbytes = (ncols + 7) // 8
-    buf = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows), dtype=np.uint8)
-    bits = np.unpackbits(buf.reshape(len(rows), nbytes), axis=1, count=ncols, bitorder="little")
-    return bits.astype(np.int64)
-
-
-def _dual_gf2(row: int, ambient: int) -> int:
-    """symplectic_dual at d = 2: swap the bits of every (u_i, v_i) pair."""
-    even = int("01" * (ambient // 2), 2)
-    return ((row & even) << 1) | ((row >> 1) & even)
+# Both classes keep the reduced row echelon form of a growing set of rows as
+# {pivot: row}, every row zero at the others' pivots, behind one interface:
+# add, reduce, `in`, echelon, nullspace and solutions on packed rows, the
+# codec pack/unpack to int64 digit matrices, and the row operations combine
+# and dual.
 
 
 class _GF2Echelon:
-    """The reduced row echelon form over F_2 of a growing set of packed rows,
-    kept as {lowest set bit: row}; every row is zero at the others' pivots."""
+    """The echelon form over F_2 on rows packed into Python ints, bit j =
+    column j, keyed by the pivot's bit: a row operation is one XOR and a
+    row's leading column is its lowest set bit."""
 
-    def __init__(self, rows=()) -> None:
+    def __init__(self) -> None:
         self.rows: dict[int, int] = {}
-        for row in rows:
-            self.add(row)
+
+    @staticmethod
+    def pack(mat: np.ndarray) -> list[int]:
+        bits = np.packbits((np.asarray(mat, dtype=np.int64) % 2).astype(np.uint8), axis=1,
+                           bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in bits]
+
+    @staticmethod
+    def unpack(rows: list[int], ncols: int) -> np.ndarray:
+        nbytes = (ncols + 7) // 8
+        buf = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows), dtype=np.uint8)
+        bits = np.unpackbits(buf.reshape(len(rows), nbytes), axis=1, count=ncols,
+                             bitorder="little")
+        return bits.astype(np.int64)
+
+    @staticmethod
+    def combine(coeffs: np.ndarray, rows: list[int]) -> int:
+        """sum_i coeffs_i rows_i."""
+        v = 0
+        for c, row in zip(coeffs.tolist(), rows):
+            if c:
+                v ^= row
+        return v
+
+    @staticmethod
+    def dual(row: int, ncols: int) -> int:
+        """symplectic_dual: swap the bits of every (u_i, v_i) pair."""
+        even = int("01" * (ncols // 2), 2)
+        return ((row & even) << 1) | ((row >> 1) & even)
 
     def reduce(self, v: int) -> int:
         """v minus its component in the span; 0 iff v lies in the span."""
@@ -188,6 +114,9 @@ class _GF2Echelon:
             if v & bit:
                 v ^= row
         return v
+
+    def __contains__(self, v: int) -> bool:
+        return not self.reduce(v)
 
     def add(self, v: int) -> bool:
         """Insert v; False if it was already in the span."""
@@ -202,7 +131,7 @@ class _GF2Echelon:
         return True
 
     def echelon(self) -> tuple[list[int], list[int]]:
-        """(rows, pivot columns) in increasing pivot order, as rref returns."""
+        """(rows, pivot columns) in increasing pivot order."""
         order = sorted(self.rows)
         return [self.rows[b] for b in order], [b.bit_length() - 1 for b in order]
 
@@ -215,16 +144,98 @@ class _GF2Echelon:
         return col
 
     def nullspace(self, ncols: int) -> list[int]:
-        """nullspace's basis of {x : row . x = 0 for every row}, over the
-        first ncols columns, one vector per free column in increasing order."""
+        """Basis of {x : row . x = 0 for every row} over the first ncols
+        columns, one vector per free column in increasing order."""
         return [1 << fc | self._column(fc) for fc in range(ncols) if 1 << fc not in self.rows]
 
     def solutions(self, ncols: int, nrhs: int) -> list[int] | None:
-        """For rows [A | B] (B in bits ncols..ncols+nrhs-1), solve_affine_multi's
-        solutions x_i of A x = b_i; None if some system is inconsistent."""
+        """For rows [A | B] (B in columns ncols..ncols+nrhs-1), the solution
+        x_i of A x = b_i that is zero at the free columns, one per column of
+        B; None if some system is inconsistent."""
         if any(bit >> ncols for bit in self.rows):
             return None
         return [self._column(i) for i in range(ncols, ncols + nrhs)]
+
+
+class _ModEchelon:
+    """The echelon form over F_d on int64 digit rows, keyed by pivot column,
+    with every pivot scaled to 1.  A set of packed rows is a 2-d array."""
+
+    def __init__(self, d: int) -> None:
+        self.d = d
+        self.rows: dict[int, np.ndarray] = {}
+
+    def pack(self, mat: np.ndarray) -> np.ndarray:
+        return np.asarray(mat, dtype=np.int64) % self.d
+
+    @staticmethod
+    def unpack(rows, ncols: int) -> np.ndarray:
+        return np.asarray(rows, dtype=np.int64).reshape(len(rows), ncols)
+
+    def combine(self, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return coeffs @ rows % self.d
+
+    def dual(self, row: np.ndarray, ncols: int) -> np.ndarray:
+        return symplectic_dual(row, self.d)
+
+    def reduce(self, v: np.ndarray) -> np.ndarray:
+        for pc, row in self.rows.items():
+            if v[pc]:
+                v = (v - v[pc] * row) % self.d
+        return v
+
+    def __contains__(self, v: np.ndarray) -> bool:
+        return not self.reduce(v).any()
+
+    def add(self, v: np.ndarray) -> bool:
+        v = self.reduce(v)
+        nonzero = np.flatnonzero(v)
+        if not nonzero.size:
+            return False
+        pc = int(nonzero[0])
+        v = v * pow(int(v[pc]), -1, self.d) % self.d
+        for c, row in self.rows.items():
+            if row[pc]:
+                self.rows[c] = (row - row[pc] * v) % self.d
+        self.rows[pc] = v
+        return True
+
+    def echelon(self) -> tuple[list[np.ndarray], list[int]]:
+        order = sorted(self.rows)
+        return [self.rows[c] for c in order], order
+
+    def nullspace(self, ncols: int) -> np.ndarray:
+        free = [c for c in range(ncols) if c not in self.rows]
+        basis = np.zeros((len(free), ncols), dtype=np.int64)
+        basis[range(len(free)), free] = 1
+        for pc, row in self.rows.items():
+            if pc < ncols:
+                basis[:, pc] = -row[free] % self.d
+        return basis
+
+    def solutions(self, ncols: int, nrhs: int) -> np.ndarray | None:
+        if any(pc >= ncols for pc in self.rows):
+            return None
+        out = np.zeros((nrhs, ncols), dtype=np.int64)
+        for pc, row in self.rows.items():
+            out[:, pc] = row[ncols:ncols + nrhs]
+        return out
+
+
+def _echelon(d: int, mat: np.ndarray | None = None) -> _GF2Echelon | _ModEchelon:
+    """The echelon form over F_d of mat's rows (none if mat is None): the one
+    place that picks packed rows at d = 2."""
+    ech = _GF2Echelon() if d == 2 else _ModEchelon(d)
+    if mat is not None:
+        for row in ech.pack(mat):
+            ech.add(row)
+    return ech
+
+
+def _nullspace(mat: np.ndarray, d: int, ncols: int) -> np.ndarray:
+    """Basis rows of {x : mat @ x = 0 mod d}."""
+    ech = _echelon(d, mat)
+    return ech.unpack(ech.nullspace(ncols), ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -246,17 +257,11 @@ class Subspace:
         rows = np.asarray(basis, dtype=np.int64).reshape(-1, self.ambient) % self.d
         self.basis = rows
         self.basis.setflags(write=False)
-        self._gf2 = None
-        if self.d == 2:
-            self._gf2 = _GF2Echelon(_pack(rows))
-            packed, pivots = self._gf2.echelon()
-            red = _unpack(packed, self.ambient)
-        else:
-            red, pivots = rref(rows, self.d)
-        if red.shape[0] != rows.shape[0]:
+        self._ech = _echelon(self.d, rows)
+        red, _ = self._ech.echelon()
+        if len(red) != rows.shape[0]:
             raise ValidationError("generators are linearly dependent")
-        self._rref = red
-        self._pivots = pivots
+        self.canonical = self._ech.unpack(red, self.ambient)
 
     @classmethod
     def zero(cls, d: int, ambient: int) -> "Subspace":
@@ -266,30 +271,20 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    @property
-    def canonical(self) -> np.ndarray:
-        return self._rref
-
     def contains(self, vec: np.ndarray) -> bool:
-        v = np.asarray(vec, dtype=np.int64) % self.d
+        v = np.asarray(vec, dtype=np.int64)
         if v.shape != (self.ambient,):
             raise ValidationError("vector/ambient dimension mismatch")
-        if self._gf2 is not None:
-            return not self._gf2.reduce(_pack(v[None, :])[0])
-        for r, pc in enumerate(self._pivots):
-            if v[pc] != 0:
-                v = (v - v[pc] * self._rref[r]) % self.d
-        return not v.any()
+        return self._ech.pack(v[None, :])[0] in self._ech
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
         return (self.d == other.d and self.ambient == other.ambient
-                and self._rref.shape == other._rref.shape
-                and bool((self._rref == other._rref).all()))
+                and np.array_equal(self.canonical, other.canonical))
 
     def __hash__(self) -> int:
-        return hash((self.d, self.ambient, self._rref.tobytes()))
+        return hash((self.d, self.ambient, self.canonical.tobytes()))
 
     def __repr__(self) -> str:
         return f"Subspace(d={self.d}, ambient={self.ambient}, dim={self.dim})"
@@ -297,8 +292,6 @@ class Subspace:
 
 def is_self_orthogonal(L: Subspace) -> bool:
     """True iff <x, y> = 0 for all pairs of basis vectors of L."""
-    if L.dim == 0:
-        return True
     return not gram_matrix(L.basis, L.basis, L.d).any()
 
 
@@ -306,9 +299,7 @@ def perp(L: Subspace) -> Subspace:
     """The symplectic orthogonal complement {y : <x, y> = 0 for all x in L}."""
     if L.ambient % 2 != 0:
         raise ValidationError("perp requires an even ambient dimension")
-    if L.dim == 0:
-        return Subspace(L.d, L.ambient, np.eye(L.ambient, dtype=np.int64))
-    return Subspace(L.d, L.ambient, nullspace(symplectic_dual(L.basis, L.d), L.d, L.ambient))
+    return Subspace(L.d, L.ambient, _nullspace(symplectic_dual(L.basis, L.d), L.d, L.ambient))
 
 
 # ---------------------------------------------------------------------------
@@ -375,19 +366,26 @@ class HyperbolicBasis:
 
 def _constrained_vector(v_basis: np.ndarray, targets: np.ndarray, rhs: np.ndarray,
                         d: int, rng: np.random.Generator) -> np.ndarray:
-    """A uniformly random v in span(v_basis) with <t_i, v> = rhs_i for each target row."""
+    """A uniformly random v in span(v_basis) with <t_i, v> = rhs_i for each
+    target row: the echelon form's particular solution plus a uniform
+    combination of its nullspace."""
+    r = v_basis.shape[0]
     products = (symplectic_dual(targets, d) @ v_basis.T) % d
-    coeffs = solve_affine(products, rhs, d, rng)
+    ech = _echelon(d, np.hstack([products, rhs.reshape(-1, 1)]))
+    coeffs = ech.solutions(r, 1)
     if coeffs is None:
         raise ValidationError("constraint system has no solution; input is not a valid code")
+    coeffs = ech.unpack(coeffs, r)[0]
+    ker = ech.unpack(ech.nullspace(r), r)
+    if len(ker):
+        coeffs = (coeffs + rng.integers(0, d, size=len(ker)) @ ker) % d
     return (coeffs @ v_basis) % d
 
 
 def _shrink(v_basis: np.ndarray, g: np.ndarray, h: np.ndarray, d: int) -> np.ndarray:
     """Basis of {v in span(v_basis) : <g, v> = <h, v> = 0}."""
     products = (symplectic_dual(np.array([g, h]), d) @ v_basis.T) % d
-    ker = nullspace(products, d, v_basis.shape[0])
-    return (ker @ v_basis) % d
+    return (_nullspace(products, d, v_basis.shape[0]) @ v_basis) % d
 
 
 def hyperbolic_complete(L: Subspace, rng_seed: int) -> HyperbolicBasis:
@@ -449,62 +447,21 @@ def random_isotropic_basis(d: int, ambient: int, dim: int, rng: np.random.Genera
     """Basis rows of a uniformly random self-orthogonal subspace.
 
     Grows one dimension at a time with a uniform vector from
-    perp(current) \\ current; an echelon form is carried along so membership
-    tests stay cheap.  At d = 2 the rows are bit-packed; both paths draw the
-    same coefficients from rng and return the same rows.
+    perp(current) \\ current.  The echelon forms of the rows and of their
+    duals grow along with them, so the membership test and perp(current)
+    cost no fresh elimination.
     """
-    if d == 2:
-        return _unpack(_random_isotropic_gf2(ambient, dim, rng), ambient)
-    return _random_isotropic_dense(d, ambient, dim, rng)
-
-
-def _random_isotropic_dense(d: int, ambient: int, dim: int, rng: np.random.Generator
-                            ) -> np.ndarray:
-    """random_isotropic_basis on int64 digit rows, for any prime d."""
-    rows = np.zeros((0, ambient), dtype=np.int64)
-    duals = np.zeros((0, ambient), dtype=np.int64)
-    ech: list[np.ndarray] = []  # rows with normalized leading pivots
-    piv: list[int] = []
-
-    def reduce_vec(v: np.ndarray) -> np.ndarray:
-        v = v % d
-        for r, pc in zip(ech, piv):
-            if v[pc] != 0:
-                v = (v - v[pc] * r) % d
-        return v
-
-    for _ in range(dim):
-        perp_basis = nullspace(duals, d, ambient)
-        while True:
-            coeffs = rng.integers(0, d, size=perp_basis.shape[0])
-            v = (coeffs @ perp_basis) % d
-            red = reduce_vec(v)
-            if red.any():
-                break
-        rows = np.vstack([rows, v[None, :]])
-        duals = np.vstack([duals, symplectic_dual(v, d)[None, :]])
-        pc = int(np.nonzero(red)[0][0])
-        ech.append((red * pow(int(red[pc]), d - 2, d)) % d)
-        piv.append(pc)
-    return rows
-
-
-def _random_isotropic_gf2(ambient: int, dim: int, rng: np.random.Generator) -> list[int]:
-    """random_isotropic_basis at d = 2, on packed rows."""
-    rows: list[int] = []
-    span, duals = _GF2Echelon(), _GF2Echelon()
+    span, duals = _echelon(d), _echelon(d)
+    rows = []
     for _ in range(dim):
         perp_basis = duals.nullspace(ambient)
         while True:
-            v = 0
-            for c, b in zip(rng.integers(0, 2, size=len(perp_basis)).tolist(), perp_basis):
-                if c:
-                    v ^= b
+            v = span.combine(rng.integers(0, d, size=len(perp_basis)), perp_basis)
             if span.add(v):
                 break
         rows.append(v)
-        duals.add(_dual_gf2(v, ambient))
-    return rows
+        duals.add(span.dual(v, ambient))
+    return span.unpack(rows, ambient)
 
 
 def sample_self_orthogonal(d: int, ambient: int, dim: int, rng_seed) -> Subspace:
@@ -519,5 +476,4 @@ def sample_self_orthogonal(d: int, ambient: int, dim: int, rng_seed) -> Subspace
     if dim < 0 or dim > m:
         raise ValidationError(f"no isotropic subspace of dimension {dim} in dimension {ambient}")
     rng = np.random.default_rng(rng_seed)
-    rows = random_isotropic_basis(d, ambient, dim, rng)
-    return Subspace(d, ambient, rows) if dim else Subspace.zero(d, ambient)
+    return Subspace(d, ambient, random_isotropic_basis(d, ambient, dim, rng))

@@ -13,7 +13,7 @@ from qcap.exponent import _Objective
 from qcap.gf import index_to_digits
 from qcap.simconcat import _decode_ctx, _OuterContext
 from qcap.spectra import probability_array
-from qcap.symplectic import Subspace
+from qcap.symplectic import Subspace, symplectic_dual
 
 
 def digits_to_index(digits: np.ndarray, d: int) -> np.ndarray:
@@ -22,6 +22,91 @@ def digits_to_index(digits: np.ndarray, d: int) -> np.ndarray:
     digits = np.asarray(digits, dtype=np.int64)
     powers = d ** np.arange(digits.shape[-1], dtype=np.int64)
     return digits @ powers
+
+
+# ---------------------------------------------------------------------------
+# dense Gauss-Jordan elimination mod a prime: the reference for the library's
+# incremental echelon forms, at every d
+
+
+def rref(mat: np.ndarray, d: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over F_d: (R, pivots), the nonzero rows and
+    the pivot column of each row, in increasing order."""
+    a = np.array(mat, dtype=np.int64) % d
+    nrows, ncols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        a[r] = (a[r] * pow(int(a[r, c]), d - 2, d)) % d
+        for rr in range(nrows):
+            if rr != r and a[rr, c] != 0:
+                a[rr] = (a[rr] - a[rr, c] * a[r]) % d
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+def nullspace(mat: np.ndarray, d: int, ncols: int | None = None) -> np.ndarray:
+    """Basis rows of {x : mat @ x = 0 mod d}, one per free column of
+    rref(mat), in increasing order."""
+    mat = np.atleast_2d(np.asarray(mat, dtype=np.int64))
+    if ncols is None:
+        ncols = mat.shape[1]
+    if mat.shape[0] == 0 or mat.size == 0:
+        return np.eye(ncols, dtype=np.int64)
+    red, pivots = rref(mat, d)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    for i, fc in enumerate(free):
+        basis[i, fc] = 1
+        for r, pc in enumerate(pivots):
+            basis[i, pc] = (-red[r, fc]) % d
+    return basis
+
+
+def solve_affine(mat: np.ndarray, rhs: np.ndarray, d: int) -> np.ndarray | None:
+    """The solution x of mat @ x = rhs mod d that is zero at the free
+    columns, or None if the system is inconsistent."""
+    sols = solve_affine_multi(mat, np.asarray(rhs).reshape(-1, 1), d)
+    return None if sols is None else sols[0]
+
+
+def solve_affine_multi(mat: np.ndarray, rhs_cols: np.ndarray, d: int) -> np.ndarray | None:
+    """solve_affine for each column of rhs_cols, one solution row per
+    column; None if any system is inconsistent."""
+    mat = np.atleast_2d(np.asarray(mat, dtype=np.int64)) % d
+    rhs_cols = np.atleast_2d(np.asarray(rhs_cols, dtype=np.int64)) % d
+    ncols = mat.shape[1]
+    red, pivots = rref(np.hstack([mat, rhs_cols]), d)
+    if any(pc >= ncols for pc in pivots):
+        return None
+    out = np.zeros((rhs_cols.shape[1], ncols), dtype=np.int64)
+    for r, pc in enumerate(pivots):
+        out[:, pc] = red[r, ncols:]
+    return out
+
+
+def random_isotropic_dense(d: int, ambient: int, dim: int, rng: np.random.Generator
+                           ) -> np.ndarray:
+    """random_isotropic_basis by dense elimination: each step recomputes
+    perp(current) from scratch and tests membership against rref."""
+    rows = np.zeros((0, ambient), dtype=np.int64)
+    for _ in range(dim):
+        perp_basis = nullspace(symplectic_dual(rows, d), d, ambient)
+        while True:
+            v = (rng.integers(0, d, size=perp_basis.shape[0]) @ perp_basis) % d
+            if rref(np.vstack([rows, v]), d)[0].shape[0] > rows.shape[0]:
+                break
+        rows = np.vstack([rows, v])
+    return rows
 
 
 def kl_divergence(P, Q, base: float) -> float:
@@ -72,7 +157,7 @@ def decode_min_conditional_entropy(inner: StabilizerCode, outer: Subspace | Stab
     Returns the column indices of the decoded logical labels, one per block.
     """
     sub = outer.subspace if isinstance(outer, StabilizerCode) else outer
-    ctx = _OuterContext(sub, inner.d, inner.k, len(z_indices))
+    ctx = _OuterContext(sub.basis, inner.d, inner.k, len(z_indices))
     return _decode_ctx(inner, ctx, np.asarray(z_indices), np.asarray(sigma))
 
 

@@ -182,6 +182,16 @@ def test_exponent_rejects_oracle_grid_zero(capsys):
     capsys.readouterr()
 
 
+def test_grid_oracle_guard_counts_cells(capsys):
+    # 3,268,760 grid points x 16 support cells: under a guard on points
+    # alone this ran for seconds and allocated gigabytes
+    start = time.process_time()
+    assert run(["exponent", "--code", "rep3", "--d", "2", "--p", "0.05", "--rate", "0.25",
+                "--oracle-grid", "10"]) == 3
+    assert time.process_time() - start < 2.0
+    capsys.readouterr()
+
+
 def test_exponent_has_no_log_base_flag(capsys):
     # E is reported in base-d logarithms only; the flag is refused rather
     # than recorded in the manifest and ignored

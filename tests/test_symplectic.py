@@ -13,20 +13,9 @@ from qcap import (
     symplectic_form,
 )
 from qcap.gf import index_to_digits
-from qcap.symplectic import (
-    _GF2Echelon,
-    _pack,
-    _random_isotropic_dense,
-    _unpack,
-    gram_matrix,
-    nullspace,
-    random_isotropic_basis,
-    rref,
-    solve_affine,
-    solve_affine_multi,
-)
+from qcap.symplectic import _echelon, gram_matrix, random_isotropic_basis
 
-from oracles import digits_to_index
+from oracles import digits_to_index, nullspace, random_isotropic_dense, rref, solve_affine_multi
 
 # chi-square(14 dof) upper critical value at significance 0.01
 CHI2_99_14 = 29.141237740672796
@@ -38,9 +27,11 @@ def random_self_orthogonal(d, n, dim, seed):
 
 def test_rref_and_nullspace_mod3():
     mat = np.array([[1, 2, 0], [2, 1, 1]])
-    red, piv = rref(mat, 3)
+    ech = _echelon(3, mat)
+    red, piv = ech.echelon()
     assert piv == [0, 2]  # second row reduces to (0, 0, 1)
-    ker = nullspace(mat, 3, 3)
+    assert ech.unpack(red, 3).tolist() == [[1, 2, 0], [0, 0, 1]]
+    ker = ech.unpack(ech.nullspace(3), 3)
     assert ker.shape == (1, 3)
     assert ((mat @ ker.T) % 3 == 0).all()
 
@@ -48,9 +39,10 @@ def test_rref_and_nullspace_mod3():
 def test_solve_affine():
     mat = np.array([[1, 2, 0], [0, 1, 1]])
     rhs = np.array([1, 2])
-    x = solve_affine(mat, rhs, 3)
+    ech = _echelon(3, np.hstack([mat, rhs[:, None]]))
+    x = ech.unpack(ech.solutions(3, 1), 3)[0]
     assert ((mat @ x) % 3 == rhs % 3).all()
-    assert solve_affine(np.array([[1, 1], [2, 2]]), np.array([0, 1]), 3) is None
+    assert _echelon(3, np.array([[1, 1, 0], [2, 2, 1]])).solutions(2, 1) is None
 
 
 def test_subspace_rejects_dependent_generators():
@@ -247,35 +239,38 @@ def test_sampler_extension_count_identity():
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(st.integers(0, 8), st.integers(1, 14), st.integers(0, 3), st.integers(0, 2**32 - 1))
-def test_packed_gf2_algebra_matches_mod_2(nrows, ncols, nrhs, seed):
+@given(st.sampled_from((2, 3, 5)), st.integers(0, 8), st.integers(1, 14), st.integers(0, 3),
+       st.integers(0, 2**32 - 1))
+def test_echelon_matches_dense_oracle(d, nrows, ncols, nrhs, seed):
     rng = np.random.default_rng(seed)
-    mat = rng.integers(0, 2, (nrows, ncols))
+    mat = rng.integers(0, d, (nrows, ncols))
     if nrows and rng.integers(0, 2):  # force a dependent row
-        mat[-1] = mat[0] ^ mat[rng.integers(0, nrows)]
-    rows, pivots = _GF2Echelon(_pack(mat)).echelon()
-    red, want_pivots = rref(mat, 2)
-    assert pivots == want_pivots and np.array_equal(_unpack(rows, ncols), red)
+        mat[-1] = (mat[0] + mat[rng.integers(0, nrows)]) % d
+    ech = _echelon(d, mat)
+    rows, pivots = ech.echelon()
+    red, want_pivots = rref(mat, d)
+    assert pivots == want_pivots and np.array_equal(ech.unpack(rows, ncols), red)
     if nrows:
-        ech = _GF2Echelon(_pack(mat))
-        assert np.array_equal(_unpack(ech.nullspace(ncols), ncols), nullspace(mat, 2, ncols))
-        rhs = rng.integers(0, 2, (nrows, nrhs))
-        got = _GF2Echelon(_pack(np.hstack([mat, rhs]))).solutions(ncols, nrhs)
-        want = solve_affine_multi(mat, rhs, 2)
+        assert np.array_equal(ech.unpack(ech.nullspace(ncols), ncols), nullspace(mat, d, ncols))
+        rhs = rng.integers(0, d, (nrows, nrhs))
+        aug = _echelon(d, np.hstack([mat, rhs]))
+        got = aug.solutions(ncols, nrhs)
+        want = solve_affine_multi(mat, rhs, d)
         assert (got is None) == (want is None)
         if want is not None:
-            assert np.array_equal(_unpack(got, ncols), want)
-    # the packed sampler draws the same coefficients as the mod-d one
+            assert np.array_equal(aug.unpack(got, ncols), want)
+    # the incremental sampler draws the same coefficients as the dense one
     ambient = 2 * (1 + ncols // 2)
     dim = int(rng.integers(0, ambient // 2 + 1))
-    packed = random_isotropic_basis(2, ambient, dim, np.random.default_rng(seed))
-    dense = _random_isotropic_dense(2, ambient, dim, np.random.default_rng(seed))
-    assert np.array_equal(packed, dense)
-    L = Subspace(2, ambient, packed)
-    assert np.array_equal(L.canonical, rref(packed, 2)[0])
-    for v in rng.integers(0, 2, (20, ambient)).tolist() + packed.tolist():
+    basis = random_isotropic_basis(d, ambient, dim, np.random.default_rng(seed))
+    dense = random_isotropic_dense(d, ambient, dim, np.random.default_rng(seed))
+    assert np.array_equal(basis, dense)
+    L = Subspace(d, ambient, basis)
+    assert np.array_equal(L.canonical, rref(basis, d)[0])
+    members = (rng.integers(0, d, (5, dim)) @ basis) % d
+    for v in rng.integers(0, d, (20, ambient)).tolist() + basis.tolist() + members.tolist():
         v = np.array(v)
-        assert L.contains(v) == (rref(np.vstack([packed, v]), 2)[0].shape[0] == dim)
+        assert L.contains(v) == (rref(np.vstack([basis, v]), d)[0].shape[0] == dim)
 
 
 def test_random_isotropic_basis_matches_subspace_contract():
