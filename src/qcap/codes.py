@@ -187,26 +187,38 @@ def write_code_file(code: StabilizerCode, path) -> None:
 
 def read_code_file(path, *, seed: int = 0) -> StabilizerCode:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1)
+                 if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise ValidationError("empty code file")
-    head = lines[0].split()
+    head = lines[0][1].split()
     if len(head) != 3:
         raise ValidationError("code file header must be 'd n k'")
     d, n, k = (int(t) for t in head)
     if n < 1:
         raise ValidationError(f"code file header needs n >= 1 qudits, got n = {n}")
+    if not 0 <= k <= n:
+        raise ValidationError(f"code file header needs 0 <= k <= n, got k = {k} with n = {n}")
+    d = _check_modulus(d)
     rows = []
-    for ln in lines[1:]:
+    for no, ln in lines[1:]:
         if " " in ln:
             coords = [int(t) for t in ln.split()]
             if len(coords) != 2 * n:
-                raise ValidationError(f"generator line has {len(coords)} digits, expected {2 * n}")
+                raise ValidationError(
+                    f"line {no}: generator line has {len(coords)} digits, expected {2 * n}")
+            bad = [c for c in coords if not 0 <= c < d]
+            if bad:
+                raise ValidationError(f"line {no}: digit {bad[0]} out of range for d={d}")
             rows.append(coords)
         else:
             if len(ln) != n:
-                raise ValidationError(f"digit string has length {len(ln)}, expected {n}")
-            rows.append(vector_from_digit_string(d, ln))
+                raise ValidationError(
+                    f"line {no}: digit string has length {len(ln)}, expected {n}")
+            try:
+                rows.append(vector_from_digit_string(d, ln))
+            except ValidationError as exc:
+                raise ValidationError(f"line {no}: {exc}") from None
     if len(rows) != n - k:
         raise ValidationError(f"expected {n - k} generators, found {len(rows)}")
     return StabilizerCode.from_generators(d, n, np.array(rows, dtype=np.int64).reshape(n - k, 2 * n),

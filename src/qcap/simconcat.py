@@ -10,7 +10,11 @@ with the observed outer syndrome (a coset of perp(C_out), of size d^{kN+K})
 for the one whose joint type with z has minimum conditional entropy; the
 decoded block succeeds iff v_hat - v lands in C_out.
 
-The coset is v0 + span(B) for a basis B of perp(C_out).  Splitting B into
+The coset is v0 + span(B) for a basis B of perp(C_out).  B and the
+syndrome representatives behind v0 come from one echelon form of
+[dual(C_out) | I], the one the isotropic sampler grows while it draws a
+resampled outer code (an explicit outer code grows it from its rows); the
+sampler keeps B up to date in place as rows join.  Splitting B into
 halves B1, B2, the decoder lists the per-block symbols of v0 + span(B1) and
 of span(B2), about sqrt(d^{kN+K}) vectors each, and forms every candidate's
 symbols by looking up, per block, the sum of a v0 + span(B1) symbol and a
@@ -48,8 +52,8 @@ from .gf import index_to_digits
 from .spectra import ProbabilityArray, probability_array
 from .symplectic import (
     Subspace,
-    _echelon,
-    random_isotropic_basis,
+    _DualEchelon,
+    _sample_isotropic,
     sample_self_orthogonal,
     symplectic_dual,
 )
@@ -148,30 +152,26 @@ def sample_error(array: ProbabilityArray, N: int, rng: np.random.Generator
 
 
 class _OuterContext:
-    """Per-outer-code machinery, built from the generator rows (kN-K, 2kN) of
-    C_out: syndrome map, the two halves of the candidate coset enumeration,
-    and membership tests."""
+    """Per-outer-code machinery, built from the grown echelon form of C_out's
+    generator rows (kN-K, 2kN): syndrome map, the two halves of the
+    candidate coset enumeration, and membership tests."""
 
-    def __init__(self, gens: np.ndarray, d: int, k: int, N: int):
-        self.d = d
+    def __init__(self, outer: _DualEchelon, k: int, N: int):
+        self.d = d = outer.d
         self.k = k
         self.N = N
-        self.length = length = 2 * k * N
-        self.n_checks = gens.shape[0]
+        self.length = length = outer.ambient
+        self.n_checks = len(outer.rows)
         self.search_size = d ** (length - self.n_checks)
         if self.search_size > _SEARCH_GUARD:
             raise GuardError(
                 f"decoder search set d^(kN+K) = {self.search_size} exceeds 2^24")
-        self.dual = symplectic_dual(gens, d)
-        # one elimination of [dual | I] gives a basis of perp(C_out) and
+        self.dual = symplectic_dual(outer.basis(), d)
+        # the form of [dual | I] holds a basis of perp(C_out) and
         # representatives y_i with <g'_i, y_j> = delta_ij, so that
         # v0 = sigma @ reps has syndrome sigma
-        ech = _echelon(d, np.hstack([self.dual, np.eye(self.n_checks, dtype=np.int64)]))
-        self.perp_basis = ech.unpack(ech.nullspace(length), length)
-        reps = ech.solutions(length, self.n_checks)
-        if reps is None:
-            raise ValidationError("outer generators are degenerate")
-        self.reps = ech.unpack(reps, length)
+        self.perp_basis = outer.perp_basis()
+        self.reps = outer.reps()
         # C_out = perp(perp(C_out)): x lies in C_out iff it pairs to zero
         # with every row of perp_basis
         self._perp_dual = symplectic_dual(self.perp_basis, d)
@@ -264,7 +264,8 @@ def simulate(cfg: SimConfig) -> SimReport:
     fixed_sub = cfg.outer_subspace()
     if fixed_sub is None and not cfg.resample_outer:
         fixed_sub = sample_self_orthogonal_outer(d, k, N, K, (cfg.seed, 0, 2))
-    fixed_ctx = _OuterContext(fixed_sub.basis, d, k, N) if fixed_sub is not None else None
+    fixed_ctx = (_OuterContext(_DualEchelon.of(d, fixed_sub.basis), k, N)
+                 if fixed_sub is not None else None)
 
     col_digits = index_to_digits(np.arange(cols), d, 2 * k)
     failures = 0
@@ -274,9 +275,9 @@ def simulate(cfg: SimConfig) -> SimReport:
         if fixed_ctx is not None:
             ctx = fixed_ctx
         else:
-            basis = random_isotropic_basis(d, 2 * k * N, k * N - K,
-                                           np.random.default_rng((cfg.seed, t, 1)))
-            ctx = _OuterContext(basis, d, k, N)
+            outer = _sample_isotropic(d, 2 * k * N, k * N - K,
+                                      np.random.default_rng((cfg.seed, t, 1)))
+            ctx = _OuterContext(outer, k, N)
         z_idx, v_idx = sample_error(arr, N, rng)
         v_digits = col_digits[v_idx].ravel()
         sigma = ctx.syndrome(v_digits)

@@ -16,7 +16,13 @@ The sampler `sample_self_orthogonal` grows a subspace one dimension at a
 time with a uniform vector from perp(current) \\ current.  At dimension m'
 in ambient dimension 2m the number of valid extension vectors is
 d**(2m - m') - d**m', a function of m' alone, so every isotropic subspace of
-the target dimension is reached with equal probability.
+the target dimension is reached with equal probability.  It keeps one
+echelon form of the rows [dual(g_i) | e_i] (`_DualEchelon`): a drawn v lies
+in the span exactly when dual(v) reduces to zero on the first 2m columns,
+and perp(current), the nullspace of the dual rows, is updated in place
+when a row with a new pivot p joins (drop n_p, subtract r[c] n_p from every
+other n_c).  The decoder takes its perp basis and syndrome representatives
+from the same form, so a resampled trial eliminates its rows once.
 
 All of this linear algebra (canonical forms, membership, nullspaces, the
 completion's constraint systems, the sampler and the decoder's coset
@@ -66,9 +72,9 @@ def gram_matrix(rows_a: np.ndarray, rows_b: np.ndarray, d: int) -> np.ndarray:
 #
 # Both classes keep the reduced row echelon form of a growing set of rows as
 # {pivot: row}, every row zero at the others' pivots, behind one interface:
-# add, reduce, `in`, echelon, nullspace and solutions on packed rows, the
-# codec pack/unpack to int64 digit matrices, and the row operations combine
-# and dual.
+# add (reduce then insert), reduce, `in`, echelon, nullspace and solutions on
+# packed rows, the codec pack/unpack/units to int64 digit matrices, and the
+# row operations combine, dual, lead and drop_free.
 
 
 class _GF2Echelon:
@@ -94,6 +100,11 @@ class _GF2Echelon:
         return bits.astype(np.int64)
 
     @staticmethod
+    def units(count: int, ncols: int, first: int = 0) -> list[int]:
+        """The unit rows e_first .. e_(first+count-1), packed."""
+        return [1 << j for j in range(first, first + count)]
+
+    @staticmethod
     def combine(coeffs: np.ndarray, rows: list[int]) -> int:
         """sum_i coeffs_i rows_i."""
         v = 0
@@ -104,9 +115,22 @@ class _GF2Echelon:
 
     @staticmethod
     def dual(row: int, ncols: int) -> int:
-        """symplectic_dual: swap the bits of every (u_i, v_i) pair."""
+        """symplectic_dual of the first ncols columns: swap the bits of every
+        (u_i, v_i) pair; zero beyond."""
         even = int("01" * (ncols // 2), 2)
         return ((row & even) << 1) | ((row >> 1) & even)
+
+    @staticmethod
+    def lead(v: int) -> int:
+        """The column of v's first nonzero entry; -1 for the zero row."""
+        return (v & -v).bit_length() - 1
+
+    @staticmethod
+    def drop_free(basis: list[int], free: list[int], row: int, p: int) -> list[int]:
+        """The nullspace basis, one vector n_c per free column c, after row
+        (reduced, pivot p scaled to 1) joins: n_c - row[c] n_p, without n_p."""
+        n_p = basis[free.index(p)]
+        return [n ^ n_p if row >> c & 1 else n for c, n in zip(free, basis) if c != p]
 
     def reduce(self, v: int) -> int:
         """v minus its component in the span; 0 iff v lies in the span."""
@@ -123,12 +147,18 @@ class _GF2Echelon:
         v = self.reduce(v)
         if not v:
             return False
-        low = v & -v
+        self.insert(v, self.lead(v))
+        return True
+
+    def insert(self, v: int, p: int) -> int:
+        """Insert a nonzero row that `reduce` leaves unchanged, with its
+        leading column p; returns it with its pivot scaled to 1."""
+        low = 1 << p
         for bit, row in self.rows.items():
             if row & low:
                 self.rows[bit] = row ^ v
         self.rows[low] = v
-        return True
+        return v
 
     def echelon(self) -> tuple[list[int], list[int]]:
         """(rows, pivot columns) in increasing pivot order."""
@@ -172,11 +202,29 @@ class _ModEchelon:
     def unpack(rows, ncols: int) -> np.ndarray:
         return np.asarray(rows, dtype=np.int64).reshape(len(rows), ncols)
 
+    @staticmethod
+    def units(count: int, ncols: int, first: int = 0) -> np.ndarray:
+        return np.eye(count, ncols, first, dtype=np.int64)
+
     def combine(self, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return coeffs @ rows % self.d
 
     def dual(self, row: np.ndarray, ncols: int) -> np.ndarray:
-        return symplectic_dual(row, self.d)
+        out = np.zeros_like(row)
+        out[0:ncols:2] = -row[1:ncols:2] % self.d
+        out[1:ncols:2] = row[0:ncols:2]
+        return out
+
+    @staticmethod
+    def lead(v: np.ndarray) -> int:
+        nonzero = v.nonzero()[0]
+        return int(nonzero[0]) if nonzero.size else -1
+
+    def drop_free(self, basis: np.ndarray, free: list[int], row: np.ndarray, p: int
+                  ) -> np.ndarray:
+        i = free.index(p)
+        basis = (basis - row[free][:, None] * basis[i]) % self.d
+        return np.concatenate((basis[:i], basis[i + 1:]))
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
         for pc, row in self.rows.items():
@@ -189,16 +237,19 @@ class _ModEchelon:
 
     def add(self, v: np.ndarray) -> bool:
         v = self.reduce(v)
-        nonzero = np.flatnonzero(v)
-        if not nonzero.size:
+        pc = self.lead(v)
+        if pc < 0:
             return False
-        pc = int(nonzero[0])
+        self.insert(v, pc)
+        return True
+
+    def insert(self, v: np.ndarray, pc: int) -> np.ndarray:
         v = v * pow(int(v[pc]), -1, self.d) % self.d
         for c, row in self.rows.items():
             if row[pc]:
                 self.rows[c] = (row - row[pc] * v) % self.d
         self.rows[pc] = v
-        return True
+        return v
 
     def echelon(self) -> tuple[list[np.ndarray], list[int]]:
         order = sorted(self.rows)
@@ -442,26 +493,84 @@ def hyperbolic_complete(L: Subspace, rng_seed: int) -> HyperbolicBasis:
 # uniform sampling of self-orthogonal subspaces
 
 
+class _DualEchelon:
+    """The echelon form of the rows [dual(g_i) | e_i] of a growing list of
+    vectors g_1..g_m in F_d^ambient (m <= dim), with the basis of
+    perp(span g) kept in place: row for row the basis that `nullspace`
+    would read off the form.  The identity columns give representatives y_j
+    with <g_i, y_j> = delta_ij.  Packed g and perp rows have width
+    ambient + dim and are zero beyond `ambient`.
+    """
+
+    def __init__(self, d: int, ambient: int, dim: int) -> None:
+        self.d = d
+        self.ambient = ambient
+        self.width = ambient + dim
+        self.ech = ech = _echelon(d)
+        self._units = ech.units(dim, self.width, ambient)
+        self.free = list(range(ambient))
+        self.perp = ech.units(ambient, self.width)
+        self.rows: list = []
+
+    @classmethod
+    def of(cls, d: int, gens: np.ndarray) -> "_DualEchelon":
+        """The form grown from the given rows, in order."""
+        gens = np.asarray(gens, dtype=np.int64)
+        dim, ambient = gens.shape
+        grown = cls(d, ambient, dim)
+        for g in grown.ech.pack(np.hstack([gens, np.zeros((dim, dim), dtype=np.int64)])):
+            if not grown.add(g):
+                raise ValidationError("generators are linearly dependent")
+        return grown
+
+    def add(self, g) -> bool:
+        """Append the packed row g; False, changing nothing, if g lies in the
+        span of the rows so far."""
+        ech = self.ech
+        r = ech.reduce(ech.dual(g, self.ambient) + self._units[len(self.rows)])
+        p = ech.lead(r)
+        if p >= self.ambient:
+            return False
+        r = ech.insert(r, p)
+        self.perp = ech.drop_free(self.perp, self.free, r, p)
+        self.free.remove(p)
+        self.rows.append(g)
+        return True
+
+    def basis(self) -> np.ndarray:
+        """The rows g_i as an int64 digit matrix."""
+        return self.ech.unpack(self.rows, self.width)[:, :self.ambient]
+
+    def perp_basis(self) -> np.ndarray:
+        """Basis rows of perp(span g), one per free column in increasing order."""
+        return self.ech.unpack(self.perp, self.width)[:, :self.ambient]
+
+    def reps(self) -> np.ndarray:
+        """Rows y_j with <g_i, y_j> = delta_ij."""
+        return self.ech.unpack(self.ech.solutions(self.ambient, len(self.rows)), self.ambient)
+
+
+def _sample_isotropic(d: int, ambient: int, dim: int, rng: np.random.Generator
+                      ) -> _DualEchelon:
+    """The grown form of a uniformly random self-orthogonal subspace: each
+    row is a uniform vector of perp(current) \\ current."""
+    grown = _DualEchelon(d, ambient, dim)
+    for _ in range(dim):
+        while not grown.add(grown.ech.combine(rng.integers(0, d, size=len(grown.free)),
+                                              grown.perp)):
+            pass
+    return grown
+
+
 def random_isotropic_basis(d: int, ambient: int, dim: int, rng: np.random.Generator
                            ) -> np.ndarray:
     """Basis rows of a uniformly random self-orthogonal subspace.
 
     Grows one dimension at a time with a uniform vector from
-    perp(current) \\ current.  The echelon forms of the rows and of their
-    duals grow along with them, so the membership test and perp(current)
-    cost no fresh elimination.
+    perp(current) \\ current, on one echelon form of [dual | I] that gives
+    both the membership test and perp(current) without a fresh elimination.
     """
-    span, duals = _echelon(d), _echelon(d)
-    rows = []
-    for _ in range(dim):
-        perp_basis = duals.nullspace(ambient)
-        while True:
-            v = span.combine(rng.integers(0, d, size=len(perp_basis)), perp_basis)
-            if span.add(v):
-                break
-        rows.append(v)
-        duals.add(span.dual(v, ambient))
-    return span.unpack(rows, ambient)
+    return _sample_isotropic(d, ambient, dim, rng).basis()
 
 
 def sample_self_orthogonal(d: int, ambient: int, dim: int, rng_seed) -> Subspace:

@@ -13,7 +13,7 @@ from qcap.exponent import _Objective
 from qcap.gf import index_to_digits
 from qcap.simconcat import _decode_ctx, _OuterContext
 from qcap.spectra import probability_array
-from qcap.symplectic import Subspace, symplectic_dual
+from qcap.symplectic import Subspace, _DualEchelon, symplectic_dual
 
 
 def digits_to_index(digits: np.ndarray, d: int) -> np.ndarray:
@@ -157,7 +157,7 @@ def decode_min_conditional_entropy(inner: StabilizerCode, outer: Subspace | Stab
     Returns the column indices of the decoded logical labels, one per block.
     """
     sub = outer.subspace if isinstance(outer, StabilizerCode) else outer
-    ctx = _OuterContext(sub.basis, inner.d, inner.k, len(z_indices))
+    ctx = _OuterContext(_DualEchelon.of(inner.d, sub.basis), inner.k, len(z_indices))
     return _decode_ctx(inner, ctx, np.asarray(z_indices), np.asarray(sigma))
 
 

@@ -254,6 +254,13 @@ def test_code_file_rejects_no_qudits(tmp_path, capsys):
     assert "n = 0" in capsys.readouterr().err
 
 
+def test_code_file_rejects_out_of_range_digit(tmp_path, capsys):
+    path = tmp_path / "digit.code"
+    path.write_text("2 3 1\n3 0 1 0 0 0\n0 0 1 0 1 0\n")
+    assert run(["bound", "--code", str(path), "--p", "0.1"]) == 2
+    assert "line 2: digit 3 out of range for d=2" in capsys.readouterr().err
+
+
 def test_bad_flags_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["bound", "--nonsense"])

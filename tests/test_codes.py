@@ -90,6 +90,20 @@ def test_code_file_header_errors(tmp_path):
     path.write_text("2 3 1\n1 0 1 0 0 0\n")  # one generator missing
     with pytest.raises(ValidationError):
         read_code_file(path)
+    # k outside [0, n] is refused at the header, naming k and n
+    for text in ("2 2 3\n", "2 2 -1\n1 0 0 0\n0 1 0 0\n1 1 0 0\n"):
+        path.write_text(text)
+        with pytest.raises(ValidationError, match="k = .* n = 2"):
+            read_code_file(path)
+
+
+@pytest.mark.parametrize("digit", ["3", "-1", "2"])
+def test_code_file_rejects_out_of_range_digits(tmp_path, digit):
+    # the space-separated form used to read 3 (and -1) as 1 mod 2
+    path = tmp_path / "bad.code"
+    path.write_text(f"2 3 1\n# a comment\n{digit} 0 1 0 0 0\n0 0 1 0 1 0\n")
+    with pytest.raises(ValidationError, match=f"line 3: digit {digit} out of range for d=2"):
+        read_code_file(path)
 
 
 def test_bar_map_zero_and_embedding():

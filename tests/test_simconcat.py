@@ -17,7 +17,7 @@ from qcap import (
 )
 from qcap.exponent import compositions
 from qcap.gf import index_to_digits
-from qcap.symplectic import symplectic_dual
+from qcap.symplectic import _DualEchelon, _nullspace, _sample_isotropic, symplectic_dual
 from qcap.simconcat import (
     SimConfig,
     _OuterContext,
@@ -29,7 +29,14 @@ from qcap.simconcat import (
 )
 from qcap.spectra import probability_array
 
-from oracles import decode_min_conditional_entropy, fidelity_bound_brute, nullspace, solve_affine
+from oracles import (
+    decode_min_conditional_entropy,
+    fidelity_bound_brute,
+    nullspace,
+    random_isotropic_dense,
+    rref,
+    solve_affine,
+)
 
 
 TRIV = catalog("trivial1", 2)
@@ -72,7 +79,7 @@ def test_decoder_output_satisfies_syndrome():
     rng = np.random.default_rng(8)
     arr = probability_array(REP3, depolarizing(2, 0.12))
     outer = sample_self_orthogonal_outer(2, 1, 6, 2, 9)
-    ctx = _OuterContext(outer.basis, 2, 1, 6)
+    ctx = _OuterContext(_DualEchelon.of(2, outer.basis), 1, 6)
     col_digits = index_to_digits(np.arange(arr.cols), 2, 2)
     for _ in range(200):
         z, v = sample_error(arr, 6, rng)
@@ -88,7 +95,7 @@ def test_decoder_success_indicator_cross_validated():
     N, K = 6, 1
     arr = probability_array(inner, depolarizing(2, 0.1))
     outer = sample_self_orthogonal_outer(2, 1, N, K, 77)
-    ctx = _OuterContext(outer.basis, 2, 1, N)
+    ctx = _OuterContext(_DualEchelon.of(2, outer.basis), 1, N)
     col_digits = index_to_digits(np.arange(arr.cols), 2, 2)
     members = {tuple((c @ outer.basis) % 2)
                for c in index_to_digits(np.arange(2**outer.dim), 2, outer.dim)}
@@ -151,14 +158,14 @@ def random_decode_case(draw):
 @given(random_decode_case())
 def test_decoder_matches_reference_on_random_codes(case):
     inner, outer, z, sigma = case
-    ctx = _OuterContext(outer.basis, inner.d, inner.k, len(z))
+    ctx = _OuterContext(_DualEchelon.of(inner.d, outer.basis), inner.k, len(z))
     v_hat = _decode_ctx(inner, ctx, z, sigma)
     assert v_hat.tolist() == reference_decode(inner, outer, z, sigma).tolist()
 
 
 def test_syndrome_invariant_under_code_shifts():
     outer = sample_self_orthogonal_outer(2, 1, 8, 2, 13)
-    ctx = _OuterContext(outer.basis, 2, 1, 8)
+    ctx = _OuterContext(_DualEchelon.of(2, outer.basis), 1, 8)
     rng = np.random.default_rng(2)
     for _ in range(100):
         v = rng.integers(0, 2, 16)
@@ -181,13 +188,59 @@ def test_context_membership_matches_subspace(d, k, N, K, seed):
     while d ** (k * N + K) > 4096:
         K -= 1
     outer = sample_self_orthogonal_outer(d, k, N, K, seed)
-    ctx = _OuterContext(outer.basis, d, k, N)
+    ctx = _OuterContext(_DualEchelon.of(d, outer.basis), k, N)
     rng = np.random.default_rng(seed)
     members = (rng.integers(0, d, (10, outer.dim)) @ outer.basis) % d
     noise = rng.integers(0, d, (10, 2 * k * N))
     assert all(ctx.contains(x) for x in members)
     for x in np.vstack([noise, (members + noise) % d]):
         assert ctx.contains(x) == outer.contains(x)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.sampled_from((2, 3, 5)), st.integers(1, 2), st.integers(1, 6), st.integers(0, 12),
+       st.integers(0, 2**32 - 1))
+def test_shared_echelon_matches_nullspace_dense_sampler_and_explicit_context(d, k, N, K, seed):
+    # one echelon form of [dual | I] serves the sampler's rejection test,
+    # perp(current) kept in place, and the decoder context
+    while d ** (k * N) > 4096:
+        N -= 1
+    K = min(K, k * N)
+    while d ** (k * N + K) > 4096:
+        K -= 1
+    ambient, dim = 2 * k * N, k * N - K
+    rng = np.random.default_rng(seed)
+    # in-place perp against a fresh nullspace after every added row, with
+    # dependent rows mixed in (the update never needs isotropy)
+    grown = _DualEchelon(d, ambient, dim)
+    rows = np.zeros((0, ambient), dtype=np.int64)
+    while rows.shape[0] < dim:
+        row = rng.integers(0, d, ambient)
+        if rows.shape[0] and rng.integers(0, 3) == 0:
+            row = rng.integers(0, d, rows.shape[0]) @ rows % d
+        added = grown.add(grown.ech.pack(np.concatenate([row, np.zeros(dim, np.int64)])[None])[0])
+        assert added == (rref(np.vstack([rows, row]), d)[0].shape[0] > rows.shape[0])
+        if added:
+            rows = np.vstack([rows, row])
+        assert np.array_equal(grown.perp_basis(),
+                              _nullspace(symplectic_dual(rows, d), d, ambient))
+    assert np.array_equal(grown.basis(), rows)
+    # the sampler draws what the dense reference draws
+    sampled = _sample_isotropic(d, ambient, dim, np.random.default_rng(seed))
+    basis = sampled.basis()
+    assert np.array_equal(basis, random_isotropic_dense(d, ambient, dim,
+                                                        np.random.default_rng(seed)))
+    # a context on the sampler's form equals one grown from the same rows
+    ctx = _OuterContext(sampled, k, N)
+    explicit = _OuterContext(_DualEchelon.of(d, basis), k, N)
+    assert np.array_equal(ctx.perp_basis, explicit.perp_basis)
+    assert np.array_equal(ctx.reps, explicit.reps)
+    assert np.array_equal(symplectic_dual(basis, d) @ ctx.reps.T % d,
+                          np.eye(dim, dtype=np.int64))
+    members = rng.integers(0, d, (10, dim)) @ basis % d
+    for x in np.vstack([members, rng.integers(0, d, (20, ambient))]):
+        assert ctx.contains(x) == explicit.contains(x)
+        assert ctx.contains(x) == (rref(np.vstack([basis, x]), d)[0].shape[0] == dim)
 
 
 def test_simulate_noiseless_never_fails():
@@ -386,7 +439,7 @@ def test_unencoded_inner_scores_ignore_syndromes():
     arr = probability_array(TRIV, depolarizing(2, 0.1))
     assert arr.rows == 1
     outer = sample_self_orthogonal_outer(2, 1, 5, 1, 1)
-    ctx = _OuterContext(outer.basis, 2, 1, 5)
+    ctx = _OuterContext(_DualEchelon.of(2, outer.basis), 1, 5)
     z = np.zeros(5, dtype=np.int64)
     rng = np.random.default_rng(0)
     for _ in range(50):
