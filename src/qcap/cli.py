@@ -53,14 +53,13 @@ def _emit_json(args, start, result) -> None:
 
 def _code_from_spec(spec: str, d) -> StabilizerCode:
     if os.path.exists(spec):
-        return read_code_file(spec)
+        code = read_code_file(spec)
+        if d is not None and d != code.d:
+            raise ValidationError(f"--d {d} does not match d = {code.d} in the code file")
+        return code
     if d is None:
         raise ValidationError("--d is required with a catalog code name")
     return catalog(spec, d)
-
-
-def _resolve_code(args) -> StabilizerCode:
-    return _code_from_spec(args.code, args.d)
 
 
 def _resolve_channel(args, d: int) -> PauliChannel:
@@ -77,25 +76,18 @@ def _resolve_channel(args, d: int) -> PauliChannel:
 
 
 def _base(args, d: int) -> float:
-    choice = getattr(args, "log_base", None) or "d"
-    if choice == "d":
-        return float(d)
-    if choice == "2":
-        return 2.0
-    if choice == "e":
-        return math.e
-    raise ValidationError(f"--log-base must be one of d, 2, e (got {choice!r})")
+    return {"d": float(d), "2": 2.0, "e": math.e}[args.log_base]
 
 
 def _cmd_bound(args, start) -> None:
-    code = _resolve_code(args)
+    code = _code_from_spec(args.code, args.d)
     ch = _resolve_channel(args, code.d)
     rep = coherent_bound(code, ch, _base(args, code.d))
     _emit_json(args, start, rep.as_dict())
 
 
 def _cmd_sweep(args, start) -> None:
-    code = _resolve_code(args)
+    code = _code_from_spec(args.code, args.d)
     if args.channel != "depolarizing":
         raise ValidationError("sweep supports the depolarizing family only")
     if args.steps < 1:
@@ -118,7 +110,7 @@ def _cmd_sweep(args, start) -> None:
 
 
 def _cmd_exponent(args, start) -> None:
-    code = _resolve_code(args)
+    code = _code_from_spec(args.code, args.d)
     ch = _resolve_channel(args, code.d)
     rep = exponent(code, ch, args.rate)
     result = rep.as_dict()
@@ -131,9 +123,7 @@ def _cmd_exponent(args, start) -> None:
 def _cmd_simulate(args, start) -> None:
     inner = _code_from_spec(args.inner, args.d)
     ch = _resolve_channel(args, inner.d)
-    outer = None
-    if args.outer != "random":
-        outer = read_code_file(args.outer)
+    outer = None if args.outer == "random" else read_code_file(args.outer).subspace
     cfg = SimConfig(inner=inner, outer=outer, N=args.N, K=args.K, channel=ch,
                     trials=args.trials, seed=args.seed,
                     resample_outer=args.resample_outer)
@@ -149,7 +139,7 @@ def _cmd_fbound(args, start) -> None:
 
 
 def _cmd_oracle_check(args, start) -> None:
-    code = _resolve_code(args)
+    code = _code_from_spec(args.code, args.d)
     ch = _resolve_channel(args, code.d)
     base = _base(args, code.d)
     rep = oracle_report(code, ch, base)
@@ -172,9 +162,10 @@ def _cmd_catalog(args, start) -> None:
         print(name)
 
 
-def _add_code_channel_flags(sp, *, log_base: bool = True) -> None:
-    sp.add_argument("--code", required=True, help="catalog name or code file path")
-    sp.add_argument("--d", type=int, help="field size (prime); required for catalog names")
+def _add_code_channel_flags(sp, code_flag: str = "code", *, log_base: bool = True) -> None:
+    sp.add_argument(f"--{code_flag}", required=True, help="catalog name or code file path")
+    sp.add_argument("--d", type=int,
+                    help="field size (prime); required for catalog names, must match a code file")
     sp.add_argument("--channel", default="depolarizing", choices=["depolarizing", "custom"])
     sp.add_argument("--p", type=float, help="depolarizing parameter")
     sp.add_argument("--probs", help="custom channel file: lines 'u v prob', zero letters optional")
@@ -206,30 +197,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_exponent)
 
     sp = sub.add_parser("simulate", help="Monte Carlo decoder simulation")
-    sp.add_argument("--inner", required=True, help="inner code: catalog name or file")
-    sp.add_argument("--d", type=int, help="field size for catalog names")
+    _add_code_channel_flags(sp, "inner", log_base=False)
     sp.add_argument("--outer", default="random", help="'random' or an outer code file")
     sp.add_argument("--N", type=int, required=True, help="number of inner blocks")
     sp.add_argument("--K", type=int, required=True, help="logical symbols kept by the outer code")
-    sp.add_argument("--channel", default="depolarizing", choices=["depolarizing", "custom"])
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--probs")
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--resample-outer", dest="resample_outer", action="store_true",
-                    help="draw a fresh random outer code every trial")
-    sp.add_argument("--out")
+                    help="draw a fresh random outer code every trial (needs --outer random)")
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("fbound", help="exact type-sum bound on average infidelity")
-    sp.add_argument("--inner", required=True)
-    sp.add_argument("--d", type=int)
+    _add_code_channel_flags(sp, "inner", log_base=False)
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--K", type=int, required=True)
-    sp.add_argument("--channel", default="depolarizing", choices=["depolarizing", "custom"])
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--probs")
-    sp.add_argument("--out")
     sp.set_defaults(func=_cmd_fbound)
 
     sp = sub.add_parser("oracle-check", help="matrix-oracle coherent information vs c_n")

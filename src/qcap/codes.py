@@ -31,10 +31,12 @@ class StabilizerCode:
     dim L = n - k; the first n - k completion vectors g_i are L's generators,
     and the remaining k pairs (g_{n-k+m}, h_{n-k+m}) carry the logical labels.
     k = n (an empty L) is allowed and encodes the unencoded n-symbol system.
+    The completion defaults to hyperbolic_complete(subspace, 0); pass
+    hyperbolic_complete(subspace, seed) to choose another.
     """
 
     def __init__(self, subspace: Subspace, completion: HyperbolicBasis | None = None,
-                 *, seed: int = 0, name: str | None = None) -> None:
+                 *, name: str | None = None) -> None:
         if subspace.ambient % 2 != 0:
             raise ValidationError("code ambient dimension must be even")
         if not is_self_orthogonal(subspace):
@@ -47,7 +49,7 @@ class StabilizerCode:
             raise ValidationError("more generators than n")
         self.name = name
         if completion is None:
-            completion = hyperbolic_complete(subspace, seed)
+            completion = hyperbolic_complete(subspace, 0)
         else:
             self._check_completion(subspace, completion)
         self.completion = completion
@@ -58,19 +60,13 @@ class StabilizerCode:
             raise ValidationError("completion does not match the code dimensions")
         if not completion.gram_ok():
             raise ValidationError("completion violates the hyperbolic pairing conditions")
-        nk = subspace.dim
-        if nk and not (completion.g[:nk] % subspace.d == subspace.basis % subspace.d).all():
+        if not (completion.g[:subspace.dim] % subspace.d == subspace.basis).all():
             raise ValidationError("completion must start with the code generators")
 
     @classmethod
-    def from_generators(cls, d: int, n: int, generators, *, seed: int = 0,
+    def from_generators(cls, d: int, n: int, generators, *,
                         name: str | None = None) -> "StabilizerCode":
-        rows = np.asarray(generators, dtype=np.int64).reshape(-1, 2 * n)
-        if rows.shape[0] == 0:
-            sub = Subspace.zero(d, 2 * n)
-        else:
-            sub = Subspace(d, 2 * n, rows)
-        return cls(sub, seed=seed, name=name)
+        return cls(Subspace(d, 2 * n, generators), name=name)
 
     @property
     def generators(self) -> np.ndarray:
@@ -185,7 +181,7 @@ def write_code_file(code: StabilizerCode, path) -> None:
             fh.write(" ".join(str(int(c)) for c in row) + "\n")
 
 
-def read_code_file(path, *, seed: int = 0) -> StabilizerCode:
+def read_code_file(path) -> StabilizerCode:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1)
                  if ln.strip() and not ln.lstrip().startswith("#")]
@@ -221,8 +217,7 @@ def read_code_file(path, *, seed: int = 0) -> StabilizerCode:
                 raise ValidationError(f"line {no}: {exc}") from None
     if len(rows) != n - k:
         raise ValidationError(f"expected {n - k} generators, found {len(rows)}")
-    return StabilizerCode.from_generators(d, n, np.array(rows, dtype=np.int64).reshape(n - k, 2 * n),
-                                          seed=seed)
+    return StabilizerCode.from_generators(d, n, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +326,6 @@ def direct_sum(a: StabilizerCode, b: StabilizerCode) -> StabilizerCode:
               + [right(r) for r in b.completion.h[nk_b:]])
     completion = HyperbolicBasis(d, np.array(g_rows), np.array(h_rows))
 
-    gens = np.array([left(r) for r in a.generators] + [right(r) for r in b.generators],
-                    dtype=np.int64).reshape(nk_a + nk_b, 2 * n)
-    sub = Subspace(d, 2 * n, gens) if gens.shape[0] else Subspace.zero(d, 2 * n)
-    return StabilizerCode(sub, completion,
+    gens = [left(r) for r in a.generators] + [right(r) for r in b.generators]
+    return StabilizerCode(Subspace(d, 2 * n, gens), completion,
                           name=f"({a.name or '?'})+({b.name or '?'})")

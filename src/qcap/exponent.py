@@ -165,6 +165,10 @@ class _Objective:
 
 # the Newton iteration stops once a step moves beta by at most this much
 _BETA_TOL = 4.0 * math.ulp(1.0)
+# exponent() raises ConvergenceError when its value exceeds the dual bound by more
+_RESIDUAL_TOL = 1e-8
+# exponent_grid_oracle() refuses grids of more (grid points x support cells)
+_ORACLE_CELLS = 2**24
 
 
 @dataclass(frozen=True)
@@ -194,12 +198,11 @@ class ExponentReport:
         }
 
 
-def exponent(code: StabilizerCode, channel: PauliChannel, R: float, *,
-             tol: float = 1e-8) -> ExponentReport:
+def exponent(code: StabilizerCode, channel: PauliChannel, R: float) -> ExponentReport:
     """The error exponent E(R) for one (code, channel, rate) triple, base d.
 
     Raises ConvergenceError if the returned value exceeds its dual
-    certificate by more than tol.
+    certificate by more than _RESIDUAL_TOL = 1e-8.
     """
     R = float(R)
     if not 0.0 <= R <= 1.0:
@@ -255,22 +258,22 @@ def exponent(code: StabilizerCode, channel: PauliChannel, R: float, *,
     # E >= 0 by definition; clamp the round-off just below the threshold
     value = max(obj.value(witness), 0.0)
     residual = value - phi_star
-    if residual > tol:
+    if residual > _RESIDUAL_TOL:
         raise ConvergenceError(
-            f"exponent solver residual {residual:.3e} above tol {tol:.1e} "
+            f"exponent solver residual {residual:.3e} above tol {_RESIDUAL_TOL:.1e} "
             f"after {evals} dual evaluations")
     return ExponentReport(value, max(residual, 0.0), R, threshold, evals)
 
 
 def exponent_grid_oracle(code: StabilizerCode, channel: PauliChannel, R: float,
-                         grid_steps: int, *, max_cells: int = 2**24) -> float:
+                         grid_steps: int) -> float:
     """Minimum of the exponent objective over the rational grid of the
     support simplex with denominator grid_steps.  Upper-bounds the true
     exponent; refining the grid never increases it.
 
     The search holds several float arrays of (grid points x support cells);
-    the guard counts those cells and raises GuardError past max_cells,
-    before the grid is built."""
+    the guard counts those cells and raises GuardError past
+    _ORACLE_CELLS = 2^24, before the grid is built."""
     R = float(R)
     if not 0.0 <= R <= 1.0:
         raise ValidationError(f"rate must lie in [0, 1], got {R}")
@@ -280,9 +283,9 @@ def exponent_grid_oracle(code: StabilizerCode, channel: PauliChannel, R: float,
     obj = _Objective(arr, code.k, R)
     m = obj.p.size
     npoints = math.comb(grid_steps + m - 1, m - 1)
-    if npoints * m > max_cells:
+    if npoints * m > _ORACLE_CELLS:
         raise GuardError(f"grid of {npoints} points x {m} support cells exceeds the "
-                         f"oracle guard of {max_cells} cells")
+                         f"oracle guard of {_ORACLE_CELLS} cells")
     counts = compositions(grid_steps, m).astype(np.float64)
     dist = counts / grid_steps
 

@@ -50,13 +50,7 @@ from .codes import StabilizerCode
 from .exponent import compositions
 from .gf import index_to_digits
 from .spectra import ProbabilityArray, probability_array
-from .symplectic import (
-    Subspace,
-    _DualEchelon,
-    _sample_isotropic,
-    sample_self_orthogonal,
-    symplectic_dual,
-)
+from .symplectic import Subspace, _DualEchelon, _sample_isotropic, symplectic_dual
 
 _SEARCH_GUARD = 1 << 24
 
@@ -68,11 +62,12 @@ _SEARCH_GUARD = 1 << 24
 @dataclass(frozen=True)
 class SimConfig:
     """One decoder experiment: an inner code, an outer code over the inner
-    logical labels (explicit, or None for a seeded random draw), and the
-    channel/trial bookkeeping."""
+    logical labels (an explicit self-orthogonal subspace, or None for a
+    seeded random draw, fixed or fresh every trial), and the channel/trial
+    bookkeeping."""
 
     inner: StabilizerCode
-    outer: StabilizerCode | Subspace | None
+    outer: Subspace | None
     N: int
     K: int
     channel: PauliChannel
@@ -93,8 +88,11 @@ class SimConfig:
             raise ValidationError("trials must be >= 1")
         if self.channel.d != self.inner.d:
             raise ValidationError("channel and inner code moduli differ")
-        sub = self.outer_subspace()
+        sub = self.outer
         if sub is not None:
+            if self.resample_outer:
+                raise ValidationError("resample_outer draws the outer code; "
+                                      "it cannot be combined with an explicit outer code")
             if sub.d != self.inner.d:
                 raise ValidationError("outer and inner code moduli differ")
             if sub.ambient != 2 * k * N:
@@ -103,11 +101,6 @@ class SimConfig:
             if sub.dim != k * N - K:
                 raise ValidationError(
                     f"outer dimension {sub.dim} != kN - K = {k * N - K}")
-
-    def outer_subspace(self) -> Subspace | None:
-        if self.outer is None:
-            return None
-        return self.outer.subspace if isinstance(self.outer, StabilizerCode) else self.outer
 
 
 @dataclass(frozen=True)
@@ -261,11 +254,12 @@ def simulate(cfg: SimConfig) -> SimReport:
     arr = probability_array(inner, cfg.channel)
     cols = arr.cols
 
-    fixed_sub = cfg.outer_subspace()
-    if fixed_sub is None and not cfg.resample_outer:
-        fixed_sub = sample_self_orthogonal_outer(d, k, N, K, (cfg.seed, 0, 2))
-    fixed_ctx = (_OuterContext(_DualEchelon.of(d, fixed_sub.basis), k, N)
-                 if fixed_sub is not None else None)
+    fixed_ctx = None
+    if cfg.outer is not None:
+        fixed_ctx = _OuterContext(_DualEchelon.of(d, cfg.outer.basis), k, N)
+    elif not cfg.resample_outer:
+        fixed_ctx = _OuterContext(_sample_isotropic(
+            d, 2 * k * N, k * N - K, np.random.default_rng((cfg.seed, 0, 2))), k, N)
 
     col_digits = index_to_digits(np.arange(cols), d, 2 * k)
     failures = 0
@@ -295,16 +289,12 @@ def simulate(cfg: SimConfig) -> SimReport:
                      tuple(trace) if trace is not None else None)
 
 
-def sample_self_orthogonal_outer(d: int, k: int, N: int, K: int, seed) -> Subspace:
-    """A uniform self-orthogonal outer code of dimension kN - K in F_d^{2kN}."""
-    return sample_self_orthogonal(d, 2 * k * N, k * N - K, seed)
-
-
 # ---------------------------------------------------------------------------
 # exact ensemble-average fidelity bound
 
 
-def _row_classes(q: list[float], N: int, lone: bool, spend) -> list[tuple[dict, dict]]:
+def _row_classes(q: list[float], N: int, lone: bool, powers: list[int], spend
+                 ) -> list[tuple[dict, dict]]:
     """classes[c] = (shells, probability), two dicts keyed by prod t^t, over
     the contents t of one syndrome row that hold c blocks in total.
 
@@ -313,10 +303,9 @@ def _row_classes(q: list[float], N: int, lone: bool, spend) -> list[tuple[dict, 
     row's columns are folded in one at a time: placing b more blocks on a
     column multiplies the shells of a row already holding `used` blocks by
     comb(used + b, b).  A lone row holds all N blocks, so only that total is
-    kept from its last column.  spend(n) is told of each block of n
-    dictionary updates before the block runs.
+    kept from its last column.  powers[b] = b**b for b <= N.  spend(n) is
+    told of each block of n dictionary updates before the block runs.
     """
-    powers = [b**b for b in range(N + 1)]
     classes = [({1: 1}, {1: 1.0})] + [({}, {}) for _ in range(N)]
     for j, qc in enumerate(q):
         least = N if lone and j == len(q) - 1 else 0
@@ -372,12 +361,16 @@ def fidelity_bound_exact(inner: StabilizerCode, N: int, K: int, channel: PauliCh
             raise GuardError(f"the type-sum fold needs more than {max_work} word-sized "
                              "dictionary updates (the guard)")
 
-    # each array cell is folded, and each z-marginal touches every row
+    # the table of the N + 1 keys b**b is built, each array cell is folded,
+    # and each z-marginal touches every row
     rows = d ** (inner.n - k)
+    spend(N + 1)
     spend(rows * d ** (2 * k))
     spend(math.comb(N + rows - 1, N) * rows)
+    powers = [b**b for b in range(N + 1)]
     arr = probability_array(inner, channel)
-    row_classes = [_row_classes(q, N, arr.rows == 1, spend) for q in arr.table.tolist()]
+    row_classes = [_row_classes(q, N, arr.rows == 1, powers, spend)
+                   for q in arr.table.tolist()]
 
     scale = float(d) ** (K - k * N)
     terms = []

@@ -153,14 +153,14 @@ class BoundReport:
 
 
 def coherent_bound(code: StabilizerCode, channel: PauliChannel,
-                   base: float | None = None, *, max_cells: int = 2**40) -> BoundReport:
+                   base: float | None = None) -> BoundReport:
     """The lower bound c_n = k - H(logical | syndrome) for one code.
 
     Computed from the probability array; base defaults to d, the natural
-    unit in which k counts logical symbols.
+    unit in which k counts logical symbols.  To raise the array guard, call
+    bound_from_array(probability_array(code, channel, max_cells=m), base).
     """
-    arr = probability_array(code, channel, max_cells=max_cells)
-    return bound_from_array(arr, base)
+    return bound_from_array(probability_array(code, channel), base)
 
 
 def bound_from_array(arr: ProbabilityArray, base: float | None = None) -> BoundReport:
@@ -178,7 +178,6 @@ def bound_from_array(arr: ProbabilityArray, base: float | None = None) -> BoundR
     )
 
 
-def bound_sweep(code: StabilizerCode, channels, base: float | None = None, *,
-                max_cells: int = 2**40) -> list[BoundReport]:
+def bound_sweep(code: StabilizerCode, channels, base: float | None = None) -> list[BoundReport]:
     """One BoundReport per channel, in the given order."""
-    return [coherent_bound(code, ch, base, max_cells=max_cells) for ch in channels]
+    return [coherent_bound(code, ch, base) for ch in channels]

@@ -552,25 +552,18 @@ class _DualEchelon:
 
 def _sample_isotropic(d: int, ambient: int, dim: int, rng: np.random.Generator
                       ) -> _DualEchelon:
-    """The grown form of a uniformly random self-orthogonal subspace: each
-    row is a uniform vector of perp(current) \\ current."""
+    """The grown form of a uniformly random self-orthogonal subspace.
+
+    Grows one dimension at a time with a uniform vector from
+    perp(current) \\ current, on one echelon form of [dual | I] that gives
+    both the membership test and perp(current) without a fresh elimination.
+    """
     grown = _DualEchelon(d, ambient, dim)
     for _ in range(dim):
         while not grown.add(grown.ech.combine(rng.integers(0, d, size=len(grown.free)),
                                               grown.perp)):
             pass
     return grown
-
-
-def random_isotropic_basis(d: int, ambient: int, dim: int, rng: np.random.Generator
-                           ) -> np.ndarray:
-    """Basis rows of a uniformly random self-orthogonal subspace.
-
-    Grows one dimension at a time with a uniform vector from
-    perp(current) \\ current, on one echelon form of [dual | I] that gives
-    both the membership test and perp(current) without a fresh elimination.
-    """
-    return _sample_isotropic(d, ambient, dim, rng).basis()
 
 
 def sample_self_orthogonal(d: int, ambient: int, dim: int, rng_seed) -> Subspace:
@@ -585,4 +578,4 @@ def sample_self_orthogonal(d: int, ambient: int, dim: int, rng_seed) -> Subspace
     if dim < 0 or dim > m:
         raise ValidationError(f"no isotropic subspace of dimension {dim} in dimension {ambient}")
     rng = np.random.default_rng(rng_seed)
-    return Subspace(d, ambient, random_isotropic_basis(d, ambient, dim, rng))
+    return Subspace(d, ambient, _sample_isotropic(d, ambient, dim, rng).basis())

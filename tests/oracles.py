@@ -96,7 +96,7 @@ def solve_affine_multi(mat: np.ndarray, rhs_cols: np.ndarray, d: int) -> np.ndar
 
 def random_isotropic_dense(d: int, ambient: int, dim: int, rng: np.random.Generator
                            ) -> np.ndarray:
-    """random_isotropic_basis by dense elimination: each step recomputes
+    """The isotropic sampler's rows by dense elimination: each step recomputes
     perp(current) from scratch and tests membership against rref."""
     rows = np.zeros((0, ambient), dtype=np.int64)
     for _ in range(dim):

@@ -138,7 +138,7 @@ def test_catalog_lists_names(capsys):
     assert "rep(n)" in out and "five_qubit" in out
 
 
-def test_validation_exit_codes(capsys):
+def test_validation_exit_codes(tmp_path, capsys):
     assert run(["bound", "--code", "nosuch", "--d", "2", "--p", "0.1"]) == 2
     capsys.readouterr()
     assert run(["bound", "--code", "rep3", "--d", "2"]) == 2  # missing --p
@@ -151,6 +151,23 @@ def test_validation_exit_codes(capsys):
     assert run(["simulate", "--inner", "rep3", "--N", "4", "--K", "1", "--p", "0.1",
                 "--trials", "5"]) == 2  # catalog inner without --d
     capsys.readouterr()
+    outer = tmp_path / "outer.code"
+    write_code_file(catalog("rep4", 2), outer)
+    assert run(["simulate", "--inner", "trivial1", "--d", "2", "--outer", str(outer),
+                "--N", "4", "--K", "1", "--p", "0.1", "--trials", "5",
+                "--resample-outer"]) == 2  # an explicit outer code is never resampled
+    capsys.readouterr()
+
+
+def test_d_must_match_the_code_file(tmp_path, capsys):
+    path = tmp_path / "rep3.code"
+    write_code_file(catalog("rep3", 2), path)
+    for argv in (["bound", "--code", str(path), "--p", "0.1"],
+                 ["fbound", "--inner", str(path), "--N", "2", "--K", "1", "--p", "0.1"]):
+        run_json(capsys, argv)
+        run_json(capsys, argv + ["--d", "2"])
+        assert run(argv + ["--d", "3"]) == 2
+        assert "does not match" in capsys.readouterr().err
 
 
 def test_custom_channel_file_takes_d_from_the_code(tmp_path, capsys):
@@ -213,9 +230,10 @@ def test_fbound_rejects_no_outer_blocks(capsys):
 def test_fbound_guard_exits_fast(capsys):
     # the fold's big-integer work grows about as N^4 on one syndrome row:
     # N = 400 runs for about 44 s, yet has fewer than 10^7 joint types;
-    # trivial14 and rep26 have arrays of 2^28 and 2^27 cells.  CPU time, not
-    # wall time, so that a busy host does not fail the test.
-    for inner, N in (("trivial1", 400), ("trivial14", 1), ("rep26", 2)):
+    # N = 16000 must be refused before its table of b**b (about 280 MB) is
+    # built; trivial14 and rep26 have arrays of 2^28 and 2^27 cells.  CPU
+    # time, not wall time, so that a busy host does not fail the test.
+    for inner, N in (("trivial1", 400), ("trivial1", 16000), ("trivial14", 1), ("rep26", 2)):
         start = time.process_time()
         assert run(["fbound", "--inner", inner, "--d", "2", "--N", str(N), "--K", "1",
                     "--p", "0.05"]) == 3

@@ -12,10 +12,14 @@ from qcap import (
     PauliChannel,
     StabilizerCode,
     ValidationError,
+    bound_sweep,
     catalog,
+    coherent_bound,
     depolarizing,
     hyperbolic_complete,
+    read_code_file,
     sample_self_orthogonal,
+    write_code_file,
 )
 from qcap.exponent import (
     _Objective,
@@ -226,12 +230,29 @@ def test_exponent_raises_when_the_certificate_fails(monkeypatch):
         exponent(code, ch, 0.0)
 
 
-def test_exponent_has_no_polish_knobs():
+def test_exponent_has_no_polish_knobs(tmp_path):
+    # removed keyword options are refused, not ignored: the solver's polish
+    # knobs and tolerance, the completion seed (pass a completion built by
+    # hyperbolic_complete instead) and the array guards of the bound helpers
+    # (pass probability_array(..., max_cells=) to bound_from_array instead)
     code = catalog("trivial1", 2)
     ch = depolarizing(2, 0.05)
-    for kwarg in ("polish_iters", "max_iter"):
+    path = tmp_path / "trivial1.code"
+    write_code_file(code, path)
+    table = [
+        (exponent, (code, ch, 0.0), "polish_iters"),
+        (exponent, (code, ch, 0.0), "max_iter"),
+        (exponent, (code, ch, 0.0), "tol"),
+        (exponent_grid_oracle, (code, ch, 0.0, 2), "max_cells"),
+        (coherent_bound, (code, ch), "max_cells"),
+        (bound_sweep, (code, [ch]), "max_cells"),
+        (StabilizerCode, (code.subspace,), "seed"),
+        (StabilizerCode.from_generators, (2, 1, []), "seed"),
+        (read_code_file, (path,), "seed"),
+    ]
+    for fn, args, kwarg in table:
         with pytest.raises(TypeError):
-            exponent(code, ch, 0.0, **{kwarg: 10})
+            fn(*args, **{kwarg: 10})
 
 
 @st.composite

@@ -1,9 +1,12 @@
 """Frozen seed contracts: the hyperbolic completions of the catalog codes,
-the rows of the isotropic sampler and resampled decoder traces, each pinned
-by the SHA-256 of its int64 bytes.
+the rows of the isotropic sampler and decoder traces, resampled and with
+the one seeded outer code, each pinned by the SHA-256 of its int64 bytes.
 
 The digests were recorded before the subspace algebra was moved onto one
 echelon form for every prime d; that move changed no row and no RNG draw.
+The fixed-outer digests were recorded before the fixed draw was grown on
+the decoder's own echelon form instead of through sample_self_orthogonal;
+that changed no row either.
 A change to any digest here is a change of seed contract: version it and
 write it down in CHANGES.md rather than refreshing the digest.
 """
@@ -20,6 +23,8 @@ COMPLETIONS += [("trivial3", d) for d in (2, 3, 5)] + [("five_qubit", 2)]
 SAMPLES = [(d, dim, seed) for d in (2, 3, 5) for dim in (1, 4, 6) for seed in (0, 11)]
 # (d, inner, N, K, p): 200 resampled trials each
 TRACES = [(2, "rep3", 6, 1, 0.08), (3, "trivial1", 6, 1, 0.1), (5, "trivial1", 4, 1, 0.1)]
+# the same with one outer code drawn from the seed for all 200 trials
+FIXED_TRACES = TRACES[:2]
 
 
 def digest(*arrays) -> str:
@@ -40,9 +45,9 @@ def sample_digest(d, dim, seed):
     return digest(sample_self_orthogonal(d, 12, dim, seed).basis)
 
 
-def trace_digest(d, inner, N, K, p):
+def trace_digest(d, inner, N, K, p, resample_outer=True):
     cfg = SimConfig(inner=catalog(inner, d), outer=None, N=N, K=K, channel=depolarizing(d, p),
-                    trials=200, seed=2024, resample_outer=True, record_trace=True)
+                    trials=200, seed=2024, resample_outer=resample_outer, record_trace=True)
     rows = [t["z"] + t["v"] + t["v_hat"] + [t["failure"]] for t in simulate(cfg).trace]
     return digest(np.array(rows))
 
@@ -134,6 +139,10 @@ FROZEN = {
         "42d26936f41161d40b0326bf886e2f9d06e686b9f17adadb2f5cb643716a1c8d",
     ("trace", 5, "trivial1", 4, 1, 0.1):
         "67b58771f3b62c7cb6231fd11d02d641d81f2201c9b010bfdbdead7fbcfcb4b8",
+    ("fixed", 2, "rep3", 6, 1, 0.08):
+        "51a34e500e07eac7b43d7a248a4c52c353ab6ec7827197a806581add8f875f3e",
+    ("fixed", 3, "trivial1", 6, 1, 0.1):
+        "a36709958f286df055023228cd5fee8fcf0be0c7fb1099953656ab70c0573262",
 }
 
 
@@ -150,3 +159,8 @@ def test_sampler_rows_are_frozen(d, dim, seed):
 @pytest.mark.parametrize("case", TRACES)
 def test_resampled_decoder_traces_are_frozen(case):
     assert trace_digest(*case) == FROZEN[("trace",) + case]
+
+
+@pytest.mark.parametrize("case", FIXED_TRACES)
+def test_fixed_outer_decoder_traces_are_frozen(case):
+    assert trace_digest(*case, resample_outer=False) == FROZEN[("fixed",) + case]

@@ -24,7 +24,6 @@ from qcap.simconcat import (
     _decode_ctx,
     fidelity_bound_exact,
     sample_error,
-    sample_self_orthogonal_outer,
     simulate,
 )
 from qcap.spectra import probability_array
@@ -68,7 +67,7 @@ def test_sample_error_syndrome_marginal():
 
 
 def test_decoder_zero_syndrome_zero_error():
-    outer = sample_self_orthogonal_outer(2, 1, 6, 1, 3)
+    outer = sample_self_orthogonal(2, 12, 5, 3)
     z = np.zeros(6, dtype=np.int64)
     sigma = np.zeros(outer.dim, dtype=np.int64)
     v_hat = decode_min_conditional_entropy(TRIV, outer, z, sigma)
@@ -78,7 +77,7 @@ def test_decoder_zero_syndrome_zero_error():
 def test_decoder_output_satisfies_syndrome():
     rng = np.random.default_rng(8)
     arr = probability_array(REP3, depolarizing(2, 0.12))
-    outer = sample_self_orthogonal_outer(2, 1, 6, 2, 9)
+    outer = sample_self_orthogonal(2, 12, 4, 9)
     ctx = _OuterContext(_DualEchelon.of(2, outer.basis), 1, 6)
     col_digits = index_to_digits(np.arange(arr.cols), 2, 2)
     for _ in range(200):
@@ -94,7 +93,7 @@ def test_decoder_success_indicator_cross_validated():
     inner = TRIV
     N, K = 6, 1
     arr = probability_array(inner, depolarizing(2, 0.1))
-    outer = sample_self_orthogonal_outer(2, 1, N, K, 77)
+    outer = sample_self_orthogonal(2, 2 * N, N - K, 77)
     ctx = _OuterContext(_DualEchelon.of(2, outer.basis), 1, N)
     col_digits = index_to_digits(np.arange(arr.cols), 2, 2)
     members = {tuple((c @ outer.basis) % 2)
@@ -145,7 +144,7 @@ def random_decode_case(draw):
     n_max = max(N for N in range(1, 13) if d ** (k * N) <= 4096)
     N = draw(st.integers(1, n_max))
     K = draw(st.integers(0, max(K for K in range(k * N + 1) if d ** (k * N + K) <= 4096)))
-    outer = sample_self_orthogonal_outer(d, k, N, K, draw(st.integers(0, 2**32 - 1)))
+    outer = sample_self_orthogonal(d, 2 * k * N, k * N - K, draw(st.integers(0, 2**32 - 1)))
     rows = d ** (n - k)
     z = np.array(draw(st.lists(st.integers(0, min(rows, draw(st.integers(1, 3))) - 1),
                                min_size=N, max_size=N)), dtype=np.int64)
@@ -164,7 +163,7 @@ def test_decoder_matches_reference_on_random_codes(case):
 
 
 def test_syndrome_invariant_under_code_shifts():
-    outer = sample_self_orthogonal_outer(2, 1, 8, 2, 13)
+    outer = sample_self_orthogonal(2, 16, 6, 13)
     ctx = _OuterContext(_DualEchelon.of(2, outer.basis), 1, 8)
     rng = np.random.default_rng(2)
     for _ in range(100):
@@ -187,7 +186,7 @@ def test_context_membership_matches_subspace(d, k, N, K, seed):
     K = min(K, k * N)
     while d ** (k * N + K) > 4096:
         K -= 1
-    outer = sample_self_orthogonal_outer(d, k, N, K, seed)
+    outer = sample_self_orthogonal(d, 2 * k * N, k * N - K, seed)
     ctx = _OuterContext(_DualEchelon.of(d, outer.basis), k, N)
     rng = np.random.default_rng(seed)
     members = (rng.integers(0, d, (10, outer.dim)) @ outer.basis) % d
@@ -276,14 +275,17 @@ def test_simconfig_validation():
         SimConfig(inner=TRIV, outer=None, N=0, K=0, channel=depolarizing(2, 0.1),
                   trials=10, seed=0)
     with pytest.raises(ValidationError):
-        SimConfig(inner=TRIV, outer=sample_self_orthogonal_outer(2, 1, 5, 1, 0),
+        SimConfig(inner=TRIV, outer=sample_self_orthogonal(2, 10, 4, 0),
                   N=6, K=1, channel=depolarizing(2, 0.1), trials=10, seed=0)
     with pytest.raises(ValidationError):
         SimConfig(inner=catalog("trivial1", 3), outer=None, N=4, K=1,
                   channel=depolarizing(2, 0.1), trials=10, seed=0)
     with pytest.raises(ValidationError):  # right shape, wrong field
-        SimConfig(inner=TRIV, outer=sample_self_orthogonal_outer(3, 1, 4, 1, 0),
+        SimConfig(inner=TRIV, outer=sample_self_orthogonal(3, 8, 3, 0),
                   N=4, K=1, channel=depolarizing(2, 0.1), trials=10, seed=0)
+    with pytest.raises(ValidationError):  # an explicit outer code is never resampled
+        SimConfig(inner=TRIV, outer=sample_self_orthogonal(2, 8, 3, 0), N=4, K=1,
+                  channel=depolarizing(2, 0.1), trials=10, seed=0, resample_outer=True)
 
 
 def test_search_guard():
@@ -438,7 +440,7 @@ def test_unencoded_inner_scores_ignore_syndromes():
     # and plain type entropy agree; the decoder is plain minimum-entropy
     arr = probability_array(TRIV, depolarizing(2, 0.1))
     assert arr.rows == 1
-    outer = sample_self_orthogonal_outer(2, 1, 5, 1, 1)
+    outer = sample_self_orthogonal(2, 10, 4, 1)
     ctx = _OuterContext(_DualEchelon.of(2, outer.basis), 1, 5)
     z = np.zeros(5, dtype=np.int64)
     rng = np.random.default_rng(0)

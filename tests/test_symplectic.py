@@ -13,7 +13,7 @@ from qcap import (
     symplectic_form,
 )
 from qcap.gf import index_to_digits
-from qcap.symplectic import _echelon, gram_matrix, random_isotropic_basis
+from qcap.symplectic import _echelon, gram_matrix
 
 from oracles import digits_to_index, nullspace, random_isotropic_dense, rref, solve_affine_multi
 
@@ -262,7 +262,7 @@ def test_echelon_matches_dense_oracle(d, nrows, ncols, nrhs, seed):
     # the incremental sampler draws the same coefficients as the dense one
     ambient = 2 * (1 + ncols // 2)
     dim = int(rng.integers(0, ambient // 2 + 1))
-    basis = random_isotropic_basis(d, ambient, dim, np.random.default_rng(seed))
+    basis = sample_self_orthogonal(d, ambient, dim, seed).basis
     dense = random_isotropic_dense(d, ambient, dim, np.random.default_rng(seed))
     assert np.array_equal(basis, dense)
     L = Subspace(d, ambient, basis)
@@ -274,8 +274,7 @@ def test_echelon_matches_dense_oracle(d, nrows, ncols, nrhs, seed):
 
 
 def test_random_isotropic_basis_matches_subspace_contract():
-    rng = np.random.default_rng(8)
-    rows = random_isotropic_basis(3, 10, 4, rng)
+    rows = sample_self_orthogonal(3, 10, 4, 8).basis
     L = Subspace(3, 10, rows)
     assert L.dim == 4 and is_self_orthogonal(L)
 
