@@ -65,10 +65,14 @@ def _code_from_spec(spec: str, d) -> StabilizerCode:
 def _resolve_channel(args, d: int) -> PauliChannel:
     kind = args.channel
     if kind == "depolarizing":
+        if args.probs is not None:
+            raise ValidationError("--probs applies to --channel custom only")
         if args.p is None:
             raise ValidationError("--p is required for the depolarizing channel")
         return depolarizing(d, args.p)
     if kind == "custom":
+        if args.p is not None:
+            raise ValidationError("--p applies to --channel depolarizing only")
         if not args.probs:
             raise ValidationError("--probs FILE is required for a custom channel")
         return channel_from_file(args.probs, d)
@@ -90,6 +94,9 @@ def _cmd_sweep(args, start) -> None:
     code = _code_from_spec(args.code, args.d)
     if args.channel != "depolarizing":
         raise ValidationError("sweep supports the depolarizing family only")
+    for flag, value in (("--p", args.p), ("--probs", args.probs)):
+        if value is not None:
+            raise ValidationError(f"sweep does not take {flag}; it sweeps --p-min..--p-max")
     if args.steps < 1:
         raise ValidationError("--steps must be >= 1")
     ps = [args.p_min + (args.p_max - args.p_min) * i / max(args.steps - 1, 1)

@@ -6,33 +6,37 @@ extends to n hyperbolic pairs (g_i, h_i) satisfying
 
     <g_i, h_j> = delta_ij,   <g_i, g_j> = 0,   <h_i, h_j> = 0.
 
-The completion is built by the classical two-stage pairing procedure: first
-find a partner h_l for each given generator g_l (orthogonal to the not yet
-paired generators), then split off hyperbolic planes from what remains.  Free
-choices are resolved by a seeded RNG, picking uniformly among the exact
-solutions of the constraint system, so a seed fully determines the output.
+The completion grows one echelon form of the rows [dual(x) | e_x]
+(`_DualEchelon`) from g_1..g_{n-k}.  Reading it off gives perp of the rows so
+far (the nullspace of the dual rows, one basis vector per free column) and,
+from the identity columns, a representative y_x with <x', y_x> = delta_x'x
+for every row x'.  For l = n-k .. 1 the partner h_l is y_{g_l} plus a uniform
+draw from perp, and joins the form; then fresh planes are split off the
+remaining perp: a uniform nonzero g from perp joins, and its partner is
+found the same way.  A seed fully determines the output.
 
 The sampler `sample_self_orthogonal` grows a subspace one dimension at a
 time with a uniform vector from perp(current) \\ current.  At dimension m'
 in ambient dimension 2m the number of valid extension vectors is
 d**(2m - m') - d**m', a function of m' alone, so every isotropic subspace of
-the target dimension is reached with equal probability.  It keeps one
-echelon form of the rows [dual(g_i) | e_i] (`_DualEchelon`): a drawn v lies
-in the span exactly when dual(v) reduces to zero on the first 2m columns,
-and perp(current), the nullspace of the dual rows, is updated in place
-when a row with a new pivot p joins (drop n_p, subtract r[c] n_p from every
-other n_c).  The decoder takes its perp basis and syndrome representatives
-from the same form, so a resampled trial eliminates its rows once.
+the target dimension is reached with equal probability.  On the same kind
+of form a drawn v lies in the span exactly when dual(v) reduces to zero on
+the first 2m columns, and perp(current) is updated in place when a row with
+a new pivot p joins (drop n_p, subtract r[c] n_p from every other n_c).
+The decoder takes its perp basis and syndrome representatives from the
+sampler's form, and `perp` reads its basis off a form grown from L, so the
+completion, perp, the sampler and the decoder context all grow one
+[dual | I] form.
 
-All of this linear algebra (canonical forms, membership, nullspaces, the
-completion's constraint systems, the sampler and the decoder's coset
-machinery) runs on one incremental reduced row echelon form in two
-arithmetics: rows bit-packed into Python ints at d = 2 (`_GF2Echelon`) and
-int64 digit rows mod d for every other prime (`_ModEchelon`).  The factory
-`_echelon` is the only place that chooses between them.  Over any field the
-reduced row echelon form of a row space is unique, and so is the nullspace
-basis read off it, so both arithmetics give the same rows; the dense
-Gauss-Jordan elimination in tests/oracles.py is the reference for both.
+All of this linear algebra (canonical forms, membership, perp, the
+completion, the sampler and the decoder's coset machinery) runs on one
+incremental reduced row echelon form in two arithmetics: rows bit-packed
+into Python ints at d = 2 (`_GF2Echelon`) and int64 digit rows mod d for
+every other prime (`_ModEchelon`).  The factory `_echelon` is the only
+place that chooses between them.  Over any field the reduced row echelon
+form of a row space is unique, and so is the nullspace basis read off it,
+so both arithmetics give the same rows; the dense Gauss-Jordan elimination
+in tests/oracles.py is the reference for both.
 """
 
 from __future__ import annotations
@@ -72,8 +76,8 @@ def gram_matrix(rows_a: np.ndarray, rows_b: np.ndarray, d: int) -> np.ndarray:
 #
 # Both classes keep the reduced row echelon form of a growing set of rows as
 # {pivot: row}, every row zero at the others' pivots, behind one interface:
-# add (reduce then insert), reduce, `in`, echelon, nullspace and solutions on
-# packed rows, the codec pack/unpack/units to int64 digit matrices, and the
+# add (reduce then insert), reduce, `in`, echelon and solutions on packed
+# rows, the codec pack/unpack/units to int64 digit matrices, and the
 # row operations combine, dual, lead and drop_free.
 
 
@@ -173,17 +177,10 @@ class _GF2Echelon:
                 col |= bit
         return col
 
-    def nullspace(self, ncols: int) -> list[int]:
-        """Basis of {x : row . x = 0 for every row} over the first ncols
-        columns, one vector per free column in increasing order."""
-        return [1 << fc | self._column(fc) for fc in range(ncols) if 1 << fc not in self.rows]
-
-    def solutions(self, ncols: int, nrhs: int) -> list[int] | None:
-        """For rows [A | B] (B in columns ncols..ncols+nrhs-1), the solution
-        x_i of A x = b_i that is zero at the free columns, one per column of
-        B; None if some system is inconsistent."""
-        if any(bit >> ncols for bit in self.rows):
-            return None
+    def solutions(self, ncols: int, nrhs: int) -> list[int]:
+        """For rows [A | B] (B in columns ncols..ncols+nrhs-1) whose pivots
+        all lie in A, the solution x_i of A x = b_i that is zero at the free
+        columns, one per column of B."""
         return [self._column(i) for i in range(ncols, ncols + nrhs)]
 
 
@@ -255,18 +252,7 @@ class _ModEchelon:
         order = sorted(self.rows)
         return [self.rows[c] for c in order], order
 
-    def nullspace(self, ncols: int) -> np.ndarray:
-        free = [c for c in range(ncols) if c not in self.rows]
-        basis = np.zeros((len(free), ncols), dtype=np.int64)
-        basis[range(len(free)), free] = 1
-        for pc, row in self.rows.items():
-            if pc < ncols:
-                basis[:, pc] = -row[free] % self.d
-        return basis
-
-    def solutions(self, ncols: int, nrhs: int) -> np.ndarray | None:
-        if any(pc >= ncols for pc in self.rows):
-            return None
+    def solutions(self, ncols: int, nrhs: int) -> np.ndarray:
         out = np.zeros((nrhs, ncols), dtype=np.int64)
         for pc, row in self.rows.items():
             out[:, pc] = row[ncols:ncols + nrhs]
@@ -283,10 +269,67 @@ def _echelon(d: int, mat: np.ndarray | None = None) -> _GF2Echelon | _ModEchelon
     return ech
 
 
-def _nullspace(mat: np.ndarray, d: int, ncols: int) -> np.ndarray:
-    """Basis rows of {x : mat @ x = 0 mod d}."""
-    ech = _echelon(d, mat)
-    return ech.unpack(ech.nullspace(ncols), ncols)
+class _DualEchelon:
+    """The echelon form of the rows [dual(g_i) | e_i] of a growing list of
+    vectors g_1..g_m in F_d^ambient (m <= dim), with the basis of
+    perp(span g) kept in place: row for row the nullspace basis read off the
+    form, one vector per free column.  The identity columns give
+    representatives y_j with <g_i, y_j> = delta_ij.  Packed g and perp rows
+    have width ambient + dim and are zero beyond `ambient`.
+    """
+
+    def __init__(self, d: int, ambient: int, dim: int) -> None:
+        self.d = d
+        self.ambient = ambient
+        self.width = ambient + dim
+        self.ech = ech = _echelon(d)
+        self._units = ech.units(dim, self.width, ambient)
+        self.free = list(range(ambient))
+        self.perp = ech.units(ambient, self.width)
+        self.rows: list = []
+
+    @classmethod
+    def of(cls, d: int, gens: np.ndarray, dim: int | None = None) -> "_DualEchelon":
+        """The form grown from the given rows, in order, with room for dim
+        rows in all (default: these)."""
+        gens = np.asarray(gens, dtype=np.int64)
+        grown = cls(d, gens.shape[1], len(gens) if dim is None else dim)
+        for g in grown.pack(gens):
+            if not grown.add(g):
+                raise ValidationError("generators are linearly dependent")
+        return grown
+
+    def pack(self, vecs: np.ndarray) -> list:
+        """int64 digit rows of length ambient as packed rows of the form."""
+        vecs = np.atleast_2d(vecs)
+        pad = np.zeros((len(vecs), self.width - self.ambient), dtype=np.int64)
+        return self.ech.pack(np.hstack([vecs, pad]))
+
+    def add(self, g) -> bool:
+        """Append the packed row g; False, changing nothing, if g lies in the
+        span of the rows so far."""
+        ech = self.ech
+        r = ech.reduce(ech.dual(g, self.ambient) + self._units[len(self.rows)])
+        p = ech.lead(r)
+        if p >= self.ambient:
+            return False
+        r = ech.insert(r, p)
+        self.perp = ech.drop_free(self.perp, self.free, r, p)
+        self.free.remove(p)
+        self.rows.append(g)
+        return True
+
+    def basis(self) -> np.ndarray:
+        """The rows g_i as an int64 digit matrix."""
+        return self.ech.unpack(self.rows, self.width)[:, :self.ambient]
+
+    def perp_basis(self) -> np.ndarray:
+        """Basis rows of perp(span g), one per free column in increasing order."""
+        return self.ech.unpack(self.perp, self.width)[:, :self.ambient]
+
+    def reps(self) -> np.ndarray:
+        """Rows y_j with <g_i, y_j> = delta_ij."""
+        return self.ech.unpack(self.ech.solutions(self.ambient, len(self.rows)), self.ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +356,6 @@ class Subspace:
         if len(red) != rows.shape[0]:
             raise ValidationError("generators are linearly dependent")
         self.canonical = self._ech.unpack(red, self.ambient)
-
-    @classmethod
-    def zero(cls, d: int, ambient: int) -> "Subspace":
-        return cls(d, ambient, np.zeros((0, ambient), dtype=np.int64))
 
     @property
     def dim(self) -> int:
@@ -350,7 +389,7 @@ def perp(L: Subspace) -> Subspace:
     """The symplectic orthogonal complement {y : <x, y> = 0 for all x in L}."""
     if L.ambient % 2 != 0:
         raise ValidationError("perp requires an even ambient dimension")
-    return Subspace(L.d, L.ambient, _nullspace(symplectic_dual(L.basis, L.d), L.d, L.ambient))
+    return Subspace(L.d, L.ambient, _DualEchelon.of(L.d, L.basis).perp_basis())
 
 
 # ---------------------------------------------------------------------------
@@ -415,30 +454,6 @@ class HyperbolicBasis:
         return (self._chi[1:2 * n_minus_k:2] @ x) % self.d
 
 
-def _constrained_vector(v_basis: np.ndarray, targets: np.ndarray, rhs: np.ndarray,
-                        d: int, rng: np.random.Generator) -> np.ndarray:
-    """A uniformly random v in span(v_basis) with <t_i, v> = rhs_i for each
-    target row: the echelon form's particular solution plus a uniform
-    combination of its nullspace."""
-    r = v_basis.shape[0]
-    products = (symplectic_dual(targets, d) @ v_basis.T) % d
-    ech = _echelon(d, np.hstack([products, rhs.reshape(-1, 1)]))
-    coeffs = ech.solutions(r, 1)
-    if coeffs is None:
-        raise ValidationError("constraint system has no solution; input is not a valid code")
-    coeffs = ech.unpack(coeffs, r)[0]
-    ker = ech.unpack(ech.nullspace(r), r)
-    if len(ker):
-        coeffs = (coeffs + rng.integers(0, d, size=len(ker)) @ ker) % d
-    return (coeffs @ v_basis) % d
-
-
-def _shrink(v_basis: np.ndarray, g: np.ndarray, h: np.ndarray, d: int) -> np.ndarray:
-    """Basis of {v in span(v_basis) : <g, v> = <h, v> = 0}."""
-    products = (symplectic_dual(np.array([g, h]), d) @ v_basis.T) % d
-    return (_nullspace(products, d, v_basis.shape[0]) @ v_basis) % d
-
-
 def hyperbolic_complete(L: Subspace, rng_seed: int) -> HyperbolicBasis:
     """Extend the ordered basis of a self-orthogonal L to n hyperbolic pairs.
 
@@ -455,34 +470,30 @@ def hyperbolic_complete(L: Subspace, rng_seed: int) -> HyperbolicBasis:
     if nk > n:
         raise ValidationError("self-orthogonal dimension exceeds n")
     rng = np.random.default_rng(rng_seed)
+    grown = _DualEchelon.of(d, L.basis, 2 * n)
 
-    gs: list[np.ndarray] = [row.copy() for row in L.basis]
-    hs: list[np.ndarray | None] = [None] * nk
-    v_basis = np.eye(2 * n, dtype=np.int64)
+    def partner(i: int) -> np.ndarray:
+        """A uniform h with <x, h> = 1 for row i and 0 for every other row
+        of the form so far, added to the form."""
+        h = grown.reps()[i]
+        if grown.free:
+            h = (h + rng.integers(0, d, len(grown.free)) @ grown.perp_basis()) % d
+        grown.add(grown.pack(h)[0])
+        return h
 
     # stage 1: pair up the given generators, last to first
-    for l in range(nk, 0, -1):
-        targets = np.array(gs[:l])
-        rhs = np.zeros(l, dtype=np.int64)
-        rhs[l - 1] = 1
-        h = _constrained_vector(v_basis, targets, rhs, d, rng)
-        hs[l - 1] = h
-        v_basis = _shrink(v_basis, gs[l - 1], h, d)
+    hs = [partner(i) for i in reversed(range(nk))][::-1]
 
     # stage 2: split the orthogonal remainder into fresh hyperbolic planes
+    gs = list(L.basis)
     for _ in range(nk, n):
-        while True:
-            coeffs = rng.integers(0, d, size=v_basis.shape[0])
-            if coeffs.any():
-                break
-        g = (coeffs @ v_basis) % d
+        while not (coeffs := rng.integers(0, d, len(grown.free))).any():
+            pass
+        g = coeffs @ grown.perp_basis() % d
+        grown.add(grown.pack(g)[0])
         gs.append(g)
-        h = _constrained_vector(v_basis, g.reshape(1, -1), np.array([1]), d, rng)
-        hs.append(h)
-        v_basis = _shrink(v_basis, g, h, d)
+        hs.append(partner(len(grown.rows) - 1))
 
-    if v_basis.shape[0] != 0:
-        raise ValidationError("completion did not exhaust the ambient space")
     basis = HyperbolicBasis(d, np.array(gs), np.array(hs))
     if not basis.gram_ok():
         raise ValidationError("completion failed the pairing conditions")
@@ -491,63 +502,6 @@ def hyperbolic_complete(L: Subspace, rng_seed: int) -> HyperbolicBasis:
 
 # ---------------------------------------------------------------------------
 # uniform sampling of self-orthogonal subspaces
-
-
-class _DualEchelon:
-    """The echelon form of the rows [dual(g_i) | e_i] of a growing list of
-    vectors g_1..g_m in F_d^ambient (m <= dim), with the basis of
-    perp(span g) kept in place: row for row the basis that `nullspace`
-    would read off the form.  The identity columns give representatives y_j
-    with <g_i, y_j> = delta_ij.  Packed g and perp rows have width
-    ambient + dim and are zero beyond `ambient`.
-    """
-
-    def __init__(self, d: int, ambient: int, dim: int) -> None:
-        self.d = d
-        self.ambient = ambient
-        self.width = ambient + dim
-        self.ech = ech = _echelon(d)
-        self._units = ech.units(dim, self.width, ambient)
-        self.free = list(range(ambient))
-        self.perp = ech.units(ambient, self.width)
-        self.rows: list = []
-
-    @classmethod
-    def of(cls, d: int, gens: np.ndarray) -> "_DualEchelon":
-        """The form grown from the given rows, in order."""
-        gens = np.asarray(gens, dtype=np.int64)
-        dim, ambient = gens.shape
-        grown = cls(d, ambient, dim)
-        for g in grown.ech.pack(np.hstack([gens, np.zeros((dim, dim), dtype=np.int64)])):
-            if not grown.add(g):
-                raise ValidationError("generators are linearly dependent")
-        return grown
-
-    def add(self, g) -> bool:
-        """Append the packed row g; False, changing nothing, if g lies in the
-        span of the rows so far."""
-        ech = self.ech
-        r = ech.reduce(ech.dual(g, self.ambient) + self._units[len(self.rows)])
-        p = ech.lead(r)
-        if p >= self.ambient:
-            return False
-        r = ech.insert(r, p)
-        self.perp = ech.drop_free(self.perp, self.free, r, p)
-        self.free.remove(p)
-        self.rows.append(g)
-        return True
-
-    def basis(self) -> np.ndarray:
-        """The rows g_i as an int64 digit matrix."""
-        return self.ech.unpack(self.rows, self.width)[:, :self.ambient]
-
-    def perp_basis(self) -> np.ndarray:
-        """Basis rows of perp(span g), one per free column in increasing order."""
-        return self.ech.unpack(self.perp, self.width)[:, :self.ambient]
-
-    def reps(self) -> np.ndarray:
-        """Rows y_j with <g_i, y_j> = delta_ij."""
-        return self.ech.unpack(self.ech.solutions(self.ambient, len(self.rows)), self.ambient)
 
 
 def _sample_isotropic(d: int, ambient: int, dim: int, rng: np.random.Generator

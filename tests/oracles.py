@@ -109,6 +109,41 @@ def random_isotropic_dense(d: int, ambient: int, dim: int, rng: np.random.Genera
     return rows
 
 
+def hyperbolic_complete_dense(L: Subspace, rng_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The completion (g, h) by the classical two-stage pairing on dense
+    matrices, drawing what `hyperbolic_complete` draws.  Each partner solves
+    its constraint system in the coordinates of a basis of the remainder
+    space, which then shrinks to the part orthogonal to the new pair."""
+    d, n = L.d, L.ambient // 2
+    rng = np.random.default_rng(rng_seed)
+
+    def constrained(v_basis, targets, rhs):
+        products = symplectic_dual(targets, d) @ v_basis.T % d
+        coeffs = solve_affine(products, rhs, d)
+        ker = nullspace(products, d, len(v_basis))
+        if len(ker):
+            coeffs = (coeffs + rng.integers(0, d, size=len(ker)) @ ker) % d
+        return coeffs @ v_basis % d
+
+    def shrink(v_basis, g, h):
+        products = symplectic_dual(np.array([g, h]), d) @ v_basis.T % d
+        return nullspace(products, d, len(v_basis)) @ v_basis % d
+
+    gs = list(L.basis)
+    hs = [None] * L.dim
+    v_basis = np.eye(2 * n, dtype=np.int64)
+    for l in range(L.dim, 0, -1):
+        hs[l - 1] = constrained(v_basis, np.array(gs[:l]), np.eye(l, dtype=np.int64)[l - 1])
+        v_basis = shrink(v_basis, gs[l - 1], hs[l - 1])
+    for _ in range(L.dim, n):
+        while not (coeffs := rng.integers(0, d, size=len(v_basis))).any():
+            pass
+        gs.append(coeffs @ v_basis % d)
+        hs.append(constrained(v_basis, gs[-1][None], np.ones(1, dtype=np.int64)))
+        v_basis = shrink(v_basis, gs[-1], hs[-1])
+    return np.array(gs), np.array(hs)
+
+
 def kl_divergence(P, Q, base: float) -> float:
     """D(P||Q) in the given base; +inf iff P puts mass outside supp(Q)."""
     P = np.asarray(P, dtype=float).ravel()

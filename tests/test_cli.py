@@ -221,6 +221,33 @@ def test_exponent_has_no_log_base_flag(capsys):
     assert "log_base" not in payload["manifest"]["parameters"]
 
 
+def test_ignored_channel_flags_are_refused(tmp_path, capsys):
+    # a flag the chosen channel does not read exits 2 and names the flag,
+    # rather than being recorded in the manifest and ignored
+    chan = tmp_path / "chan.txt"
+    chan.write_text("0 0 0.9\n1 0 0.1\n")
+    sweep = ["sweep", "--code", "rep3", "--d", "2", "--p-min", "0.1", "--p-max", "0.2",
+             "--steps", "2"]
+    for argv, flag in (
+            (["bound", "--code", "rep3", "--d", "2", "--p", "0.1", "--probs", str(chan)],
+             "--probs"),
+            (["bound", "--code", "rep3", "--d", "2", "--channel", "custom", "--probs", str(chan),
+              "--p", "0.3"], "--p"),
+            (["fbound", "--inner", "rep3", "--d", "2", "--N", "2", "--K", "1",
+              "--channel", "custom", "--probs", str(chan), "--p", "0.3"], "--p"),
+            (sweep + ["--p", "0.4"], "--p"),
+            (sweep + ["--probs", str(chan)], "--probs")):
+        assert run(argv) == 2
+        assert flag in capsys.readouterr().err
+    payload = run_json(capsys, ["bound", "--code", "rep3", "--d", "2", "--channel", "custom",
+                                "--probs", str(chan)])
+    assert "p" not in payload["manifest"]["parameters"]
+    run(sweep)
+    manifest = json.loads(capsys.readouterr().out.splitlines()[0].removeprefix("# manifest: "))
+    assert manifest["parameters"]["channel"] == "depolarizing"
+    assert "p" not in manifest["parameters"] and "probs" not in manifest["parameters"]
+
+
 def test_fbound_rejects_no_outer_blocks(capsys):
     assert run(["fbound", "--inner", "rep3", "--d", "2", "--N", "0", "--K", "0",
                 "--p", "0.1"]) == 2

@@ -17,7 +17,7 @@ from qcap import (
 )
 from qcap.exponent import compositions
 from qcap.gf import index_to_digits
-from qcap.symplectic import _DualEchelon, _nullspace, _sample_isotropic, symplectic_dual
+from qcap.symplectic import _DualEchelon, _sample_isotropic, symplectic_dual
 from qcap.simconcat import (
     SimConfig,
     _OuterContext,
@@ -217,12 +217,12 @@ def test_shared_echelon_matches_nullspace_dense_sampler_and_explicit_context(d, 
         row = rng.integers(0, d, ambient)
         if rows.shape[0] and rng.integers(0, 3) == 0:
             row = rng.integers(0, d, rows.shape[0]) @ rows % d
-        added = grown.add(grown.ech.pack(np.concatenate([row, np.zeros(dim, np.int64)])[None])[0])
+        added = grown.add(grown.pack(row)[0])
         assert added == (rref(np.vstack([rows, row]), d)[0].shape[0] > rows.shape[0])
         if added:
             rows = np.vstack([rows, row])
         assert np.array_equal(grown.perp_basis(),
-                              _nullspace(symplectic_dual(rows, d), d, ambient))
+                              nullspace(symplectic_dual(rows, d), d, ambient))
     assert np.array_equal(grown.basis(), rows)
     # the sampler draws what the dense reference draws
     sampled = _sample_isotropic(d, ambient, dim, np.random.default_rng(seed))

@@ -13,9 +13,16 @@ from qcap import (
     symplectic_form,
 )
 from qcap.gf import index_to_digits
-from qcap.symplectic import _echelon, gram_matrix
+from qcap.symplectic import _DualEchelon, _echelon, gram_matrix, symplectic_dual
 
-from oracles import digits_to_index, nullspace, random_isotropic_dense, rref, solve_affine_multi
+from oracles import (
+    digits_to_index,
+    hyperbolic_complete_dense,
+    nullspace,
+    random_isotropic_dense,
+    rref,
+    solve_affine_multi,
+)
 
 # chi-square(14 dof) upper critical value at significance 0.01
 CHI2_99_14 = 29.141237740672796
@@ -31,18 +38,20 @@ def test_rref_and_nullspace_mod3():
     red, piv = ech.echelon()
     assert piv == [0, 2]  # second row reduces to (0, 0, 1)
     assert ech.unpack(red, 3).tolist() == [[1, 2, 0], [0, 0, 1]]
-    ker = ech.unpack(ech.nullspace(3), 3)
-    assert ker.shape == (1, 3)
-    assert ((mat @ ker.T) % 3 == 0).all()
+    # the nullspace of the dual rows, read off their [dual | I] form
+    rows = np.array([[1, 2, 0, 1], [0, 1, 1, 2]])
+    ker = _DualEchelon.of(3, rows).perp_basis()
+    assert ker.shape == (2, 4)
+    assert not (symplectic_dual(rows, 3) @ ker.T % 3).any()
 
 
 def test_solve_affine():
-    mat = np.array([[1, 2, 0], [0, 1, 1]])
-    rhs = np.array([1, 2])
-    ech = _echelon(3, np.hstack([mat, rhs[:, None]]))
-    x = ech.unpack(ech.solutions(3, 1), 3)[0]
-    assert ((mat @ x) % 3 == rhs % 3).all()
-    assert _echelon(3, np.array([[1, 1, 0], [2, 2, 1]])).solutions(2, 1) is None
+    # the identity columns of the [dual | I] form solve <g_i, y_j> = delta_ij
+    rows = np.array([[1, 2, 0, 1], [0, 1, 1, 2]])
+    reps = _DualEchelon.of(3, rows).reps()
+    assert (gram_matrix(rows, reps, 3) == np.eye(2, dtype=np.int64)).all()
+    with pytest.raises(ValidationError):
+        _DualEchelon.of(3, np.array([[1, 2, 0, 1], [2, 1, 0, 2]]))
 
 
 def test_subspace_rejects_dependent_generators():
@@ -58,13 +67,13 @@ def test_subspace_equality_is_span_equality():
 
 
 def test_is_self_orthogonal_examples():
-    assert is_self_orthogonal(Subspace.zero(2, 4))
+    assert is_self_orthogonal(Subspace(2, 4, []))
     assert is_self_orthogonal(Subspace(2, 4, [[1, 0, 1, 0]]))
     assert not is_self_orthogonal(Subspace(2, 2, [[1, 0], [0, 1]]))
 
 
 def test_perp_of_zero_is_everything():
-    P = perp(Subspace.zero(3, 4))
+    P = perp(Subspace(3, 4, []))
     assert P.dim == 4
 
 
@@ -96,7 +105,7 @@ def test_perp_against_exhaustive_scan():
 
 
 def test_hyperbolic_complete_trivial_space():
-    B = hyperbolic_complete(Subspace.zero(2, 2), 0)
+    B = hyperbolic_complete(Subspace(2, 2, []), 0)
     assert B.n == 1 and B.gram_ok()
 
 
@@ -132,6 +141,19 @@ def test_hyperbolic_complete_deterministic_per_seed():
     B3 = hyperbolic_complete(L, 43)
     assert (B1.g == B2.g).all() and (B1.h == B2.h).all()
     assert not ((B1.g == B3.g).all() and (B1.h == B3.h).all())
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.sampled_from((2, 3, 5)), st.integers(1, 8), st.data(), st.integers(0, 2**32 - 1))
+def test_completion_and_perp_match_dense_reference(d, n, data, seed):
+    # bit for bit: the one grown [dual | I] form reads off the same particular
+    # solutions and nullspace bases as the chained dense constraint solves
+    L = sample_self_orthogonal(d, 2 * n, data.draw(st.integers(0, n)), seed)
+    for rng_seed in (0, 1, seed):
+        B = hyperbolic_complete(L, rng_seed)
+        g, h = hyperbolic_complete_dense(L, rng_seed)
+        assert np.array_equal(B.g, g) and np.array_equal(B.h, h)
+    assert np.array_equal(perp(L).basis, nullspace(symplectic_dual(L.basis, d), d, 2 * n))
 
 
 def test_chi_coordinates_basis_vectors():
@@ -239,9 +261,9 @@ def test_sampler_extension_count_identity():
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(st.sampled_from((2, 3, 5)), st.integers(0, 8), st.integers(1, 14), st.integers(0, 3),
+@given(st.sampled_from((2, 3, 5)), st.integers(0, 8), st.integers(1, 14),
        st.integers(0, 2**32 - 1))
-def test_echelon_matches_dense_oracle(d, nrows, ncols, nrhs, seed):
+def test_echelon_matches_dense_oracle(d, nrows, ncols, seed):
     rng = np.random.default_rng(seed)
     mat = rng.integers(0, d, (nrows, ncols))
     if nrows and rng.integers(0, 2):  # force a dependent row
@@ -250,17 +272,20 @@ def test_echelon_matches_dense_oracle(d, nrows, ncols, nrhs, seed):
     rows, pivots = ech.echelon()
     red, want_pivots = rref(mat, d)
     assert pivots == want_pivots and np.array_equal(ech.unpack(rows, ncols), red)
-    if nrows:
-        assert np.array_equal(ech.unpack(ech.nullspace(ncols), ncols), nullspace(mat, d, ncols))
-        rhs = rng.integers(0, d, (nrows, nrhs))
-        aug = _echelon(d, np.hstack([mat, rhs]))
-        got = aug.solutions(ncols, nrhs)
-        want = solve_affine_multi(mat, rhs, d)
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert np.array_equal(aug.unpack(got, ncols), want)
-    # the incremental sampler draws the same coefficients as the dense one
+    # perp and the representatives read off the [dual | I] form of mat's
+    # independent rows, widened to an even ambient dimension
     ambient = 2 * (1 + ncols // 2)
+    rows = np.zeros((0, ambient), dtype=np.int64)
+    for row in np.hstack([mat, rng.integers(0, d, (nrows, ambient - ncols))]):
+        if rref(np.vstack([rows, row]), d)[0].shape[0] > len(rows):
+            rows = np.vstack([rows, row])
+    grown = _DualEchelon.of(d, rows)
+    dual = symplectic_dual(rows, d)
+    assert np.array_equal(grown.perp_basis(), nullspace(dual, d, ambient))
+    if len(rows):
+        assert np.array_equal(grown.reps(),
+                              solve_affine_multi(dual, np.eye(len(rows), dtype=np.int64), d))
+    # the incremental sampler draws the same coefficients as the dense one
     dim = int(rng.integers(0, ambient // 2 + 1))
     basis = sample_self_orthogonal(d, ambient, dim, seed).basis
     dense = random_isotropic_dense(d, ambient, dim, np.random.default_rng(seed))
