@@ -63,3 +63,9 @@ def index_to_digits(indices: np.ndarray, d: int, length: int) -> np.ndarray:
     indices = np.asarray(indices, dtype=np.int64)
     powers = d ** np.arange(length, dtype=np.int64)
     return ((indices[:, None] // powers) % d).astype(np.int64)
+
+
+def _mod(x: np.ndarray, d: int) -> np.ndarray:
+    """x mod d for an integer array, as x - (x // d) * d: numpy divides an
+    array by a scalar several times faster than it takes the remainder."""
+    return x - x // d * d

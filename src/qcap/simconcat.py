@@ -10,25 +10,42 @@ with the observed outer syndrome (a coset of perp(C_out), of size d^{kN+K})
 for the one whose joint type with z has minimum conditional entropy; the
 decoded block succeeds iff v_hat - v lands in C_out.
 
+The trials run on a trial axis.  A batch of up to _BATCH trials draws its
+errors, samples its outer codes and decodes as array operations in mod-d
+integer arithmetic, with as many trials decoded at once as keep their
+(N, T, Q) candidate keys within a fixed budget of cells.  Every trial
+still has the streams of seed contract v1: its error uniforms are
+`random(N)` from the generator (seed, t), a resampled outer code is drawn
+from (seed, t, 1), and the outer code drawn once for all trials from
+(seed, 0, 2).  The sampler takes trial t's coefficient digits from one
+`integers(0, d, S)` call on its generator, and reads on from further calls
+if rejections use them up.  numpy's bounded integer draws concatenate:
+`integers(0, d, a)` then `integers(0, d, b)` gives the digits of one
+`integers(0, d, a + b)` call and leaves the stream where it leaves it.  So
+the digits are those that one draw per attempt would give, and the results
+do not depend on the batch size, bit for bit.
+
 The coset is v0 + span(B) for a basis B of perp(C_out).  B and the
 syndrome representatives behind v0 come from one echelon form of
-[dual(C_out) | I], the one the isotropic sampler grows while it draws a
-resampled outer code (an explicit outer code grows it from its rows); the
-sampler keeps B up to date in place as rows join.  Splitting B into
-halves B1, B2, the decoder lists the per-block symbols of v0 + span(B1) and
-of span(B2), about sqrt(d^{kN+K}) vectors each, and forms every candidate's
-symbols by looking up, per block, the sum of a v0 + span(B1) symbol and a
-span(B2) symbol in a table built once per outer code.
+[dual(C_out) | I] per trial, the one the isotropic sampler grows while it
+draws a resampled outer code (an explicit outer code grows it from its
+rows); the sampler keeps B up to date in place as rows join.  Splitting B
+into halves B1, B2, the decoder lists the per-block symbols of
+v0 + span(B1) and of span(B2), about sqrt(d^{kN+K}) vectors each, and forms
+every candidate's symbols by looking up, per block, the sum of a
+v0 + span(B1) symbol and a span(B2) symbol in a table built once per outer
+code.
 
 Entropy comparisons between types are resolved exactly: for counts c the
 quantity N*H_c differs from a constant by -log(prod c^c), so candidate
 order and tie handling reduce to integer comparisons of prod c^c.  The key
 needs no table of cells: if block j's joint symbol (z_j, v'_j) is shared by
 n_j of the N blocks, then prod_j n_j = prod_cells c^c, since a cell holding
-c blocks contributes c factors of c.  A float product screens the
-candidates, and Python ints compare the near-best ones, so which candidates
-tie never depends on rounding; ties go to the lexicographically smallest
-digit vector.
+c blocks contributes c factors of c.  The joint symbol is held as the
+integer z_j * d^2k + v'_j, and n_j is counted over pairs of blocks in
+uint8.  A float product screens the candidates, and Python ints compare
+the near-best ones, so which candidates tie never depends on rounding;
+ties go to the lexicographically smallest digit vector.
 
 The exact bound never lists joint types.  A type enters it only through its
 z-marginal a, its key prod c^c, its shell (the number of v per fixed z) and
@@ -48,11 +65,16 @@ from ._util import GuardError, ValidationError, wilson_interval
 from .channels import PauliChannel
 from .codes import StabilizerCode
 from .exponent import compositions
-from .gf import index_to_digits
+from .gf import _mod, index_to_digits
 from .spectra import ProbabilityArray, probability_array
-from .symplectic import Subspace, _DualEchelon, _sample_isotropic, symplectic_dual
+from .symplectic import Subspace, _DualEchelon, symplectic_dual
 
 _SEARCH_GUARD = 1 << 24
+# trials whose errors and outer codes are drawn at once
+_BATCH = 64
+# the cells that the trials decoded at once may fill with candidate keys
+# and tail tables
+_DECODE_CELLS = 1 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +148,17 @@ class SimReport:
 # error sampling
 
 
+def _cell_cdf(array: ProbabilityArray) -> np.ndarray:
+    """The cumulative sum of the array's cells in flat order, set to 1 from
+    the last cell of positive probability on: a uniform draw in [0, 1) then
+    never lands on a cell of probability zero, even where the sum falls an
+    ulp short of 1."""
+    flat = array.table.ravel()
+    cdf = np.cumsum(flat)
+    cdf[np.flatnonzero(flat > 0)[-1]:] = 1.0
+    return cdf
+
+
 def sample_error(array: ProbabilityArray, N: int, rng: np.random.Generator
                  ) -> tuple[np.ndarray, np.ndarray]:
     """N i.i.d. draws from the inner probability array, one per outer block.
@@ -133,111 +166,155 @@ def sample_error(array: ProbabilityArray, N: int, rng: np.random.Generator
     Returns (z_indices, v_indices): row and column indices in the array's
     mixed-radix order.
     """
-    flat = array.table.ravel()
-    cdf = np.cumsum(flat)
-    cdf[-1] = 1.0
-    draws = np.searchsorted(cdf, rng.random(N), side="right")
+    draws = np.searchsorted(_cell_cdf(array), rng.random(N), side="right")
     return draws // array.cols, draws % array.cols
 
 
 # ---------------------------------------------------------------------------
-# outer-code decoding context
+# outer-code decoding contexts
 
 
-class _OuterContext:
-    """Per-outer-code machinery, built from the grown echelon form of C_out's
-    generator rows (kN-K, 2kN): syndrome map, the two halves of the
-    candidate coset enumeration, and membership tests."""
+class _Contexts:
+    """The decoding machinery of C outer codes, one per trial of a batch or
+    one shared by every trial (C = 1): syndrome map, the two halves of the
+    candidate coset enumeration, and the membership test.
 
-    def __init__(self, outer: _DualEchelon, k: int, N: int):
-        self.d = d = outer.d
-        self.k = k
+    `codes` holds, for each code, what its grown echelon form of [dual | I]
+    gives: C_out's generator rows (C, kN-K, 2kN), a basis of perp(C_out)
+    (C, kN+K, 2kN) and representatives y_i with <g'_i, y_j> = delta_ij
+    (C, kN-K, 2kN), so that v0 = sigma @ reps has syndrome sigma.
+    """
+
+    def __init__(self, inner: StabilizerCode, N: int, codes: tuple):
+        self.d = d = inner.d
+        k = inner.k
         self.N = N
-        self.length = length = outer.ambient
-        self.n_checks = len(outer.rows)
-        self.search_size = d ** (length - self.n_checks)
-        if self.search_size > _SEARCH_GUARD:
-            raise GuardError(
-                f"decoder search set d^(kN+K) = {self.search_size} exceeds 2^24")
-        self.dual = symplectic_dual(outer.basis(), d)
-        # the form of [dual | I] holds a basis of perp(C_out) and
-        # representatives y_i with <g'_i, y_j> = delta_ij, so that
-        # v0 = sigma @ reps has syndrome sigma
-        self.perp_basis = outer.perp_basis()
-        self.reps = outer.reps()
+        self.cols = cols = d ** (2 * k)
+        self.powers = d ** np.arange(2 * k, dtype=np.int64)
+        basis, perp_basis, self.reps = codes
+        self.dual = symplectic_dual(basis, d)
         # C_out = perp(perp(C_out)): x lies in C_out iff it pairs to zero
         # with every row of perp_basis
-        self._perp_dual = symplectic_dual(self.perp_basis, d)
-        cols = d ** (2 * k)
-        self._dtype = np.min_scalar_type(cols - 1)
-        self._powers = d ** np.arange(2 * k, dtype=np.int64)
-        half = self.perp_basis.shape[0] // 2
-        self._head_span = self._span(self.perp_basis[:half])
-        tail = self._symbols(self._span(self.perp_basis[half:]))
-        # _tail_sums[j, s, b]: the symbol of s plus block j of the b-th vector
-        # of the second half's span, added digit by digit
-        symbols = np.arange(cols, dtype=self._dtype)
-        self._tail_sums = np.zeros((N, cols, tail.shape[1]), dtype=self._dtype)
-        for power in self._powers.tolist():
-            digit_sum = symbols[None, :, None] // power % d + tail[:, None, :] // power % d
-            self._tail_sums += digit_sum % d * power
+        self.perp_dual = symplectic_dual(perp_basis, d)
+        half = perp_basis.shape[1] // 2
+        self.head_span = self._span(perp_basis[:, :half])
+        tail = self._span(perp_basis[:, half:])
+        # tail_sums[j, c, s, b]: the symbol of s plus block j of the b-th
+        # vector of code c's second-half span, added digit by digit, in a
+        # type that also holds the keys z * cols + symbol of every syndrome
+        # z.  It grows one digit at a time: the symbols s + e d^p, e < d,
+        # come from those of s < d^p by adding (e + tail digit p) mod d.
+        digits = tail.reshape(tail.shape[:2] + (N, 2 * k)).transpose(2, 0, 3, 1)
+        dtype = np.min_scalar_type(d ** (inner.n - k) * cols - 1)
+        table = np.zeros(digits.shape[:2] + (1, digits.shape[3]), dtype=dtype)
+        for p, power in enumerate(self.powers.tolist()):
+            added = (_mod(np.arange(d)[:, None] + digits[:, :, p:p + 1], d) * power).astype(dtype)
+            table = (added[:, :, :, None] + table[:, :, None]).reshape(
+                table.shape[:2] + (-1, table.shape[3]))
+        self.tail_sums = table
+
+    @classmethod
+    def of(cls, inner: StabilizerCode, N: int, outer: _DualEchelon) -> "_Contexts":
+        """The contexts of every code an echelon form holds."""
+        return cls(inner, N, (outer.basis(), outer.perp_basis(), outer.reps()))
 
     def _span(self, basis: np.ndarray) -> np.ndarray:
-        """All d^h vectors of span(basis), basis (h, 2kN), as digit rows."""
-        h = basis.shape[0]
-        return index_to_digits(np.arange(self.d**h), self.d, h) @ basis % self.d
+        """All d^h vectors of span(basis) of each basis (C, h, 2kN), as
+        (C, d^h, 2kN) digit rows.  The float product is exact: its entries
+        are at most h (d-1)^2."""
+        h = basis.shape[1]
+        coeffs = index_to_digits(np.arange(self.d**h), self.d, h).astype(np.float64)
+        return _mod((coeffs @ basis).astype(np.int64), self.d)
 
     def _symbols(self, vecs: np.ndarray) -> np.ndarray:
-        """(N, m) per-block symbols of m digit vectors."""
-        blocks = vecs.reshape(-1, self.N, 2 * self.k) @ self._powers
-        return blocks.T.astype(self._dtype)
+        """(N, T, m) per-block symbols of (T, m, 2kN) digit vectors."""
+        blocks = vecs.reshape(vecs.shape[:2] + (self.N, -1))
+        symbols = sum(blocks[..., p] * power for p, power in enumerate(self.powers.tolist()))
+        return symbols.transpose(2, 0, 1)
+
+    def _digits(self, symbols: np.ndarray) -> np.ndarray:
+        """(T, 2kN) digit vectors of (T, N) per-block symbols."""
+        return index_to_digits(symbols.ravel(), self.d, len(self.powers)).reshape(len(symbols), -1)
 
     def syndrome(self, v_digits: np.ndarray) -> np.ndarray:
-        return (self.dual @ v_digits) % self.d
+        """(T, kN-K) outer syndromes of (T, 2kN) digit vectors."""
+        return _mod((self.dual @ v_digits[:, :, None])[:, :, 0], self.d)
 
-    def contains(self, x: np.ndarray) -> bool:
-        return not (self._perp_dual @ x % self.d).any()
+    def contains(self, x: np.ndarray) -> np.ndarray:
+        """Whether each of the (T, 2kN) digit vectors lies in C_out."""
+        return ~_mod(self.perp_dual @ x[:, :, None], self.d).any(axis=(1, 2))
 
-    def candidate_symbols(self, sigma: np.ndarray) -> np.ndarray:
-        """Per-block logical symbols (N x Q) of every v' with syndrome sigma.
+    def decode(self, z: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Decode T trials, trial t on code t (or on the shared code), from
+        their per-block syndromes z and logical symbols v, (T, N) each.
 
-        The coset v0 + perp(C_out) is enumerated as v0 + span(first half of
-        the basis) plus span(second half), summing symbols block by block.
+        Returns the decoded symbols (T, N) and whether each trial succeeded:
+        v_hat - v lies in C_out.  The candidates are the coset v0 +
+        perp(C_out) of the observed outer syndrome, enumerated as v0 +
+        span(first half of the basis) plus span(second half), with symbols
+        summed block by block.  Each candidate gets the key z_j * cols +
+        symbol in every block j, so blocks with different syndromes never
+        share a key.
         """
-        v0 = (sigma @ self.reps) % self.d
-        head = self._symbols((self._head_span + v0) % self.d)
-        return self._tail_sums[np.arange(self.N)[:, None], head].reshape(self.N, -1)
+        d, N, cols = self.d, self.N, self.cols
+        trials = len(z)
+        v_digits = self._digits(v)
+        v0 = (self.syndrome(v_digits)[:, None, :] @ self.reps)[:, 0]
+        head = self._symbols(_mod(self.head_span + v0[:, None, :], d))
+        # block j of trial t reads the rows (j, code, head symbol) of
+        # tail_sums, where the code is t's own, or the shared one
+        codes = self.tail_sums.shape[1]
+        first = (np.arange(N)[:, None] * codes + np.arange(trials) % codes) * cols
+        table = self.tail_sums.reshape(-1, self.tail_sums.shape[-1])
+        keys = np.take(table, first[:, :, None] + head, axis=0).reshape(N, trials, -1)
+        keys += (z.T * cols).astype(keys.dtype)[:, :, None]
+        winner = self._winners(keys, z)
+        v_hat = keys[:, np.arange(trials), winner].T - z * cols
+        return v_hat, self.contains(self._digits(v_hat) - v_digits)
 
-
-def _decode_ctx(inner: StabilizerCode, ctx: _OuterContext, z_indices: np.ndarray,
-                sigma: np.ndarray) -> np.ndarray:
-    syms = ctx.candidate_symbols(sigma)
-    z = np.asarray(z_indices)
-    # counts[j, c]: the blocks of candidate c whose joint symbol (z, v') equals
-    # block j's; blocks with different syndromes never share one
-    counts = np.empty(syms.shape, dtype=np.uint8)
-    for s in set(z.tolist()):
-        group = np.flatnonzero(z == s)
-        block = syms[group]
-        counts[group] = (block[:, None, :] == block[None, :, :]).sum(axis=1, dtype=np.uint8)
-    # the product over blocks is the entropy key prod c^c; as a float it is
-    # exact below 2^53 and within N ulps beyond, so it only screens
-    score = counts.prod(axis=0, dtype=np.float64)
-    near = np.flatnonzero(score >= score.max() * (1 - 1e-12))
-    if near.size > 1:
-        keys = [math.prod(col) for col in counts[:, near].T.tolist()]
-        top = max(keys)
-        tied = near[[key == top for key in keys]]
-        digits = index_to_digits(syms[:, tied].T.ravel(), inner.d, 2 * inner.k)
-        rows = digits.reshape(tied.size, -1).tolist()
-        winner = int(tied[min(range(tied.size), key=rows.__getitem__)])
-    else:
-        winner = int(near[0])
-    return syms[:, winner].astype(np.int64)
+    def _winners(self, keys: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Each trial's candidate of minimum conditional type entropy, from
+        the (N, T, Q) keys: the largest prod c^c, ties to the
+        lexicographically smallest digit vector."""
+        N, cols = self.N, self.cols
+        # counts[j, t, c]: the blocks of trial t's candidate c that share
+        # block j's key
+        counts = np.ones(keys.shape, dtype=np.uint8)
+        for j in range(N - 1):
+            same = (keys[j + 1:] == keys[j]).view(np.uint8)
+            counts[j] += same.sum(axis=0, dtype=np.uint8)
+            counts[j + 1:] += same
+        # the product over blocks is the entropy key prod c^c; as a float it
+        # is exact below 2^53 and within N ulps beyond, so it only screens.
+        # Pairs of counts multiply exactly in 16 bits first.
+        score = np.multiply(counts[0:N - 1:2], counts[1::2], dtype=np.uint16).prod(
+            axis=0, dtype=np.float64)
+        if N % 2:
+            score *= counts[-1]
+        near = score >= score.max(axis=1, keepdims=True) * (1 - 1e-12)
+        winner = score.argmax(axis=1)
+        for t in np.flatnonzero(near.sum(axis=1) > 1).tolist():
+            close = np.flatnonzero(near[t])
+            exact = [math.prod(col) for col in counts[:, t, close].T.tolist()]
+            top = max(exact)
+            tied = close[[key == top for key in exact]]
+            symbols = keys[:, t, tied].T - z[t] * cols
+            rows = self._digits(symbols).tolist()
+            winner[t] = tied[min(range(tied.size), key=rows.__getitem__)]
+        return winner
 
 
 # ---------------------------------------------------------------------------
 # simulation
+
+
+def _decode_size(d: int, k: int, N: int, K: int) -> int:
+    """Trials decoded at once: as many as keep the candidate keys (N, T, Q)
+    and the tail tables (N, T, d^2k, Q_tail) within _DECODE_CELLS cells,
+    at least one and at most a batch."""
+    size = k * N + K
+    per_trial = N * (d**size + d ** (2 * k + size - size // 2))
+    return min(max(1, _DECODE_CELLS // per_trial), _BATCH)
 
 
 def simulate(cfg: SimConfig) -> SimReport:
@@ -247,43 +324,47 @@ def simulate(cfg: SimConfig) -> SimReport:
     (syndrome, logical) labels from the inner array, decode by minimum
     conditional type entropy within the observed outer-syndrome coset, and
     count a failure when the decoded and true labels differ by a vector
-    outside C_out.
+    outside C_out.  The trials run in batches on a trial axis.
     """
     inner = cfg.inner
     d, k, N, K = inner.d, inner.k, cfg.N, cfg.K
+    search_size = d ** (k * N + K)
+    if search_size > _SEARCH_GUARD:
+        raise GuardError(f"decoder search set d^(kN+K) = {search_size} exceeds 2^24")
     arr = probability_array(inner, cfg.channel)
-    cols = arr.cols
+    cdf = _cell_cdf(arr)
+    ambient, dim = 2 * k * N, k * N - K
 
-    fixed_ctx = None
     if cfg.outer is not None:
-        fixed_ctx = _OuterContext(_DualEchelon.of(d, cfg.outer.basis), k, N)
+        ctx = _Contexts.of(inner, N, _DualEchelon.of(d, cfg.outer.basis))
     elif not cfg.resample_outer:
-        fixed_ctx = _OuterContext(_sample_isotropic(
-            d, 2 * k * N, k * N - K, np.random.default_rng((cfg.seed, 0, 2))), k, N)
+        fixed = [np.random.default_rng((cfg.seed, 0, 2))]
+        ctx = _Contexts.of(inner, N, _DualEchelon.sample(d, ambient, dim, fixed))
 
-    col_digits = index_to_digits(np.arange(cols), d, 2 * k)
+    step = _decode_size(d, k, N, K)
     failures = 0
     trace = [] if cfg.record_trace else None
-    for t in range(cfg.trials):
-        rng = np.random.default_rng((cfg.seed, t))
-        if fixed_ctx is not None:
-            ctx = fixed_ctx
-        else:
-            outer = _sample_isotropic(d, 2 * k * N, k * N - K,
-                                      np.random.default_rng((cfg.seed, t, 1)))
-            ctx = _OuterContext(outer, k, N)
-        z_idx, v_idx = sample_error(arr, N, rng)
-        v_digits = col_digits[v_idx].ravel()
-        sigma = ctx.syndrome(v_digits)
-        v_hat = _decode_ctx(inner, ctx, z_idx, sigma)
-        diff = (col_digits[v_hat].ravel() - v_digits) % d
-        ok = ctx.contains(diff)
-        if not ok:
-            failures += 1
+    for start in range(0, cfg.trials, _BATCH):
+        trials = range(start, min(start + _BATCH, cfg.trials))
+        u = np.array([np.random.default_rng((cfg.seed, t)).random(N) for t in trials])
+        draws = np.searchsorted(cdf, u, side="right")
+        z, v = draws // arr.cols, draws % arr.cols
+        if cfg.resample_outer:
+            rngs = [np.random.default_rng((cfg.seed, t, 1)) for t in trials]
+            outer = _DualEchelon.sample(d, ambient, dim, rngs)
+            codes = outer.basis(), outer.perp_basis(), outer.reps()
+        v_hat = np.empty_like(v)
+        ok = np.empty(len(trials), dtype=bool)
+        for part in np.array_split(np.arange(len(trials)), -(-len(trials) // step)):
+            at = slice(part[0], part[-1] + 1)
+            if cfg.resample_outer:
+                ctx = _Contexts(inner, N, tuple(a[at] for a in codes))
+            v_hat[at], ok[at] = ctx.decode(z[at], v[at])
+        failures += int(ok.size - ok.sum())
         if trace is not None:
-            trace.append({"trial": t, "failure": not ok,
-                          "z": z_idx.tolist(), "v": v_idx.tolist(),
-                          "v_hat": v_hat.tolist()})
+            trace.extend({"trial": t, "failure": not good, "z": zt, "v": vt, "v_hat": ht}
+                         for t, good, zt, vt, ht in zip(trials, ok.tolist(), z.tolist(),
+                                                         v.tolist(), v_hat.tolist()))
     low, high = wilson_interval(failures, cfg.trials)
     return SimReport(failures, cfg.trials, failures / cfg.trials, low, high,
                      tuple(trace) if trace is not None else None)

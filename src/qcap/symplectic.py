@@ -28,15 +28,15 @@ sampler's form, and `perp` reads its basis off a form grown from L, so the
 completion, perp, the sampler and the decoder context all grow one
 [dual | I] form.
 
-All of this linear algebra (canonical forms, membership, perp, the
-completion, the sampler and the decoder's coset machinery) runs on one
-incremental reduced row echelon form in two arithmetics: rows bit-packed
-into Python ints at d = 2 (`_GF2Echelon`) and int64 digit rows mod d for
-every other prime (`_ModEchelon`).  The factory `_echelon` is the only
-place that chooses between them.  Over any field the reduced row echelon
-form of a row space is unique, and so is the nullspace basis read off it,
-so both arithmetics give the same rows; the dense Gauss-Jordan elimination
-in tests/oracles.py is the reference for both.
+Canonical forms and membership of a Subspace run on an incremental reduced
+row echelon form of int64 digit rows mod d (`_Echelon`).  The completion,
+perp, the sampler and the decoder's coset machinery grow the echelon form of
+[dual | I] (`_DualEchelon`), held for T independent lists of vectors on a
+leading trial axis: the decoder samples the outer codes of a whole batch of
+trials at once, and everything else uses T = 1.  Over any field the reduced
+row echelon form of a row space is unique, and so is the nullspace basis
+read off it, so every trial's rows equal those of a form grown alone; the
+dense Gauss-Jordan elimination in tests/oracles.py is the reference.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import ValidationError
-from .gf import _check_modulus
+from .gf import _check_modulus, _mod
 
 
 # ---------------------------------------------------------------------------
@@ -72,158 +72,24 @@ def gram_matrix(rows_a: np.ndarray, rows_b: np.ndarray, d: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the echelon form
-#
-# Both classes keep the reduced row echelon form of a growing set of rows as
-# {pivot: row}, every row zero at the others' pivots, behind one interface:
-# add (reduce then insert), reduce, `in`, echelon and solutions on packed
-# rows, the codec pack/unpack/units to int64 digit matrices, and the
-# row operations combine, dual, lead and drop_free.
+# the echelon forms
 
 
-class _GF2Echelon:
-    """The echelon form over F_2 on rows packed into Python ints, bit j =
-    column j, keyed by the pivot's bit: a row operation is one XOR and a
-    row's leading column is its lowest set bit."""
+class _Echelon:
+    """The reduced row echelon form over F_d of a growing set of int64 digit
+    rows, kept as {pivot column: row} with every pivot scaled to 1 and every
+    row zero at the others' pivots."""
 
-    def __init__(self) -> None:
-        self.rows: dict[int, int] = {}
-
-    @staticmethod
-    def pack(mat: np.ndarray) -> list[int]:
-        bits = np.packbits((np.asarray(mat, dtype=np.int64) % 2).astype(np.uint8), axis=1,
-                           bitorder="little")
-        return [int.from_bytes(row.tobytes(), "little") for row in bits]
-
-    @staticmethod
-    def unpack(rows: list[int], ncols: int) -> np.ndarray:
-        nbytes = (ncols + 7) // 8
-        buf = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows), dtype=np.uint8)
-        bits = np.unpackbits(buf.reshape(len(rows), nbytes), axis=1, count=ncols,
-                             bitorder="little")
-        return bits.astype(np.int64)
-
-    @staticmethod
-    def units(count: int, ncols: int, first: int = 0) -> list[int]:
-        """The unit rows e_first .. e_(first+count-1), packed."""
-        return [1 << j for j in range(first, first + count)]
-
-    @staticmethod
-    def combine(coeffs: np.ndarray, rows: list[int]) -> int:
-        """sum_i coeffs_i rows_i."""
-        v = 0
-        for c, row in zip(coeffs.tolist(), rows):
-            if c:
-                v ^= row
-        return v
-
-    @staticmethod
-    def dual(row: int, ncols: int) -> int:
-        """symplectic_dual of the first ncols columns: swap the bits of every
-        (u_i, v_i) pair; zero beyond."""
-        even = int("01" * (ncols // 2), 2)
-        return ((row & even) << 1) | ((row >> 1) & even)
-
-    @staticmethod
-    def lead(v: int) -> int:
-        """The column of v's first nonzero entry; -1 for the zero row."""
-        return (v & -v).bit_length() - 1
-
-    @staticmethod
-    def drop_free(basis: list[int], free: list[int], row: int, p: int) -> list[int]:
-        """The nullspace basis, one vector n_c per free column c, after row
-        (reduced, pivot p scaled to 1) joins: n_c - row[c] n_p, without n_p."""
-        n_p = basis[free.index(p)]
-        return [n ^ n_p if row >> c & 1 else n for c, n in zip(free, basis) if c != p]
-
-    def reduce(self, v: int) -> int:
-        """v minus its component in the span; 0 iff v lies in the span."""
-        for bit, row in self.rows.items():
-            if v & bit:
-                v ^= row
-        return v
-
-    def __contains__(self, v: int) -> bool:
-        return not self.reduce(v)
-
-    def add(self, v: int) -> bool:
-        """Insert v; False if it was already in the span."""
-        v = self.reduce(v)
-        if not v:
-            return False
-        self.insert(v, self.lead(v))
-        return True
-
-    def insert(self, v: int, p: int) -> int:
-        """Insert a nonzero row that `reduce` leaves unchanged, with its
-        leading column p; returns it with its pivot scaled to 1."""
-        low = 1 << p
-        for bit, row in self.rows.items():
-            if row & low:
-                self.rows[bit] = row ^ v
-        self.rows[low] = v
-        return v
-
-    def echelon(self) -> tuple[list[int], list[int]]:
-        """(rows, pivot columns) in increasing pivot order."""
-        order = sorted(self.rows)
-        return [self.rows[b] for b in order], [b.bit_length() - 1 for b in order]
-
-    def _column(self, j: int) -> int:
-        """The pivot bits of the rows that have bit j set."""
-        col = 0
-        for bit, row in self.rows.items():
-            if row >> j & 1:
-                col |= bit
-        return col
-
-    def solutions(self, ncols: int, nrhs: int) -> list[int]:
-        """For rows [A | B] (B in columns ncols..ncols+nrhs-1) whose pivots
-        all lie in A, the solution x_i of A x = b_i that is zero at the free
-        columns, one per column of B."""
-        return [self._column(i) for i in range(ncols, ncols + nrhs)]
-
-
-class _ModEchelon:
-    """The echelon form over F_d on int64 digit rows, keyed by pivot column,
-    with every pivot scaled to 1.  A set of packed rows is a 2-d array."""
-
-    def __init__(self, d: int) -> None:
+    def __init__(self, d: int, mat: np.ndarray) -> None:
+        mat = np.asarray(mat, dtype=np.int64) % d
         self.d = d
+        self.ncols = mat.shape[1]
         self.rows: dict[int, np.ndarray] = {}
-
-    def pack(self, mat: np.ndarray) -> np.ndarray:
-        return np.asarray(mat, dtype=np.int64) % self.d
-
-    @staticmethod
-    def unpack(rows, ncols: int) -> np.ndarray:
-        return np.asarray(rows, dtype=np.int64).reshape(len(rows), ncols)
-
-    @staticmethod
-    def units(count: int, ncols: int, first: int = 0) -> np.ndarray:
-        return np.eye(count, ncols, first, dtype=np.int64)
-
-    def combine(self, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return coeffs @ rows % self.d
-
-    def dual(self, row: np.ndarray, ncols: int) -> np.ndarray:
-        out = np.zeros_like(row)
-        out[0:ncols:2] = -row[1:ncols:2] % self.d
-        out[1:ncols:2] = row[0:ncols:2]
-        return out
-
-    @staticmethod
-    def lead(v: np.ndarray) -> int:
-        nonzero = v.nonzero()[0]
-        return int(nonzero[0]) if nonzero.size else -1
-
-    def drop_free(self, basis: np.ndarray, free: list[int], row: np.ndarray, p: int
-                  ) -> np.ndarray:
-        i = free.index(p)
-        basis = (basis - row[free][:, None] * basis[i]) % self.d
-        return np.concatenate((basis[:i], basis[i + 1:]))
+        for row in mat:
+            self.add(row)
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
+        """v minus its component in the span; zero iff v lies in the span."""
         for pc, row in self.rows.items():
             if v[pc]:
                 v = (v - v[pc] * row) % self.d
@@ -233,103 +99,160 @@ class _ModEchelon:
         return not self.reduce(v).any()
 
     def add(self, v: np.ndarray) -> bool:
+        """Insert v; False if it was already in the span."""
         v = self.reduce(v)
-        pc = self.lead(v)
-        if pc < 0:
+        nonzero = v.nonzero()[0]
+        if not nonzero.size:
             return False
-        self.insert(v, pc)
-        return True
-
-    def insert(self, v: np.ndarray, pc: int) -> np.ndarray:
+        pc = int(nonzero[0])
         v = v * pow(int(v[pc]), -1, self.d) % self.d
         for c, row in self.rows.items():
             if row[pc]:
                 self.rows[c] = (row - row[pc] * v) % self.d
         self.rows[pc] = v
-        return v
+        return True
 
-    def echelon(self) -> tuple[list[np.ndarray], list[int]]:
+    def echelon(self) -> tuple[np.ndarray, list[int]]:
+        """(rows, pivot columns) in increasing pivot order."""
         order = sorted(self.rows)
-        return [self.rows[c] for c in order], order
-
-    def solutions(self, ncols: int, nrhs: int) -> np.ndarray:
-        out = np.zeros((nrhs, ncols), dtype=np.int64)
-        for pc, row in self.rows.items():
-            out[:, pc] = row[ncols:ncols + nrhs]
-        return out
-
-
-def _echelon(d: int, mat: np.ndarray | None = None) -> _GF2Echelon | _ModEchelon:
-    """The echelon form over F_d of mat's rows (none if mat is None): the one
-    place that picks packed rows at d = 2."""
-    ech = _GF2Echelon() if d == 2 else _ModEchelon(d)
-    if mat is not None:
-        for row in ech.pack(mat):
-            ech.add(row)
-    return ech
+        return np.array([self.rows[c] for c in order]).reshape(-1, self.ncols), order
 
 
 class _DualEchelon:
-    """The echelon form of the rows [dual(g_i) | e_i] of a growing list of
-    vectors g_1..g_m in F_d^ambient (m <= dim), with the basis of
-    perp(span g) kept in place: row for row the nullspace basis read off the
-    form, one vector per free column.  The identity columns give
-    representatives y_j with <g_i, y_j> = delta_ij.  Packed g and perp rows
-    have width ambient + dim and are zero beyond `ambient`.
+    """The echelon forms of the rows [dual(g_1) | e_1], ..., [dual(g_m) | e_m]
+    of T growing lists of vectors in F_d^ambient (m <= dim), one list per
+    trial on a leading axis; every list has the same length m.
+
+    Each form is the reduced row echelon form of its rows, kept as (T, m,
+    ambient + dim) rows with their pivot columns.  A row's pivot lies left
+    of the identity columns exactly when g is outside the span of the
+    earlier g, so the form is also the membership test.  Beside it the
+    basis of perp(span g) is kept in place, row for row the nullspace basis
+    read off the form: one vector n_c per free column c, in increasing
+    order.  When a row r with pivot p joins, n_p is dropped and every other
+    n_c becomes n_c - r[c] n_p.  The identity columns give representatives
+    y_j with <g_i, y_j> = delta_ij.  A reduced echelon form and the
+    nullspace basis read off it are canonical, so every trial's rows equal
+    those of a form grown from its g alone.
     """
 
-    def __init__(self, d: int, ambient: int, dim: int) -> None:
+    def __init__(self, d: int, ambient: int, dim: int, trials: int = 1) -> None:
         self.d = d
         self.ambient = ambient
-        self.width = ambient + dim
-        self.ech = ech = _echelon(d)
-        self._units = ech.units(dim, self.width, ambient)
-        self.free = list(range(ambient))
-        self.perp = ech.units(ambient, self.width)
-        self.rows: list = []
+        self.dim = dim
+        self.size = 0
+        self.gens = np.zeros((trials, dim, ambient), dtype=np.int64)
+        self.rows = np.zeros((trials, dim, ambient + dim), dtype=np.int64)
+        self.pivots = np.zeros((trials, dim), dtype=np.int64)
+        self.free = np.tile(np.arange(ambient), (trials, 1))
+        self.perp = np.tile(np.eye(ambient, dtype=np.int64), (trials, 1, 1))
 
     @classmethod
     def of(cls, d: int, gens: np.ndarray, dim: int | None = None) -> "_DualEchelon":
-        """The form grown from the given rows, in order, with room for dim
-        rows in all (default: these)."""
-        gens = np.asarray(gens, dtype=np.int64)
+        """The form of one trial grown from the given rows, in order, with
+        room for dim rows in all (default: these)."""
+        gens = np.asarray(gens, dtype=np.int64) % d
         grown = cls(d, gens.shape[1], len(gens) if dim is None else dim)
-        for g in grown.pack(gens):
-            if not grown.add(g):
+        for g in gens:
+            if not grown.add(g[None]):
                 raise ValidationError("generators are linearly dependent")
         return grown
 
-    def pack(self, vecs: np.ndarray) -> list:
-        """int64 digit rows of length ambient as packed rows of the form."""
-        vecs = np.atleast_2d(vecs)
-        pad = np.zeros((len(vecs), self.width - self.ambient), dtype=np.int64)
-        return self.ech.pack(np.hstack([vecs, pad]))
+    @classmethod
+    def sample(cls, d: int, ambient: int, dim: int, rngs: list) -> "_DualEchelon":
+        """The forms of uniformly random self-orthogonal subspaces of the
+        given dimension, one per generator in rngs.
 
-    def add(self, g) -> bool:
-        """Append the packed row g; False, changing nothing, if g lies in the
-        span of the rows so far."""
-        ech = self.ech
-        r = ech.reduce(ech.dual(g, self.ambient) + self._units[len(self.rows)])
-        p = ech.lead(r)
-        if p >= self.ambient:
+        Trial t grows one dimension at a time with a uniform vector from
+        perp(current) \\ current: coefficients on the perp basis, drawn from
+        rngs[t] with `integers(0, d, len(free))` per attempt, until the
+        form takes one.  Bounded integer draws concatenate in the stream,
+        so every trial's digits come from one `integers(0, d, S)` call with
+        S = sum(ambient - i for i < dim) plus slack, and a trial that runs
+        out draws S more from its generator.
+        """
+        trials = len(rngs)
+        grown = cls(d, ambient, dim, trials)
+        size = sum(ambient - i for i in range(dim)) + ambient
+        digits = np.array([rng.integers(0, d, size) for rng in rngs])
+        filled = np.full(trials, size)
+        used = np.zeros(trials, dtype=np.int64)
+        for i in range(dim):
+            gens = np.empty((trials, ambient), dtype=np.int64)
+            rows = np.empty((trials, ambient + dim), dtype=np.int64)
+            todo = np.arange(trials)
+            while todo.size:
+                for t in todo[used[todo] + ambient - i > filled[todo]]:
+                    if filled[t] + size > digits.shape[1]:
+                        digits = np.pad(digits, ((0, 0), (0, size)))
+                    digits[t, filled[t]:filled[t] + size] = rngs[t].integers(0, d, size)
+                    filled[t] += size
+                coeffs = digits[todo[:, None], used[todo, None] + np.arange(ambient - i)]
+                used[todo] += ambient - i
+                g = _mod((coeffs[:, None, :] @ grown.perp[todo])[:, 0], d)
+                r = grown.reduce(g, todo)
+                took = r[:, :ambient].any(axis=1)
+                gens[todo[took]] = g[took]
+                rows[todo[took]] = r[took]
+                todo = todo[~took]
+            grown.insert(gens, rows)
+        return grown
+
+    def reduce(self, g: np.ndarray, at=slice(None)) -> np.ndarray:
+        """The rows [dual(g_i) | e_m] reduced by the forms of the trials at:
+        zero in the first ambient columns iff g_i lies in the span."""
+        m, ambient = self.size, self.ambient
+        r = np.zeros((len(g), ambient + self.dim), dtype=np.int64)
+        r[:, :ambient] = symplectic_dual(g, self.d)
+        r[:, ambient + m] = 1
+        # each form row is zero at the other rows' pivots: one pass reduces
+        coeffs = r[np.arange(len(r))[:, None], self.pivots[at, :m]]
+        return _mod(r - (coeffs[:, None, :] @ self.rows[at, :m])[:, 0], self.d)
+
+    def insert(self, gens: np.ndarray, rows: np.ndarray) -> None:
+        """Append gens[t] to form t, for every trial, given its reduced row
+        rows[t] with a pivot left of the identity columns."""
+        d, m = self.d, self.size
+        t = np.arange(len(gens))
+        p = (rows != 0).argmax(axis=1)
+        inverse = np.array([pow(x, -1, d) for x in rows[t, p].tolist()], dtype=np.int64)
+        r = _mod(rows * inverse[:, None], d)
+        done = self.rows[:, :m]
+        done[...] = _mod(done - self.rows[t, :m, p][:, :, None] * r[:, None, :], d)
+        n_p = self.perp[t, (self.free == p[:, None]).argmax(axis=1)]
+        perp = _mod(self.perp - r[t[:, None], self.free][:, :, None] * n_p[:, None, :], d)
+        keep = self.free != p[:, None]
+        self.perp = perp[keep].reshape(len(t), -1, self.ambient)
+        self.free = self.free[keep].reshape(len(t), -1)
+        self.gens[:, m] = gens
+        self.rows[:, m] = r
+        self.pivots[:, m] = p
+        self.size = m + 1
+
+    def add(self, gens: np.ndarray) -> bool:
+        """Append gens[t] to form t, for every trial; False, changing
+        nothing, if some gens[t] lies in the span of its form's rows."""
+        rows = self.reduce(gens)
+        if not rows[:, :self.ambient].any(axis=1).all():
             return False
-        r = ech.insert(r, p)
-        self.perp = ech.drop_free(self.perp, self.free, r, p)
-        self.free.remove(p)
-        self.rows.append(g)
+        self.insert(gens, rows)
         return True
 
     def basis(self) -> np.ndarray:
-        """The rows g_i as an int64 digit matrix."""
-        return self.ech.unpack(self.rows, self.width)[:, :self.ambient]
+        """The vectors g_i of every trial: (T, m, ambient)."""
+        return self.gens[:, :self.size]
 
     def perp_basis(self) -> np.ndarray:
-        """Basis rows of perp(span g), one per free column in increasing order."""
-        return self.ech.unpack(self.perp, self.width)[:, :self.ambient]
+        """Basis rows of perp(span g) of every trial, one per free column in
+        increasing order: (T, ambient - m, ambient)."""
+        return self.perp
 
     def reps(self) -> np.ndarray:
-        """Rows y_j with <g_i, y_j> = delta_ij."""
-        return self.ech.unpack(self.ech.solutions(self.ambient, len(self.rows)), self.ambient)
+        """Rows y_j with <g_i, y_j> = delta_ij of every trial: (T, m, ambient)."""
+        m, ambient = self.size, self.ambient
+        out = np.zeros((len(self.rows), ambient, m), dtype=np.int64)
+        out[np.arange(len(out))[:, None], self.pivots[:, :m]] = self.rows[:, :m, ambient:ambient + m]
+        return out.transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +274,10 @@ class Subspace:
         rows = np.asarray(basis, dtype=np.int64).reshape(-1, self.ambient) % self.d
         self.basis = rows
         self.basis.setflags(write=False)
-        self._ech = _echelon(self.d, rows)
-        red, _ = self._ech.echelon()
-        if len(red) != rows.shape[0]:
+        self._ech = _Echelon(self.d, rows)
+        self.canonical, _ = self._ech.echelon()
+        if len(self.canonical) != rows.shape[0]:
             raise ValidationError("generators are linearly dependent")
-        self.canonical = self._ech.unpack(red, self.ambient)
 
     @property
     def dim(self) -> int:
@@ -365,7 +287,7 @@ class Subspace:
         v = np.asarray(vec, dtype=np.int64)
         if v.shape != (self.ambient,):
             raise ValidationError("vector/ambient dimension mismatch")
-        return self._ech.pack(v[None, :])[0] in self._ech
+        return v % self.d in self._ech
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -389,7 +311,7 @@ def perp(L: Subspace) -> Subspace:
     """The symplectic orthogonal complement {y : <x, y> = 0 for all x in L}."""
     if L.ambient % 2 != 0:
         raise ValidationError("perp requires an even ambient dimension")
-    return Subspace(L.d, L.ambient, _DualEchelon.of(L.d, L.basis).perp_basis())
+    return Subspace(L.d, L.ambient, _DualEchelon.of(L.d, L.basis).perp_basis()[0])
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +397,11 @@ def hyperbolic_complete(L: Subspace, rng_seed: int) -> HyperbolicBasis:
     def partner(i: int) -> np.ndarray:
         """A uniform h with <x, h> = 1 for row i and 0 for every other row
         of the form so far, added to the form."""
-        h = grown.reps()[i]
-        if grown.free:
-            h = (h + rng.integers(0, d, len(grown.free)) @ grown.perp_basis()) % d
-        grown.add(grown.pack(h)[0])
+        h = grown.reps()[0, i]
+        perp_basis = grown.perp_basis()[0]
+        if len(perp_basis):
+            h = (h + rng.integers(0, d, len(perp_basis)) @ perp_basis) % d
+        grown.add(h[None])
         return h
 
     # stage 1: pair up the given generators, last to first
@@ -487,12 +410,13 @@ def hyperbolic_complete(L: Subspace, rng_seed: int) -> HyperbolicBasis:
     # stage 2: split the orthogonal remainder into fresh hyperbolic planes
     gs = list(L.basis)
     for _ in range(nk, n):
-        while not (coeffs := rng.integers(0, d, len(grown.free))).any():
+        perp_basis = grown.perp_basis()[0]
+        while not (coeffs := rng.integers(0, d, len(perp_basis))).any():
             pass
-        g = coeffs @ grown.perp_basis() % d
-        grown.add(grown.pack(g)[0])
+        g = coeffs @ perp_basis % d
+        grown.add(g[None])
         gs.append(g)
-        hs.append(partner(len(grown.rows) - 1))
+        hs.append(partner(grown.size - 1))
 
     basis = HyperbolicBasis(d, np.array(gs), np.array(hs))
     if not basis.gram_ok():
@@ -502,22 +426,6 @@ def hyperbolic_complete(L: Subspace, rng_seed: int) -> HyperbolicBasis:
 
 # ---------------------------------------------------------------------------
 # uniform sampling of self-orthogonal subspaces
-
-
-def _sample_isotropic(d: int, ambient: int, dim: int, rng: np.random.Generator
-                      ) -> _DualEchelon:
-    """The grown form of a uniformly random self-orthogonal subspace.
-
-    Grows one dimension at a time with a uniform vector from
-    perp(current) \\ current, on one echelon form of [dual | I] that gives
-    both the membership test and perp(current) without a fresh elimination.
-    """
-    grown = _DualEchelon(d, ambient, dim)
-    for _ in range(dim):
-        while not grown.add(grown.ech.combine(rng.integers(0, d, size=len(grown.free)),
-                                              grown.perp)):
-            pass
-    return grown
 
 
 def sample_self_orthogonal(d: int, ambient: int, dim: int, rng_seed) -> Subspace:
@@ -532,4 +440,4 @@ def sample_self_orthogonal(d: int, ambient: int, dim: int, rng_seed) -> Subspace
     if dim < 0 or dim > m:
         raise ValidationError(f"no isotropic subspace of dimension {dim} in dimension {ambient}")
     rng = np.random.default_rng(rng_seed)
-    return Subspace(d, ambient, _sample_isotropic(d, ambient, dim, rng).basis())
+    return Subspace(d, ambient, _DualEchelon.sample(d, ambient, dim, [rng]).basis()[0])

@@ -8,12 +8,12 @@ import math
 
 import numpy as np
 
-from qcap import GuardError, PauliChannel, StabilizerCode, ValidationError
+from qcap import GuardError, PauliChannel, SimConfig, StabilizerCode, ValidationError
 from qcap.exponent import _Objective
 from qcap.gf import index_to_digits
-from qcap.simconcat import _decode_ctx, _OuterContext
+from qcap.simconcat import sample_error
 from qcap.spectra import probability_array
-from qcap.symplectic import Subspace, _DualEchelon, symplectic_dual
+from qcap.symplectic import Subspace, symplectic_dual
 
 
 def digits_to_index(digits: np.ndarray, d: int) -> np.ndarray:
@@ -182,6 +182,102 @@ def reference_exponent(code: StabilizerCode, channel: PauliChannel, R: float) ->
     return max(obj.value(witness), 0.0)
 
 
+# ---------------------------------------------------------------------------
+# the decoder one trial at a time: the reference for simconcat's trial axis
+
+
+class OuterContext:
+    """The decoding machinery of one outer code with generator rows basis
+    (kN-K, 2kN): syndrome map, the two halves of the candidate coset
+    enumeration, and membership tests.  perp(C_out) and the syndrome
+    representatives come from dense elimination."""
+
+    def __init__(self, d: int, basis: np.ndarray, k: int, N: int):
+        self.d = d
+        self.k = k
+        self.N = N
+        length = 2 * k * N
+        basis = np.asarray(basis, dtype=np.int64).reshape(-1, length)
+        self.dual = symplectic_dual(basis, d)
+        # representatives y_i with <g'_i, y_j> = delta_ij, so that
+        # v0 = sigma @ reps has syndrome sigma
+        self.perp_basis = nullspace(self.dual, d, length)
+        self.reps = (solve_affine_multi(self.dual, np.eye(len(basis), dtype=np.int64), d)
+                     if len(basis) else np.zeros((0, length), dtype=np.int64))
+        # C_out = perp(perp(C_out)): x lies in C_out iff it pairs to zero
+        # with every row of perp_basis
+        self._perp_dual = symplectic_dual(self.perp_basis, d)
+        cols = d ** (2 * k)
+        self._dtype = np.min_scalar_type(cols - 1)
+        self._powers = d ** np.arange(2 * k, dtype=np.int64)
+        half = self.perp_basis.shape[0] // 2
+        self._head_span = self._span(self.perp_basis[:half])
+        tail = self._symbols(self._span(self.perp_basis[half:]))
+        # _tail_sums[j, s, b]: the symbol of s plus block j of the b-th vector
+        # of the second half's span, added digit by digit
+        symbols = np.arange(cols, dtype=self._dtype)
+        self._tail_sums = np.zeros((N, cols, tail.shape[1]), dtype=self._dtype)
+        for power in self._powers.tolist():
+            digit_sum = symbols[None, :, None] // power % d + tail[:, None, :] // power % d
+            self._tail_sums += digit_sum % d * power
+
+    def _span(self, basis: np.ndarray) -> np.ndarray:
+        """All d^h vectors of span(basis), basis (h, 2kN), as digit rows."""
+        h = basis.shape[0]
+        return index_to_digits(np.arange(self.d**h), self.d, h) @ basis % self.d
+
+    def _symbols(self, vecs: np.ndarray) -> np.ndarray:
+        """(N, m) per-block symbols of m digit vectors."""
+        blocks = vecs.reshape(-1, self.N, 2 * self.k) @ self._powers
+        return blocks.T.astype(self._dtype)
+
+    def syndrome(self, v_digits: np.ndarray) -> np.ndarray:
+        return (self.dual @ v_digits) % self.d
+
+    def contains(self, x: np.ndarray) -> bool:
+        return not (self._perp_dual @ x % self.d).any()
+
+    def candidate_symbols(self, sigma: np.ndarray) -> np.ndarray:
+        """Per-block logical symbols (N x Q) of every v' with syndrome sigma.
+
+        The coset v0 + perp(C_out) is enumerated as v0 + span(first half of
+        the basis) plus span(second half), summing symbols block by block.
+        """
+        v0 = (sigma @ self.reps) % self.d
+        head = self._symbols((self._head_span + v0) % self.d)
+        return self._tail_sums[np.arange(self.N)[:, None], head].reshape(self.N, -1)
+
+
+def decode_ctx(inner: StabilizerCode, ctx: OuterContext, z_indices: np.ndarray,
+               sigma: np.ndarray) -> np.ndarray:
+    """The candidate of minimum conditional type entropy among those with
+    outer syndrome sigma, scored per z-group with uint8 counts, screened by
+    a float product and compared exactly as Python ints."""
+    syms = ctx.candidate_symbols(sigma)
+    z = np.asarray(z_indices)
+    # counts[j, c]: the blocks of candidate c whose joint symbol (z, v') equals
+    # block j's; blocks with different syndromes never share one
+    counts = np.empty(syms.shape, dtype=np.uint8)
+    for s in set(z.tolist()):
+        group = np.flatnonzero(z == s)
+        block = syms[group]
+        counts[group] = (block[:, None, :] == block[None, :, :]).sum(axis=1, dtype=np.uint8)
+    # the product over blocks is the entropy key prod c^c; as a float it is
+    # exact below 2^53 and within N ulps beyond, so it only screens
+    score = counts.prod(axis=0, dtype=np.float64)
+    near = np.flatnonzero(score >= score.max() * (1 - 1e-12))
+    if near.size > 1:
+        keys = [math.prod(col) for col in counts[:, near].T.tolist()]
+        top = max(keys)
+        tied = near[[key == top for key in keys]]
+        digits = index_to_digits(syms[:, tied].T.ravel(), inner.d, 2 * inner.k)
+        rows = digits.reshape(tied.size, -1).tolist()
+        winner = int(tied[min(range(tied.size), key=rows.__getitem__)])
+    else:
+        winner = int(near[0])
+    return syms[:, winner].astype(np.int64)
+
+
 def decode_min_conditional_entropy(inner: StabilizerCode, outer: Subspace | StabilizerCode,
                                    z_indices: np.ndarray, sigma: np.ndarray
                                    ) -> np.ndarray:
@@ -192,8 +288,40 @@ def decode_min_conditional_entropy(inner: StabilizerCode, outer: Subspace | Stab
     Returns the column indices of the decoded logical labels, one per block.
     """
     sub = outer.subspace if isinstance(outer, StabilizerCode) else outer
-    ctx = _OuterContext(_DualEchelon.of(inner.d, sub.basis), inner.k, len(z_indices))
-    return _decode_ctx(inner, ctx, np.asarray(z_indices), np.asarray(sigma))
+    ctx = OuterContext(inner.d, sub.basis, inner.k, len(z_indices))
+    return decode_ctx(inner, ctx, np.asarray(z_indices), np.asarray(sigma))
+
+
+def simulate_per_trial(cfg: SimConfig) -> list[dict]:
+    """The trace of simconcat.simulate(cfg), one trial at a time: each trial
+    draws its outer code with the dense sampler (the same draws as the
+    library's) from the generator (seed, t, 1), or reuses the explicit code
+    or the one drawn from (seed, 0, 2); samples its errors with
+    sample_error from (seed, t); decodes with decode_ctx."""
+    inner = cfg.inner
+    d, k, N, K = inner.d, inner.k, cfg.N, cfg.K
+    arr = probability_array(inner, cfg.channel)
+    ambient, dim = 2 * k * N, k * N - K
+    fixed = None
+    if cfg.outer is not None:
+        fixed = OuterContext(d, cfg.outer.basis, k, N)
+    elif not cfg.resample_outer:
+        rows = random_isotropic_dense(d, ambient, dim, np.random.default_rng((cfg.seed, 0, 2)))
+        fixed = OuterContext(d, rows, k, N)
+    col_digits = index_to_digits(np.arange(arr.cols), d, 2 * k)
+    trace = []
+    for t in range(cfg.trials):
+        ctx = fixed
+        if ctx is None:
+            rows = random_isotropic_dense(d, ambient, dim, np.random.default_rng((cfg.seed, t, 1)))
+            ctx = OuterContext(d, rows, k, N)
+        z, v = sample_error(arr, N, np.random.default_rng((cfg.seed, t)))
+        v_digits = col_digits[v].ravel()
+        v_hat = decode_ctx(inner, ctx, z, ctx.syndrome(v_digits))
+        ok = ctx.contains((col_digits[v_hat].ravel() - v_digits) % d)
+        trace.append({"trial": t, "failure": not ok, "z": z.tolist(), "v": v.tolist(),
+                      "v_hat": v_hat.tolist()})
+    return trace
 
 
 def fidelity_bound_brute(inner: StabilizerCode, N: int, K: int, channel: PauliChannel,

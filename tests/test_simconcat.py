@@ -1,4 +1,5 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -15,18 +16,18 @@ from qcap import (
     hyperbolic_complete,
     sample_self_orthogonal,
 )
+from qcap import simconcat
 from qcap.exponent import compositions
 from qcap.gf import index_to_digits
-from qcap.symplectic import _DualEchelon, _sample_isotropic, symplectic_dual
+from qcap.symplectic import _DualEchelon, symplectic_dual
 from qcap.simconcat import (
     SimConfig,
-    _OuterContext,
-    _decode_ctx,
+    _Contexts,
     fidelity_bound_exact,
     sample_error,
     simulate,
 )
-from qcap.spectra import probability_array
+from qcap.spectra import ProbabilityArray, probability_array
 
 from oracles import (
     decode_min_conditional_entropy,
@@ -34,6 +35,7 @@ from oracles import (
     nullspace,
     random_isotropic_dense,
     rref,
+    simulate_per_trial,
     solve_affine,
 )
 
@@ -66,6 +68,25 @@ def test_sample_error_syndrome_marginal():
     assert np.abs(emp - arr.syndrome_marginal()).max() < 0.01
 
 
+class _FixedUniform:
+    """Stands in for a Generator whose uniform draws all equal u."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self, n: int) -> np.ndarray:
+        return np.full(n, self.u)
+
+
+def test_sample_error_never_lands_on_an_impossible_cell():
+    # the cumulative sum reaches only 1 - 2^-53 at the last positive cell, so
+    # the largest uniform double below 1 lies past it
+    table = np.array([[0.7, 0.2, 0.1, 0.0]])
+    assert np.cumsum(table)[2] < 1.0
+    z, v = sample_error(ProbabilityArray(2, 1, 1, table), 3, _FixedUniform(1 - 2.0**-53))
+    assert (table[z, v] > 0).all()
+
+
 def test_decoder_zero_syndrome_zero_error():
     outer = sample_self_orthogonal(2, 12, 5, 3)
     z = np.zeros(6, dtype=np.int64)
@@ -78,13 +99,13 @@ def test_decoder_output_satisfies_syndrome():
     rng = np.random.default_rng(8)
     arr = probability_array(REP3, depolarizing(2, 0.12))
     outer = sample_self_orthogonal(2, 12, 4, 9)
-    ctx = _OuterContext(_DualEchelon.of(2, outer.basis), 1, 6)
+    ctx = _Contexts.of(REP3, 6, _DualEchelon.of(2, outer.basis))
     col_digits = index_to_digits(np.arange(arr.cols), 2, 2)
-    for _ in range(200):
-        z, v = sample_error(arr, 6, rng)
-        sigma = ctx.syndrome(col_digits[v].ravel())
-        v_hat = _decode_ctx(REP3, ctx, z, sigma)
-        assert (ctx.syndrome(col_digits[v_hat].ravel()) == sigma).all()
+    errors = [sample_error(arr, 6, rng) for _ in range(200)]
+    z, v = (np.array(part) for part in zip(*errors))
+    v_hat, _ = ctx.decode(z, v)
+    sigma = ctx.syndrome(col_digits[v].reshape(200, -1))
+    assert (ctx.syndrome(col_digits[v_hat].reshape(200, -1)) == sigma).all()
 
 
 def test_decoder_success_indicator_cross_validated():
@@ -94,18 +115,17 @@ def test_decoder_success_indicator_cross_validated():
     N, K = 6, 1
     arr = probability_array(inner, depolarizing(2, 0.1))
     outer = sample_self_orthogonal(2, 2 * N, N - K, 77)
-    ctx = _OuterContext(_DualEchelon.of(2, outer.basis), 1, N)
+    ctx = _Contexts.of(inner, N, _DualEchelon.of(2, outer.basis))
     col_digits = index_to_digits(np.arange(arr.cols), 2, 2)
     members = {tuple((c @ outer.basis) % 2)
                for c in index_to_digits(np.arange(2**outer.dim), 2, outer.dim)}
+    errors = [sample_error(arr, N, rng) for _ in range(1000)]
+    z, v = (np.array(part) for part in zip(*errors))
+    v_hat, ok = ctx.decode(z, v)
     agree = 0
-    for _ in range(1000):
-        z, v = sample_error(arr, N, rng)
-        vd = col_digits[v].ravel()
-        sigma = ctx.syndrome(vd)
-        v_hat = _decode_ctx(inner, ctx, z, sigma)
-        diff = (col_digits[v_hat].ravel() - vd) % 2
-        assert ctx.contains(diff) == (tuple(diff) in members)
+    for vt, ht, good in zip(v, v_hat, ok.tolist()):
+        diff = (col_digits[ht].ravel() - col_digits[vt].ravel()) % 2
+        assert good == (tuple(diff) in members)
         agree += 1
     assert agree == 1000
 
@@ -157,22 +177,34 @@ def random_decode_case(draw):
 @given(random_decode_case())
 def test_decoder_matches_reference_on_random_codes(case):
     inner, outer, z, sigma = case
-    ctx = _OuterContext(_DualEchelon.of(inner.d, outer.basis), inner.k, len(z))
-    v_hat = _decode_ctx(inner, ctx, z, sigma)
-    assert v_hat.tolist() == reference_decode(inner, outer, z, sigma).tolist()
+    d, k, N = inner.d, inner.k, len(z)
+    # a logical sequence with outer syndrome sigma: the engine reads the
+    # syndrome off the sequence
+    dual = symplectic_dual(outer.basis, d).reshape(-1, 2 * k * N)
+    v_digits = (solve_affine(dual, sigma, d) if outer.dim
+                else np.zeros(2 * k * N, dtype=np.int64))
+    v = v_digits.reshape(N, 2 * k) @ d ** np.arange(2 * k)
+    ctx = _Contexts.of(inner, N, _DualEchelon.of(d, outer.basis))
+    v_hat, _ = ctx.decode(z[None], v[None])
+    assert v_hat[0].tolist() == reference_decode(inner, outer, z, sigma).tolist()
 
 
 def test_syndrome_invariant_under_code_shifts():
     outer = sample_self_orthogonal(2, 16, 6, 13)
-    ctx = _OuterContext(_DualEchelon.of(2, outer.basis), 1, 8)
+    ctx = _Contexts.of(TRIV, 8, _DualEchelon.of(2, outer.basis))
     rng = np.random.default_rng(2)
-    for _ in range(100):
-        v = rng.integers(0, 2, 16)
-        c = (rng.integers(0, 2, outer.dim) @ outer.basis) % 2
-        assert (ctx.syndrome(v) == ctx.syndrome((v + c) % 2)).all()
-        # failure indicator of a shifted truth is unchanged
-        diff = rng.integers(0, 2, 16)
-        assert ctx.contains(diff) == ctx.contains((diff + c) % 2)
+    v = rng.integers(0, 2, (100, 16))
+    c = (rng.integers(0, 2, (100, outer.dim)) @ outer.basis) % 2
+    assert (ctx.syndrome(v) == ctx.syndrome((v + c) % 2)).all()
+    # failure indicator of a shifted truth is unchanged
+    diff = rng.integers(0, 2, (100, 16))
+    assert (ctx.contains(diff) == ctx.contains((diff + c) % 2)).all()
+    # and so is the decoding of a shifted truth
+    z = np.zeros((100, 8), dtype=np.int64)
+    weights = 2 ** np.arange(2)
+    first = ctx.decode(z, v.reshape(100, 8, 2) @ weights)
+    shifted = ctx.decode(z, ((v + c) % 2).reshape(100, 8, 2) @ weights)
+    assert np.array_equal(first[0], shifted[0]) and np.array_equal(first[1], shifted[1])
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -187,13 +219,14 @@ def test_context_membership_matches_subspace(d, k, N, K, seed):
     while d ** (k * N + K) > 4096:
         K -= 1
     outer = sample_self_orthogonal(d, 2 * k * N, k * N - K, seed)
-    ctx = _OuterContext(_DualEchelon.of(d, outer.basis), k, N)
+    inner = catalog(f"trivial{k}", d)
+    ctx = _Contexts.of(inner, N, _DualEchelon.of(d, outer.basis))
     rng = np.random.default_rng(seed)
     members = (rng.integers(0, d, (10, outer.dim)) @ outer.basis) % d
     noise = rng.integers(0, d, (10, 2 * k * N))
-    assert all(ctx.contains(x) for x in members)
-    for x in np.vstack([noise, (members + noise) % d]):
-        assert ctx.contains(x) == outer.contains(x)
+    assert ctx.contains(members).all()
+    others = np.vstack([noise, (members + noise) % d])
+    assert ctx.contains(others).tolist() == [outer.contains(x) for x in others]
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -217,29 +250,31 @@ def test_shared_echelon_matches_nullspace_dense_sampler_and_explicit_context(d, 
         row = rng.integers(0, d, ambient)
         if rows.shape[0] and rng.integers(0, 3) == 0:
             row = rng.integers(0, d, rows.shape[0]) @ rows % d
-        added = grown.add(grown.pack(row)[0])
+        added = grown.add(row[None])
         assert added == (rref(np.vstack([rows, row]), d)[0].shape[0] > rows.shape[0])
         if added:
             rows = np.vstack([rows, row])
-        assert np.array_equal(grown.perp_basis(),
+        assert np.array_equal(grown.perp_basis()[0],
                               nullspace(symplectic_dual(rows, d), d, ambient))
-    assert np.array_equal(grown.basis(), rows)
+    assert np.array_equal(grown.basis()[0], rows)
     # the sampler draws what the dense reference draws
-    sampled = _sample_isotropic(d, ambient, dim, np.random.default_rng(seed))
-    basis = sampled.basis()
+    sampled = _DualEchelon.sample(d, ambient, dim, [np.random.default_rng(seed)])
+    basis = sampled.basis()[0]
     assert np.array_equal(basis, random_isotropic_dense(d, ambient, dim,
                                                         np.random.default_rng(seed)))
     # a context on the sampler's form equals one grown from the same rows
-    ctx = _OuterContext(sampled, k, N)
-    explicit = _OuterContext(_DualEchelon.of(d, basis), k, N)
-    assert np.array_equal(ctx.perp_basis, explicit.perp_basis)
-    assert np.array_equal(ctx.reps, explicit.reps)
-    assert np.array_equal(symplectic_dual(basis, d) @ ctx.reps.T % d,
+    explicit = _DualEchelon.of(d, basis)
+    assert np.array_equal(sampled.perp_basis(), explicit.perp_basis())
+    assert np.array_equal(sampled.reps(), explicit.reps())
+    assert np.array_equal(symplectic_dual(basis, d) @ sampled.reps()[0].T % d,
                           np.eye(dim, dtype=np.int64))
+    inner = catalog(f"trivial{k}", d)
+    ctx, explicit_ctx = _Contexts.of(inner, N, sampled), _Contexts.of(inner, N, explicit)
     members = rng.integers(0, d, (10, dim)) @ basis % d
-    for x in np.vstack([members, rng.integers(0, d, (20, ambient))]):
-        assert ctx.contains(x) == explicit.contains(x)
-        assert ctx.contains(x) == (rref(np.vstack([basis, x]), d)[0].shape[0] == dim)
+    xs = np.vstack([members, rng.integers(0, d, (20, ambient))])
+    assert np.array_equal(ctx.contains(xs), explicit_ctx.contains(xs))
+    assert ctx.contains(xs).tolist() == [rref(np.vstack([basis, x]), d)[0].shape[0] == dim
+                                         for x in xs]
 
 
 def test_simulate_noiseless_never_fails():
@@ -257,6 +292,68 @@ def test_simulate_bit_for_bit_deterministic():
     fixed = SimConfig(inner=TRIV, outer=None, N=6, K=1, channel=depolarizing(2, 0.1),
                       trials=300, seed=21)
     assert simulate(fixed) == simulate(fixed)
+
+
+@st.composite
+def random_simulation(draw):
+    """A random inner code with k >= 1 under a random Pauli channel, N and K
+    with at most 729 decoding candidates, and an outer code that is
+    resampled every trial, drawn once from the seed, or given."""
+    d = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, {2: 3, 3: 2, 5: 1}[d]))
+    k = draw(st.integers(1, n))
+    seeds = st.integers(0, 2**32 - 1)
+    subspace = sample_self_orthogonal(d, 2 * n, n - k, draw(seeds))
+    inner = StabilizerCode(subspace, hyperbolic_complete(subspace, draw(seeds)))
+    N = draw(st.sampled_from([N for N in range(1, 7) if d ** (k * N) <= 729]))
+    K = draw(st.sampled_from([K for K in range(k * N + 1) if d ** (k * N + K) <= 729]))
+    weights = np.array([draw(st.integers(1, 50))]
+                       + draw(st.lists(st.integers(0, 4), min_size=d * d - 1,
+                                       max_size=d * d - 1)), dtype=float)
+    mode = draw(st.sampled_from(("resampled", "fixed", "explicit")))
+    outer = (sample_self_orthogonal(d, 2 * k * N, k * N - K, draw(seeds))
+             if mode == "explicit" else None)
+    return dict(inner=inner, outer=outer, N=N, K=K,
+                channel=PauliChannel(d, weights / weights.sum()), seed=draw(seeds),
+                resample_outer=mode == "resampled", record_trace=True)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(random_simulation(), st.sampled_from((None, -1, 0, 1)), st.sampled_from((1, 1 << 12, None)))
+def test_trial_axis_matches_per_trial_reference(config, offset, cells):
+    # trace for trace against the decoder run one trial at a time, with one
+    # trial or B - 1, B and B + 1 around the batch size B, and budgets that
+    # decode one trial, a few, or a whole batch at a time
+    trials = 1 if offset is None else simconcat._BATCH + offset
+    cfg = SimConfig(trials=trials, **config)
+    with patch.object(simconcat, "_DECODE_CELLS", cells or simconcat._DECODE_CELLS):
+        report = simulate(cfg)
+    want = simulate_per_trial(cfg)
+    assert list(report.trace) == want
+    assert report.failures == sum(t["failure"] for t in want)
+
+
+@pytest.mark.parametrize("name, d, N, K, mode", [
+    ("rep3", 2, 6, 1, "resampled"), ("trivial1", 3, 5, 1, "resampled"),
+    ("trivial1", 5, 3, 1, "resampled"), ("rep2", 3, 4, 1, "fixed"), ("rep3", 2, 6, 2, "explicit")])
+def test_trial_axis_matches_per_trial_reference_on_catalog_codes(name, d, N, K, mode):
+    code = catalog(name, d)
+    outer = (sample_self_orthogonal(d, 2 * code.k * N, code.k * N - K, 5)
+             if mode == "explicit" else None)
+    cfg = SimConfig(inner=code, outer=outer, N=N, K=K, channel=depolarizing(d, 0.1),
+                    trials=simconcat._BATCH + 1, seed=3, resample_outer=mode == "resampled",
+                    record_trace=True)
+    assert list(simulate(cfg).trace) == simulate_per_trial(cfg)
+
+
+def test_trial_axis_matches_per_trial_reference_one_trial_at_a_time():
+    # configs whose candidates alone fill the budget decode one trial at a time
+    for name, d, N, K, p in (("rep3", 2, 12, 3, 0.03), ("trivial1", 3, 8, 2, 0.1)):
+        code = catalog(name, d)
+        assert simconcat._decode_size(d, code.k, N, K) == 1
+        cfg = SimConfig(inner=code, outer=None, N=N, K=K, channel=depolarizing(d, p),
+                        trials=3, seed=11, resample_outer=True, record_trace=True)
+        assert list(simulate(cfg).trace) == simulate_per_trial(cfg)
 
 
 def test_simulate_trace():
@@ -441,10 +538,9 @@ def test_unencoded_inner_scores_ignore_syndromes():
     arr = probability_array(TRIV, depolarizing(2, 0.1))
     assert arr.rows == 1
     outer = sample_self_orthogonal(2, 10, 4, 1)
-    ctx = _OuterContext(_DualEchelon.of(2, outer.basis), 1, 5)
-    z = np.zeros(5, dtype=np.int64)
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        sigma = rng.integers(0, 2, outer.dim)
-        v_hat = _decode_ctx(TRIV, ctx, z, sigma)
-        assert (ctx.syndrome(index_to_digits(v_hat, 2, 2).ravel()) == sigma).all()
+    ctx = _Contexts.of(TRIV, 5, _DualEchelon.of(2, outer.basis))
+    z = np.zeros((50, 5), dtype=np.int64)
+    v = np.random.default_rng(0).integers(0, arr.cols, (50, 5))
+    v_hat, _ = ctx.decode(z, v)
+    sigma = ctx.syndrome(index_to_digits(v.ravel(), 2, 2).reshape(50, -1))
+    assert (ctx.syndrome(index_to_digits(v_hat.ravel(), 2, 2).reshape(50, -1)) == sigma).all()

@@ -13,7 +13,7 @@ from qcap import (
     symplectic_form,
 )
 from qcap.gf import index_to_digits
-from qcap.symplectic import _DualEchelon, _echelon, gram_matrix, symplectic_dual
+from qcap.symplectic import _DualEchelon, _Echelon, gram_matrix, symplectic_dual
 
 from oracles import (
     digits_to_index,
@@ -34,13 +34,12 @@ def random_self_orthogonal(d, n, dim, seed):
 
 def test_rref_and_nullspace_mod3():
     mat = np.array([[1, 2, 0], [2, 1, 1]])
-    ech = _echelon(3, mat)
-    red, piv = ech.echelon()
+    red, piv = _Echelon(3, mat).echelon()
     assert piv == [0, 2]  # second row reduces to (0, 0, 1)
-    assert ech.unpack(red, 3).tolist() == [[1, 2, 0], [0, 0, 1]]
+    assert red.tolist() == [[1, 2, 0], [0, 0, 1]]
     # the nullspace of the dual rows, read off their [dual | I] form
     rows = np.array([[1, 2, 0, 1], [0, 1, 1, 2]])
-    ker = _DualEchelon.of(3, rows).perp_basis()
+    ker = _DualEchelon.of(3, rows).perp_basis()[0]
     assert ker.shape == (2, 4)
     assert not (symplectic_dual(rows, 3) @ ker.T % 3).any()
 
@@ -48,7 +47,7 @@ def test_rref_and_nullspace_mod3():
 def test_solve_affine():
     # the identity columns of the [dual | I] form solve <g_i, y_j> = delta_ij
     rows = np.array([[1, 2, 0, 1], [0, 1, 1, 2]])
-    reps = _DualEchelon.of(3, rows).reps()
+    reps = _DualEchelon.of(3, rows).reps()[0]
     assert (gram_matrix(rows, reps, 3) == np.eye(2, dtype=np.int64)).all()
     with pytest.raises(ValidationError):
         _DualEchelon.of(3, np.array([[1, 2, 0, 1], [2, 1, 0, 2]]))
@@ -268,10 +267,9 @@ def test_echelon_matches_dense_oracle(d, nrows, ncols, seed):
     mat = rng.integers(0, d, (nrows, ncols))
     if nrows and rng.integers(0, 2):  # force a dependent row
         mat[-1] = (mat[0] + mat[rng.integers(0, nrows)]) % d
-    ech = _echelon(d, mat)
-    rows, pivots = ech.echelon()
+    rows, pivots = _Echelon(d, mat).echelon()
     red, want_pivots = rref(mat, d)
-    assert pivots == want_pivots and np.array_equal(ech.unpack(rows, ncols), red)
+    assert pivots == want_pivots and np.array_equal(rows, red)
     # perp and the representatives read off the [dual | I] form of mat's
     # independent rows, widened to an even ambient dimension
     ambient = 2 * (1 + ncols // 2)
@@ -281,9 +279,9 @@ def test_echelon_matches_dense_oracle(d, nrows, ncols, seed):
             rows = np.vstack([rows, row])
     grown = _DualEchelon.of(d, rows)
     dual = symplectic_dual(rows, d)
-    assert np.array_equal(grown.perp_basis(), nullspace(dual, d, ambient))
+    assert np.array_equal(grown.perp_basis()[0], nullspace(dual, d, ambient))
     if len(rows):
-        assert np.array_equal(grown.reps(),
+        assert np.array_equal(grown.reps()[0],
                               solve_affine_multi(dual, np.eye(len(rows), dtype=np.int64), d))
     # the incremental sampler draws the same coefficients as the dense one
     dim = int(rng.integers(0, ambient // 2 + 1))
@@ -296,6 +294,53 @@ def test_echelon_matches_dense_oracle(d, nrows, ncols, seed):
     for v in rng.integers(0, d, (20, ambient)).tolist() + basis.tolist() + members.tolist():
         v = np.array(v)
         assert L.contains(v) == (rref(np.vstack([basis, v]), d)[0].shape[0] == dim)
+
+
+@pytest.mark.parametrize("d", (2, 3, 5))
+def test_bounded_integer_draws_concatenate(d):
+    # the trial-axis sampler takes each trial's digits from one draw and reads
+    # on from a refill of the same generator: numpy's bounded integer draws
+    # must concatenate, and leave the stream where the separate draws would
+    for seed in range(50):
+        a, b = 1 + seed % 17, 1 + seed % 5 * 7
+        split = np.random.default_rng(seed)
+        parts = np.concatenate([split.integers(0, d, a), split.integers(0, d, b)])
+        whole = np.random.default_rng(seed)
+        assert np.array_equal(parts, whole.integers(0, d, a + b))
+        assert np.array_equal(split.integers(0, d, 9), whole.integers(0, d, 9))
+
+
+class _CountingDraws:
+    """A generator that counts the digits drawn through integers()."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.drawn = 0
+
+    def integers(self, low, high, size):
+        self.drawn += size
+        return self.rng.integers(low, high, size)
+
+
+@pytest.mark.parametrize("d, ambient, dim, trials",
+                         [(2, 2, 1, 300), (2, 8, 4, 100), (3, 6, 3, 60), (5, 4, 2, 60),
+                          (3, 10, 0, 5)])
+def test_trial_axis_sampler_matches_per_trial_dense_sampler(d, ambient, dim, trials):
+    grown = _DualEchelon.sample(d, ambient, dim,
+                                [np.random.default_rng((7, t)) for t in range(trials)])
+    counters = [_CountingDraws(np.random.default_rng((7, t))) for t in range(trials)]
+    for t, rng in enumerate(counters):
+        rows = random_isotropic_dense(d, ambient, dim, rng)
+        assert np.array_equal(grown.basis()[t], rows)
+        dual = symplectic_dual(rows, d)
+        assert np.array_equal(grown.perp_basis()[t], nullspace(dual, d, ambient))
+        if dim:
+            assert np.array_equal(grown.reps()[t],
+                                  solve_affine_multi(dual, np.eye(dim, dtype=np.int64), d))
+    if (d, ambient, dim) == (2, 2, 1):
+        # the first draw holds ambient + ambient = 4 digits; a trial that
+        # rejects the zero vector twice reads on from a refill
+        assert max(rng.drawn for rng in counters) > 4
 
 
 def test_random_isotropic_basis_matches_subspace_contract():
