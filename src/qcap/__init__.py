@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from ._util import ConvergenceError, GuardError, QcapError, ValidationError
 from .channels import PauliChannel, depolarizing, product_prob, shannon_entropy
 from .codes import (
-    ConcatenatedCode,
     StabilizerCode,
     bar_map,
     catalog,
@@ -39,7 +38,6 @@ __all__ = [
     "depolarizing",
     "product_prob",
     "shannon_entropy",
-    "ConcatenatedCode",
     "StabilizerCode",
     "bar_map",
     "catalog",

@@ -10,12 +10,12 @@ t encodes the pair (u, v) = (t mod d, t div d); e.g. over d=3 the string
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import ValidationError
+from ._util import GuardError, ValidationError
 from .gf import _check_modulus
 from .symplectic import (
     HyperbolicBasis,
@@ -37,8 +37,6 @@ class StabilizerCode:
 
     def __init__(self, subspace: Subspace, completion: HyperbolicBasis | None = None,
                  *, name: str | None = None) -> None:
-        if subspace.ambient % 2 != 0:
-            raise ValidationError("code ambient dimension must be even")
         if not is_self_orthogonal(subspace):
             raise ValidationError("stabilizer generators must be mutually orthogonal")
         self.subspace = subspace
@@ -127,6 +125,13 @@ def _repetition_generators(d: int, n: int) -> np.ndarray:
     return gens
 
 
+def _check_size(d: int, n: int) -> None:
+    """Refuse n qudits over F_d before anything is built: every use of a code
+    needs an array of at least d^n cells, and the default array guard is 2^40."""
+    if n * math.log2(d) > 40:
+        raise GuardError(f"d^n = {d}^{n} cells exceed the array guard 2^40")
+
+
 def catalog_names() -> list[str]:
     return ["trivial(n)", "rep(n)", "five_qubit"]
 
@@ -136,12 +141,14 @@ def catalog(name: str, d: int) -> StabilizerCode:
 
     Supported names: trivial(n) for any n >= 1, rep(n) for any n >= 2 and any
     prime d, five_qubit (d = 2 only).  Parentheses are optional: rep7 == rep(7).
+    Raises GuardError when d^n exceeds 2^40, before anything is built.
     """
     d = _check_modulus(d)
     name = name.strip().lower()
     m = re.fullmatch(r"(rep|trivial)\(?(\d+)\)?", name)
     if m:
         kind, n = m.group(1), int(m.group(2))
+        _check_size(d, n)
         if kind == "trivial":
             if n < 1:
                 raise ValidationError("trivial(n) needs n >= 1")
@@ -196,6 +203,7 @@ def read_code_file(path) -> StabilizerCode:
     if not 0 <= k <= n:
         raise ValidationError(f"code file header needs 0 <= k <= n, got k = {k} with n = {n}")
     d = _check_modulus(d)
+    _check_size(d, n)
     rows = []
     for no, ln in lines[1:]:
         if " " in ln:
@@ -258,22 +266,7 @@ def bar_map(inner: StabilizerCode, x: np.ndarray) -> np.ndarray:
     return (x @ _bar_matrix(inner, N)) % inner.d
 
 
-@dataclass(frozen=True)
-class ConcatenatedCode:
-    inner: StabilizerCode
-    outer: StabilizerCode
-    result: StabilizerCode
-
-    @property
-    def N(self) -> int:
-        return self.outer.n // self.inner.k
-
-    @property
-    def K(self) -> int:
-        return self.outer.k
-
-
-def concatenate(inner: StabilizerCode, outer: StabilizerCode) -> ConcatenatedCode:
+def concatenate(inner: StabilizerCode, outer: StabilizerCode) -> StabilizerCode:
     """Concatenate an (n, k) inner code with an outer code over F_d^{2kN}.
 
     The result spans the N embedded copies of the inner generators together
@@ -302,7 +295,7 @@ def concatenate(inner: StabilizerCode, outer: StabilizerCode) -> ConcatenatedCod
         name=f"concat[{inner.name or 'inner'};{outer.name or 'outer'}]")
     if result.k != outer.k:
         raise ValidationError("concatenated dimension check failed")
-    return ConcatenatedCode(inner, outer, result)
+    return result
 
 
 def direct_sum(a: StabilizerCode, b: StabilizerCode) -> StabilizerCode:

@@ -24,19 +24,19 @@ of form a drawn v lies in the span exactly when dual(v) reduces to zero on
 the first 2m columns, and perp(current) is updated in place when a row with
 a new pivot p joins (drop n_p, subtract r[c] n_p from every other n_c).
 The decoder takes its perp basis and syndrome representatives from the
-sampler's form, and `perp` reads its basis off a form grown from L, so the
-completion, perp, the sampler and the decoder context all grow one
-[dual | I] form.
+sampler's form, and a Subspace keeps the perp basis read off a form grown
+from its generators, so the completion, perp, the sampler, the decoder
+context and every Subspace grow one [dual | I] form (`_DualEchelon`).
 
-Canonical forms and membership of a Subspace run on an incremental reduced
-row echelon form of int64 digit rows mod d (`_Echelon`).  The completion,
-perp, the sampler and the decoder's coset machinery grow the echelon form of
-[dual | I] (`_DualEchelon`), held for T independent lists of vectors on a
-leading trial axis: the decoder samples the outer codes of a whole batch of
-trials at once, and everything else uses T = 1.  Over any field the reduced
-row echelon form of a row space is unique, and so is the nullspace basis
-read off it, so every trial's rows equal those of a form grown alone; the
-dense Gauss-Jordan elimination in tests/oracles.py is the reference.
+The form is held for T independent lists of vectors on a leading trial
+axis: the decoder samples the outer codes of a whole batch of trials at
+once, and everything else uses T = 1.  Over any field the reduced row
+echelon form of a row space is unique, and so is the nullspace basis read
+off it, so every trial's rows equal those of a form grown alone.  For the
+same reason a Subspace's perp basis is a canonical form: L = perp(perp(L)),
+so two subspaces are equal exactly when their perp bases are, and v lies in
+L exactly when it pairs to zero with every row.  The dense Gauss-Jordan
+elimination in tests/oracles.py is the reference.
 """
 
 from __future__ import annotations
@@ -72,50 +72,7 @@ def gram_matrix(rows_a: np.ndarray, rows_b: np.ndarray, d: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the echelon forms
-
-
-class _Echelon:
-    """The reduced row echelon form over F_d of a growing set of int64 digit
-    rows, kept as {pivot column: row} with every pivot scaled to 1 and every
-    row zero at the others' pivots."""
-
-    def __init__(self, d: int, mat: np.ndarray) -> None:
-        mat = np.asarray(mat, dtype=np.int64) % d
-        self.d = d
-        self.ncols = mat.shape[1]
-        self.rows: dict[int, np.ndarray] = {}
-        for row in mat:
-            self.add(row)
-
-    def reduce(self, v: np.ndarray) -> np.ndarray:
-        """v minus its component in the span; zero iff v lies in the span."""
-        for pc, row in self.rows.items():
-            if v[pc]:
-                v = (v - v[pc] * row) % self.d
-        return v
-
-    def __contains__(self, v: np.ndarray) -> bool:
-        return not self.reduce(v).any()
-
-    def add(self, v: np.ndarray) -> bool:
-        """Insert v; False if it was already in the span."""
-        v = self.reduce(v)
-        nonzero = v.nonzero()[0]
-        if not nonzero.size:
-            return False
-        pc = int(nonzero[0])
-        v = v * pow(int(v[pc]), -1, self.d) % self.d
-        for c, row in self.rows.items():
-            if row[pc]:
-                self.rows[c] = (row - row[pc] * v) % self.d
-        self.rows[pc] = v
-        return True
-
-    def echelon(self) -> tuple[np.ndarray, list[int]]:
-        """(rows, pivot columns) in increasing pivot order."""
-        order = sorted(self.rows)
-        return np.array([self.rows[c] for c in order]).reshape(-1, self.ncols), order
+# the echelon form
 
 
 class _DualEchelon:
@@ -144,8 +101,8 @@ class _DualEchelon:
         self.gens = np.zeros((trials, dim, ambient), dtype=np.int64)
         self.rows = np.zeros((trials, dim, ambient + dim), dtype=np.int64)
         self.pivots = np.zeros((trials, dim), dtype=np.int64)
-        self.free = np.tile(np.arange(ambient), (trials, 1))
-        self.perp = np.tile(np.eye(ambient, dtype=np.int64), (trials, 1, 1))
+        self.free = np.repeat(np.arange(ambient)[None], trials, axis=0)
+        self.perp = np.repeat(np.eye(ambient, dtype=np.int64)[None], trials, axis=0)
 
     @classmethod
     def of(cls, d: int, gens: np.ndarray, dim: int | None = None) -> "_DualEchelon":
@@ -219,11 +176,11 @@ class _DualEchelon:
         r = _mod(rows * inverse[:, None], d)
         done = self.rows[:, :m]
         done[...] = _mod(done - self.rows[t, :m, p][:, :, None] * r[:, None, :], d)
-        n_p = self.perp[t, (self.free == p[:, None]).argmax(axis=1)]
-        perp = _mod(self.perp - r[t[:, None], self.free][:, :, None] * n_p[:, None, :], d)
         keep = self.free != p[:, None]
-        self.perp = perp[keep].reshape(len(t), -1, self.ambient)
+        n_p = self.perp[~keep]
         self.free = self.free[keep].reshape(len(t), -1)
+        perp = self.perp[keep].reshape(len(t), -1, self.ambient)
+        self.perp = _mod(perp - r[t[:, None], self.free][:, :, None] * n_p[:, None, :], d)
         self.gens[:, m] = gens
         self.rows[:, m] = r
         self.pivots[:, m] = p
@@ -260,24 +217,26 @@ class _DualEchelon:
 
 
 class Subspace:
-    """A subspace of F_d^ambient given by an ordered independent basis.
+    """A subspace L of F_d^ambient, ambient even, given by an ordered
+    independent basis.
 
     The user-supplied generators are kept as-is (downstream code relies on
-    their order); a reduced row echelon form is retained alongside as the
-    canonical form, so two Subspace objects are equal exactly when they span
-    the same set of vectors.
+    their order).  Beside them `canonical` holds the canonical basis of
+    perp(L), read off the [dual | I] form grown from the generators; since
+    L = perp(perp(L)), two Subspace objects are equal exactly when they span
+    the same set of vectors, and v lies in L exactly when it pairs to zero
+    with every row of `canonical`.
     """
 
     def __init__(self, d: int, ambient: int, basis) -> None:
         self.d = _check_modulus(d)
         self.ambient = int(ambient)
+        if self.ambient % 2:
+            raise ValidationError("ambient dimension must be even")
         rows = np.asarray(basis, dtype=np.int64).reshape(-1, self.ambient) % self.d
         self.basis = rows
         self.basis.setflags(write=False)
-        self._ech = _Echelon(self.d, rows)
-        self.canonical, _ = self._ech.echelon()
-        if len(self.canonical) != rows.shape[0]:
-            raise ValidationError("generators are linearly dependent")
+        self.canonical = _DualEchelon.of(self.d, rows).perp_basis()[0]
 
     @property
     def dim(self) -> int:
@@ -287,7 +246,7 @@ class Subspace:
         v = np.asarray(vec, dtype=np.int64)
         if v.shape != (self.ambient,):
             raise ValidationError("vector/ambient dimension mismatch")
-        return v % self.d in self._ech
+        return not gram_matrix(self.canonical, v, self.d).any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -309,9 +268,7 @@ def is_self_orthogonal(L: Subspace) -> bool:
 
 def perp(L: Subspace) -> Subspace:
     """The symplectic orthogonal complement {y : <x, y> = 0 for all x in L}."""
-    if L.ambient % 2 != 0:
-        raise ValidationError("perp requires an even ambient dimension")
-    return Subspace(L.d, L.ambient, _DualEchelon.of(L.d, L.basis).perp_basis()[0])
+    return Subspace(L.d, L.ambient, L.canonical)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +339,6 @@ def hyperbolic_complete(L: Subspace, rng_seed: int) -> HyperbolicBasis:
     The first dim(L) vectors g_i are exactly L's generators in their given
     order.  Deterministic for a fixed seed.
     """
-    if L.ambient % 2 != 0:
-        raise ValidationError("ambient dimension must be even")
     if not is_self_orthogonal(L):
         raise ValidationError("subspace is not self-orthogonal")
     d = L.d

@@ -277,9 +277,15 @@ def test_simulate_rejects_outer_code_over_another_field(tmp_path, capsys):
 
 
 def test_guard_exit_code(tmp_path, capsys):
-    path = tmp_path / "big.code"
-    path.write_text("2 21 21\n")  # d^(n+k) = 2^42 exceeds the array guard
-    assert run(["bound", "--code", str(path), "--p", "0.1"]) == 3
+    big, huge = tmp_path / "big.code", tmp_path / "huge.code"
+    big.write_text("2 21 21\n")  # d^(n+k) = 2^42 exceeds the array guard
+    # trivial400 and a 400-qudit file are refused before their completions
+    # are built, which alone take seconds and grow about 8x per doubling of n
+    huge.write_text("2 400 400\n")
+    for code in (str(big), "trivial400", str(huge)):
+        start = time.process_time()
+        assert run(["bound", "--code", code, "--d", "2", "--p", "0.1"]) == 3
+        assert time.process_time() - start < 2.0
     capsys.readouterr()
 
 

@@ -139,26 +139,25 @@ def test_concatenate_trivial_inner_relabels():
     inner = catalog("trivial2", 2)  # n = k = 2
     outer = StabilizerCode(sample_self_orthogonal(2, 8, 2, 4))  # N = 2, K = 2
     cc = concatenate(inner, outer)
-    assert cc.N == 2 and cc.K == 2
-    assert cc.result.n == 4 and cc.result.k == 2
-    assert is_self_orthogonal(cc.result.subspace)
+    assert cc.n == 4 and cc.k == 2
+    assert is_self_orthogonal(cc.subspace)
 
 
 def test_concatenate_rep5_rep5():
     inner = catalog("rep5", 2)
     outer = catalog("rep5", 2)  # ambient 10 = 2 * k * N with k=1, N=5
     cc = concatenate(inner, outer)
-    assert cc.result.n == 25 and cc.result.subspace.dim == 24 and cc.result.k == 1
-    assert is_self_orthogonal(cc.result.subspace)
-    assert cc.result.completion.gram_ok()
+    assert cc.n == 25 and cc.subspace.dim == 24 and cc.k == 1
+    assert is_self_orthogonal(cc.subspace)
+    assert cc.completion.gram_ok()
 
 
 def test_concatenate_rep3_random_outer():
     inner = catalog("rep3", 2)
     outer = StabilizerCode(sample_self_orthogonal(2, 8, 2, 11))  # N=4, K=2
     cc = concatenate(inner, outer)
-    assert cc.result.n == 12 and cc.result.subspace.dim == 10
-    assert is_self_orthogonal(cc.result.subspace)
+    assert cc.n == 12 and cc.subspace.dim == 10
+    assert is_self_orthogonal(cc.subspace)
 
 
 def test_concatenate_dimension_mismatch():

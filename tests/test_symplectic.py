@@ -13,7 +13,7 @@ from qcap import (
     symplectic_form,
 )
 from qcap.gf import index_to_digits
-from qcap.symplectic import _DualEchelon, _Echelon, gram_matrix, symplectic_dual
+from qcap.symplectic import _DualEchelon, gram_matrix, symplectic_dual
 
 from oracles import (
     digits_to_index,
@@ -33,10 +33,6 @@ def random_self_orthogonal(d, n, dim, seed):
 
 
 def test_rref_and_nullspace_mod3():
-    mat = np.array([[1, 2, 0], [2, 1, 1]])
-    red, piv = _Echelon(3, mat).echelon()
-    assert piv == [0, 2]  # second row reduces to (0, 0, 1)
-    assert red.tolist() == [[1, 2, 0], [0, 0, 1]]
     # the nullspace of the dual rows, read off their [dual | I] form
     rows = np.array([[1, 2, 0, 1], [0, 1, 1, 2]])
     ker = _DualEchelon.of(3, rows).perp_basis()[0]
@@ -267,9 +263,6 @@ def test_echelon_matches_dense_oracle(d, nrows, ncols, seed):
     mat = rng.integers(0, d, (nrows, ncols))
     if nrows and rng.integers(0, 2):  # force a dependent row
         mat[-1] = (mat[0] + mat[rng.integers(0, nrows)]) % d
-    rows, pivots = _Echelon(d, mat).echelon()
-    red, want_pivots = rref(mat, d)
-    assert pivots == want_pivots and np.array_equal(rows, red)
     # perp and the representatives read off the [dual | I] form of mat's
     # independent rows, widened to an even ambient dimension
     ambient = 2 * (1 + ncols // 2)
@@ -288,8 +281,17 @@ def test_echelon_matches_dense_oracle(d, nrows, ncols, seed):
     basis = sample_self_orthogonal(d, ambient, dim, seed).basis
     dense = random_isotropic_dense(d, ambient, dim, np.random.default_rng(seed))
     assert np.array_equal(basis, dense)
+    # a Subspace keeps the canonical basis of its perp, so any basis of the
+    # same span gives an equal Subspace with an equal hash
     L = Subspace(d, ambient, basis)
-    assert np.array_equal(L.canonical, rref(basis, d)[0])
+    assert np.array_equal(L.canonical, nullspace(symplectic_dual(basis, d), d, ambient))
+    change = rng.integers(0, d, (dim, dim))
+    while len(rref(change, d)[1]) < dim:
+        change = rng.integers(0, d, (dim, dim))
+    M = Subspace(d, ambient, change @ basis)
+    assert M == L and hash(M) == hash(L)
+    with pytest.raises(ValidationError, match="even"):
+        Subspace(d, ambient - 1, basis[:, 1:])
     members = (rng.integers(0, d, (5, dim)) @ basis) % d
     for v in rng.integers(0, d, (20, ambient)).tolist() + basis.tolist() + members.tolist():
         v = np.array(v)
