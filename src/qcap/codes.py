@@ -1,11 +1,14 @@
 """Stabilizer codes as self-orthogonal subspaces with hyperbolic completions:
-a named catalog, inner/outer concatenation, and direct sums.
+a named catalog, inner/outer concatenation in Kronecker form (I_N (x) inner
+generators stacked over the outer generators times I_N (x) inner logical
+pairs), and block-diagonal direct sums.
 
 Code file format (text): a header line "d n k" followed by n-k generator
 lines.  A generator line is either 2n space-separated digits (interleaved
 layout) or a compact digit string of length n over Z_{d^2}, where digit
 t encodes the pair (u, v) = (t mod d, t div d); e.g. over d=3 the string
-"1100000" is the vector (1,0, 1,0, 0,0, ..., 0,0).
+"1100000" is the vector (1,0, 1,0, 0,0, ..., 0,0).  The catalog gives the
+five-qubit code in this digit format.
 """
 
 from __future__ import annotations
@@ -43,8 +46,6 @@ class StabilizerCode:
         self.d = subspace.d
         self.n = subspace.ambient // 2
         self.k = self.n - subspace.dim
-        if self.k < 0:
-            raise ValidationError("more generators than n")
         self.name = name
         if completion is None:
             completion = hyperbolic_complete(subspace, 0)
@@ -97,32 +98,13 @@ class StabilizerCode:
 # catalog
 
 
-_FIVE_QUBIT_STRINGS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
+# XZZXI and its cyclic shifts in the code-file digit format (I = 0, X = 1, Z = 2)
+_FIVE_QUBIT_STRINGS = ("12210", "01221", "10122", "21012")
 
 
-def _pauli_string_vector(s: str) -> list[int]:
-    coords: list[int] = []
-    for ch in s:
-        if ch == "I":
-            coords += [0, 0]
-        elif ch == "X":
-            coords += [1, 0]
-        elif ch == "Z":
-            coords += [0, 1]
-        elif ch == "Y":
-            coords += [1, 1]
-        else:
-            raise ValidationError(f"unknown Pauli letter {ch!r}")
-    return coords
-
-
-def _repetition_generators(d: int, n: int) -> np.ndarray:
-    # generator i has the X-type letter (1, 0) in block 1 and in block i+1
-    gens = np.zeros((n - 1, 2 * n), dtype=np.int64)
-    for i in range(n - 1):
-        gens[i, 0] = 1
-        gens[i, 2 * (i + 1)] = 1
-    return gens
+def _repetition_generators(n: int) -> np.ndarray:
+    """[1 | I_{n-1}] (x) (1, 0): generator i is X on qudit 1 and on qudit i+2."""
+    return np.kron(np.c_[np.ones(n - 1, np.int64), np.eye(n - 1, dtype=np.int64)], [1, 0])
 
 
 def _check_size(d: int, n: int) -> None:
@@ -152,16 +134,15 @@ def catalog(name: str, d: int) -> StabilizerCode:
         if kind == "trivial":
             if n < 1:
                 raise ValidationError("trivial(n) needs n >= 1")
-            return StabilizerCode.from_generators(d, n, np.zeros((0, 2 * n), dtype=np.int64),
-                                                  name=f"trivial({n})")
+            return StabilizerCode.from_generators(d, n, [], name=f"trivial({n})")
         if n < 2:
             raise ValidationError("rep(n) needs n >= 2")
-        return StabilizerCode.from_generators(d, n, _repetition_generators(d, n),
+        return StabilizerCode.from_generators(d, n, _repetition_generators(n),
                                               name=f"rep({n})")
     if name in ("five_qubit", "five-qubit", "5qubit"):
         if d != 2:
             raise ValidationError("five_qubit is a d=2 code")
-        gens = [_pauli_string_vector(s) for s in _FIVE_QUBIT_STRINGS]
+        gens = [vector_from_digit_string(2, s) for s in _FIVE_QUBIT_STRINGS]
         return StabilizerCode.from_generators(2, 5, gens, name="five_qubit")
     raise ValidationError(f"unknown catalog code {name!r}")
 
@@ -232,23 +213,13 @@ def read_code_file(path) -> StabilizerCode:
 # concatenation and direct sums
 
 
-def _embed_block(x: np.ndarray, block: int, n: int, N: int) -> np.ndarray:
-    out = np.zeros(2 * n * N, dtype=np.int64)
-    out[2 * n * block:2 * n * (block + 1)] = x
-    return out
-
-
 def _bar_matrix(inner: StabilizerCode, N: int) -> np.ndarray:
-    """Matrix B with bar(x) = x @ B: logical labels of N inner blocks embedded
-    into the inner logical pairs, block by block."""
-    d, n, k = inner.d, inner.n, inner.k
+    """Matrix B with bar(x) = x @ B: I_N (x) the inner logical pairs, rows
+    g_m, h_m interleaved, so label pair m of block j multiplies pair m of
+    inner block j."""
     gl, hl = inner.logical_pairs()
-    B = np.zeros((2 * k * N, 2 * n * N), dtype=np.int64)
-    for j in range(N):
-        for m_idx in range(k):
-            B[2 * (k * j + m_idx)] = _embed_block(gl[m_idx], j, n, N)
-            B[2 * (k * j + m_idx) + 1] = _embed_block(hl[m_idx], j, n, N)
-    return B % d
+    pairs = np.stack([gl, hl], axis=1).reshape(2 * inner.k, 2 * inner.n)
+    return np.kron(np.eye(N, dtype=np.int64), pairs)
 
 
 def bar_map(inner: StabilizerCode, x: np.ndarray) -> np.ndarray:
@@ -269,8 +240,9 @@ def bar_map(inner: StabilizerCode, x: np.ndarray) -> np.ndarray:
 def concatenate(inner: StabilizerCode, outer: StabilizerCode) -> StabilizerCode:
     """Concatenate an (n, k) inner code with an outer code over F_d^{2kN}.
 
-    The result spans the N embedded copies of the inner generators together
-    with the bar images of the outer generators: an (nN, K) code.
+    The generator matrix stacks I_N (x) (inner generators) over
+    (outer generators) @ B, with B = I_N (x) (inner logical pairs) the bar
+    map: an (nN, K) code.
     """
     if inner.d != outer.d:
         raise ValidationError("inner and outer codes must share d")
@@ -280,45 +252,28 @@ def concatenate(inner: StabilizerCode, outer: StabilizerCode) -> StabilizerCode:
         raise ValidationError(
             f"outer ambient {2 * outer.n} is not 2*k*N for inner k={inner.k}")
     N = outer.n // inner.k
-    if N < 1:
-        raise ValidationError("need at least one inner block")
-    d, n, k = inner.d, inner.n, inner.k
-    barmat = _bar_matrix(inner, N)
-    rows: list[np.ndarray] = []
-    for j in range(N):
-        for gen in inner.generators:
-            rows.append(_embed_block(gen, j, n, N))
-    for gen in outer.generators:
-        rows.append((gen @ barmat) % d)
-    result = StabilizerCode.from_generators(
-        d, n * N, np.array(rows, dtype=np.int64).reshape(len(rows), 2 * n * N),
+    gens = np.vstack([np.kron(np.eye(N, dtype=np.int64), inner.generators),
+                      outer.generators @ _bar_matrix(inner, N) % inner.d])
+    return StabilizerCode.from_generators(
+        inner.d, inner.n * N, gens,
         name=f"concat[{inner.name or 'inner'};{outer.name or 'outer'}]")
-    if result.k != outer.k:
-        raise ValidationError("concatenated dimension check failed")
-    return result
+
+
+def _block_diag(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The block matrix [[x, 0], [0, y]]."""
+    return np.block([[x, np.zeros((len(x), y.shape[1]), dtype=np.int64)],
+                     [np.zeros((len(y), x.shape[1]), dtype=np.int64), y]])
 
 
 def direct_sum(a: StabilizerCode, b: StabilizerCode) -> StabilizerCode:
     """The code on concatenated coordinates whose generators are the two
-    generator sets embedded side by side; the completion is pasted blockwise."""
+    generator sets side by side; the completion is pasted blockwise, with
+    both codes' generator pairs before both codes' logical pairs."""
     if a.d != b.d:
         raise ValidationError("modulus mismatch")
-    d = a.d
-    n = a.n + b.n
-    left = lambda row: np.concatenate([row, np.zeros(2 * b.n, dtype=np.int64)])
-    right = lambda row: np.concatenate([np.zeros(2 * a.n, dtype=np.int64), row])
-
-    nk_a, nk_b = a.n - a.k, b.n - b.k
-    g_rows = ([left(r) for r in a.completion.g[:nk_a]]
-              + [right(r) for r in b.completion.g[:nk_b]]
-              + [left(r) for r in a.completion.g[nk_a:]]
-              + [right(r) for r in b.completion.g[nk_b:]])
-    h_rows = ([left(r) for r in a.completion.h[:nk_a]]
-              + [right(r) for r in b.completion.h[:nk_b]]
-              + [left(r) for r in a.completion.h[nk_a:]]
-              + [right(r) for r in b.completion.h[nk_b:]])
-    completion = HyperbolicBasis(d, np.array(g_rows), np.array(h_rows))
-
-    gens = [left(r) for r in a.generators] + [right(r) for r in b.generators]
-    return StabilizerCode(Subspace(d, 2 * n, gens), completion,
+    n, nk_a, nk_b = a.n + b.n, a.n - a.k, b.n - b.k
+    order = np.r_[0:nk_a, a.n:a.n + nk_b, nk_a:a.n, a.n + nk_b:n]
+    g = _block_diag(a.completion.g, b.completion.g)[order]
+    h = _block_diag(a.completion.h, b.completion.h)[order]
+    return StabilizerCode(Subspace(a.d, 2 * n, g[:nk_a + nk_b]), HyperbolicBasis(a.d, g, h),
                           name=f"({a.name or '?'})+({b.name or '?'})")

@@ -23,7 +23,8 @@ from ._util import GuardError, ValidationError
 from .channels import PauliChannel
 from .codes import StabilizerCode
 
-DEFAULT_DIM_CAP = 256
+# the largest Hilbert-space dimension the oracle builds matrices for
+_DIM_CAP = 256
 _PSD_TOL = 1e-10
 
 
@@ -46,7 +47,7 @@ def weyl_string(d: int, coords) -> np.ndarray:
     return out
 
 
-def code_projector(code: StabilizerCode, *, cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+def code_projector(code: StabilizerCode) -> np.ndarray:
     """The rank-d^k projector onto a joint eigenspace of the stabilizer.
 
     Each generator N contributes the average (1/d) sum_t (N / mu)^t, where mu
@@ -57,8 +58,8 @@ def code_projector(code: StabilizerCode, *, cap: int = DEFAULT_DIM_CAP) -> np.nd
     """
     d = code.d
     dim = d**code.n
-    if dim > cap:
-        raise GuardError(f"dimension d^n = {dim} exceeds the oracle cap {cap}")
+    if dim > _DIM_CAP:
+        raise GuardError(f"dimension d^n = {dim} exceeds the oracle cap {_DIM_CAP}")
     eye = np.eye(dim, dtype=np.complex128)
     proj = eye
     for row in code.generators:
@@ -134,16 +135,16 @@ class OracleReport:
 
 
 def oracle_report(code: StabilizerCode, channel: PauliChannel,
-                  base: float | None = None, *, cap: int = DEFAULT_DIM_CAP) -> OracleReport:
+                  base: float | None = None) -> OracleReport:
     """Push rho = Pi / d^k and its purification through the channel and
     return S(output), S(joint) and their difference."""
     if channel.d != code.d:
         raise ValidationError("channel and code moduli differ")
     d, n, k = code.d, code.n, code.k
-    if d ** (n + k) > cap:
-        raise GuardError(f"purification dimension d^(n+k) = {d**(n+k)} exceeds cap {cap}")
+    if d ** (n + k) > _DIM_CAP:
+        raise GuardError(f"purification dimension d^(n+k) = {d**(n+k)} exceeds cap {_DIM_CAP}")
     base = float(base) if base is not None else float(d)
-    out, joint = _channel_states(code_projector(code, cap=cap), channel, n)
+    out, joint = _channel_states(code_projector(code), channel, n)
     s_out = von_neumann_entropy(out, base)
     s_joint = von_neumann_entropy(joint, base)
     return OracleReport(coherent_info=s_out - s_joint, entropy_output=s_out,

@@ -67,7 +67,7 @@ from .codes import StabilizerCode
 from .exponent import compositions
 from .gf import _mod, index_to_digits
 from .spectra import ProbabilityArray, probability_array
-from .symplectic import Subspace, _DualEchelon, symplectic_dual
+from .symplectic import Subspace, _DualEchelon, is_self_orthogonal, symplectic_dual
 
 _SEARCH_GUARD = 1 << 24
 # trials whose errors and outer codes are drawn at once
@@ -75,6 +75,8 @@ _BATCH = 64
 # the cells that the trials decoded at once may fill with candidate keys
 # and tail tables
 _DECODE_CELLS = 1 << 19
+# word-sized dictionary updates the exact bound's type-sum fold may make
+_FOLD_WORK = 5_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +102,7 @@ class SimConfig:
 
     def __post_init__(self):
         k, N, K = self.inner.k, self.N, self.K
-        if k < 1:
-            raise ValidationError("inner code needs k >= 1")
-        if N < 1:
-            raise ValidationError("need at least one outer block")
-        if not 0 <= K <= k * N:
-            raise ValidationError(f"K must lie in [0, kN] = [0, {k * N}]")
+        _check_blocks(self.inner, N, K)
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
         if self.channel.d != self.inner.d:
@@ -123,6 +120,19 @@ class SimConfig:
             if sub.dim != k * N - K:
                 raise ValidationError(
                     f"outer dimension {sub.dim} != kN - K = {k * N - K}")
+            if not is_self_orthogonal(sub):
+                raise ValidationError("outer code must be self-orthogonal")
+
+
+def _check_blocks(inner: StabilizerCode, N: int, K: int) -> None:
+    """Refuse an inner code with k = 0, N < 1 outer blocks, or K outside [0, kN]."""
+    k = inner.k
+    if k < 1:
+        raise ValidationError("inner code needs k >= 1")
+    if N < 1:
+        raise ValidationError("need at least one outer block")
+    if not 0 <= K <= k * N:
+        raise ValidationError(f"K must lie in [0, kN] = [0, {k * N}]")
 
 
 @dataclass(frozen=True)
@@ -408,8 +418,7 @@ def _row_classes(q: list[float], N: int, lone: bool, powers: list[int], spend
     return classes
 
 
-def fidelity_bound_exact(inner: StabilizerCode, N: int, K: int, channel: PauliChannel,
-                         *, max_work: int = 5_000_000) -> float:
+def fidelity_bound_exact(inner: StabilizerCode, N: int, K: int, channel: PauliChannel) -> float:
     """Exact evaluation of the type-grouped upper bound on the ensemble
     average infidelity 1 - Fbar of the concatenated code.
 
@@ -424,13 +433,10 @@ def fidelity_bound_exact(inner: StabilizerCode, N: int, K: int, channel: PauliCh
     The guard counts the fold's dictionary updates, weighted by the machine
     words of an N-block key, a block at a time before the block runs (a
     lower bound before the array is built), and raises GuardError once they
-    would pass max_work.
+    would pass _FOLD_WORK.
     """
+    _check_blocks(inner, N, K)
     d, k = inner.d, inner.k
-    if N < 1:
-        raise ValidationError("need at least one outer block")
-    if not 0 <= K <= k * N:
-        raise ValidationError(f"K must lie in [0, kN] = [0, {k * N}]")
     # keys and shells reach N^N, so one update costs about this many words
     words = 1 + N * N.bit_length() // 64
     work = 0
@@ -438,8 +444,8 @@ def fidelity_bound_exact(inner: StabilizerCode, N: int, K: int, channel: PauliCh
     def spend(updates: int) -> None:
         nonlocal work
         work += updates * words
-        if work > max_work:
-            raise GuardError(f"the type-sum fold needs more than {max_work} word-sized "
+        if work > _FOLD_WORK:
+            raise GuardError(f"the type-sum fold needs more than {_FOLD_WORK} word-sized "
                              "dictionary updates (the guard)")
 
     # the table of the N + 1 keys b**b is built, each array cell is folded,

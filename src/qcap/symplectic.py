@@ -231,12 +231,16 @@ class Subspace:
     def __init__(self, d: int, ambient: int, basis) -> None:
         self.d = _check_modulus(d)
         self.ambient = int(ambient)
-        if self.ambient % 2:
-            raise ValidationError("ambient dimension must be even")
-        rows = np.asarray(basis, dtype=np.int64).reshape(-1, self.ambient) % self.d
-        self.basis = rows
+        if self.ambient < 2 or self.ambient % 2:
+            raise ValidationError(f"ambient dimension must be even and at least 2, got {ambient}")
+        rows = np.asarray(basis, dtype=np.int64)
+        if rows.shape == (0,):
+            rows = rows.reshape(0, self.ambient)
+        if rows.ndim != 2 or rows.shape[1] != self.ambient:
+            raise ValidationError(f"basis rows must have length {self.ambient}")
+        self.basis = rows % self.d
         self.basis.setflags(write=False)
-        self.canonical = _DualEchelon.of(self.d, rows).perp_basis()[0]
+        self.canonical = _DualEchelon.of(self.d, self.basis).perp_basis()[0]
 
     @property
     def dim(self) -> int:
@@ -344,8 +348,6 @@ def hyperbolic_complete(L: Subspace, rng_seed: int) -> HyperbolicBasis:
     d = L.d
     n = L.ambient // 2
     nk = L.dim
-    if nk > n:
-        raise ValidationError("self-orthogonal dimension exceeds n")
     rng = np.random.default_rng(rng_seed)
     grown = _DualEchelon.of(d, L.basis, 2 * n)
 

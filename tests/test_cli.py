@@ -248,10 +248,16 @@ def test_ignored_channel_flags_are_refused(tmp_path, capsys):
     assert "p" not in manifest["parameters"] and "probs" not in manifest["parameters"]
 
 
-def test_fbound_rejects_no_outer_blocks(capsys):
+def test_fbound_rejects_no_outer_blocks(tmp_path, capsys):
     assert run(["fbound", "--inner", "rep3", "--d", "2", "--N", "0", "--K", "0",
                 "--p", "0.1"]) == 2
     capsys.readouterr()
+    # an inner code with k = 0 has no logical labels for outer blocks to carry
+    path = tmp_path / "k0.code"
+    path.write_text("2 1 0\n1 0\n")
+    for cmd in (["fbound"], ["simulate", "--trials", "5"]):
+        assert run(cmd + ["--inner", str(path), "--N", "4", "--K", "0", "--p", "0.1"]) == 2
+        assert "k >= 1" in capsys.readouterr().err
 
 
 def test_fbound_guard_exits_fast(capsys):

@@ -1,4 +1,5 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from qcap import (
     hyperbolic_complete,
     sample_self_orthogonal,
 )
+from qcap import qoracle
 from qcap.gf import symplectic_form
 from qcap.qoracle import (
     _channel_states,
@@ -238,7 +240,8 @@ def test_oracle_matches_array_on_random_codes(case):
 
 
 def test_dimension_guard():
-    with pytest.raises(GuardError):
-        oracle_report(catalog("rep5", 2), depolarizing(2, 0.1), cap=16)
-    with pytest.raises(GuardError):
-        code_projector(catalog("rep5", 2), cap=16)
+    with patch.object(qoracle, "_DIM_CAP", 16):
+        with pytest.raises(GuardError):
+            oracle_report(catalog("rep5", 2), depolarizing(2, 0.1))
+        with pytest.raises(GuardError):
+            code_projector(catalog("rep5", 2))

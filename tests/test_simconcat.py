@@ -10,6 +10,7 @@ from qcap import (
     GuardError,
     PauliChannel,
     StabilizerCode,
+    Subspace,
     ValidationError,
     catalog,
     depolarizing,
@@ -380,6 +381,9 @@ def test_simconfig_validation():
     with pytest.raises(ValidationError):  # right shape, wrong field
         SimConfig(inner=TRIV, outer=sample_self_orthogonal(3, 8, 3, 0),
                   N=4, K=1, channel=depolarizing(2, 0.1), trials=10, seed=0)
+    with pytest.raises(ValidationError, match="self-orthogonal"):  # <e_1, e_2> = 1
+        SimConfig(inner=TRIV, outer=Subspace(2, 4, [[1, 0, 0, 0], [0, 1, 0, 0]]), N=2, K=0,
+                  channel=depolarizing(2, 0.1), trials=50, seed=0)
     with pytest.raises(ValidationError):  # an explicit outer code is never resampled
         SimConfig(inner=TRIV, outer=sample_self_orthogonal(2, 8, 3, 0), N=4, K=1,
                   channel=depolarizing(2, 0.1), trials=10, seed=0, resample_outer=True)
@@ -500,8 +504,8 @@ def test_fidelity_bounds_reject_no_outer_blocks():
 
 
 def test_fidelity_bound_guard():
-    with pytest.raises(GuardError):
-        fidelity_bound_exact(REP3, 10, 2, depolarizing(2, 0.1), max_work=1000)
+    with patch.object(simconcat, "_FOLD_WORK", 1000), pytest.raises(GuardError):
+        fidelity_bound_exact(REP3, 10, 2, depolarizing(2, 0.1))
 
 
 def test_fidelity_bound_guard_counts_the_fold_not_the_types():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcap import (
+    StabilizerCode,
     Subspace,
     ValidationError,
     hyperbolic_complete,
@@ -52,6 +53,16 @@ def test_solve_affine():
 def test_subspace_rejects_dependent_generators():
     with pytest.raises(ValidationError):
         Subspace(2, 4, [[1, 0, 1, 0], [1, 0, 1, 0]])
+    # rows of the wrong length are refused, never reshaped into other rows
+    for bad in ([[1, 0], [0, 1]], [1, 0, 0], [1, 0, 0, 1], np.zeros((0, 2))):
+        with pytest.raises(ValidationError, match="length 4"):
+            Subspace(2, 4, bad)
+    with pytest.raises(ValidationError, match="length 4"):
+        StabilizerCode.from_generators(2, 2, [[1, 0], [0, 1]])
+    with pytest.raises(ValidationError, match="at least 2"):
+        Subspace(3, 0, [])
+    assert Subspace(2, 4, []) == Subspace(2, 4, np.zeros((0, 4)))
+    assert Subspace(2, 4, []).dim == 0
 
 
 def test_subspace_equality_is_span_equality():
