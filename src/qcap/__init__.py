@@ -4,7 +4,7 @@ and concatenated-decoder simulation for Pauli channels."""
 __version__ = "0.1.0"
 
 from ._util import ConvergenceError, GuardError, QcapError, ValidationError
-from .channels import PauliChannel, depolarizing, product_prob, shannon_entropy
+from .channels import PauliChannel, depolarizing, shannon_entropy
 from .codes import (
     StabilizerCode,
     bar_map,
@@ -36,7 +36,6 @@ __all__ = [
     "ValidationError",
     "PauliChannel",
     "depolarizing",
-    "product_prob",
     "shannon_entropy",
     "StabilizerCode",
     "bar_map",

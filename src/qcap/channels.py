@@ -66,14 +66,6 @@ def depolarizing(d: int, p: float) -> PauliChannel:
     return PauliChannel(d, mat)
 
 
-def product_prob(ch: PauliChannel, x: np.ndarray) -> float:
-    """Probability P^n(x) = prod_i P(u_i, v_i) of an interleaved error vector."""
-    x = np.asarray(x, dtype=np.int64)
-    if x.ndim != 1 or x.size % 2 != 0:
-        raise ValidationError("error vector must be a 1-d array of even length")
-    return float(np.prod(ch.matrix[x[0::2] % ch.d, x[1::2] % ch.d]))
-
-
 def shannon_entropy(P, base: float) -> float:
     """Entropy of a probability vector in the requested base, with 0 log 0 = 0."""
     base = float(base)

@@ -13,6 +13,7 @@ five-qubit code in this digit format.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -70,6 +71,13 @@ class StabilizerCode:
     @property
     def generators(self) -> np.ndarray:
         return self.subspace.basis
+
+    @functools.cached_property
+    def _site_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The channel-free gather tables of spectra.probability_array,
+        built on the first call and kept; construction builds none."""
+        from .spectra import _site_tables  # spectra imports this module
+        return _site_tables(self)
 
     def logical_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """(g, h) arrays of the k logical hyperbolic pairs."""

@@ -97,11 +97,10 @@ class _Objective:
         table = arr.table
         self.support = table.ravel() > 0.0
         self.p = table.ravel()[self.support]
-        rows = np.repeat(np.arange(arr.rows), arr.cols)[self.support]
-        # compress row labels to the rows that actually appear
-        uniq, inv = np.unique(rows, return_inverse=True)
-        self.row_of = inv
-        self.nrows = uniq.size
+        # label the rows that hold support 0, 1, ... in order
+        present = self.support.reshape(arr.rows, arr.cols).any(axis=1)
+        self.row_of = np.repeat(np.cumsum(present) - 1, arr.cols)[self.support]
+        self.nrows = int(np.count_nonzero(present))
         self.logd = math.log(self.d)
         self.gap = k - k * R  # k - kR, the hinge threshold on H_c
         self.marg = self.row_sums(self.p)
@@ -207,9 +206,9 @@ def exponent(code: StabilizerCode, channel: PauliChannel, R: float) -> ExponentR
     R = float(R)
     if not 0.0 <= R <= 1.0:
         raise ValidationError(f"rate must lie in [0, 1], got {R}")
-    arr = probability_array(code, channel)
-    obj = _Objective(arr, code.k, R)
-    threshold = code.k - arr.conditional_entropy(code.d)
+    obj = _Objective(probability_array(code, channel), code.k, R)
+    # k - H_c(P_L), with H_c(P_L) = -sum_cells p log cond
+    threshold = code.k + float(obj.p @ obj.log_cond) / obj.logd
 
     # the hinge is inactive at P_L itself: P' = P_L attains the global
     # minimum 0 whenever kR >= k - H_c(P_L)

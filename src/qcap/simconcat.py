@@ -169,17 +169,6 @@ def _cell_cdf(array: ProbabilityArray) -> np.ndarray:
     return cdf
 
 
-def sample_error(array: ProbabilityArray, N: int, rng: np.random.Generator
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """N i.i.d. draws from the inner probability array, one per outer block.
-
-    Returns (z_indices, v_indices): row and column indices in the array's
-    mixed-radix order.
-    """
-    draws = np.searchsorted(_cell_cdf(array), rng.random(N), side="right")
-    return draws // array.cols, draws % array.cols
-
-
 # ---------------------------------------------------------------------------
 # outer-code decoding contexts
 

@@ -15,6 +15,14 @@ applied to every letter (u, v), weighted by P(u, v).  That costs
 n * d^2 * d^{n+k} operations, exact up to the rounding of sums of
 nonnegative terms; the largest routine instance (d=3, n=7, 3^8 cells) takes
 a few milliseconds.
+
+The cost splits in two.  The shifts and the index tables that turn them
+into gathers depend on the code alone: they are built on a code's first
+array and kept on the code, n * d^2 * (d^ceil(m/2) + d^floor(m/2)) ints
+with m = n + k (82 KB for d=3, n=7).  Every array then pays only for its
+channel: per site one gather through a transient (d^2, d^m) index and one
+matrix-vector product, so the many channels of a sweep or the many rates
+of an exponent scan share one table build per code.
 """
 
 from __future__ import annotations
@@ -75,15 +83,17 @@ class ProbabilityArray:
         return (entropy_nats(self.table) - entropy_nats(self.syndrome_marginal())) / math.log(base)
 
 
-def _pushforward(code: StabilizerCode, channel: PauliChannel) -> np.ndarray:
-    """The array as the image of P^n under x -> chi_sel x, built site by site.
+def _site_tables(code: StabilizerCode) -> tuple[np.ndarray, np.ndarray]:
+    """The code's half of the pushforward: gather tables (high, low) of
+    shapes (n, d^2, d^ceil(m/2)) and (n, d^2, d^floor(m/2)), m = n + k.
 
-    Cells are indexed little-endian over F_d^{n+k}: the 2k logical digits
-    lowest, then the n-k syndrome digits, so the flat result reshapes
-    straight into (row, column).  Site i adds s = chi_sel[:, 2i:2i+2] (u, v)
-    with probability P(u, v): new[y] = sum_(u,v) P(u, v) old[y - s].  The
-    index of y - s is the sum of the indices of its low and high halves of
-    digits, each read from a table over that half.
+    Cells are indexed little-endian over F_d^m: the 2k logical digits
+    lowest, then the n-k syndrome digits, so the flat array reshapes
+    straight into (row, column).  Site i shifts a cell y by
+    s = chi_sel[:, 2i:2i+2] (u, v) for letter (u, v), and the index of
+    y - s is high[i, letter, a] + low[i, letter, b] for the cell y with high
+    half-index a and low half-index b.  StabilizerCode keeps the result, so
+    each code builds it once.
     """
     d, n, k = code.d, code.n, code.k
     nk, m = n - k, n + k
@@ -98,17 +108,22 @@ def _pushforward(code: StabilizerCode, channel: PauliChannel) -> np.ndarray:
     digits = (np.arange(d ** (m - h))[:, None] // weights) % d
     low = ((digits[:d ** h, :h] - shifts[..., None, :h]) % d) @ weights[:h]
     high = ((digits - shifts[..., None, h:]) % d) @ (weights * d ** h)
-    probs = channel.matrix.ravel()
-    dist = np.zeros(d ** m)
-    dist[0] = 1.0
-    for i in range(n):
-        dist = probs @ dist[high[i][:, :, None] + low[i][:, None, :]].reshape(d * d, -1)
-    return dist.reshape(d ** nk, d ** (2 * k))
+    high.setflags(write=False)
+    low.setflags(write=False)
+    return high, low
 
 
 def probability_array(code: StabilizerCode, channel: PauliChannel, *,
                       max_cells: int = 2**40) -> ProbabilityArray:
     """The coset-probability array of a code under a Pauli channel.
+
+    The image of P^n under x -> chi_sel x, built site by site from a point
+    mass at 0: new[y] = sum_(u,v) P(u, v) old[y - s(u, v)].  The gather
+    tables depend on the code alone and are built on the code's first call
+    (`_site_tables`), then kept on it: n * d^2 * (d^ceil(m/2) + d^floor(m/2))
+    ints, m = n + k.  Each call pays only for the channel: per site one
+    gather through a transient (d^2, d^m) index and one (d^2,) @ (d^2, d^m)
+    product.
 
     Guarded by max_cells on the d^{n+k} cells of the array (override to go
     bigger); the build holds d^2 times that many while it runs.
@@ -118,7 +133,12 @@ def probability_array(code: StabilizerCode, channel: PauliChannel, *,
         raise ValidationError("channel and code moduli differ")
     if (n + k) * math.log2(d) > math.log2(max_cells) + 1e-9:
         raise GuardError(f"array of d^(n+k) = {d}^{n + k} cells exceeds the guard {max_cells}")
-    table = _pushforward(code, channel)
+    probs = channel.matrix.ravel()
+    dist = np.zeros(d ** (n + k))
+    dist[0] = 1.0
+    for high, low in zip(*code._site_tables):
+        dist = probs @ dist[high[:, :, None] + low[:, None, :]].reshape(d * d, -1)
+    table = dist.reshape(d ** (n - k), d ** (2 * k))
     if abs(table.sum() - 1.0) > 1e-12:
         raise ValidationError(f"probability array sums to {table.sum()}, not 1")
     return ProbabilityArray(d, n, k, table)

@@ -1,5 +1,5 @@
 """Subspace algebra in (F_d^{2n}, <.,.>): orthogonality, hyperbolic completion,
-chi coordinates, syndromes, and uniform sampling of self-orthogonal subspaces.
+chi coordinates, and uniform sampling of self-orthogonal subspaces.
 
 A self-orthogonal (isotropic) subspace L with an ordered basis g_1..g_{n-k}
 extends to n hyperbolic pairs (g_i, h_i) satisfying
@@ -233,7 +233,13 @@ class Subspace:
         self.ambient = int(ambient)
         if self.ambient < 2 or self.ambient % 2:
             raise ValidationError(f"ambient dimension must be even and at least 2, got {ambient}")
-        rows = np.asarray(basis, dtype=np.int64)
+        try:
+            rows = np.asarray(basis)
+        except ValueError:  # ragged rows
+            raise ValidationError(f"basis rows must have length {self.ambient}") from None
+        if rows.size and rows.dtype.kind not in "iu":
+            raise ValidationError(f"basis entries must be integers, got dtype {rows.dtype}")
+        rows = rows.astype(np.int64)
         if rows.shape == (0,):
             rows = rows.reshape(0, self.ambient)
         if rows.ndim != 2 or rows.shape[1] != self.ambient:
@@ -330,11 +336,6 @@ class HyperbolicBasis:
             raise ValidationError("vector length does not match the basis")
         full = (self._chi @ x) % self.d
         return full[0::2], full[1::2]
-
-    def syndrome(self, x: np.ndarray, n_minus_k: int) -> np.ndarray:
-        """The first n-k pairings (<g_i, x>)_i identifying the coset of perp(L)."""
-        x = np.asarray(x, dtype=np.int64)
-        return (self._chi[1:2 * n_minus_k:2] @ x) % self.d
 
 
 def hyperbolic_complete(L: Subspace, rng_seed: int) -> HyperbolicBasis:

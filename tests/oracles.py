@@ -11,9 +11,9 @@ import numpy as np
 from qcap import GuardError, PauliChannel, SimConfig, StabilizerCode, ValidationError
 from qcap.exponent import _Objective
 from qcap.gf import index_to_digits
-from qcap.simconcat import sample_error
-from qcap.spectra import probability_array
-from qcap.symplectic import Subspace, symplectic_dual
+from qcap.simconcat import _cell_cdf
+from qcap.spectra import ProbabilityArray, probability_array
+from qcap.symplectic import HyperbolicBasis, Subspace, symplectic_dual
 
 
 def digits_to_index(digits: np.ndarray, d: int) -> np.ndarray:
@@ -142,6 +142,56 @@ def hyperbolic_complete_dense(L: Subspace, rng_seed: int) -> tuple[np.ndarray, n
         hs.append(constrained(v_basis, gs[-1][None], np.ones(1, dtype=np.int64)))
         v_basis = shrink(v_basis, gs[-1], hs[-1])
     return np.array(gs), np.array(hs)
+
+
+# ---------------------------------------------------------------------------
+# channels, syndromes and the probability array
+
+
+def product_prob(ch: PauliChannel, x: np.ndarray) -> float:
+    """Probability P^n(x) = prod_i P(u_i, v_i) of an interleaved error vector."""
+    x = np.asarray(x, dtype=np.int64)
+    if x.ndim != 1 or x.size % 2 != 0:
+        raise ValidationError("error vector must be a 1-d array of even length")
+    return float(np.prod(ch.matrix[x[0::2] % ch.d, x[1::2] % ch.d]))
+
+
+def completion_syndrome(basis: HyperbolicBasis, x: np.ndarray, n_minus_k: int) -> np.ndarray:
+    """The first n-k pairings (<g_i, x>)_i identifying the coset of perp(L),
+    read off the z rows of the completion's chi matrix."""
+    x = np.asarray(x, dtype=np.int64)
+    return (basis.chi_matrix()[1:2 * n_minus_k:2] @ x) % basis.d
+
+
+def pushforward(code: StabilizerCode, channel: PauliChannel) -> np.ndarray:
+    """The probability array's table built in one shot, site tables and all,
+    as probability_array built it before the tables were kept on the code:
+    the reference for the split build, which must match it bit for bit."""
+    d, n, k = code.d, code.n, code.k
+    nk, m = n - k, n + k
+    full = code.completion.chi_matrix()
+    chi = np.concatenate([full[2 * nk:], full[1:2 * nk:2]])
+    letters = np.indices((d, d)).reshape(2, -1).T
+    shifts = (letters @ chi.reshape(m, n, 2).transpose(1, 2, 0)) % d
+    h = m // 2
+    weights = d ** np.arange(m - h)
+    digits = (np.arange(d ** (m - h))[:, None] // weights) % d
+    low = ((digits[:d ** h, :h] - shifts[..., None, :h]) % d) @ weights[:h]
+    high = ((digits - shifts[..., None, h:]) % d) @ (weights * d ** h)
+    probs = channel.matrix.ravel()
+    dist = np.zeros(d ** m)
+    dist[0] = 1.0
+    for i in range(n):
+        dist = probs @ dist[high[i][:, :, None] + low[i][:, None, :]].reshape(d * d, -1)
+    return dist.reshape(d ** nk, d ** (2 * k))
+
+
+def sample_error(array: ProbabilityArray, N: int, rng: np.random.Generator
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """N i.i.d. draws from the inner probability array, one per outer block,
+    as (row, column) index arrays: one trial's draw in simulate's batches."""
+    draws = np.searchsorted(_cell_cdf(array), rng.random(N), side="right")
+    return draws // array.cols, draws % array.cols
 
 
 def kl_divergence(P, Q, base: float) -> float:

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qcap import PauliChannel, ValidationError, depolarizing, product_prob, shannon_entropy
+from qcap import PauliChannel, ValidationError, depolarizing, shannon_entropy
 from qcap.channels import channel_from_file
 from qcap.gf import index_to_digits
+
+from oracles import product_prob
 
 
 def test_depolarizing_noiseless():

@@ -28,7 +28,7 @@ from qcap.exponent import (
     exponent,
     exponent_grid_oracle,
 )
-from qcap.spectra import probability_array
+from qcap.spectra import ProbabilityArray, probability_array
 
 from oracles import kl_divergence, reference_exponent
 
@@ -185,6 +185,20 @@ def test_objective_convexity_chords():
         assert obj.value(mix) <= lam * obj.value(a) + (1 - lam) * obj.value(b) + 1e-12
 
 
+def test_objective_row_labels_skip_empty_rows():
+    # syndrome rows 0, 2 and 5 hold no mass; row 3 holds some zero cells
+    table = np.zeros((8, 4))
+    table[1] = [0.1, 0.0, 0.05, 0.05]
+    table[3] = [0.0, 0.2, 0.0, 0.1]
+    table[4, 2] = 0.25
+    table[6:] = 0.03125
+    obj = _Objective(ProbabilityArray(2, 4, 1, table), 1, 0.5)
+    rows = np.repeat(np.arange(8), 4)[table.ravel() > 0]
+    uniq, inverse = np.unique(rows, return_inverse=True)
+    assert np.array_equal(obj.row_of, inverse)
+    assert obj.nrows == uniq.size == 5
+
+
 def test_exponent_rate_validation():
     code = catalog("trivial1", 2)
     with pytest.raises(ValidationError):
@@ -281,10 +295,12 @@ def test_exponent_certificate_on_random_codes(case):
     rep = exponent(code, ch, R)
     assert rep.value >= 0.0
     assert rep.kkt_residual <= 1e-8
+    arr = probability_array(code, ch)
+    assert abs(rep.threshold - (code.k - arr.conditional_entropy(code.d))) <= 1e-12
     # weak duality: every dual value phi(beta) bounds the exponent from below,
     # and rep.value is the objective at a feasible point, independently of
     # where the solver stopped
-    obj = _Objective(probability_array(code, ch), code.k, R)
+    obj = _Objective(arr, code.k, R)
     dual = max(obj.tilted(beta)[1] for beta in np.linspace(0.0, 1.0, 41))
     assert rep.value >= dual - 1e-10
     if obj.p.size <= 4:

@@ -25,7 +25,6 @@ from qcap.simconcat import (
     SimConfig,
     _Contexts,
     fidelity_bound_exact,
-    sample_error,
     simulate,
 )
 from qcap.spectra import ProbabilityArray, probability_array
@@ -36,6 +35,7 @@ from oracles import (
     nullspace,
     random_isotropic_dense,
     rref,
+    sample_error,
     simulate_per_trial,
     solve_affine,
 )

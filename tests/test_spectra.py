@@ -14,12 +14,14 @@ from qcap import (
     depolarizing,
     direct_sum,
     probability_array,
-    product_prob,
     symplectic_form,
 )
+from qcap import spectra
 from qcap.gf import index_to_digits
 from qcap.spectra import bound_from_array, bound_sweep
 from qcap.symplectic import hyperbolic_complete, sample_self_orthogonal
+
+from oracles import completion_syndrome, product_prob, pushforward
 
 
 def brute_force_array(code, channel):
@@ -86,7 +88,7 @@ def test_syndrome_marginal_matches_direct_binning():
     arr = probability_array(code, ch)
     direct = np.zeros(4)
     for x in index_to_digits(np.arange(2**6), 2, 6):
-        s = code.completion.syndrome(x, 2)
+        s = completion_syndrome(code.completion, x, 2)
         direct[s[0] + 2 * s[1]] += product_prob(ch, x)
     assert np.abs(arr.syndrome_marginal() - direct).max() < 1e-14
 
@@ -181,6 +183,37 @@ def test_pushforward_matches_brute_force_on_random_codes(case):
     code, ch = case
     arr = probability_array(code, ch)
     assert np.abs(arr.table - brute_force_array(code, ch)).max() <= 1e-13
+
+
+@st.composite
+def random_code_and_two_channels(draw):
+    """A random code with two channels, the second with at least one letter
+    of probability 0."""
+    code, first = draw(random_code_and_channel())
+    d = code.d
+    weights = np.array(draw(st.lists(st.integers(0, 4), min_size=d * d, max_size=d * d)
+                            .filter(lambda w: any(w) and not all(w))), dtype=float)
+    return code, first, PauliChannel(d, weights / weights.sum())
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(random_code_and_two_channels())
+def test_kept_site_tables_reproduce_the_one_shot_build(case):
+    # the second channel runs on the tables the first call left on the code
+    code, first, second = case
+    for ch in (first, second):
+        assert np.array_equal(probability_array(code, ch).table, pushforward(code, ch))
+
+
+def test_site_tables_are_built_once_per_code(monkeypatch):
+    builds = []
+    build = spectra._site_tables
+    monkeypatch.setattr(spectra, "_site_tables", lambda code: builds.append(code) or build(code))
+    codes = [catalog(name, d) for name, d in (("rep3", 3), ("rep7", 3), ("five_qubit", 2))]
+    assert builds == []
+    for p in np.linspace(0.0, 0.5, 12):
+        probability_array(codes[0], depolarizing(3, p))
+    assert builds == [codes[0]]
 
 
 def test_enumeration_guard():

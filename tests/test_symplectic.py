@@ -17,6 +17,7 @@ from qcap.gf import index_to_digits
 from qcap.symplectic import _DualEchelon, gram_matrix, symplectic_dual
 
 from oracles import (
+    completion_syndrome,
     digits_to_index,
     hyperbolic_complete_dense,
     nullspace,
@@ -61,6 +62,12 @@ def test_subspace_rejects_dependent_generators():
         StabilizerCode.from_generators(2, 2, [[1, 0], [0, 1]])
     with pytest.raises(ValidationError, match="at least 2"):
         Subspace(3, 0, [])
+    # ragged rows and non-integer entries are refused, never coerced
+    with pytest.raises(ValidationError, match="length 4"):
+        Subspace(2, 4, [[1, 0, 0, 0], [1]])
+    with pytest.raises(ValidationError, match="integers"):
+        Subspace(2, 4, [[0.5, 0, 0, 0]])
+    assert Subspace(2, 4, [[1, 0, 0, 0]]).dim == 1
     assert Subspace(2, 4, []) == Subspace(2, 4, np.zeros((0, 4)))
     assert Subspace(2, 4, []).dim == 0
 
@@ -212,7 +219,7 @@ def test_syndrome_map_depends_only_on_code_basis():
     rng = np.random.default_rng(5)
     for _ in range(500):
         x = rng.integers(0, 2, 8)
-        assert (B1.syndrome(x, 2) == B2.syndrome(x, 2)).all()
+        assert (completion_syndrome(B1, x, 2) == completion_syndrome(B2, x, 2)).all()
 
 
 def test_sample_self_orthogonal_basics():
