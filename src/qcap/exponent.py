@@ -56,26 +56,37 @@ def count_types(d: int, n: int, k: int, N: int) -> int:
 
 def compositions(total: int, parts: int) -> np.ndarray:
     """All nonnegative integer vectors of the given length summing to total,
-    one per row, in lexicographic order."""
+    one per row, in lexicographic order, in the narrowest unsigned integer
+    type that holds total."""
     if parts < 1 or total < 0:
         raise ValidationError("compositions needs parts >= 1 and total >= 0")
-    # Grow prefixes one part at a time, a prefix with `left` to place getting
-    # children 0..left in order; keep only parent links and read them back.
-    left = np.array([total], dtype=np.int64)
-    levels = []
-    for _ in range(parts - 1):
-        fan = left + 1
-        parent = np.repeat(np.arange(left.size), fan)
-        value = np.arange(parent.size) - np.repeat(np.cumsum(fan) - fan, fan)
-        levels.append((parent, value))
-        left = left[parent] - value
-    out = np.empty((left.size, parts), dtype=np.int32)
-    out[:, -1] = left
-    row = np.arange(left.size)
-    for j in range(parts - 2, -1, -1):
-        parent, value = levels[j]
-        out[:, j] = value[row]
-        row = parent[row]
+    # Each step prepends a column.  With the last k columns filled, their
+    # first comb(total + k, k) rows hold the compositions into k parts of
+    # s = total, total - 1, ..., 0 in turn, each in lexicographic order, and
+    # left[i] = total - s for row i.  The compositions of s into k + 1 parts
+    # are those of s' = s, ..., 0 into k parts with s - s' in front: the
+    # filled rows whose sum is at most s, a tail of them.  For s = total the
+    # tail is every filled row, so that block stays in place and the blocks
+    # for smaller s are copied below it.
+    dtype = np.min_scalar_type(total)
+    out = np.empty((math.comb(total + parts - 1, parts - 1), parts), dtype=dtype)
+    left = np.empty(out.shape[0], dtype=dtype)
+    left[0] = total
+    size = 1
+    for k in range(parts):
+        col = parts - 1 - k
+        row = size
+        # the last step needs only the block for s = total
+        for s in range(total - 1, -1 if col else total, -1):
+            n = math.comb(s + k, k)
+            tail = size - n
+            out[row:row + n, col + 1:] = out[tail:size, col + 1:]
+            out[row:row + n, col] = left[tail:size] - (total - s)
+            left[row:row + n] = total - s
+            row += n
+        out[:size, col] = left[:size]
+        left[:size] = 0
+        size = row
     return out
 
 
@@ -166,7 +177,9 @@ class _Objective:
 _BETA_TOL = 4.0 * math.ulp(1.0)
 # exponent() raises ConvergenceError when its value exceeds the dual bound by more
 _RESIDUAL_TOL = 1e-8
-# exponent_grid_oracle() refuses grids of more (grid points x support cells)
+# exponent_grid_oracle() refuses grids of more (grid points x support cells):
+# it holds one integer count per such cell, one byte each up to 255 steps,
+# beside a few float vectors with one entry per grid point
 _ORACLE_CELLS = 2**24
 
 
@@ -270,9 +283,14 @@ def exponent_grid_oracle(code: StabilizerCode, channel: PauliChannel, R: float,
     support simplex with denominator grid_steps.  Upper-bounds the true
     exponent; refining the grid never increases it.
 
-    The search holds several float arrays of (grid points x support cells);
-    the guard counts those cells and raises GuardError past
-    _ORACLE_CELLS = 2^24, before the grid is built."""
+    The grid is held as the integer counts of `compositions`, one byte per
+    (grid point x support cell) up to 255 steps.  Every coordinate is
+    count / grid_steps, so the terms x log(x / p_c) and x log x are read
+    from tables over the counts, and a row marginal is the integer sum of
+    its cells' counts; the terms add up into float vectors with one entry
+    per grid point.  The guard counts (grid points x support cells), or the
+    table entries if more, and raises GuardError past _ORACLE_CELLS = 2^24
+    before the grid is built."""
     R = float(R)
     if not 0.0 <= R <= 1.0:
         raise ValidationError(f"rate must lie in [0, 1], got {R}")
@@ -282,25 +300,38 @@ def exponent_grid_oracle(code: StabilizerCode, channel: PauliChannel, R: float,
     obj = _Objective(arr, code.k, R)
     m = obj.p.size
     npoints = math.comb(grid_steps + m - 1, m - 1)
-    if npoints * m > _ORACLE_CELLS:
-        raise GuardError(f"grid of {npoints} points x {m} support cells exceeds the "
-                         f"oracle guard of {_ORACLE_CELLS} cells")
-    counts = compositions(grid_steps, m).astype(np.float64)
-    dist = counts / grid_steps
+    height = max(npoints, grid_steps + 1)  # the tables have grid_steps + 1 entries
+    if height * m > _ORACLE_CELLS:
+        raise GuardError(f"grid of {height} points or table entries x {m} support cells "
+                         f"exceeds the oracle guard of {_ORACLE_CELLS} cells")
+    counts = compositions(grid_steps, m)
 
-    logd = obj.logd
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = dist * np.log(dist / obj.p[None, :])
-    terms[dist == 0.0] = 0.0
-    div = terms.sum(axis=1) / logd
+    # x log(x / p_c) for every cell c and x log x, at x = count / grid_steps
+    x = np.arange(1, grid_steps + 1) / grid_steps
+    div_table = np.zeros((m, grid_steps + 1))
+    div_table[:, 1:] = x * np.log(x / obj.p[:, None])
+    xlogx = np.zeros(grid_steps + 1)
+    xlogx[1:] = x * np.log(x)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h_joint = -np.where(dist > 0, dist * np.log(dist), 0.0).sum(axis=1)
-    marg = np.zeros((dist.shape[0], obj.nrows))
-    np.add.at(marg.T, obj.row_of, dist.T)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h_marg = -np.where(marg > 0, marg * np.log(marg), 0.0).sum(axis=1)
-    h_cond = (h_joint - h_marg) / logd
+    div = np.zeros(npoints)
+    h = np.zeros(npoints)  # H(logical | syndrome) in nats
+    marg = np.empty(npoints, dtype=counts.dtype)
+    index = np.empty(npoints, dtype=np.intp)  # take() would convert each index array
+    # support cells are flattened row by row, so each row's cells are a run
+    bounds = np.flatnonzero(np.diff(obj.row_of, prepend=-1, append=obj.nrows))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        marg[:] = 0
+        for c in range(lo, hi):
+            index[:] = counts[:, c]
+            div += div_table[c].take(index)
+            h -= xlogx.take(index)
+            marg += counts[:, c]
+        index[:] = marg
+        h += xlogx.take(index)
 
-    vals = div + np.maximum(0.0, obj.gap - h_cond)
-    return float(vals.min())
+    div /= obj.logd
+    h /= obj.logd
+    np.subtract(obj.gap, h, out=h)
+    np.maximum(h, 0.0, out=h)
+    div += h
+    return float(div.min())

@@ -25,8 +25,9 @@ the first 2m columns, and perp(current) is updated in place when a row with
 a new pivot p joins (drop n_p, subtract r[c] n_p from every other n_c).
 The decoder takes its perp basis and syndrome representatives from the
 sampler's form, and a Subspace keeps the perp basis read off a form grown
-from its generators, so the completion, perp, the sampler, the decoder
-context and every Subspace grow one [dual | I] form (`_DualEchelon`).
+from its generators (for a sampled subspace, the sampler's own form), so
+the completion, perp, the sampler, the decoder context and every Subspace
+grow one [dual | I] form (`_DualEchelon`).
 
 The form is held for T independent lists of vectors on a leading trial
 axis: the decoder samples the outer codes of a whole batch of trials at
@@ -244,9 +245,21 @@ class Subspace:
             rows = rows.reshape(0, self.ambient)
         if rows.ndim != 2 or rows.shape[1] != self.ambient:
             raise ValidationError(f"basis rows must have length {self.ambient}")
-        self.basis = rows % self.d
+        self._read(_DualEchelon.of(self.d, rows))
+
+    @classmethod
+    def _of_form(cls, form: _DualEchelon) -> "Subspace":
+        """The span of a one-trial form's generators, keeping the perp basis
+        the form already holds instead of growing a second form."""
+        self = cls.__new__(cls)
+        self.d, self.ambient = form.d, form.ambient
+        self._read(form)
+        return self
+
+    def _read(self, form: _DualEchelon) -> None:
+        self.basis = form.basis()[0]
         self.basis.setflags(write=False)
-        self.canonical = _DualEchelon.of(self.d, self.basis).perp_basis()[0]
+        self.canonical = form.perp_basis()[0]
 
     @property
     def dim(self) -> int:
@@ -398,4 +411,4 @@ def sample_self_orthogonal(d: int, ambient: int, dim: int, rng_seed) -> Subspace
     if dim < 0 or dim > m:
         raise ValidationError(f"no isotropic subspace of dimension {dim} in dimension {ambient}")
     rng = np.random.default_rng(rng_seed)
-    return Subspace(d, ambient, _DualEchelon.sample(d, ambient, dim, [rng]).basis()[0])
+    return Subspace._of_form(_DualEchelon.sample(d, ambient, dim, [rng]))

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from qcap import GuardError, PauliChannel, SimConfig, StabilizerCode, ValidationError
-from qcap.exponent import _Objective
+from qcap.exponent import _Objective, compositions
 from qcap.gf import index_to_digits
 from qcap.simconcat import _cell_cdf
 from qcap.spectra import ProbabilityArray, probability_array
@@ -230,6 +230,34 @@ def reference_exponent(code: StabilizerCode, channel: PauliChannel, R: float) ->
                 hi_b = beta_star
     witness, _ = obj.tilted(beta_star)
     return max(obj.value(witness), 0.0)
+
+
+def grid_oracle_dense(code: StabilizerCode, channel: PauliChannel, R: float,
+                      grid_steps: int) -> float:
+    """The exponent objective's minimum over the grid with denominator
+    grid_steps, from float arrays of (grid points x support cells): the body
+    `exponent_grid_oracle` had before it read its terms from tables."""
+    arr = probability_array(code, channel)
+    obj = _Objective(arr, code.k, float(R))
+    counts = compositions(grid_steps, obj.p.size).astype(np.float64)
+    dist = counts / grid_steps
+
+    logd = obj.logd
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = dist * np.log(dist / obj.p[None, :])
+    terms[dist == 0.0] = 0.0
+    div = terms.sum(axis=1) / logd
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h_joint = -np.where(dist > 0, dist * np.log(dist), 0.0).sum(axis=1)
+    marg = np.zeros((dist.shape[0], obj.nrows))
+    np.add.at(marg.T, obj.row_of, dist.T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h_marg = -np.where(marg > 0, marg * np.log(marg), 0.0).sum(axis=1)
+    h_cond = (h_joint - h_marg) / logd
+
+    vals = div + np.maximum(0.0, obj.gap - h_cond)
+    return float(vals.min())
 
 
 # ---------------------------------------------------------------------------

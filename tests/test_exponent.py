@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from qcap.exponent import (
 )
 from qcap.spectra import ProbabilityArray, probability_array
 
-from oracles import kl_divergence, reference_exponent
+from oracles import grid_oracle_dense, kl_divergence, reference_exponent
 
 # dual evaluations one solve may use: bisection needed up to about 107
 EVAL_BUDGET = 16
@@ -83,6 +84,27 @@ def test_compositions_with_many_parts():
     arr = compositions(1, 1000)
     assert arr.shape == (1000, 1000)
     assert (arr == np.eye(1000, dtype=int)[::-1]).all()
+
+
+def stars_and_bars(total, parts):
+    """Every composition from its bar positions, in lexicographic order."""
+    if parts == 1:  # no bars; combinations() would hold total slots in a tuple
+        return [[total]]
+    rows = []
+    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+        edges = (-1, *bars, total + parts - 1)
+        rows.append([edges[i + 1] - edges[i] - 1 for i in range(parts)])
+    return rows
+
+
+def test_compositions_take_the_narrowest_dtype_at_its_boundaries():
+    for total, parts, dtype in ((255, 3, np.uint8), (256, 3, np.uint16),
+                                (65535, 2, np.uint16), (65536, 2, np.uint32),
+                                (2**32 - 1, 1, np.uint32), (2**32, 1, np.uint64)):
+        for p in range(1, parts + 1):
+            arr = compositions(total, p)
+            assert arr.dtype == dtype, (total, p)
+            assert arr.tolist() == stars_and_bars(total, p), (total, p)
 
 
 def test_exponent_zero_at_and_above_threshold():
@@ -144,6 +166,28 @@ def test_exponent_vs_grid_oracle():
         oracle = exponent_grid_oracle(code, ch, R, 200)
         assert rep.value <= oracle + 1e-9  # the oracle can only overshoot
         assert rep.value >= oracle - 5e-3  # grid resolution bound
+
+
+def test_grid_oracle_reference_value():
+    # the value perfbench/reference.json holds for the exponent workload
+    code = catalog("trivial1", 2)
+    for oracle in (exponent_grid_oracle, grid_oracle_dense):
+        val = oracle(code, depolarizing(2, 0.01), 0.0, 100)
+        assert val == pytest.approx(0.5514780781660824, rel=1e-12, abs=0.0)
+
+
+def test_grid_oracle_memory_per_grid_cell():
+    # the dense oracle peaked at 43 bytes per (grid point x support cell)
+    code, ch, steps = catalog("trivial1", 2), depolarizing(2, 0.01), 200
+    cells = math.comb(steps + 3, 3) * 4
+    probability_array(code, ch)  # the code's kept site tables are not the oracle's
+    tracemalloc.start()
+    try:
+        exponent_grid_oracle(code, ch, 0.0, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * cells, peak / cells
 
 
 def test_grid_oracle_refinement_is_monotone():
@@ -211,6 +255,15 @@ def test_grid_oracle_guard():
     code = catalog("rep3", 2)  # 16 support cells: a 200-step grid is infeasible
     with pytest.raises(GuardError):
         exponent_grid_oracle(code, depolarizing(2, 0.1), 0.0, 200)
+
+
+def test_grid_oracle_guard_counts_the_tables_of_a_one_cell_support():
+    # at p = 0 the support is the identity cell alone: one grid point, but
+    # a table entry per count
+    code = catalog("trivial1", 2)
+    assert exponent_grid_oracle(code, depolarizing(2, 0.0), 0.0, 1000) == 1.0  # k(1 - R)
+    with pytest.raises(GuardError):
+        exponent_grid_oracle(code, depolarizing(2, 0.0), 0.0, 2**24)
 
 
 def test_grid_oracle_rejects_an_empty_grid():
@@ -305,6 +358,18 @@ def test_exponent_certificate_on_random_codes(case):
     assert rep.value >= dual - 1e-10
     if obj.p.size <= 4:
         assert rep.value <= exponent_grid_oracle(code, ch, R, 60) + 1e-9
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(random_exponent_case(), st.integers(1, 8))
+def test_grid_oracle_matches_the_dense_oracle_on_random_codes(case, steps):
+    code, ch, R = case
+    m = int(np.count_nonzero(probability_array(code, ch).table))
+    # keep the dense reference under about 10^5 (grid points x cells)
+    while steps > 1 and math.comb(steps + m - 1, m - 1) * m > 100_000:
+        steps -= 1
+    want = grid_oracle_dense(code, ch, R, steps)
+    assert exponent_grid_oracle(code, ch, R, steps) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)

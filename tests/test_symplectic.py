@@ -228,6 +228,11 @@ def test_sample_self_orthogonal_basics():
         L = sample_self_orthogonal(3, 8, 3, (1, trial))
         assert L.dim == 3
         assert is_self_orthogonal(L)
+        # the perp basis kept from the sampler's form is the one a form
+        # grown from the returned generators reads off
+        again = Subspace(3, 8, L.basis)
+        assert np.array_equal(L.canonical, again.canonical) and hash(L) == hash(again)
+        assert not L.basis.flags.writeable
 
 
 def test_sample_self_orthogonal_rejects_overlarge_dim():
