@@ -23,7 +23,7 @@ from .channels import PauliChannel, channel_from_file, depolarizing
 from .codes import StabilizerCode, catalog, catalog_names, read_code_file
 from .exponent import exponent, exponent_grid_oracle
 from .qoracle import oracle_report
-from .simconcat import SimConfig, fidelity_bound_exact, simulate
+from .simconcat import SEED_CONTRACT, SimConfig, fidelity_bound_exact, simulate
 from .spectra import bound_sweep, coherent_bound
 
 SWEEP_SCHEMA = "qcap-sweep-v1"
@@ -41,8 +41,8 @@ def _manifest(args: argparse.Namespace, start: float) -> dict:
     }
 
 
-def _emit_json(args, start, result) -> None:
-    payload = {"manifest": _manifest(args, start), "result": result}
+def _emit_json(args, start, result, **manifest) -> None:
+    payload = {"manifest": {**_manifest(args, start), **manifest}, "result": result}
     text = json.dumps(payload, indent=2, sort_keys=True)
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -135,7 +135,7 @@ def _cmd_simulate(args, start) -> None:
                     trials=args.trials, seed=args.seed,
                     resample_outer=args.resample_outer)
     rep = simulate(cfg)
-    _emit_json(args, start, rep.as_dict())
+    _emit_json(args, start, rep.as_dict(), seed_contract=SEED_CONTRACT)
 
 
 def _cmd_fbound(args, start) -> None:

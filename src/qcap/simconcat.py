@@ -13,17 +13,16 @@ decoded block succeeds iff v_hat - v lands in C_out.
 The trials run on a trial axis.  A batch of up to _BATCH trials draws its
 errors, samples its outer codes and decodes as array operations in mod-d
 integer arithmetic, with as many trials decoded at once as keep their
-(N, T, Q) candidate keys within a fixed budget of cells.  Every trial
-still has the streams of seed contract v1: its error uniforms are
-`random(N)` from the generator (seed, t), a resampled outer code is drawn
-from (seed, t, 1), and the outer code drawn once for all trials from
-(seed, 0, 2).  The sampler takes trial t's coefficient digits from one
-`integers(0, d, S)` call on its generator, and reads on from further calls
-if rejections use them up.  numpy's bounded integer draws concatenate:
-`integers(0, d, a)` then `integers(0, d, b)` gives the digits of one
-`integers(0, d, a + b)` call and leaves the stream where it leaves it.  So
-the digits are those that one draw per attempt would give, and the results
-do not depend on the batch size, bit for bit.
+(N, T, Q) candidate keys within a fixed budget of cells.  The random
+streams follow seed contract v2 (SEED_CONTRACT): batch b, trials
+b*_BATCH onwards, reads one generator, (seed, b).  One `random((T, N))`
+call gives the batch's error uniforms, row t for its trial t; with a
+resampled outer code, one `integers(0, d, (T, S))` call then gives every
+trial's sampler digits, and a trial that uses its row up reads S more from
+the same stream.  The outer code drawn once for all trials comes from
+(seed, 0, 2).  So the results depend on _BATCH, which is part of the
+contract, but not on the decoding budget.  tests/test_seed_contract.py
+keeps the record of each contract.
 
 The coset is v0 + span(B) for a basis B of perp(C_out).  B and the
 syndrome representatives behind v0 come from one echelon form of
@@ -69,8 +68,11 @@ from .gf import _mod, index_to_digits
 from .spectra import ProbabilityArray, probability_array
 from .symplectic import Subspace, _DualEchelon, is_self_orthogonal, symplectic_dual
 
+# the version of simulate's random streams (see the module docstring)
+SEED_CONTRACT = 2
 _SEARCH_GUARD = 1 << 24
-# trials whose errors and outer codes are drawn at once
+# trials whose errors and outer codes come from one generator; part of the
+# seed contract
 _BATCH = 64
 # the cells that the trials decoded at once may fill with candidate keys
 # and tail tables
@@ -103,8 +105,10 @@ class SimConfig:
     def __post_init__(self):
         k, N, K = self.inner.k, self.N, self.K
         _check_blocks(self.inner, N, K)
-        if self.trials < 1:
-            raise ValidationError("trials must be >= 1")
+        if not _is_int(self.trials) or self.trials < 1:
+            raise ValidationError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.channel.d != self.inner.d:
             raise ValidationError("channel and inner code moduli differ")
         sub = self.outer
@@ -125,14 +129,21 @@ class SimConfig:
 
 
 def _check_blocks(inner: StabilizerCode, N: int, K: int) -> None:
-    """Refuse an inner code with k = 0, N < 1 outer blocks, or K outside [0, kN]."""
+    """Refuse an inner code with k = 0, non-integer N or K, N < 1 outer
+    blocks, or K outside [0, kN]."""
     k = inner.k
     if k < 1:
         raise ValidationError("inner code needs k >= 1")
+    if not (_is_int(N) and _is_int(K)):
+        raise ValidationError(f"N and K must be integers, got {N!r} and {K!r}")
     if N < 1:
         raise ValidationError("need at least one outer block")
     if not 0 <= K <= k * N:
         raise ValidationError(f"K must lie in [0, kN] = [0, {k * N}]")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -337,20 +348,19 @@ def simulate(cfg: SimConfig) -> SimReport:
     if cfg.outer is not None:
         ctx = _Contexts.of(inner, N, _DualEchelon.of(d, cfg.outer.basis))
     elif not cfg.resample_outer:
-        fixed = [np.random.default_rng((cfg.seed, 0, 2))]
+        fixed = np.random.default_rng((cfg.seed, 0, 2))
         ctx = _Contexts.of(inner, N, _DualEchelon.sample(d, ambient, dim, fixed))
 
     step = _decode_size(d, k, N, K)
     failures = 0
     trace = [] if cfg.record_trace else None
-    for start in range(0, cfg.trials, _BATCH):
+    for batch, start in enumerate(range(0, cfg.trials, _BATCH)):
         trials = range(start, min(start + _BATCH, cfg.trials))
-        u = np.array([np.random.default_rng((cfg.seed, t)).random(N) for t in trials])
-        draws = np.searchsorted(cdf, u, side="right")
+        rng = np.random.default_rng((cfg.seed, batch))
+        draws = np.searchsorted(cdf, rng.random((len(trials), N)), side="right")
         z, v = draws // arr.cols, draws % arr.cols
         if cfg.resample_outer:
-            rngs = [np.random.default_rng((cfg.seed, t, 1)) for t in trials]
-            outer = _DualEchelon.sample(d, ambient, dim, rngs)
+            outer = _DualEchelon.sample(d, ambient, dim, rng, len(trials))
             codes = outer.basis(), outer.perp_basis(), outer.reps()
         v_hat = np.empty_like(v)
         ok = np.empty(len(trials), dtype=bool)

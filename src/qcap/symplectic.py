@@ -43,6 +43,7 @@ elimination in tests/oracles.py is the reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,6 +75,24 @@ def gram_matrix(rows_a: np.ndarray, rows_b: np.ndarray, d: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # the echelon form
+
+
+@lru_cache(maxsize=4)
+def _inverses(d: int) -> np.ndarray:
+    """The table of x^(d-2) mod d for x in [0, d), which is x^-1 for x != 0,
+    by square-and-multiply on the whole table: about 2 log2(d) array
+    operations, where a pow call per entry would take over a second at
+    d near 2^20.  Products stay below d^2 < 2^40."""
+    x = np.arange(d, dtype=np.int64)
+    table = np.ones(d, dtype=np.int64)
+    e = d - 2
+    while e:
+        if e & 1:
+            table = table * x % d
+        x = x * x % d
+        e >>= 1
+    table.setflags(write=False)
+    return table
 
 
 class _DualEchelon:
@@ -117,22 +136,25 @@ class _DualEchelon:
         return grown
 
     @classmethod
-    def sample(cls, d: int, ambient: int, dim: int, rngs: list) -> "_DualEchelon":
-        """The forms of uniformly random self-orthogonal subspaces of the
-        given dimension, one per generator in rngs.
+    def sample(cls, d: int, ambient: int, dim: int, rng: np.random.Generator,
+               trials: int = 1) -> "_DualEchelon":
+        """The forms of `trials` uniformly random self-orthogonal subspaces
+        of the given dimension, all drawn from the one generator rng.
 
         Trial t grows one dimension at a time with a uniform vector from
-        perp(current) \\ current: coefficients on the perp basis, drawn from
-        rngs[t] with `integers(0, d, len(free))` per attempt, until the
-        form takes one.  Bounded integer draws concatenate in the stream,
-        so every trial's digits come from one `integers(0, d, S)` call with
-        S = sum(ambient - i for i < dim) plus slack, and a trial that runs
-        out draws S more from its generator.
+        perp(current) \\ current: coefficients on the perp basis, read from
+        trial t's row of digits, len(free) per attempt, until the form takes
+        one.  The rows come from one `integers(0, d, (trials, S))` call with
+        S = sum(ambient - i for i < dim) plus slack.  A trial that would read
+        past the end of its row gets S more digits from rng; within each
+        round of attempts these refills are drawn in increasing trial order.
+        Bounded integer draws concatenate in the stream, so at trials = 1
+        the digits are those of one `integers(0, d, len(free))` call per
+        attempt.
         """
-        trials = len(rngs)
         grown = cls(d, ambient, dim, trials)
         size = sum(ambient - i for i in range(dim)) + ambient
-        digits = np.array([rng.integers(0, d, size) for rng in rngs])
+        digits = rng.integers(0, d, (trials, size))
         filled = np.full(trials, size)
         used = np.zeros(trials, dtype=np.int64)
         for i in range(dim):
@@ -140,11 +162,14 @@ class _DualEchelon:
             rows = np.empty((trials, ambient + dim), dtype=np.int64)
             todo = np.arange(trials)
             while todo.size:
-                for t in todo[used[todo] + ambient - i > filled[todo]]:
-                    if filled[t] + size > digits.shape[1]:
-                        digits = np.pad(digits, ((0, 0), (0, size)))
-                    digits[t, filled[t]:filled[t] + size] = rngs[t].integers(0, d, size)
-                    filled[t] += size
+                out = todo[used[todo] + ambient - i > filled[todo]]
+                if out.size:
+                    short = filled[out].max() + size - digits.shape[1]
+                    if short > 0:
+                        digits = np.pad(digits, ((0, 0), (0, short)))
+                    digits[out[:, None], filled[out, None] + np.arange(size)] = rng.integers(
+                        0, d, (out.size, size))
+                    filled[out] += size
                 coeffs = digits[todo[:, None], used[todo, None] + np.arange(ambient - i)]
                 used[todo] += ambient - i
                 g = _mod((coeffs[:, None, :] @ grown.perp[todo])[:, 0], d)
@@ -173,8 +198,7 @@ class _DualEchelon:
         d, m = self.d, self.size
         t = np.arange(len(gens))
         p = (rows != 0).argmax(axis=1)
-        inverse = np.array([pow(x, -1, d) for x in rows[t, p].tolist()], dtype=np.int64)
-        r = _mod(rows * inverse[:, None], d)
+        r = _mod(rows * _inverses(d)[rows[t, p]][:, None], d)
         done = self.rows[:, :m]
         done[...] = _mod(done - self.rows[t, :m, p][:, :, None] * r[:, None, :], d)
         keep = self.free != p[:, None]
@@ -411,4 +435,4 @@ def sample_self_orthogonal(d: int, ambient: int, dim: int, rng_seed) -> Subspace
     if dim < 0 or dim > m:
         raise ValidationError(f"no isotropic subspace of dimension {dim} in dimension {ambient}")
     rng = np.random.default_rng(rng_seed)
-    return Subspace._of_form(_DualEchelon.sample(d, ambient, dim, [rng]))
+    return Subspace._of_form(_DualEchelon.sample(d, ambient, dim, rng))

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from qcap import GuardError, PauliChannel, SimConfig, StabilizerCode, ValidationError
+from qcap import GuardError, PauliChannel, SimConfig, StabilizerCode, ValidationError, simconcat
 from qcap.exponent import _Objective, compositions
 from qcap.gf import index_to_digits
 from qcap.simconcat import _cell_cdf
@@ -94,18 +94,42 @@ def solve_affine_multi(mat: np.ndarray, rhs_cols: np.ndarray, d: int) -> np.ndar
     return out
 
 
-def random_isotropic_dense(d: int, ambient: int, dim: int, rng: np.random.Generator
-                           ) -> np.ndarray:
-    """The isotropic sampler's rows by dense elimination: each step recomputes
-    perp(current) from scratch and tests membership against rref."""
-    rows = np.zeros((0, ambient), dtype=np.int64)
+class _DigitRow:
+    """One trial's row of sampler digits, read front to back; a read past
+    its end first appends `size` digits drawn from the shared stream."""
+
+    def __init__(self, row: np.ndarray, rng: np.random.Generator, size: int):
+        self.row, self.rng, self.size, self.used = row, rng, size, 0
+
+    def integers(self, low: int, high: int, n: int) -> np.ndarray:
+        if self.used + n > len(self.row):
+            self.row = np.concatenate([self.row, self.rng.integers(low, high, self.size)])
+        self.used += n
+        return self.row[self.used - n:self.used]
+
+
+def random_isotropic_dense(d: int, ambient: int, dim: int, rng: np.random.Generator,
+                           trials: int = 1) -> list[np.ndarray]:
+    """The isotropic sampler's rows of `trials` subspaces by dense
+    elimination: each step recomputes perp(current) from scratch and tests
+    membership against rref.  The digits are read as the library reads
+    them: one (trials, S) draw of rows, and refills of S digits from rng
+    in the order (dimension, round of attempts, trial)."""
+    size = sum(ambient - i for i in range(dim)) + ambient
+    sources = [_DigitRow(row, rng, size) for row in rng.integers(0, d, (trials, size))]
+    rows = [np.zeros((0, ambient), dtype=np.int64) for _ in range(trials)]
     for _ in range(dim):
-        perp_basis = nullspace(symplectic_dual(rows, d), d, ambient)
-        while True:
-            v = (rng.integers(0, d, size=perp_basis.shape[0]) @ perp_basis) % d
-            if rref(np.vstack([rows, v]), d)[0].shape[0] > rows.shape[0]:
-                break
-        rows = np.vstack([rows, v])
+        perps = [nullspace(symplectic_dual(r, d), d, ambient) for r in rows]
+        todo = range(trials)
+        while todo:
+            missed = []
+            for t in todo:
+                v = (sources[t].integers(0, d, perps[t].shape[0]) @ perps[t]) % d
+                if rref(np.vstack([rows[t], v]), d)[0].shape[0] > rows[t].shape[0]:
+                    rows[t] = np.vstack([rows[t], v])
+                else:
+                    missed.append(t)
+            todo = missed
     return rows
 
 
@@ -189,7 +213,8 @@ def pushforward(code: StabilizerCode, channel: PauliChannel) -> np.ndarray:
 def sample_error(array: ProbabilityArray, N: int, rng: np.random.Generator
                  ) -> tuple[np.ndarray, np.ndarray]:
     """N i.i.d. draws from the inner probability array, one per outer block,
-    as (row, column) index arrays: one trial's draw in simulate's batches."""
+    as (row, column) index arrays, read off N uniforms from rng as simulate
+    reads a trial's errors off its row of uniforms."""
     draws = np.searchsorted(_cell_cdf(array), rng.random(N), side="right")
     return draws // array.cols, draws % array.cols
 
@@ -371,34 +396,40 @@ def decode_min_conditional_entropy(inner: StabilizerCode, outer: Subspace | Stab
 
 
 def simulate_per_trial(cfg: SimConfig) -> list[dict]:
-    """The trace of simconcat.simulate(cfg), one trial at a time: each trial
-    draws its outer code with the dense sampler (the same draws as the
-    library's) from the generator (seed, t, 1), or reuses the explicit code
-    or the one drawn from (seed, 0, 2); samples its errors with
-    sample_error from (seed, t); decodes with decode_ctx."""
+    """The trace of simconcat.simulate(cfg), one trial at a time, under seed
+    contract v2.  Batch b of simconcat._BATCH trials reads the generator
+    (seed, b): first every trial's error uniforms, then, with a resampled
+    outer code, every trial's outer code by the dense sampler.  The
+    explicit outer code, or the one drawn from (seed, 0, 2), is shared.
+    Each trial decodes with decode_ctx."""
     inner = cfg.inner
     d, k, N, K = inner.d, inner.k, cfg.N, cfg.K
     arr = probability_array(inner, cfg.channel)
+    cdf = _cell_cdf(arr)
     ambient, dim = 2 * k * N, k * N - K
     fixed = None
     if cfg.outer is not None:
         fixed = OuterContext(d, cfg.outer.basis, k, N)
     elif not cfg.resample_outer:
         rows = random_isotropic_dense(d, ambient, dim, np.random.default_rng((cfg.seed, 0, 2)))
-        fixed = OuterContext(d, rows, k, N)
+        fixed = OuterContext(d, rows[0], k, N)
     col_digits = index_to_digits(np.arange(arr.cols), d, 2 * k)
     trace = []
-    for t in range(cfg.trials):
-        ctx = fixed
-        if ctx is None:
-            rows = random_isotropic_dense(d, ambient, dim, np.random.default_rng((cfg.seed, t, 1)))
-            ctx = OuterContext(d, rows, k, N)
-        z, v = sample_error(arr, N, np.random.default_rng((cfg.seed, t)))
-        v_digits = col_digits[v].ravel()
-        v_hat = decode_ctx(inner, ctx, z, ctx.syndrome(v_digits))
-        ok = ctx.contains((col_digits[v_hat].ravel() - v_digits) % d)
-        trace.append({"trial": t, "failure": not ok, "z": z.tolist(), "v": v.tolist(),
-                      "v_hat": v_hat.tolist()})
+    for batch, start in enumerate(range(0, cfg.trials, simconcat._BATCH)):
+        count = min(simconcat._BATCH, cfg.trials - start)
+        rng = np.random.default_rng((cfg.seed, batch))
+        uniforms = rng.random((count, N))
+        outers = (random_isotropic_dense(d, ambient, dim, rng, count)
+                  if fixed is None else [None] * count)
+        for t, (u, rows) in enumerate(zip(uniforms, outers), start):
+            ctx = fixed if fixed is not None else OuterContext(d, rows, k, N)
+            draws = np.searchsorted(cdf, u, side="right")
+            z, v = draws // arr.cols, draws % arr.cols
+            v_digits = col_digits[v].ravel()
+            v_hat = decode_ctx(inner, ctx, z, ctx.syndrome(v_digits))
+            ok = ctx.contains((col_digits[v_hat].ravel() - v_digits) % d)
+            trace.append({"trial": t, "failure": not ok, "z": z.tolist(), "v": v.tolist(),
+                          "v_hat": v_hat.tolist()})
     return trace
 
 
@@ -453,3 +484,95 @@ def fidelity_bound_brute(inner: StabilizerCode, N: int, K: int, channel: PauliCh
                 bound_terms.append(probs[i] * min(cum * scale, 1.0))
             run_start = run_end
     return math.fsum(bound_terms)
+
+
+# ---------------------------------------------------------------------------
+# the decoder's exact ensemble failure rate: every outer code, every error
+
+
+def _lex_vectors(d: int, length: int) -> np.ndarray:
+    """All of F_d^length as digit rows in lexicographic order: row i is the
+    vector whose digits, read from position 0, spell i in base d."""
+    return index_to_digits(np.arange(d**length), d, length)[:, ::-1]
+
+
+def isotropic_subspaces(d: int, ambient: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every isotropic subspace of F_d^ambient of the given dimension, as
+    (generator rows (S, dim, ambient), member masks (S, d^ambient)) with
+    vectors indexed as in _lex_vectors.
+
+    The spans grow one vector at a time: each span of dimension i is
+    extended by every vector that pairs to zero with its generators and
+    lies outside it, and spans with equal member sets are kept once."""
+    vecs = _lex_vectors(d, ambient)
+    size = len(vecs)
+    lex = d ** np.arange(ambient - 1, -1, -1)
+    pairs = symplectic_dual(vecs, d) @ vecs.T % d
+    # add[x, y] and mul[a, y]: the indices of x + y and of a * y
+    add = (vecs[:, None, :] + vecs[None, :, :]) % d @ lex
+    mul = (np.arange(d)[:, None, None] * vecs[None]) % d @ lex
+    gens = np.zeros((1, 0), dtype=np.int64)
+    members = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(dim):
+        fits = ~pairs[gens].any(axis=1)
+        fits[np.arange(len(members))[:, None], members] = False
+        span, v = np.nonzero(fits)
+        grown = add[members[span][:, :, None], mul[:, v].T[:, None, :]]
+        grown = np.sort(grown.reshape(len(v), -1), axis=1)
+        order = np.lexsort(grown.T)
+        fresh = np.ones(len(order), dtype=bool)
+        fresh[1:] = (grown[order[1:]] != grown[order[:-1]]).any(axis=1)
+        first = order[fresh]
+        gens = np.hstack([gens[span[first]], v[first, None]])
+        members = grown[first]
+    masks = np.zeros((len(members), size), dtype=bool)
+    masks[np.arange(len(members))[:, None], members] = True
+    return vecs[gens], masks
+
+
+def ensemble_failure_exact(inner: StabilizerCode, N: int, K: int, channel: PauliChannel
+                           ) -> tuple[float, np.ndarray]:
+    """The decoder's failure rate averaged over every isotropic outer code
+    of dimension kN - K, with no sampling: (the average, each code's rate).
+
+    For a code C and a syndrome sequence z, every v in one coset of perp(C)
+    has the same outer syndrome and so the same decoded v_hat: the coset's
+    member w of largest key prod c^c of the joint type of (z, w), ties to
+    the lexicographically smallest digit vector.  A trial (z, v) succeeds
+    iff v - w lies in C, so each code's failure rate is a sum of products
+    of array cells over the (z, v) that miss.  The codes are handled about
+    2^20 (code, z, v) cells at a time."""
+    d, k = inner.d, inner.k
+    arr = probability_array(inner, channel)
+    length, dim = 2 * k * N, k * N - K
+    codes, in_code = isotropic_subspaces(d, length, dim)
+    vecs = _lex_vectors(d, length)
+    size = len(vecs)
+    symbols = vecs.reshape(size, N, 2 * k) @ d ** np.arange(2 * k)
+    zs = index_to_digits(np.arange(arr.rows**N), arr.rows, N)
+    joint = zs[:, None, :] * arr.cols + symbols[None]
+    # key[z, v] = prod over blocks of the blocks that share the block's joint symbol
+    key = (joint[..., :, None] == joint[..., None, :]).sum(axis=-1).prod(axis=-1)
+    prob = arr.table[zs[:, None, :], symbols[None]].prod(axis=-1)
+    # the vectors of each z in decoding preference; a stable sort keeps the
+    # lexicographic order among equal keys
+    ranked = np.argsort(-key, axis=1, kind="stable")
+    lex = d ** np.arange(length - 1, -1, -1)
+    diff = (vecs[:, None, :] - vecs[None, :, :]) % d @ lex
+    syndromes = symplectic_dual(codes, d) @ vecs.T % d
+    labels = np.moveaxis(syndromes, 1, -1) @ d ** np.arange(dim)
+    group = size // d**dim
+    z_index = np.arange(len(zs))[:, None]
+    rates = []
+    step = max(1, (1 << 20) // (len(zs) * size))
+    for at in range(0, len(codes), step):
+        chunk = slice(at, at + step)
+        # each code's vectors in preference order, regrouped by syndrome
+        # with a stable sort: every group of `group` starts with its winner
+        order = np.argsort(labels[chunk][:, ranked], axis=-1, kind="stable")
+        v = ranked[z_index, order]
+        w = np.repeat(v[..., ::group], group, axis=-1)
+        ok = np.take_along_axis(in_code[chunk], diff[v, w].reshape(len(v), -1), axis=1)
+        rates.append((prob[z_index, v] * ~ok.reshape(v.shape)).sum(axis=(1, 2)))
+    rates = np.concatenate(rates)
+    return float(rates.mean()), rates

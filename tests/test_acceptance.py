@@ -18,11 +18,18 @@ from qcap import (
     hyperbolic_complete,
 )
 from qcap.codes import StabilizerCode
+from qcap.gf import index_to_digits
+from qcap.symplectic import Subspace, symplectic_dual
 from qcap.exponent import exponent, exponent_grid_oracle
 from qcap.qoracle import oracle_report
 from qcap.simconcat import SimConfig, fidelity_bound_exact, simulate
 
-from oracles import fidelity_bound_brute
+from oracles import (
+    decode_min_conditional_entropy,
+    ensemble_failure_exact,
+    fidelity_bound_brute,
+    isotropic_subspaces,
+)
 
 # frozen on first run: zero crossing of the qubit hashing bound 1 - h(p) - p log2(3)
 HASHING_CROSSING = 0.189289624915232
@@ -276,3 +283,70 @@ def test_criterion_8_type_bound_equals_brute_force():
         assert abs(grouped - brute) <= 1e-12, (p, grouped, brute)
         worst = max(worst, abs(grouped - brute))
     print(f"\nACCEPTANCE 8 PASS: grouped vs brute-force bound, worst gap {worst:.2e}")
+
+
+# exact ensemble configurations: (inner name, d, N, K, p, number of isotropic
+# outer codes); trivial1 has one syndrome, rep3 and rep2 have several
+EXACT_CONFIGS = [
+    ("trivial1", 2, 3, 1, 0.08, 315),
+    ("trivial1", 2, 4, 1, 0.08, 11475),
+    ("rep3", 2, 3, 1, 0.08, 315),
+    ("trivial1", 3, 3, 1, 0.1, 3640),
+    ("rep2", 3, 2, 1, 0.1, 40),
+]
+
+
+def _brute_force_failure(inner, N, K, channel, codes):
+    """Each code's failure rate from decoding every (z, v) with
+    decode_min_conditional_entropy.  The decoder sees only z and the outer
+    syndrome of v, so each such pair is decoded once and its v_hat checked
+    against every v that shares it."""
+    d, k = inner.d, inner.k
+    arr = probability_array(inner, channel)
+    col_digits = index_to_digits(np.arange(arr.cols), d, 2 * k)
+    vs = index_to_digits(np.arange(arr.cols**N), arr.cols, N)
+    v_digits = col_digits[vs].reshape(len(vs), -1)
+    rates = []
+    for basis in codes:
+        outer = Subspace(d, 2 * k * N, basis)
+        sigmas = symplectic_dual(basis, d) @ v_digits.T % d
+        fail = []
+        for z in index_to_digits(np.arange(arr.rows**N), arr.rows, N):
+            for sigma in np.unique(sigmas, axis=1).T:
+                v_hat = decode_min_conditional_entropy(inner, outer, z, sigma)
+                coset = (sigmas == sigma[:, None]).all(axis=0)
+                diffs = (col_digits[v_hat].ravel() - v_digits[coset]) % d
+                missed = (symplectic_dual(outer.canonical, d) @ diffs.T % d).any(axis=0)
+                fail += arr.table[z, vs[coset][missed]].prod(axis=1).tolist()
+        rates.append(math.fsum(fail))
+    return np.array(rates)
+
+
+def test_criterion_11_exact_ensemble_failure_rate():
+    """The decoder's failure rate averaged exactly over every isotropic
+    outer code stays below the type-sum bound; the simulator agrees with it
+    two-sided within 3 binomial sigma at a frozen seed; and on the smallest
+    configuration it equals a brute-force decode of every (code, error)."""
+    trials = 10_000
+    lines = []
+    for name, d, N, K, p, count in EXACT_CONFIGS:
+        inner = catalog(name, d)
+        ch = depolarizing(d, p)
+        exact, rates = ensemble_failure_exact(inner, N, K, ch)
+        assert rates.size == count
+        bound = fidelity_bound_exact(inner, N, K, ch)
+        assert exact <= bound, (name, d, N, K, p, exact, bound)
+        cfg = SimConfig(inner=inner, outer=None, N=N, K=K, channel=ch,
+                        trials=trials, seed=2026, resample_outer=True)
+        rate = simulate(cfg).failure_rate
+        z = (rate - exact) / math.sqrt(exact * (1 - exact) / trials)
+        assert abs(z) <= 3, (name, d, N, K, p, rate, exact, z)
+        lines.append(f"{name}/d={d} N={N} K={K}: exact {exact:.5f} <= bound {bound:.4f}, "
+                     f"sim {rate:.4f} (z = {z:+.2f})")
+
+    # the smallest configuration is the last one, whose rates are still at hand
+    codes, _ = isotropic_subspaces(d, 2 * inner.k * N, inner.k * N - K)
+    brute = _brute_force_failure(inner, N, K, ch, codes)
+    assert np.abs(rates - brute).max() <= 1e-12
+    print("\nACCEPTANCE 11 PASS: " + "; ".join(lines)
+          + f"; {name}/d={d} N={N} equals brute force on all {len(codes)} codes")

@@ -259,10 +259,10 @@ def test_shared_echelon_matches_nullspace_dense_sampler_and_explicit_context(d, 
                               nullspace(symplectic_dual(rows, d), d, ambient))
     assert np.array_equal(grown.basis()[0], rows)
     # the sampler draws what the dense reference draws
-    sampled = _DualEchelon.sample(d, ambient, dim, [np.random.default_rng(seed)])
+    sampled = _DualEchelon.sample(d, ambient, dim, np.random.default_rng(seed))
     basis = sampled.basis()[0]
     assert np.array_equal(basis, random_isotropic_dense(d, ambient, dim,
-                                                        np.random.default_rng(seed)))
+                                                        np.random.default_rng(seed))[0])
     # a context on the sampler's form equals one grown from the same rows
     explicit = _DualEchelon.of(d, basis)
     assert np.array_equal(sampled.perp_basis(), explicit.perp_basis())
@@ -387,6 +387,25 @@ def test_simconfig_validation():
     with pytest.raises(ValidationError):  # an explicit outer code is never resampled
         SimConfig(inner=TRIV, outer=sample_self_orthogonal(2, 8, 3, 0), N=4, K=1,
                   channel=depolarizing(2, 0.1), trials=10, seed=0, resample_outer=True)
+    # numpy integers are integers
+    assert simulate(SimConfig(inner=TRIV, outer=None, N=np.int64(4), K=np.int64(1),
+                              channel=depolarizing(2, 0.1), trials=np.int64(2),
+                              seed=np.uint32(3), resample_outer=True)).trials == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", -1), ("seed", 2.5), ("seed", "7"), ("seed", None), ("trials", 2.5),
+    ("trials", "10"), ("trials", True), ("N", 4.0), ("K", 1.5)])
+def test_simconfig_refuses_non_integer_and_negative_counts(field, value):
+    # these used to fail deep inside numpy with ValueError or TypeError
+    fields = dict(inner=TRIV, outer=None, N=4, K=1, channel=depolarizing(2, 0.1),
+                  trials=10, seed=0, resample_outer=True)
+    with pytest.raises(ValidationError, match=field if field in ("seed", "trials") else "N and K"):
+        SimConfig(**dict(fields, **{field: value}))
+    if field in ("N", "K"):
+        with pytest.raises(ValidationError, match="N and K"):
+            fidelity_bound_exact(TRIV, **dict(dict(N=4, K=1), **{field: value}),
+                                 channel=fields["channel"])
 
 
 def test_search_guard():

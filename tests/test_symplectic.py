@@ -302,7 +302,7 @@ def test_echelon_matches_dense_oracle(d, nrows, ncols, seed):
     # the incremental sampler draws the same coefficients as the dense one
     dim = int(rng.integers(0, ambient // 2 + 1))
     basis = sample_self_orthogonal(d, ambient, dim, seed).basis
-    dense = random_isotropic_dense(d, ambient, dim, np.random.default_rng(seed))
+    [dense] = random_isotropic_dense(d, ambient, dim, np.random.default_rng(seed))
     assert np.array_equal(basis, dense)
     # a Subspace keeps the canonical basis of its perp, so any basis of the
     # same span gives an equal Subspace with an equal hash
@@ -343,7 +343,7 @@ class _CountingDraws:
         self.drawn = 0
 
     def integers(self, low, high, size):
-        self.drawn += size
+        self.drawn += np.prod(size)
         return self.rng.integers(low, high, size)
 
 
@@ -351,11 +351,10 @@ class _CountingDraws:
                          [(2, 2, 1, 300), (2, 8, 4, 100), (3, 6, 3, 60), (5, 4, 2, 60),
                           (3, 10, 0, 5)])
 def test_trial_axis_sampler_matches_per_trial_dense_sampler(d, ambient, dim, trials):
-    grown = _DualEchelon.sample(d, ambient, dim,
-                                [np.random.default_rng((7, t)) for t in range(trials)])
-    counters = [_CountingDraws(np.random.default_rng((7, t))) for t in range(trials)]
-    for t, rng in enumerate(counters):
-        rows = random_isotropic_dense(d, ambient, dim, rng)
+    grown = _DualEchelon.sample(d, ambient, dim, np.random.default_rng(7), trials)
+    counter = _CountingDraws(np.random.default_rng(7))
+    dense = random_isotropic_dense(d, ambient, dim, counter, trials)
+    for t, rows in enumerate(dense):
         assert np.array_equal(grown.basis()[t], rows)
         dual = symplectic_dual(rows, d)
         assert np.array_equal(grown.perp_basis()[t], nullspace(dual, d, ambient))
@@ -363,9 +362,9 @@ def test_trial_axis_sampler_matches_per_trial_dense_sampler(d, ambient, dim, tri
             assert np.array_equal(grown.reps()[t],
                                   solve_affine_multi(dual, np.eye(dim, dtype=np.int64), d))
     if (d, ambient, dim) == (2, 2, 1):
-        # the first draw holds ambient + ambient = 4 digits; a trial that
-        # rejects the zero vector twice reads on from a refill
-        assert max(rng.drawn for rng in counters) > 4
+        # each trial's row holds ambient + ambient = 4 digits; trials that
+        # reject the zero vector twice read on from refills of the stream
+        assert counter.drawn > 4 * trials
 
 
 def test_random_isotropic_basis_matches_subspace_contract():
