@@ -5,6 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 
+# The most cells d^(n+k) a probability array may have: 2^40 float64 cells
+# take 8 TB, and the array's build holds d^2 times as many.
+MAX_CELLS = 2**40
+
+
 class QcapError(Exception):
     """Base class for all package errors."""
 

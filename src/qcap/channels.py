@@ -36,9 +36,6 @@ class PauliChannel:
         self.matrix = mat
         self.matrix.setflags(write=False)
 
-    def prob(self, u: int, v: int) -> float:
-        return float(self.matrix[u % self.d, v % self.d])
-
     @property
     def identity_prob(self) -> float:
         return float(self.matrix[0, 0])

@@ -19,14 +19,9 @@ import re
 
 import numpy as np
 
-from ._util import GuardError, ValidationError
+from ._util import MAX_CELLS, GuardError, ValidationError
 from .gf import _check_modulus
-from .symplectic import (
-    HyperbolicBasis,
-    Subspace,
-    hyperbolic_complete,
-    is_self_orthogonal,
-)
+from .symplectic import HyperbolicBasis, Subspace, hyperbolic_complete
 
 
 class StabilizerCode:
@@ -41,8 +36,6 @@ class StabilizerCode:
 
     def __init__(self, subspace: Subspace, completion: HyperbolicBasis | None = None,
                  *, name: str | None = None) -> None:
-        if not is_self_orthogonal(subspace):
-            raise ValidationError("stabilizer generators must be mutually orthogonal")
         self.subspace = subspace
         self.d = subspace.d
         self.n = subspace.ambient // 2
@@ -117,8 +110,8 @@ def _repetition_generators(n: int) -> np.ndarray:
 
 def _check_size(d: int, n: int) -> None:
     """Refuse n qudits over F_d before anything is built: every use of a code
-    needs an array of at least d^n cells, and the default array guard is 2^40."""
-    if n * math.log2(d) > 40:
+    needs an array of at least d^n cells, more than the array guard allows."""
+    if n * math.log2(d) > math.log2(MAX_CELLS):
         raise GuardError(f"d^n = {d}^{n} cells exceed the array guard 2^40")
 
 

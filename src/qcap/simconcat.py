@@ -27,13 +27,13 @@ keeps the record of each contract.
 The coset is v0 + span(B) for a basis B of perp(C_out).  B and the
 syndrome representatives behind v0 come from one echelon form of
 [dual(C_out) | I] per trial, the one the isotropic sampler grows while it
-draws a resampled outer code (an explicit outer code grows it from its
-rows); the sampler keeps B up to date in place as rows join.  Splitting B
-into halves B1, B2, the decoder lists the per-block symbols of
-v0 + span(B1) and of span(B2), about sqrt(d^{kN+K}) vectors each, and forms
-every candidate's symbols by looking up, per block, the sum of a
-v0 + span(B1) symbol and a span(B2) symbol in a table built once per outer
-code.
+draws a resampled outer code (an explicit outer code brings the form its
+Subspace was grown on); the sampler keeps B up to date in place as rows
+join.  Splitting B into halves B1, B2, the decoder lists the per-block
+symbols of v0 + span(B1) and of span(B2), about sqrt(d^{kN+K}) vectors
+each, and forms every candidate's symbols by looking up, per block, the sum
+of a v0 + span(B1) symbol and a span(B2) symbol in a table built once per
+outer code.
 
 Entropy comparisons between types are resolved exactly: for counts c the
 quantity N*H_c differs from a constant by -log(prod c^c), so candidate
@@ -346,7 +346,7 @@ def simulate(cfg: SimConfig) -> SimReport:
     ambient, dim = 2 * k * N, k * N - K
 
     if cfg.outer is not None:
-        ctx = _Contexts.of(inner, N, _DualEchelon.of(d, cfg.outer.basis))
+        ctx = _Contexts.of(inner, N, cfg.outer._form)
     elif not cfg.resample_outer:
         fixed = np.random.default_rng((cfg.seed, 0, 2))
         ctx = _Contexts.of(inner, N, _DualEchelon.sample(d, ambient, dim, fixed))

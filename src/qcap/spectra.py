@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import GuardError, ValidationError, entropy_nats
+from ._util import MAX_CELLS, GuardError, ValidationError, entropy_nats
 from .channels import PauliChannel
 from .codes import StabilizerCode
 
@@ -65,14 +65,8 @@ class ProbabilityArray:
     def cols(self) -> int:
         return self.table.shape[1]
 
-    def total(self) -> float:
-        return float(self.table.sum())
-
     def syndrome_marginal(self) -> np.ndarray:
         return self.table.sum(axis=1)
-
-    def entropy(self, base: float) -> float:
-        return entropy_nats(self.table) / math.log(base)
 
     def syndrome_entropy(self, base: float) -> float:
         return entropy_nats(self.syndrome_marginal()) / math.log(base)
@@ -113,8 +107,7 @@ def _site_tables(code: StabilizerCode) -> tuple[np.ndarray, np.ndarray]:
     return high, low
 
 
-def probability_array(code: StabilizerCode, channel: PauliChannel, *,
-                      max_cells: int = 2**40) -> ProbabilityArray:
+def probability_array(code: StabilizerCode, channel: PauliChannel) -> ProbabilityArray:
     """The coset-probability array of a code under a Pauli channel.
 
     The image of P^n under x -> chi_sel x, built site by site from a point
@@ -125,14 +118,14 @@ def probability_array(code: StabilizerCode, channel: PauliChannel, *,
     gather through a transient (d^2, d^m) index and one (d^2,) @ (d^2, d^m)
     product.
 
-    Guarded by max_cells on the d^{n+k} cells of the array (override to go
-    bigger); the build holds d^2 times that many while it runs.
+    Guarded by MAX_CELLS = 2^40 on the d^{n+k} cells of the array; the
+    build holds d^2 times that many while it runs.
     """
     d, n, k = code.d, code.n, code.k
     if channel.d != d:
         raise ValidationError("channel and code moduli differ")
-    if (n + k) * math.log2(d) > math.log2(max_cells) + 1e-9:
-        raise GuardError(f"array of d^(n+k) = {d}^{n + k} cells exceeds the guard {max_cells}")
+    if d ** (n + k) > MAX_CELLS:
+        raise GuardError(f"array of d^(n+k) = {d}^{n + k} cells exceeds the guard {MAX_CELLS}")
     probs = channel.matrix.ravel()
     dist = np.zeros(d ** (n + k))
     dist[0] = 1.0
@@ -177,8 +170,7 @@ def coherent_bound(code: StabilizerCode, channel: PauliChannel,
     """The lower bound c_n = k - H(logical | syndrome) for one code.
 
     Computed from the probability array; base defaults to d, the natural
-    unit in which k counts logical symbols.  To raise the array guard, call
-    bound_from_array(probability_array(code, channel, max_cells=m), base).
+    unit in which k counts logical symbols.
     """
     return bound_from_array(probability_array(code, channel), base)
 

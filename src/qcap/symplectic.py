@@ -6,14 +6,15 @@ extends to n hyperbolic pairs (g_i, h_i) satisfying
 
     <g_i, h_j> = delta_ij,   <g_i, g_j> = 0,   <h_i, h_j> = 0.
 
-The completion grows one echelon form of the rows [dual(x) | e_x]
-(`_DualEchelon`) from g_1..g_{n-k}.  Reading it off gives perp of the rows so
-far (the nullspace of the dual rows, one basis vector per free column) and,
-from the identity columns, a representative y_x with <x', y_x> = delta_x'x
-for every row x'.  For l = n-k .. 1 the partner h_l is y_{g_l} plus a uniform
-draw from perp, and joins the form; then fresh planes are split off the
-remaining perp: a uniform nonzero g from perp joins, and its partner is
-found the same way.  A seed fully determines the output.
+The completion continues, on a copy with room for 2n rows, the echelon
+form of the rows [dual(x) | e_x] (`_DualEchelon`) that L was grown on from
+g_1..g_{n-k}.  Reading it off gives perp of the rows so far (the nullspace
+of the dual rows, one basis vector per free column) and, from the identity
+columns, a representative y_x with <x', y_x> = delta_x'x for every row x'.
+For l = n-k .. 1 the partner h_l is y_{g_l} plus a uniform draw from perp,
+and joins the form; then fresh planes are split off the remaining perp: a
+uniform nonzero g from perp joins, and its partner is found the same way.
+A seed fully determines the output.
 
 The sampler `sample_self_orthogonal` grows a subspace one dimension at a
 time with a uniform vector from perp(current) \\ current.  At dimension m'
@@ -23,11 +24,11 @@ the target dimension is reached with equal probability.  On the same kind
 of form a drawn v lies in the span exactly when dual(v) reduces to zero on
 the first 2m columns, and perp(current) is updated in place when a row with
 a new pivot p joins (drop n_p, subtract r[c] n_p from every other n_c).
-The decoder takes its perp basis and syndrome representatives from the
-sampler's form, and a Subspace keeps the perp basis read off a form grown
-from its generators (for a sampled subspace, the sampler's own form), so
-the completion, perp, the sampler, the decoder context and every Subspace
-grow one [dual | I] form (`_DualEchelon`).
+Every Subspace keeps the form grown from its generators (for a sampled
+subspace, the sampler's own form) and reads its perp basis off it; the
+completion continues a widened copy of that form, and the decoder takes
+its perp basis and syndrome representatives from it, so each subspace's
+generator rows are reduced once.
 
 The form is held for T independent lists of vectors on a leading trial
 axis: the decoder samples the outer codes of a whole batch of trials at
@@ -125,15 +126,25 @@ class _DualEchelon:
         self.perp = np.repeat(np.eye(ambient, dtype=np.int64)[None], trials, axis=0)
 
     @classmethod
-    def of(cls, d: int, gens: np.ndarray, dim: int | None = None) -> "_DualEchelon":
-        """The form of one trial grown from the given rows, in order, with
-        room for dim rows in all (default: these)."""
+    def of(cls, d: int, gens: np.ndarray) -> "_DualEchelon":
+        """The form of one trial grown from the given rows, in order."""
         gens = np.asarray(gens, dtype=np.int64) % d
-        grown = cls(d, gens.shape[1], len(gens) if dim is None else dim)
+        grown = cls(d, gens.shape[1], len(gens))
         for g in gens:
             if not grown.add(g[None]):
                 raise ValidationError("generators are linearly dependent")
         return grown
+
+    def widened(self, dim: int) -> "_DualEchelon":
+        """A copy with room for dim rows, which grows on as a form with that
+        room from the start would: the rows so far are zero in the new
+        identity columns."""
+        m, ambient = self.size, self.ambient
+        out = _DualEchelon(self.d, ambient, dim, len(self.rows))
+        out.gens[:, :m], out.pivots[:, :m] = self.gens[:, :m], self.pivots[:, :m]
+        out.rows[:, :m, :ambient + m] = self.rows[:, :m, :ambient + m]
+        out.size, out.free, out.perp = m, self.free.copy(), self.perp.copy()
+        return out
 
     @classmethod
     def sample(cls, d: int, ambient: int, dim: int, rng: np.random.Generator,
@@ -246,11 +257,11 @@ class Subspace:
     independent basis.
 
     The user-supplied generators are kept as-is (downstream code relies on
-    their order).  Beside them `canonical` holds the canonical basis of
-    perp(L), read off the [dual | I] form grown from the generators; since
-    L = perp(perp(L)), two Subspace objects are equal exactly when they span
-    the same set of vectors, and v lies in L exactly when it pairs to zero
-    with every row of `canonical`.
+    their order), with the [dual | I] form grown from them, which the
+    completion and the decoder reuse, and `canonical`, the canonical basis
+    of perp(L) read off it.  Since L = perp(perp(L)), two Subspace objects
+    are equal exactly when they span the same set of vectors, and v lies in
+    L exactly when it pairs to zero with every row of `canonical`.
     """
 
     def __init__(self, d: int, ambient: int, basis) -> None:
@@ -273,14 +284,15 @@ class Subspace:
 
     @classmethod
     def _of_form(cls, form: _DualEchelon) -> "Subspace":
-        """The span of a one-trial form's generators, keeping the perp basis
-        the form already holds instead of growing a second form."""
+        """The span of a one-trial form's generators, keeping that form
+        instead of growing a second one."""
         self = cls.__new__(cls)
         self.d, self.ambient = form.d, form.ambient
         self._read(form)
         return self
 
     def _read(self, form: _DualEchelon) -> None:
+        self._form = form
         self.basis = form.basis()[0]
         self.basis.setflags(write=False)
         self.canonical = form.perp_basis()[0]
@@ -379,7 +391,7 @@ def hyperbolic_complete(L: Subspace, rng_seed: int) -> HyperbolicBasis:
     """Extend the ordered basis of a self-orthogonal L to n hyperbolic pairs.
 
     The first dim(L) vectors g_i are exactly L's generators in their given
-    order.  Deterministic for a fixed seed.
+    order; a copy of L's form grows on.  Deterministic for a fixed seed.
     """
     if not is_self_orthogonal(L):
         raise ValidationError("subspace is not self-orthogonal")
@@ -387,7 +399,7 @@ def hyperbolic_complete(L: Subspace, rng_seed: int) -> HyperbolicBasis:
     n = L.ambient // 2
     nk = L.dim
     rng = np.random.default_rng(rng_seed)
-    grown = _DualEchelon.of(d, L.basis, 2 * n)
+    grown = L._form.widened(2 * n)
 
     def partner(i: int) -> np.ndarray:
         """A uniform h with <x, h> = 1 for row i and 0 for every other row
@@ -429,8 +441,8 @@ def sample_self_orthogonal(d: int, ambient: int, dim: int, rng_seed) -> Subspace
     ambient is the full dimension 2m; dim must not exceed m.
     """
     d = _check_modulus(d)
-    if ambient % 2 != 0:
-        raise ValidationError("ambient dimension must be even")
+    if ambient < 2 or ambient % 2:
+        raise ValidationError(f"ambient dimension must be even and at least 2, got {ambient}")
     m = ambient // 2
     if dim < 0 or dim > m:
         raise ValidationError(f"no isotropic subspace of dimension {dim} in dimension {ambient}")

@@ -216,7 +216,7 @@ def test_criterion_6_structural_property_suites():
     for name, d, p in (("rep3", 2, 0.1), ("rep7", 3, 0.2552), ("five_qubit", 2, 0.05),
                        ("trivial4", 2, 0.4)):
         arr = probability_array(catalog(name, d), depolarizing(d, p))
-        assert abs(arr.total() - 1.0) <= 1e-12
+        assert abs(arr.table.sum() - 1.0) <= 1e-12
     print(f"\nACCEPTANCE 6 PASS: 1000 completions exact, {pair_count} isometry pairs, "
           "completion invariance <= 1e-12, arrays normalized")
 

@@ -23,8 +23,8 @@ def test_depolarizing_completely_mixing_point():
 
 def test_depolarizing_ternary_values():
     ch = depolarizing(3, 0.2552)
-    assert ch.prob(0, 0) == pytest.approx(0.7448, abs=1e-15)
-    off = [ch.prob(u, v) for u in range(3) for v in range(3) if (u, v) != (0, 0)]
+    assert ch.matrix[0, 0] == pytest.approx(0.7448, abs=1e-15)
+    off = [ch.matrix[u, v] for u in range(3) for v in range(3) if (u, v) != (0, 0)]
     assert np.allclose(off, 0.2552 / 8)
 
 
@@ -53,7 +53,7 @@ def test_product_prob_single_letter():
     for u in range(3):
         for v in range(3):
             x = np.array([u, v])
-            assert product_prob(ch, x) == ch.prob(u, v)
+            assert product_prob(ch, x) == ch.matrix[u, v]
 
 
 def test_product_prob_zero_vector():
@@ -101,7 +101,7 @@ def test_base_conversion_constant():
 def test_channel_file_round_trip(tmp_path):
     path = tmp_path / "chan.txt"
     ch = depolarizing(3, 0.6)
-    lines = [f"{u} {v} {ch.prob(u, v):.17g}" for u in range(3) for v in range(3)]
+    lines = [f"{u} {v} {ch.matrix[u, v]:.17g}" for u in range(3) for v in range(3)]
     path.write_text("\n".join(lines) + "\n")
     back = channel_from_file(path, 3)
     assert back.d == 3

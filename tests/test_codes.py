@@ -15,6 +15,7 @@ from qcap import (
     write_code_file,
 )
 from qcap.codes import vector_from_digit_string
+from qcap.symplectic import _DualEchelon, hyperbolic_complete
 
 
 def test_catalog_rep7_matches_digit_strings():
@@ -25,6 +26,25 @@ def test_catalog_rep7_matches_digit_strings():
     strings = ["1100000", "1010000", "1001000", "1000100", "1000010", "1000001"]
     for row, s in zip(code.generators, strings):
         assert (row == vector_from_digit_string(3, s)).all()
+
+
+@pytest.mark.parametrize("name, d, rows", [("rep7", 3, 14), ("five_qubit", 2, 10),
+                                            ("rep3", 2, 6)])
+def test_codes_grow_their_rows_once(monkeypatch, name, d, rows):
+    # the completion continues the form the subspace was grown on: each of
+    # the 2n completion vectors joins one form once
+    calls = []
+    insert = _DualEchelon.insert
+    monkeypatch.setattr(_DualEchelon, "insert",
+                        lambda self, *args: calls.append(1) or insert(self, *args))
+    code = catalog(name, d)
+    assert len(calls) == rows == 2 * code.n
+    # completing L leaves L's own form as it was, so a second completion
+    # repeats the first
+    again = hyperbolic_complete(code.subspace, 0)
+    assert np.array_equal(again.g, code.completion.g)
+    assert np.array_equal(again.h, code.completion.h)
+    assert code.subspace._form.size == code.n - code.k
 
 
 def test_catalog_trivial():

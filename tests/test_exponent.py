@@ -300,8 +300,8 @@ def test_exponent_raises_when_the_certificate_fails(monkeypatch):
 def test_exponent_has_no_polish_knobs(tmp_path):
     # removed keyword options are refused, not ignored: the solver's polish
     # knobs and tolerance, the completion seed (pass a completion built by
-    # hyperbolic_complete instead) and the array guards of the bound helpers
-    # (pass probability_array(..., max_cells=) to bound_from_array instead)
+    # hyperbolic_complete instead) and the array guard, now the constant
+    # _util.MAX_CELLS
     code = catalog("trivial1", 2)
     ch = depolarizing(2, 0.05)
     path = tmp_path / "trivial1.code"
@@ -311,6 +311,7 @@ def test_exponent_has_no_polish_knobs(tmp_path):
         (exponent, (code, ch, 0.0), "max_iter"),
         (exponent, (code, ch, 0.0), "tol"),
         (exponent_grid_oracle, (code, ch, 0.0, 2), "max_cells"),
+        (probability_array, (code, ch), "max_cells"),
         (coherent_bound, (code, ch), "max_cells"),
         (bound_sweep, (code, [ch]), "max_cells"),
         (StabilizerCode, (code.subspace,), "seed"),

@@ -161,11 +161,13 @@ def test_hyperbolic_complete_deterministic_per_seed():
 def test_completion_and_perp_match_dense_reference(d, n, data, seed):
     # bit for bit: the one grown [dual | I] form reads off the same particular
     # solutions and nullspace bases as the chained dense constraint solves
+    # L continues the sampler's form, and its rebuilt copy the constructor's
     L = sample_self_orthogonal(d, 2 * n, data.draw(st.integers(0, n)), seed)
     for rng_seed in (0, 1, seed):
-        B = hyperbolic_complete(L, rng_seed)
         g, h = hyperbolic_complete_dense(L, rng_seed)
-        assert np.array_equal(B.g, g) and np.array_equal(B.h, h)
+        for sub in (L, Subspace(d, 2 * n, L.basis)):
+            B = hyperbolic_complete(sub, rng_seed)
+            assert np.array_equal(B.g, g) and np.array_equal(B.h, h)
     assert np.array_equal(perp(L).basis, nullspace(symplectic_dual(L.basis, d), d, 2 * n))
 
 
@@ -238,6 +240,9 @@ def test_sample_self_orthogonal_basics():
 def test_sample_self_orthogonal_rejects_overlarge_dim():
     with pytest.raises(ValidationError):
         sample_self_orthogonal(2, 4, 3, 0)
+    # like Subspace(2, 0, []), an empty ambient space is refused
+    with pytest.raises(ValidationError):
+        sample_self_orthogonal(2, 0, 0, 0)
 
 
 def test_sampler_uniform_over_isotropic_lines():
