@@ -26,6 +26,11 @@ class ConvergenceError(QcapError):
     """An iterative solver failed to reach its tolerance within its budget."""
 
 
+def is_int(x) -> bool:
+    """True for a Python or numpy integer, but not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def entropy_nats(p: np.ndarray) -> float:
     """Shannon entropy of a nonnegative weight vector in nats, with 0 log 0 = 0."""
     p = np.asarray(p, dtype=float).ravel()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._util import ValidationError
+from ._util import ValidationError, is_int
 
 
 def is_prime(n: int) -> bool:
@@ -39,12 +39,13 @@ _MAX_MODULUS = 1 << 20
 
 
 def _check_modulus(d: int) -> int:
-    d = int(d)
+    if not is_int(d):
+        raise ValidationError(f"modulus must be a prime integer, got {d!r}")
     if d > _MAX_MODULUS:
         raise ValidationError(f"modulus {d} exceeds 2^20: its d^2 channel letters pass the array guard")
     if not is_prime(d):
         raise ValidationError(f"modulus must be prime, got {d}")
-    return d
+    return int(d)
 
 
 def symplectic_form(x: np.ndarray, y: np.ndarray, d: int) -> int:

@@ -24,16 +24,16 @@ the same stream.  The outer code drawn once for all trials comes from
 contract, but not on the decoding budget.  tests/test_seed_contract.py
 keeps the record of each contract.
 
-The coset is v0 + span(B) for a basis B of perp(C_out).  B and the
-syndrome representatives behind v0 come from one echelon form of
-[dual(C_out) | I] per trial, the one the isotropic sampler grows while it
-draws a resampled outer code (an explicit outer code brings the form its
-Subspace was grown on); the sampler keeps B up to date in place as rows
-join.  Splitting B into halves B1, B2, the decoder lists the per-block
-symbols of v0 + span(B1) and of span(B2), about sqrt(d^{kN+K}) vectors
-each, and forms every candidate's symbols by looking up, per block, the sum
-of a v0 + span(B1) symbol and a span(B2) symbol in a table built once per
-outer code.
+The candidates, the v' with v's outer syndrome, are the coset
+v + perp(C_out), and the winner is a function of that set however it is
+listed, so the decoder needs only a basis B of perp(C_out): the one the
+isotropic sampler keeps in place as it grows a random outer code's form
+of [dual(C_out) | I], or an explicit Subspace's canonical one.  Splitting
+B into halves B1, B2, the decoder lists the per-block symbols of
+v + span(B1) and of span(B2), about sqrt(d^{kN+K}) vectors each, and forms
+every candidate's symbols by looking up, per block, the sum of a
+v + span(B1) symbol and a span(B2) symbol in a table built once per outer
+code.
 
 Entropy comparisons between types are resolved exactly: for counts c the
 quantity N*H_c differs from a constant by -log(prod c^c), so candidate
@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import GuardError, ValidationError, wilson_interval
+from ._util import GuardError, ValidationError, is_int, wilson_interval
 from .channels import PauliChannel
 from .codes import StabilizerCode
 from .exponent import compositions
@@ -105,9 +105,9 @@ class SimConfig:
     def __post_init__(self):
         k, N, K = self.inner.k, self.N, self.K
         _check_blocks(self.inner, N, K)
-        if not _is_int(self.trials) or self.trials < 1:
+        if not is_int(self.trials) or self.trials < 1:
             raise ValidationError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not _is_int(self.seed) or self.seed < 0:
+        if not is_int(self.seed) or self.seed < 0:
             raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.channel.d != self.inner.d:
             raise ValidationError("channel and inner code moduli differ")
@@ -134,16 +134,12 @@ def _check_blocks(inner: StabilizerCode, N: int, K: int) -> None:
     k = inner.k
     if k < 1:
         raise ValidationError("inner code needs k >= 1")
-    if not (_is_int(N) and _is_int(K)):
+    if not (is_int(N) and is_int(K)):
         raise ValidationError(f"N and K must be integers, got {N!r} and {K!r}")
     if N < 1:
         raise ValidationError("need at least one outer block")
     if not 0 <= K <= k * N:
         raise ValidationError(f"K must lie in [0, kN] = [0, {k * N}]")
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -186,23 +182,19 @@ def _cell_cdf(array: ProbabilityArray) -> np.ndarray:
 
 class _Contexts:
     """The decoding machinery of C outer codes, one per trial of a batch or
-    one shared by every trial (C = 1): syndrome map, the two halves of the
-    candidate coset enumeration, and the membership test.
-
-    `codes` holds, for each code, what its grown echelon form of [dual | I]
-    gives: C_out's generator rows (C, kN-K, 2kN), a basis of perp(C_out)
-    (C, kN+K, 2kN) and representatives y_i with <g'_i, y_j> = delta_ij
-    (C, kN-K, 2kN), so that v0 = sigma @ reps has syndrome sigma.
+    one shared by every trial (C = 1): the two halves of the candidate
+    coset enumeration and the membership test, all built from a basis of
+    perp(C_out) of each code, (C, kN+K, 2kN).  Nothing else of the code is
+    needed: the candidates v + perp(C_out) of a trial are a function of v
+    and perp(C_out) alone.
     """
 
-    def __init__(self, inner: StabilizerCode, N: int, codes: tuple):
+    def __init__(self, inner: StabilizerCode, N: int, perp_basis: np.ndarray):
         self.d = d = inner.d
         k = inner.k
         self.N = N
         self.cols = cols = d ** (2 * k)
         self.powers = d ** np.arange(2 * k, dtype=np.int64)
-        basis, perp_basis, self.reps = codes
-        self.dual = symplectic_dual(basis, d)
         # C_out = perp(perp(C_out)): x lies in C_out iff it pairs to zero
         # with every row of perp_basis
         self.perp_dual = symplectic_dual(perp_basis, d)
@@ -223,11 +215,6 @@ class _Contexts:
                 table.shape[:2] + (-1, table.shape[3]))
         self.tail_sums = table
 
-    @classmethod
-    def of(cls, inner: StabilizerCode, N: int, outer: _DualEchelon) -> "_Contexts":
-        """The contexts of every code an echelon form holds."""
-        return cls(inner, N, (outer.basis(), outer.perp_basis(), outer.reps()))
-
     def _span(self, basis: np.ndarray) -> np.ndarray:
         """All d^h vectors of span(basis) of each basis (C, h, 2kN), as
         (C, d^h, 2kN) digit rows.  The float product is exact: its entries
@@ -246,10 +233,6 @@ class _Contexts:
         """(T, 2kN) digit vectors of (T, N) per-block symbols."""
         return index_to_digits(symbols.ravel(), self.d, len(self.powers)).reshape(len(symbols), -1)
 
-    def syndrome(self, v_digits: np.ndarray) -> np.ndarray:
-        """(T, kN-K) outer syndromes of (T, 2kN) digit vectors."""
-        return _mod((self.dual @ v_digits[:, :, None])[:, :, 0], self.d)
-
     def contains(self, x: np.ndarray) -> np.ndarray:
         """Whether each of the (T, 2kN) digit vectors lies in C_out."""
         return ~_mod(self.perp_dual @ x[:, :, None], self.d).any(axis=(1, 2))
@@ -259,18 +242,18 @@ class _Contexts:
         their per-block syndromes z and logical symbols v, (T, N) each.
 
         Returns the decoded symbols (T, N) and whether each trial succeeded:
-        v_hat - v lies in C_out.  The candidates are the coset v0 +
-        perp(C_out) of the observed outer syndrome, enumerated as v0 +
+        v_hat - v lies in C_out.  The candidates, the v' with v's outer
+        syndrome, are the coset v + perp(C_out), enumerated as v +
         span(first half of the basis) plus span(second half), with symbols
-        summed block by block.  Each candidate gets the key z_j * cols +
+        summed block by block.  The winner is a function of that set alone,
+        however it is listed.  Each candidate gets the key z_j * cols +
         symbol in every block j, so blocks with different syndromes never
         share a key.
         """
         d, N, cols = self.d, self.N, self.cols
         trials = len(z)
         v_digits = self._digits(v)
-        v0 = (self.syndrome(v_digits)[:, None, :] @ self.reps)[:, 0]
-        head = self._symbols(_mod(self.head_span + v0[:, None, :], d))
+        head = self._symbols(_mod(self.head_span + v_digits[:, None, :], d))
         # block j of trial t reads the rows (j, code, head symbol) of
         # tail_sums, where the code is t's own, or the shared one
         codes = self.tail_sums.shape[1]
@@ -346,10 +329,10 @@ def simulate(cfg: SimConfig) -> SimReport:
     ambient, dim = 2 * k * N, k * N - K
 
     if cfg.outer is not None:
-        ctx = _Contexts.of(inner, N, cfg.outer._form)
+        ctx = _Contexts(inner, N, cfg.outer.canonical[None])
     elif not cfg.resample_outer:
         fixed = np.random.default_rng((cfg.seed, 0, 2))
-        ctx = _Contexts.of(inner, N, _DualEchelon.sample(d, ambient, dim, fixed))
+        ctx = _Contexts(inner, N, _DualEchelon.sample(d, ambient, dim, fixed).perp_basis())
 
     step = _decode_size(d, k, N, K)
     failures = 0
@@ -360,14 +343,13 @@ def simulate(cfg: SimConfig) -> SimReport:
         draws = np.searchsorted(cdf, rng.random((len(trials), N)), side="right")
         z, v = draws // arr.cols, draws % arr.cols
         if cfg.resample_outer:
-            outer = _DualEchelon.sample(d, ambient, dim, rng, len(trials))
-            codes = outer.basis(), outer.perp_basis(), outer.reps()
+            perp = _DualEchelon.sample(d, ambient, dim, rng, len(trials)).perp_basis()
         v_hat = np.empty_like(v)
         ok = np.empty(len(trials), dtype=bool)
         for part in np.array_split(np.arange(len(trials)), -(-len(trials) // step)):
             at = slice(part[0], part[-1] + 1)
             if cfg.resample_outer:
-                ctx = _Contexts(inner, N, tuple(a[at] for a in codes))
+                ctx = _Contexts(inner, N, perp[at])
             v_hat[at], ok[at] = ctx.decode(z[at], v[at])
         failures += int(ok.size - ok.sum())
         if trace is not None:

@@ -25,10 +25,10 @@ of form a drawn v lies in the span exactly when dual(v) reduces to zero on
 the first 2m columns, and perp(current) is updated in place when a row with
 a new pivot p joins (drop n_p, subtract r[c] n_p from every other n_c).
 Every Subspace keeps the form grown from its generators (for a sampled
-subspace, the sampler's own form) and reads its perp basis off it; the
-completion continues a widened copy of that form, and the decoder takes
-its perp basis and syndrome representatives from it, so each subspace's
-generator rows are reduced once.
+subspace, the sampler's own form) and reads its perp basis off it, which
+is all the decoder needs of an outer code; the completion continues a
+widened copy of that form, so each subspace's generator rows are reduced
+once.
 
 The form is held for T independent lists of vectors on a leading trial
 axis: the decoder samples the outer codes of a whole batch of trials at
@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._util import ValidationError
+from ._util import ValidationError, is_int
 from .gf import _check_modulus, _mod
 
 
@@ -258,17 +258,17 @@ class Subspace:
 
     The user-supplied generators are kept as-is (downstream code relies on
     their order), with the [dual | I] form grown from them, which the
-    completion and the decoder reuse, and `canonical`, the canonical basis
-    of perp(L) read off it.  Since L = perp(perp(L)), two Subspace objects
-    are equal exactly when they span the same set of vectors, and v lies in
-    L exactly when it pairs to zero with every row of `canonical`.
+    completion continues, and `canonical`, the canonical basis of perp(L)
+    read off it, which is all the decoder uses.  As L = perp(perp(L)), two
+    Subspaces are equal exactly when they span the same vectors, and v lies
+    in L exactly when it pairs to zero with every row of `canonical`.
     """
 
     def __init__(self, d: int, ambient: int, basis) -> None:
         self.d = _check_modulus(d)
+        if not is_int(ambient) or ambient < 2 or ambient % 2:
+            raise ValidationError(f"ambient must be an even integer, at least 2, got {ambient!r}")
         self.ambient = int(ambient)
-        if self.ambient < 2 or self.ambient % 2:
-            raise ValidationError(f"ambient dimension must be even and at least 2, got {ambient}")
         try:
             rows = np.asarray(basis)
         except ValueError:  # ragged rows
@@ -441,10 +441,10 @@ def sample_self_orthogonal(d: int, ambient: int, dim: int, rng_seed) -> Subspace
     ambient is the full dimension 2m; dim must not exceed m.
     """
     d = _check_modulus(d)
-    if ambient < 2 or ambient % 2:
-        raise ValidationError(f"ambient dimension must be even and at least 2, got {ambient}")
+    if not is_int(ambient) or ambient < 2 or ambient % 2:
+        raise ValidationError(f"ambient must be an even integer, at least 2, got {ambient!r}")
     m = ambient // 2
-    if dim < 0 or dim > m:
-        raise ValidationError(f"no isotropic subspace of dimension {dim} in dimension {ambient}")
+    if not is_int(dim) or not 0 <= dim <= m:
+        raise ValidationError(f"no isotropic subspace of dimension {dim!r} in dimension {ambient}")
     rng = np.random.default_rng(rng_seed)
     return Subspace._of_form(_DualEchelon.sample(d, ambient, dim, rng))

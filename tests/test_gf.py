@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcap import PauliChannel, Subspace, ValidationError, catalog, symplectic_form
+from qcap import PauliChannel, Subspace, ValidationError, catalog, depolarizing, symplectic_form
 from qcap.gf import _check_modulus, index_to_digits, is_prime
 
 from oracles import digits_to_index
@@ -18,6 +18,12 @@ def test_rejects_composite_modulus():
         PauliChannel(6, np.full(36, 1 / 36))
     with pytest.raises(ValidationError):
         catalog("rep3", 1)
+    # a non-integer modulus is refused, never truncated to a prime
+    for make in (lambda: Subspace(2.5, 4, []), lambda: depolarizing(3.9, 0.1),
+                 lambda: catalog("rep3", 2.9), lambda: _check_modulus(True)):
+        with pytest.raises(ValidationError, match="prime"):
+            make()
+    assert type(_check_modulus(np.int64(3))) is int
 
 
 def test_modulus_cap():

@@ -100,13 +100,14 @@ def test_decoder_output_satisfies_syndrome():
     rng = np.random.default_rng(8)
     arr = probability_array(REP3, depolarizing(2, 0.12))
     outer = sample_self_orthogonal(2, 12, 4, 9)
-    ctx = _Contexts.of(REP3, 6, _DualEchelon.of(2, outer.basis))
+    ctx = _Contexts(REP3, 6, outer.canonical[None])
     col_digits = index_to_digits(np.arange(arr.cols), 2, 2)
     errors = [sample_error(arr, 6, rng) for _ in range(200)]
     z, v = (np.array(part) for part in zip(*errors))
     v_hat, _ = ctx.decode(z, v)
-    sigma = ctx.syndrome(col_digits[v].reshape(200, -1))
-    assert (ctx.syndrome(col_digits[v_hat].reshape(200, -1)) == sigma).all()
+    dual = symplectic_dual(outer.basis, 2)
+    sigma = dual @ col_digits[v].reshape(200, -1).T % 2
+    assert (dual @ col_digits[v_hat].reshape(200, -1).T % 2 == sigma).all()
 
 
 def test_decoder_success_indicator_cross_validated():
@@ -116,7 +117,7 @@ def test_decoder_success_indicator_cross_validated():
     N, K = 6, 1
     arr = probability_array(inner, depolarizing(2, 0.1))
     outer = sample_self_orthogonal(2, 2 * N, N - K, 77)
-    ctx = _Contexts.of(inner, N, _DualEchelon.of(2, outer.basis))
+    ctx = _Contexts(inner, N, outer.canonical[None])
     col_digits = index_to_digits(np.arange(arr.cols), 2, 2)
     members = {tuple((c @ outer.basis) % 2)
                for c in index_to_digits(np.arange(2**outer.dim), 2, outer.dim)}
@@ -175,8 +176,8 @@ def random_decode_case(draw):
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(random_decode_case())
-def test_decoder_matches_reference_on_random_codes(case):
+@given(random_decode_case(), st.data())
+def test_decoder_matches_reference_on_random_codes(case, data):
     inner, outer, z, sigma = case
     d, k, N = inner.d, inner.k, len(z)
     # a logical sequence with outer syndrome sigma: the engine reads the
@@ -184,19 +185,26 @@ def test_decoder_matches_reference_on_random_codes(case):
     dual = symplectic_dual(outer.basis, d).reshape(-1, 2 * k * N)
     v_digits = (solve_affine(dual, sigma, d) if outer.dim
                 else np.zeros(2 * k * N, dtype=np.int64))
+    # plus any element of perp(C_out): the engine searches v + perp(C_out),
+    # the same coset, where the reference starts from its own solved v0
+    h = len(outer.canonical)
+    coeffs = data.draw(st.lists(st.integers(0, d - 1), min_size=h, max_size=h))
+    v_digits = (v_digits + np.array(coeffs, dtype=np.int64) @ outer.canonical) % d
+    assert np.array_equal(dual @ v_digits % d, sigma)
     v = v_digits.reshape(N, 2 * k) @ d ** np.arange(2 * k)
-    ctx = _Contexts.of(inner, N, _DualEchelon.of(d, outer.basis))
+    ctx = _Contexts(inner, N, outer.canonical[None])
     v_hat, _ = ctx.decode(z[None], v[None])
     assert v_hat[0].tolist() == reference_decode(inner, outer, z, sigma).tolist()
 
 
 def test_syndrome_invariant_under_code_shifts():
     outer = sample_self_orthogonal(2, 16, 6, 13)
-    ctx = _Contexts.of(TRIV, 8, _DualEchelon.of(2, outer.basis))
+    ctx = _Contexts(TRIV, 8, outer.canonical[None])
     rng = np.random.default_rng(2)
     v = rng.integers(0, 2, (100, 16))
     c = (rng.integers(0, 2, (100, outer.dim)) @ outer.basis) % 2
-    assert (ctx.syndrome(v) == ctx.syndrome((v + c) % 2)).all()
+    dual = symplectic_dual(outer.basis, 2)
+    assert (dual @ v.T % 2 == dual @ ((v + c) % 2).T % 2).all()
     # failure indicator of a shifted truth is unchanged
     diff = rng.integers(0, 2, (100, 16))
     assert (ctx.contains(diff) == ctx.contains((diff + c) % 2)).all()
@@ -221,7 +229,7 @@ def test_context_membership_matches_subspace(d, k, N, K, seed):
         K -= 1
     outer = sample_self_orthogonal(d, 2 * k * N, k * N - K, seed)
     inner = catalog(f"trivial{k}", d)
-    ctx = _Contexts.of(inner, N, _DualEchelon.of(d, outer.basis))
+    ctx = _Contexts(inner, N, outer.canonical[None])
     rng = np.random.default_rng(seed)
     members = (rng.integers(0, d, (10, outer.dim)) @ outer.basis) % d
     noise = rng.integers(0, d, (10, 2 * k * N))
@@ -270,7 +278,8 @@ def test_shared_echelon_matches_nullspace_dense_sampler_and_explicit_context(d, 
     assert np.array_equal(symplectic_dual(basis, d) @ sampled.reps()[0].T % d,
                           np.eye(dim, dtype=np.int64))
     inner = catalog(f"trivial{k}", d)
-    ctx, explicit_ctx = _Contexts.of(inner, N, sampled), _Contexts.of(inner, N, explicit)
+    ctx = _Contexts(inner, N, sampled.perp_basis())
+    explicit_ctx = _Contexts(inner, N, explicit.perp_basis())
     members = rng.integers(0, d, (10, dim)) @ basis % d
     xs = np.vstack([members, rng.integers(0, d, (20, ambient))])
     assert np.array_equal(ctx.contains(xs), explicit_ctx.contains(xs))
@@ -561,9 +570,10 @@ def test_unencoded_inner_scores_ignore_syndromes():
     arr = probability_array(TRIV, depolarizing(2, 0.1))
     assert arr.rows == 1
     outer = sample_self_orthogonal(2, 10, 4, 1)
-    ctx = _Contexts.of(TRIV, 5, _DualEchelon.of(2, outer.basis))
+    ctx = _Contexts(TRIV, 5, outer.canonical[None])
     z = np.zeros((50, 5), dtype=np.int64)
     v = np.random.default_rng(0).integers(0, arr.cols, (50, 5))
     v_hat, _ = ctx.decode(z, v)
-    sigma = ctx.syndrome(index_to_digits(v.ravel(), 2, 2).reshape(50, -1))
-    assert (ctx.syndrome(index_to_digits(v_hat.ravel(), 2, 2).reshape(50, -1)) == sigma).all()
+    dual = symplectic_dual(outer.basis, 2)
+    sigma = dual @ index_to_digits(v.ravel(), 2, 2).reshape(50, -1).T % 2
+    assert (dual @ index_to_digits(v_hat.ravel(), 2, 2).reshape(50, -1).T % 2 == sigma).all()

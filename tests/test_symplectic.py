@@ -70,6 +70,10 @@ def test_subspace_rejects_dependent_generators():
     assert Subspace(2, 4, [[1, 0, 0, 0]]).dim == 1
     assert Subspace(2, 4, []) == Subspace(2, 4, np.zeros((0, 4)))
     assert Subspace(2, 4, []).dim == 0
+    # a non-integer ambient dimension is refused, never truncated
+    with pytest.raises(ValidationError, match="integer"):
+        Subspace(2, 4.5, [])
+    assert Subspace(np.int64(2), np.int64(4), []).ambient == 4
 
 
 def test_subspace_equality_is_span_equality():
@@ -243,6 +247,11 @@ def test_sample_self_orthogonal_rejects_overlarge_dim():
     # like Subspace(2, 0, []), an empty ambient space is refused
     with pytest.raises(ValidationError):
         sample_self_orthogonal(2, 0, 0, 0)
+    # non-integer (or bool) sizes are refused before any numpy call
+    for ambient, dim in ((4, 1.5), (4.0, 1), (4, True)):
+        with pytest.raises(ValidationError):
+            sample_self_orthogonal(2, ambient, dim, 0)
+    assert sample_self_orthogonal(np.int64(2), np.int64(4), np.int64(1), 0).dim == 1
 
 
 def test_sampler_uniform_over_isotropic_lines():
