@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
-# The most cells d^(n+k) a probability array may have: 2^40 float64 cells
-# take 8 TB, and the array's build holds d^2 times as many.
-MAX_CELLS = 2**40
+# Fixed, so that the exit code does not depend on the machine.
+MAX_BUILD_BYTES = 2**32
 
 
 class QcapError(Exception):
@@ -20,6 +21,16 @@ class ValidationError(QcapError):
 
 class GuardError(QcapError):
     """A computation would exceed a declared enumeration or size guard."""
+
+
+def check_array_build(d: int, n: int, k: int) -> None:
+    """Refuse, before anything is built, an array build past MAX_BUILD_BYTES:
+    8 (d^2 + 2) bytes per cell for the d^(n+k) cells, their d^2-fold gather
+    and the next array, compared in log2 so that no big power is formed."""
+    log_bytes = math.log2(8 * (d * d + 2)) + (n + k) * math.log2(d)
+    if log_bytes > math.log2(MAX_BUILD_BYTES):
+        raise GuardError(f"the array of d^(n+k) = {d}^{n + k} cells needs 2^{log_bytes:.1f} "
+                         f"bytes to build, over the guard of 2^{math.log2(MAX_BUILD_BYTES):g}")
 
 
 class ConvergenceError(QcapError):

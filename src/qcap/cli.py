@@ -152,9 +152,9 @@ def _cmd_oracle_check(args, start) -> None:
     rep = oracle_report(code, ch, base)
     cb = coherent_bound(code, ch, base)
     diff = rep.coherent_info - cb.c_n
-    print(f"coherent information (matrix oracle): {rep.coherent_info:.15f}")
-    print(f"coherent-information bound c_n       : {cb.c_n:.15f}")
-    print(f"difference                            : {diff:.3e}")
+    print(f"coherent information (matrix oracle): {rep.coherent_info:.15f}", file=sys.stderr)
+    print(f"coherent-information bound c_n       : {cb.c_n:.15f}", file=sys.stderr)
+    print(f"difference                            : {diff:.3e}", file=sys.stderr)
     _emit_json(args, start, {
         "coherent_info_direct": rep.coherent_info,
         "c_n": cb.c_n,
@@ -238,8 +238,8 @@ def run(argv=None) -> int:
     except ValidationError as exc:
         print(f"error (validation): {exc}", file=sys.stderr)
         return 2
-    except GuardError as exc:
-        print(f"error (guard): {exc}", file=sys.stderr)
+    except (GuardError, MemoryError) as exc:
+        print(f"error (guard): {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except ConvergenceError as exc:
         print(f"error (non-convergence): {exc}", file=sys.stderr)

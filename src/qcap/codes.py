@@ -14,12 +14,11 @@ five-qubit code in this digit format.
 from __future__ import annotations
 
 import functools
-import math
 import re
 
 import numpy as np
 
-from ._util import MAX_CELLS, GuardError, ValidationError
+from ._util import ValidationError, check_array_build
 from .gf import _check_modulus
 from .symplectic import HyperbolicBasis, Subspace, hyperbolic_complete
 
@@ -67,8 +66,8 @@ class StabilizerCode:
 
     @functools.cached_property
     def _site_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The channel-free gather tables of spectra.probability_array,
-        built on the first call and kept; construction builds none."""
+        """spectra.probability_array's channel-free row and column gather
+        tables, built on the first call and kept; construction builds none."""
         from .spectra import _site_tables  # spectra imports this module
         return _site_tables(self)
 
@@ -108,13 +107,6 @@ def _repetition_generators(n: int) -> np.ndarray:
     return np.kron(np.c_[np.ones(n - 1, np.int64), np.eye(n - 1, dtype=np.int64)], [1, 0])
 
 
-def _check_size(d: int, n: int) -> None:
-    """Refuse n qudits over F_d before anything is built: every use of a code
-    needs an array of at least d^n cells, more than the array guard allows."""
-    if n * math.log2(d) > math.log2(MAX_CELLS):
-        raise GuardError(f"d^n = {d}^{n} cells exceed the array guard 2^40")
-
-
 def catalog_names() -> list[str]:
     return ["trivial(n)", "rep(n)", "five_qubit"]
 
@@ -124,14 +116,14 @@ def catalog(name: str, d: int) -> StabilizerCode:
 
     Supported names: trivial(n) for any n >= 1, rep(n) for any n >= 2 and any
     prime d, five_qubit (d = 2 only).  Parentheses are optional: rep7 == rep(7).
-    Raises GuardError when d^n exceeds 2^40, before anything is built.
+    Raises GuardError (check_array_build) before anything is built.
     """
     d = _check_modulus(d)
     name = name.strip().lower()
     m = re.fullmatch(r"(rep|trivial)\(?(\d+)\)?", name)
     if m:
         kind, n = m.group(1), int(m.group(2))
-        _check_size(d, n)
+        check_array_build(d, n, n if kind == "trivial" else 1)
         if kind == "trivial":
             if n < 1:
                 raise ValidationError("trivial(n) needs n >= 1")
@@ -185,7 +177,7 @@ def read_code_file(path) -> StabilizerCode:
     if not 0 <= k <= n:
         raise ValidationError(f"code file header needs 0 <= k <= n, got k = {k} with n = {n}")
     d = _check_modulus(d)
-    _check_size(d, n)
+    check_array_build(d, n, k)
     rows = []
     for no, ln in lines[1:]:
         if " " in ln:

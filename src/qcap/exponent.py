@@ -103,8 +103,6 @@ class _Objective:
 
     def __init__(self, arr: ProbabilityArray, k: int, R: float):
         self.d = arr.d
-        self.k = k
-        self.R = R
         table = arr.table
         self.support = table.ravel() > 0.0
         self.p = table.ravel()[self.support]

@@ -33,8 +33,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Past 2^20 the d^2 letters of a one-qudit channel alone exceed the 2^40-cell
-# array guard; refusing such d first also keeps is_prime's trial division short.
+# Keeps is_prime's trial division short; such d fail _util.check_array_build anyway.
 _MAX_MODULUS = 1 << 20
 
 

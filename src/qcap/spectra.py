@@ -20,9 +20,9 @@ The cost splits in two.  The shifts and the index tables that turn them
 into gathers depend on the code alone: they are built on a code's first
 array and kept on the code, n * d^2 * (d^ceil(m/2) + d^floor(m/2)) ints
 with m = n + k (82 KB for d=3, n=7).  Every array then pays only for its
-channel: per site one gather through a transient (d^2, d^m) index and one
-matrix-vector product, so the many channels of a sweep or the many rates
-of an exponent scan share one table build per code.
+channel: per site one gather of row and column permutations of its 2-D
+view and one matrix-vector product, so the many channels of a sweep or the
+many rates of an exponent scan share one table build per code.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import MAX_CELLS, GuardError, ValidationError, entropy_nats
+from ._util import ValidationError, check_array_build, entropy_nats
 from .channels import PauliChannel
 from .codes import StabilizerCode
 
@@ -84,10 +84,10 @@ def _site_tables(code: StabilizerCode) -> tuple[np.ndarray, np.ndarray]:
     Cells are indexed little-endian over F_d^m: the 2k logical digits
     lowest, then the n-k syndrome digits, so the flat array reshapes
     straight into (row, column).  Site i shifts a cell y by
-    s = chi_sel[:, 2i:2i+2] (u, v) for letter (u, v), and the index of
-    y - s is high[i, letter, a] + low[i, letter, b] for the cell y with high
-    half-index a and low half-index b.  StabilizerCode keeps the result, so
-    each code builds it once.
+    s = chi_sel[:, 2i:2i+2] (u, v) for letter (u, v); y sits at (a, b) of
+    the (d^ceil(m/2), d^floor(m/2)) view, and y - s at (high[i, letter, a],
+    low[i, letter, b]).  StabilizerCode keeps the result, so each code
+    builds it once.
     """
     d, n, k = code.d, code.n, code.k
     nk, m = n - k, n + k
@@ -101,7 +101,7 @@ def _site_tables(code: StabilizerCode) -> tuple[np.ndarray, np.ndarray]:
     weights = d ** np.arange(m - h)
     digits = (np.arange(d ** (m - h))[:, None] // weights) % d
     low = ((digits[:d ** h, :h] - shifts[..., None, :h]) % d) @ weights[:h]
-    high = ((digits - shifts[..., None, h:]) % d) @ (weights * d ** h)
+    high = ((digits - shifts[..., None, h:]) % d) @ weights
     high.setflags(write=False)
     low.setflags(write=False)
     return high, low
@@ -115,22 +115,22 @@ def probability_array(code: StabilizerCode, channel: PauliChannel) -> Probabilit
     tables depend on the code alone and are built on the code's first call
     (`_site_tables`), then kept on it: n * d^2 * (d^ceil(m/2) + d^floor(m/2))
     ints, m = n + k.  Each call pays only for the channel: per site one
-    gather through a transient (d^2, d^m) index and one (d^2,) @ (d^2, d^m)
-    product.
+    (d^2, d^m) gather of row and column permutations of the array's 2-D view
+    and one (d^2,) @ (d^2, d^m) product.
 
-    Guarded by MAX_CELLS = 2^40 on the d^{n+k} cells of the array; the
-    build holds d^2 times that many while it runs.
+    The build holds 8 (d^2 + 2) bytes per cell, which check_array_build
+    bounds before anything is built.
     """
     d, n, k = code.d, code.n, code.k
     if channel.d != d:
         raise ValidationError("channel and code moduli differ")
-    if d ** (n + k) > MAX_CELLS:
-        raise GuardError(f"array of d^(n+k) = {d}^{n + k} cells exceeds the guard {MAX_CELLS}")
+    check_array_build(d, n, k)
     probs = channel.matrix.ravel()
     dist = np.zeros(d ** (n + k))
     dist[0] = 1.0
-    for high, low in zip(*code._site_tables):
-        dist = probs @ dist[high[:, :, None] + low[:, None, :]].reshape(d * d, -1)
+    view = (d ** ((n + k + 1) // 2), -1)
+    for rows, cols in zip(*code._site_tables):
+        dist = probs @ dist.reshape(view)[rows[:, :, None], cols[:, None, :]].reshape(d * d, -1)
     table = dist.reshape(d ** (n - k), d ** (2 * k))
     if abs(table.sum() - 1.0) > 1e-12:
         raise ValidationError(f"probability array sums to {table.sum()}, not 1")

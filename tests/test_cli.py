@@ -128,9 +128,10 @@ def test_many_part_compositions_run(capsys):
 
 def test_oracle_check(capsys):
     code = run(["oracle-check", "--code", "rep2", "--d", "2", "--p", "0.1"])
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     assert code == 0
-    payload = json.loads(out[out.index("{"):])
+    assert "difference" in captured.err
+    payload = json.loads(captured.out)
     check_schema(payload, "oracle-check")
     assert abs(payload["result"]["difference"]) < 1e-9
 
@@ -267,9 +268,12 @@ def test_fbound_guard_exits_fast(capsys):
     # the fold's big-integer work grows about as N^4 on one syndrome row:
     # N = 400 runs for about 44 s, yet has fewer than 10^7 joint types;
     # N = 16000 must be refused before its table of b**b (about 280 MB) is
-    # built; trivial14 and rep26 have arrays of 2^28 and 2^27 cells.  CPU
-    # time, not wall time, so that a busy host does not fail the test.
-    for inner, N in (("trivial1", 400), ("trivial1", 16000), ("trivial14", 1), ("rep26", 2)):
+    # built; trivial14 and rep26 (arrays of 2^28 and 2^27 cells) fail the
+    # array-build guard, while trivial12 and rep24 pass it (0.8 and 1.6 GB)
+    # and must be refused by the fold's guard.  CPU time, not wall time, so
+    # that a busy host does not fail the test.
+    for inner, N in (("trivial1", 400), ("trivial1", 16000), ("trivial14", 1), ("rep26", 2),
+                     ("trivial12", 1), ("rep24", 2)):
         start = time.process_time()
         assert run(["fbound", "--inner", inner, "--d", "2", "--N", str(N), "--K", "1",
                     "--p", "0.05"]) == 3
@@ -296,6 +300,37 @@ def test_guard_exit_code(tmp_path, capsys):
         assert run(["bound", "--code", code, "--d", "2", "--p", "0.1"]) == 3
         assert time.process_time() - start < 2.0
     capsys.readouterr()
+
+
+def test_array_build_guard_boundary(tmp_path, monkeypatch, capsys):
+    # 8 (d^2 + 2) bytes per cell against 2^32: rep15/d=3 needs 3.79e9 bytes
+    # and rep25/d=2 3.22e9, so both are admitted
+    assert catalog("rep15", 3).n == 15 and catalog("rep25", 2).n == 25
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a channel or an array was built")
+
+    monkeypatch.setattr("qcap.cli.depolarizing", unbuilt)
+    monkeypatch.setattr("qcap.cli.coherent_bound", unbuilt)
+    path = tmp_path / "huge.code"
+    path.write_text("2 1000000000 1000000000\n")
+    for code, d in (("rep16", "3"), ("rep26", "2"), ("trivial1", "1000003"), (str(path), "2")):
+        start = time.process_time()
+        assert run(["bound", "--code", code, "--d", d, "--p", "0.1"]) == 3
+        assert time.process_time() - start < 2.0
+        assert capsys.readouterr().err.startswith("error (guard): ")
+
+
+def test_memory_error_exits_with_the_guard_code(monkeypatch, capsys):
+    # a build under the guard can still fail on a host with less free memory
+    for exc, message in ((MemoryError("Unable to allocate 8 GiB"), "Unable to allocate 8 GiB"),
+                         (MemoryError(), "out of memory")):
+        def raise_it(*args):
+            raise exc
+
+        monkeypatch.setattr("qcap.cli.coherent_bound", raise_it)
+        assert run(["bound", "--code", "rep3", "--d", "2", "--p", "0.1"]) == 3
+        assert capsys.readouterr().err == f"error (guard): {message}\n"
 
 
 def test_code_file_with_huge_modulus_fails_fast(tmp_path, capsys):

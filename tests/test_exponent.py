@@ -300,8 +300,8 @@ def test_exponent_raises_when_the_certificate_fails(monkeypatch):
 def test_exponent_has_no_polish_knobs(tmp_path):
     # removed keyword options are refused, not ignored: the solver's polish
     # knobs and tolerance, the completion seed (pass a completion built by
-    # hyperbolic_complete instead) and the array guard, now the constant
-    # _util.MAX_CELLS
+    # hyperbolic_complete instead) and the array guard, now the fixed byte
+    # budget of _util.check_array_build
     code = catalog("trivial1", 2)
     ch = depolarizing(2, 0.05)
     path = tmp_path / "trivial1.code"

@@ -544,12 +544,14 @@ def test_fidelity_bound_guard_counts_the_fold_not_the_types():
 
 
 def test_fidelity_bound_guard_refuses_large_inner_codes_before_the_array(monkeypatch):
-    # 2^28 and 2^27 cells: the refusal must not wait for the array to be built
+    # the refusal must not wait for the array to be built: trivial14 and
+    # rep26 (2^28 and 2^27 cells) fail the array-build guard in catalog,
+    # trivial12 and rep24 (2^24 and 2^25 cells) pass it and reach the fold's
     def unbuilt(*args, **kwargs):
         raise AssertionError("the probability array was built")
 
     monkeypatch.setattr("qcap.simconcat.probability_array", unbuilt)
-    for name, N in (("trivial14", 1), ("rep26", 2)):
+    for name, N in (("trivial14", 1), ("rep26", 2), ("trivial12", 1), ("rep24", 2)):
         with pytest.raises(GuardError):
             fidelity_bound_exact(catalog(name, 2), N, 0, depolarizing(2, 0.1))
 

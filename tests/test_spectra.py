@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from qcap import (
     probability_array,
     symplectic_form,
 )
-from qcap import spectra
+from qcap import _util, spectra
 from qcap.channels import shannon_entropy
 from qcap.gf import index_to_digits
 from qcap.spectra import bound_from_array, bound_sweep
@@ -218,10 +219,23 @@ def test_site_tables_are_built_once_per_code(monkeypatch):
 
 
 def test_enumeration_guard(monkeypatch):
-    code = catalog("trivial2", 2)
-    monkeypatch.setattr(spectra, "MAX_CELLS", 4)
+    code = catalog("trivial2", 2)  # 16 cells, 768 bytes to build
+    monkeypatch.setattr(_util, "MAX_BUILD_BYTES", 512)
     with pytest.raises(GuardError):
         probability_array(code, depolarizing(2, 0.1))
+
+
+def test_array_build_holds_at_most_the_guarded_bytes_per_cell():
+    # the guard counts 8 (d^2 + 2) = 88 bytes per cell at d = 3: the array,
+    # its gather and the next array, with room for the site tables
+    code = catalog("rep10", 3)
+    tracemalloc.start()
+    try:
+        probability_array(code, depolarizing(3, 0.1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 3 ** 11 <= 110
 
 
 def test_bound_from_array_base_default_is_d():
