@@ -26,11 +26,12 @@ class GuardError(QcapError):
 def check_array_build(d: int, n: int, k: int) -> None:
     """Refuse, before anything is built, an array build past MAX_BUILD_BYTES:
     8 (d^2 + 2) bytes per cell for the d^(n+k) cells, their d^2-fold gather
-    and the next array, compared in log2 so that no big power is formed."""
-    log_bytes = math.log2(8 * (d * d + 2)) + (n + k) * math.log2(d)
-    if log_bytes > math.log2(MAX_BUILD_BYTES):
-        raise GuardError(f"the array of d^(n+k) = {d}^{n + k} cells needs 2^{log_bytes:.1f} "
-                         f"bytes to build, over the guard of 2^{math.log2(MAX_BUILD_BYTES):g}")
+    and the next array.  The int n + k is compared with the log_d of the cells
+    the guard admits, so that no big power and no float past 1e308 is formed."""
+    per_cell = 8 * (d * d + 2)
+    if n + k > math.log(MAX_BUILD_BYTES / per_cell, d):
+        raise GuardError(f"the array of d^(n+k) = {d}^{n + k} cells needs {per_cell} bytes "
+                         f"per cell to build, over the guard of 2^{math.log2(MAX_BUILD_BYTES):g}")
 
 
 class ConvergenceError(QcapError):
@@ -45,10 +46,7 @@ def is_int(x) -> bool:
 def entropy_nats(p: np.ndarray) -> float:
     """Shannon entropy of a nonnegative weight vector in nats, with 0 log 0 = 0."""
     p = np.asarray(p, dtype=float).ravel()
-    mask = p > 0.0
-    if not mask.any():
-        return 0.0
-    q = p[mask]
+    q = p[p > 0.0]
     return float(-np.dot(q, np.log(q))) + 0.0
 
 

@@ -40,10 +40,6 @@ class PauliChannel:
     def identity_prob(self) -> float:
         return float(self.matrix[0, 0])
 
-    def flat(self) -> np.ndarray:
-        """Probabilities indexed by the letter code c = u + d*v."""
-        return self.matrix.ravel(order="F").copy()
-
     def entropy(self, base: float | None = None) -> float:
         return shannon_entropy(self.matrix, base if base is not None else self.d)
 

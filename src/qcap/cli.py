@@ -41,14 +41,18 @@ def _manifest(args: argparse.Namespace, start: float) -> dict:
     }
 
 
-def _emit_json(args, start, result, **manifest) -> None:
-    payload = {"manifest": {**_manifest(args, start), **manifest}, "result": result}
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if getattr(args, "out", None):
+def _write(args, text: str) -> None:
+    """Write text to --out if given, else to stdout."""
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit_json(args, start, result, **manifest) -> None:
+    payload = {"manifest": {**_manifest(args, start), **manifest}, "result": result}
+    _write(args, json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _code_from_spec(spec: str, d) -> StabilizerCode:
@@ -63,20 +67,18 @@ def _code_from_spec(spec: str, d) -> StabilizerCode:
 
 
 def _resolve_channel(args, d: int) -> PauliChannel:
-    kind = args.channel
-    if kind == "depolarizing":
+    if args.channel == "depolarizing":
         if args.probs is not None:
             raise ValidationError("--probs applies to --channel custom only")
         if args.p is None:
             raise ValidationError("--p is required for the depolarizing channel")
         return depolarizing(d, args.p)
-    if kind == "custom":
-        if args.p is not None:
-            raise ValidationError("--p applies to --channel depolarizing only")
-        if not args.probs:
-            raise ValidationError("--probs FILE is required for a custom channel")
-        return channel_from_file(args.probs, d)
-    raise ValidationError(f"unknown channel {kind!r}")
+    # argparse's choices leave "custom" as the only other channel
+    if args.p is not None:
+        raise ValidationError("--p applies to --channel depolarizing only")
+    if not args.probs:
+        raise ValidationError("--probs FILE is required for a custom channel")
+    return channel_from_file(args.probs, d)
 
 
 def _base(args, d: int) -> float:
@@ -108,12 +110,7 @@ def _cmd_sweep(args, start) -> None:
     for p, rep in zip(ps, reports):
         lines.append(f"{p:.12g},{rep.c_n:.17g},{rep.per_symbol:.17g},"
                      f"{rep.H_syndrome:.17g},{rep.H_cond:.17g}")
-    text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(args, "\n".join(lines))
 
 
 def _cmd_exponent(args, start) -> None:
@@ -235,9 +232,6 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args, start)
-    except ValidationError as exc:
-        print(f"error (validation): {exc}", file=sys.stderr)
-        return 2
     except (GuardError, MemoryError) as exc:
         print(f"error (guard): {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3

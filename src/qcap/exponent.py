@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import ConvergenceError, GuardError, ValidationError
+from ._util import ConvergenceError, GuardError, ValidationError, entropy_nats
 from .channels import PauliChannel
 from .codes import StabilizerCode
 from .spectra import ProbabilityArray, probability_array
@@ -121,12 +121,7 @@ class _Objective:
 
     def h_cond(self, x: np.ndarray) -> float:
         """H(logical | syndrome) of a support-restricted distribution, base d."""
-        mask = x > 0
-        h_joint = -np.sum(x[mask] * np.log(x[mask]))
-        marg = self.row_sums(x)
-        mm = marg > 0
-        h_marg = -np.sum(marg[mm] * np.log(marg[mm]))
-        return (h_joint - h_marg) / self.logd
+        return (entropy_nats(x) - entropy_nats(self.row_sums(x))) / self.logd
 
     def value(self, x: np.ndarray) -> float:
         mask = x > 0

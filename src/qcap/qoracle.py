@@ -19,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from ._util import GuardError, ValidationError
+from ._util import GuardError, ValidationError, entropy_nats
 from .channels import PauliChannel
 from .codes import StabilizerCode
 
@@ -93,9 +93,7 @@ def von_neumann_entropy(rho: np.ndarray, base: float) -> float:
         raise ValidationError(f"matrix is not PSD (min eigenvalue {evals.min():.3e})")
     if abs(evals.sum() - 1.0) > 1e-10:
         raise ValidationError(f"trace is {evals.sum()}, not 1")
-    evals = np.clip(evals, 0.0, None)
-    mask = evals > 0
-    return float(-(evals[mask] * np.log(evals[mask])).sum() / math.log(base))
+    return entropy_nats(evals) / math.log(base)
 
 
 def _channel_states(proj: np.ndarray, channel: PauliChannel, n: int
@@ -111,13 +109,13 @@ def _channel_states(proj: np.ndarray, channel: PauliChannel, n: int
     evals, evecs = np.linalg.eigh(proj)
     words = evecs[:, evals > 0.5]
     dim, k_dim = words.shape
-    flat = channel.flat()
+    flat = channel.matrix.ravel()
     joint = np.zeros((k_dim * dim, k_dim * dim), dtype=np.complex128)
     for letters in product(range(d * d), repeat=n):
         p = math.prod(flat[c] for c in letters)
         if p == 0.0:
             continue
-        op = weyl_string(d, [a for c in letters for a in (c % d, c // d)])
+        op = weyl_string(d, [a for c in letters for a in divmod(c, d)])
         vec = (op @ words).T.ravel()  # (I (x) N_x) |Psi>, reference index first
         joint += (p / k_dim) * np.outer(vec, vec.conj())
     out = np.trace(joint.reshape(k_dim, dim, k_dim, dim), axis1=0, axis2=2)

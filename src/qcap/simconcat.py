@@ -321,9 +321,9 @@ def simulate(cfg: SimConfig) -> SimReport:
     """
     inner = cfg.inner
     d, k, N, K = inner.d, inner.k, cfg.N, cfg.K
-    search_size = d ** (k * N + K)
-    if search_size > _SEARCH_GUARD:
-        raise GuardError(f"decoder search set d^(kN+K) = {search_size} exceeds 2^24")
+    # the exponent is capped so that no big power is formed: d^25 > 2^24
+    if d ** min(k * N + K, 25) > _SEARCH_GUARD:
+        raise GuardError(f"decoder search set d^(kN+K) = {d}^{k * N + K} exceeds 2^24")
     arr = probability_array(inner, cfg.channel)
     cdf = _cell_cdf(arr)
     ambient, dim = 2 * k * N, k * N - K

@@ -37,9 +37,10 @@ from .channels import PauliChannel
 from .codes import StabilizerCode
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbabilityArray:
-    """The d^{n-k} x d^{2k} coset-probability array of a code under a channel.
+    """The d^{n-k} x d^{2k} coset-probability array of a code under a channel,
+    compared by identity.
 
     Row index: syndrome tuple in little-endian mixed radix.  Column index:
     logical label (w_1, z_1, ..., w_k, z_k) folded the same way.

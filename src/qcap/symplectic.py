@@ -334,14 +334,14 @@ def perp(L: Subspace) -> Subspace:
 # hyperbolic completion and chi coordinates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HyperbolicBasis:
-    """n hyperbolic pairs (g_i, h_i) spanning F_d^{2n}."""
+    """n hyperbolic pairs (g_i, h_i) spanning F_d^{2n}; compared by identity."""
 
     d: int
     g: np.ndarray  # (n, 2n)
     h: np.ndarray  # (n, 2n)
-    _chi: np.ndarray = field(init=False, repr=False, compare=False)
+    _chi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=np.int64) % self.d
@@ -406,8 +406,7 @@ def hyperbolic_complete(L: Subspace, rng_seed: int) -> HyperbolicBasis:
         of the form so far, added to the form."""
         h = grown.reps()[0, i]
         perp_basis = grown.perp_basis()[0]
-        if len(perp_basis):
-            h = (h + rng.integers(0, d, len(perp_basis)) @ perp_basis) % d
+        h = (h + rng.integers(0, d, len(perp_basis)) @ perp_basis) % d
         grown.add(h[None])
         return h
 

@@ -161,6 +161,14 @@ def test_validation_exit_codes(tmp_path, capsys):
                 "--N", "4", "--K", "1", "--p", "0.1", "--trials", "5",
                 "--resample-outer"]) == 2  # an explicit outer code is never resampled
     capsys.readouterr()
+    chan = tmp_path / "chan.txt"
+    chan.write_text("0 0 0.9\n1 0 0.1\n")
+    sweep = ["sweep", "--code", "rep3", "--d", "2", "--p-min", "0.1", "--p-max", "0.2"]
+    for argv, message in ((sweep + ["--steps", "0"], "--steps must be >= 1"),
+                          (sweep + ["--steps", "2", "--channel", "custom", "--probs", str(chan)],
+                           "depolarizing family only")):
+        assert run(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_d_must_match_the_code_file(tmp_path, capsys):
@@ -312,9 +320,12 @@ def test_array_build_guard_boundary(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr("qcap.cli.depolarizing", unbuilt)
     monkeypatch.setattr("qcap.cli.coherent_bound", unbuilt)
-    path = tmp_path / "huge.code"
+    path, past_floats = tmp_path / "huge.code", tmp_path / "past_floats.code"
     path.write_text("2 1000000000 1000000000\n")
-    for code, d in (("rep16", "3"), ("rep26", "2"), ("trivial1", "1000003"), (str(path), "2")):
+    # n + k past the float range is compared as an int
+    past_floats.write_text(f"2 {10**400} 1\n")
+    for code, d in (("rep16", "3"), ("rep26", "2"), ("trivial1", "1000003"), (str(path), "2"),
+                    ("trivial" + "9" * 401, "2"), (str(past_floats), "2")):
         start = time.process_time()
         assert run(["bound", "--code", code, "--d", d, "--p", "0.1"]) == 3
         assert time.process_time() - start < 2.0

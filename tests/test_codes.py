@@ -7,6 +7,7 @@ from qcap import (
     bar_map,
     catalog,
     concatenate,
+    depolarizing,
     direct_sum,
     is_self_orthogonal,
     read_code_file,
@@ -15,6 +16,7 @@ from qcap import (
     write_code_file,
 )
 from qcap.codes import vector_from_digit_string
+from qcap.spectra import probability_array
 from qcap.symplectic import _DualEchelon, hyperbolic_complete
 
 
@@ -75,6 +77,20 @@ def test_catalog_completion_deterministic():
     b = catalog("rep4", 2)
     assert (a.completion.g == b.completion.g).all()
     assert (a.completion.h == b.completion.h).all()
+
+
+def test_codes_compare_by_content_completions_and_arrays_by_identity():
+    a, b = catalog("rep3", 2), catalog("rep3", 2)
+    assert a == b and hash(a) == hash(b)
+    other = StabilizerCode(a.subspace, hyperbolic_complete(a.subspace, 5))
+    assert not np.array_equal(other.completion.h, a.completion.h)
+    assert a != other
+    # completions and arrays hold ndarrays, so they compare by identity
+    assert a.completion != b.completion and a.completion == a.completion
+    assert hash(a.completion) == hash(a.completion)
+    ch = depolarizing(2, 0.1)
+    x, y = probability_array(a, ch), probability_array(b, ch)
+    assert x != y and x == x and hash(x) == hash(x)
 
 
 def test_digit_string_round_trip():

@@ -245,10 +245,11 @@ def test_objective_row_labels_skip_empty_rows():
 
 def test_exponent_rate_validation():
     code = catalog("trivial1", 2)
-    with pytest.raises(ValidationError):
-        exponent(code, depolarizing(2, 0.1), -0.2)
-    with pytest.raises(ValidationError):
-        exponent(code, depolarizing(2, 0.1), 1.2)
+    for R in (-0.2, 1.2):
+        with pytest.raises(ValidationError):
+            exponent(code, depolarizing(2, 0.1), R)
+        with pytest.raises(ValidationError, match="rate must lie in"):
+            exponent_grid_oracle(code, depolarizing(2, 0.1), R, 10)
 
 
 def test_grid_oracle_guard():

@@ -1,4 +1,5 @@
 import math
+import time
 from unittest.mock import patch
 
 import numpy as np
@@ -418,10 +419,15 @@ def test_simconfig_refuses_non_integer_and_negative_counts(field, value):
 
 
 def test_search_guard():
-    cfg = SimConfig(inner=TRIV, outer=None, N=30, K=5, channel=depolarizing(2, 0.1),
-                    trials=1, seed=0, resample_outer=True)
-    with pytest.raises(GuardError):
-        simulate(cfg)
+    # d^(kN+K) is never formed: at N = 10^5 its decimal string is too long to
+    # print, and at N = 10^9 the power alone takes seconds
+    for N in (30, 10**5, 10**9, 10**10):
+        cfg = SimConfig(inner=TRIV, outer=None, N=N, K=5, channel=depolarizing(2, 0.1),
+                        trials=1, seed=0, resample_outer=True)
+        start = time.process_time()
+        with pytest.raises(GuardError, match="decoder search set"):
+            simulate(cfg)
+        assert time.process_time() - start < 1.0
 
 
 def test_fidelity_bound_noiseless_value():

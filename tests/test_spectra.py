@@ -67,7 +67,7 @@ def test_unencoded_array_is_channel_itself():
     ch = depolarizing(2, 0.3)
     arr = probability_array(catalog("trivial1", 2), ch)
     assert arr.table.shape == (1, 4)
-    assert sorted(arr.table[0]) == sorted(ch.flat())
+    assert sorted(arr.table[0]) == sorted(ch.matrix.ravel())
     assert shannon_entropy(arr.table, 2) == pytest.approx(ch.entropy(2), abs=1e-14)
 
 

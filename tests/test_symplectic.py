@@ -119,6 +119,8 @@ def test_perp_against_exhaustive_scan():
             assert orth == P.contains(v)
             count += orth
         assert count == d**P.dim
+        with pytest.raises(ValidationError, match="mismatch"):
+            P.contains(np.zeros(2 * n + 1, dtype=np.int64))
 
 
 def test_hyperbolic_complete_trivial_space():
