@@ -16,10 +16,9 @@ from .codes import (
     write_code_file,
 )
 from .exponent import exponent, exponent_grid_oracle
-from .gf import symplectic_form
 from .qoracle import oracle_report
 from .simconcat import SimConfig, SimReport, fidelity_bound_exact, simulate
-from .spectra import BoundReport, ProbabilityArray, bound_sweep, coherent_bound, probability_array
+from .spectra import BoundReport, ProbabilityArray, coherent_bound, probability_array
 from .symplectic import (
     HyperbolicBasis,
     Subspace,
@@ -27,6 +26,7 @@ from .symplectic import (
     is_self_orthogonal,
     perp,
     sample_self_orthogonal,
+    symplectic_form,
 )
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "simulate",
     "BoundReport",
     "ProbabilityArray",
-    "bound_sweep",
     "coherent_bound",
     "probability_array",
     "HyperbolicBasis",

@@ -50,10 +50,11 @@ def entropy_nats(p: np.ndarray) -> float:
     return float(-np.dot(q, np.log(q))) + 0.0
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (default 95%)."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValidationError("wilson_interval requires trials >= 1")
+    z = 1.959963984540054
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

@@ -36,15 +36,11 @@ class PauliChannel:
         self.matrix = mat
         self.matrix.setflags(write=False)
 
-    @property
-    def identity_prob(self) -> float:
-        return float(self.matrix[0, 0])
-
     def entropy(self, base: float | None = None) -> float:
         return shannon_entropy(self.matrix, base if base is not None else self.d)
 
     def __repr__(self) -> str:
-        return f"PauliChannel(d={self.d}, identity={self.identity_prob:.6g})"
+        return f"PauliChannel(d={self.d}, identity={self.matrix[0, 0]:.6g})"
 
 
 def depolarizing(d: int, p: float) -> PauliChannel:

@@ -11,6 +11,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from .codes import StabilizerCode, catalog, catalog_names, read_code_file
 from .exponent import exponent, exponent_grid_oracle
 from .qoracle import oracle_report
 from .simconcat import SEED_CONTRACT, SimConfig, fidelity_bound_exact, simulate
-from .spectra import bound_sweep, coherent_bound
+from .spectra import coherent_bound
 
 SWEEP_SCHEMA = "qcap-sweep-v1"
 SWEEP_COLUMNS = ("p", "c_n", "per_symbol", "H_syndrome", "H_cond")
@@ -89,7 +90,7 @@ def _cmd_bound(args, start) -> None:
     code = _code_from_spec(args.code, args.d)
     ch = _resolve_channel(args, code.d)
     rep = coherent_bound(code, ch, _base(args, code.d))
-    _emit_json(args, start, rep.as_dict())
+    _emit_json(args, start, dataclasses.asdict(rep))
 
 
 def _cmd_sweep(args, start) -> None:
@@ -103,7 +104,7 @@ def _cmd_sweep(args, start) -> None:
         raise ValidationError("--steps must be >= 1")
     ps = [args.p_min + (args.p_max - args.p_min) * i / max(args.steps - 1, 1)
           for i in range(args.steps)]
-    reports = bound_sweep(code, (depolarizing(code.d, p) for p in ps), _base(args, code.d))
+    reports = [coherent_bound(code, depolarizing(code.d, p), _base(args, code.d)) for p in ps]
     lines = [f"# manifest: {json.dumps(_manifest(args, start), sort_keys=True)}",
              f"# schema: {SWEEP_SCHEMA}",
              ",".join(SWEEP_COLUMNS)]

@@ -55,11 +55,6 @@ class StabilizerCode:
         if not (completion.g[:subspace.dim] % subspace.d == subspace.basis).all():
             raise ValidationError("completion must start with the code generators")
 
-    @classmethod
-    def from_generators(cls, d: int, n: int, generators, *,
-                        name: str | None = None) -> "StabilizerCode":
-        return cls(Subspace(d, 2 * n, generators), name=name)
-
     @property
     def generators(self) -> np.ndarray:
         return self.subspace.basis
@@ -127,16 +122,15 @@ def catalog(name: str, d: int) -> StabilizerCode:
         if kind == "trivial":
             if n < 1:
                 raise ValidationError("trivial(n) needs n >= 1")
-            return StabilizerCode.from_generators(d, n, [], name=f"trivial({n})")
+            return StabilizerCode(Subspace(d, 2 * n, []), name=f"trivial({n})")
         if n < 2:
             raise ValidationError("rep(n) needs n >= 2")
-        return StabilizerCode.from_generators(d, n, _repetition_generators(n),
-                                              name=f"rep({n})")
+        return StabilizerCode(Subspace(d, 2 * n, _repetition_generators(n)), name=f"rep({n})")
     if name in ("five_qubit", "five-qubit", "5qubit"):
         if d != 2:
             raise ValidationError("five_qubit is a d=2 code")
         gens = [vector_from_digit_string(2, s) for s in _FIVE_QUBIT_STRINGS]
-        return StabilizerCode.from_generators(2, 5, gens, name="five_qubit")
+        return StabilizerCode(Subspace(2, 10, gens), name="five_qubit")
     raise ValidationError(f"unknown catalog code {name!r}")
 
 
@@ -199,7 +193,7 @@ def read_code_file(path) -> StabilizerCode:
                 raise ValidationError(f"line {no}: {exc}") from None
     if len(rows) != n - k:
         raise ValidationError(f"expected {n - k} generators, found {len(rows)}")
-    return StabilizerCode.from_generators(d, n, rows)
+    return StabilizerCode(Subspace(d, 2 * n, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +241,8 @@ def concatenate(inner: StabilizerCode, outer: StabilizerCode) -> StabilizerCode:
     N = outer.n // inner.k
     gens = np.vstack([np.kron(np.eye(N, dtype=np.int64), inner.generators),
                       outer.generators @ _bar_matrix(inner, N) % inner.d])
-    return StabilizerCode.from_generators(
-        inner.d, inner.n * N, gens,
-        name=f"concat[{inner.name or 'inner'};{outer.name or 'outer'}]")
+    return StabilizerCode(Subspace(inner.d, 2 * inner.n * N, gens),
+                          name=f"concat[{inner.name or 'inner'};{outer.name or 'outer'}]")
 
 
 def _block_diag(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -47,17 +47,6 @@ def _check_modulus(d: int) -> int:
     return int(d)
 
 
-def symplectic_form(x: np.ndarray, y: np.ndarray, d: int) -> int:
-    """The standard symplectic pairing sum_i (u_i v'_i - v_i u'_i) mod d."""
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValidationError(f"need two 1-d vectors of equal length, got shapes {x.shape} and {y.shape}")
-    if x.size % 2 != 0:
-        raise ValidationError("symplectic form requires even-length vectors")
-    return int((np.dot(x[0::2], y[1::2]) - np.dot(x[1::2], y[0::2])) % d)
-
-
 def index_to_digits(indices: np.ndarray, d: int, length: int) -> np.ndarray:
     """Digit matrix (len(indices) x length) of little-endian base-d counters."""
     indices = np.asarray(indices, dtype=np.int64)

@@ -49,13 +49,16 @@ ties go to the lexicographically smallest digit vector.
 The exact bound never lists joint types.  A type enters it only through its
 z-marginal a, its key prod c^c, its shell (the number of v per fixed z) and
 its probability, and given a all four factor over syndrome rows.  So each
-row's contents are folded into classes by (row total, key), and the rows'
-classes are multiplied together once per z-marginal.
+row's contents are folded into classes by (row total, key), and the classes
+of the rows a z-marginal occupies are multiplied together once per z-marginal:
+an empty row's only class is the identity.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +66,6 @@ import numpy as np
 from ._util import GuardError, ValidationError, is_int, wilson_interval
 from .channels import PauliChannel
 from .codes import StabilizerCode
-from .exponent import compositions
 from .gf import _mod, index_to_digits
 from .spectra import ProbabilityArray, probability_array
 from .symplectic import Subspace, _DualEchelon, is_self_orthogonal, symplectic_dual
@@ -332,7 +334,7 @@ def simulate(cfg: SimConfig) -> SimReport:
         ctx = _Contexts(inner, N, cfg.outer.canonical[None])
     elif not cfg.resample_outer:
         fixed = np.random.default_rng((cfg.seed, 0, 2))
-        ctx = _Contexts(inner, N, _DualEchelon.sample(d, ambient, dim, fixed).perp_basis())
+        ctx = _Contexts(inner, N, _DualEchelon.sample(d, ambient, dim, fixed).perp)
 
     step = _decode_size(d, k, N, K)
     failures = 0
@@ -343,7 +345,7 @@ def simulate(cfg: SimConfig) -> SimReport:
         draws = np.searchsorted(cdf, rng.random((len(trials), N)), side="right")
         z, v = draws // arr.cols, draws % arr.cols
         if cfg.resample_outer:
-            perp = _DualEchelon.sample(d, ambient, dim, rng, len(trials)).perp_basis()
+            perp = _DualEchelon.sample(d, ambient, dim, rng, len(trials)).perp
         v_hat = np.empty_like(v)
         ok = np.empty(len(trials), dtype=bool)
         for part in np.array_split(np.arange(len(trials)), -(-len(trials) // step)):
@@ -408,8 +410,9 @@ def fidelity_bound_exact(inner: StabilizerCode, N: int, K: int, channel: PauliCh
     sharing z whose joint type has conditional entropy <= that of T (ties
     included, resolved by exact integer keys).
 
-    Per z-marginal a, the rows' classes multiply: keys and shells multiply,
-    and the probability starts from N!/prod a_s!.  Sorting a's keys in
+    Per z-marginal a, listed as the multiset of the N blocks' rows, the
+    occupied rows' classes multiply: keys and shells multiply, and the
+    probability starts from N!/prod a_s!.  Sorting a's keys in
     descending order and accumulating shells gives every competitor count.
     The guard counts the fold's dictionary updates, weighted by the machine
     words of an N-block key, a block at a time before the block runs (a
@@ -430,11 +433,11 @@ def fidelity_bound_exact(inner: StabilizerCode, N: int, K: int, channel: PauliCh
                              "dictionary updates (the guard)")
 
     # the table of the N + 1 keys b**b is built, each array cell is folded,
-    # and each z-marginal touches every row
+    # and each z-marginal touches its at most N occupied rows and sorts
     rows = d ** (inner.n - k)
     spend(N + 1)
     spend(rows * d ** (2 * k))
-    spend(math.comb(N + rows - 1, N) * rows)
+    spend(math.comb(N + rows - 1, N) * (min(N, rows) + 1))
     powers = [b**b for b in range(N + 1)]
     arr = probability_array(inner, channel)
     row_classes = [_row_classes(q, N, arr.rows == 1, powers, spend)
@@ -442,11 +445,12 @@ def fidelity_bound_exact(inner: StabilizerCode, N: int, K: int, channel: PauliCh
 
     scale = float(d) ** (K - k * N)
     terms = []
-    for a in compositions(N, arr.rows).tolist():
-        weight = math.factorial(N) // math.prod(math.factorial(c) for c in a)
+    for blocks in itertools.combinations_with_replacement(range(arr.rows), N):
+        a = Counter(blocks)
+        weight = math.factorial(N) // math.prod(math.factorial(c) for c in a.values())
         shells, probs = {1: 1}, {1: float(weight)}
-        for classes, c in zip(row_classes, a):
-            row_shells, row_probs = classes[c]
+        for row, c in a.items():
+            row_shells, row_probs = row_classes[row][c]
             spend(len(shells) * len(row_shells))
             to_shells, to_probs = {}, {}
             for key, shell in shells.items():

@@ -69,9 +69,6 @@ class ProbabilityArray:
     def syndrome_marginal(self) -> np.ndarray:
         return self.table.sum(axis=1)
 
-    def syndrome_entropy(self, base: float) -> float:
-        return entropy_nats(self.syndrome_marginal()) / math.log(base)
-
     def conditional_entropy(self, base: float) -> float:
         """Entropy of the logical column given the syndrome row; rows of zero
         marginal contribute nothing."""
@@ -92,7 +89,7 @@ def _site_tables(code: StabilizerCode) -> tuple[np.ndarray, np.ndarray]:
     """
     d, n, k = code.d, code.n, code.k
     nk, m = n - k, n + k
-    full = code.completion.chi_matrix()
+    full = code.completion.chi
     # chi_sel: the (w, z) rows of the k logical pairs, then the syndrome
     # rows z_i = <g_i, x> for i < n-k
     chi = np.concatenate([full[2 * nk:], full[1:2 * nk:2]])
@@ -133,8 +130,11 @@ def probability_array(code: StabilizerCode, channel: PauliChannel) -> Probabilit
     for rows, cols in zip(*code._site_tables):
         dist = probs @ dist.reshape(view)[rows[:, :, None], cols[:, None, :]].reshape(d * d, -1)
     table = dist.reshape(d ** (n - k), d ** (2 * k))
-    if abs(table.sum() - 1.0) > 1e-12:
-        raise ValidationError(f"probability array sums to {table.sum()}, not 1")
+    # the array's mass is the letters' mass to the n-th power, which the
+    # channel holds to within 1e-12 of 1
+    mass = probs.sum() ** n
+    if abs(table.sum() - mass) > 1e-12:
+        raise ValidationError(f"probability array sums to {table.sum()}, not {mass}")
     return ProbabilityArray(d, n, k, table)
 
 
@@ -154,17 +154,6 @@ class BoundReport:
     n: int
     k: int
 
-    def as_dict(self) -> dict:
-        return {
-            "c_n": self.c_n,
-            "per_symbol": self.per_symbol,
-            "H_syndrome": self.H_syndrome,
-            "H_cond": self.H_cond,
-            "base": self.base,
-            "n": self.n,
-            "k": self.k,
-        }
-
 
 def coherent_bound(code: StabilizerCode, channel: PauliChannel,
                    base: float | None = None) -> BoundReport:
@@ -182,15 +171,10 @@ def bound_from_array(arr: ProbabilityArray, base: float | None = None) -> BoundR
     c_n = arr.k * math.log(arr.d) / math.log(base) - h_cond
     return BoundReport(
         c_n=c_n,
-        H_syndrome=arr.syndrome_entropy(base),
+        H_syndrome=entropy_nats(arr.syndrome_marginal()) / math.log(base),
         H_cond=h_cond,
         per_symbol=c_n / arr.n,
         base=base,
         n=arr.n,
         k=arr.k,
     )
-
-
-def bound_sweep(code: StabilizerCode, channels, base: float | None = None) -> list[BoundReport]:
-    """One BoundReport per channel, in the given order."""
-    return [coherent_bound(code, ch, base) for ch in channels]

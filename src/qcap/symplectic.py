@@ -67,6 +67,17 @@ def symplectic_dual(vec: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
+def symplectic_form(x: np.ndarray, y: np.ndarray, d: int) -> int:
+    """The standard symplectic pairing sum_i (u_i v'_i - v_i u'_i) mod d."""
+    x = np.asarray(x, dtype=np.int64)
+    y = np.asarray(y, dtype=np.int64)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValidationError(f"need two 1-d vectors of equal length, got shapes {x.shape} and {y.shape}")
+    if x.size % 2 != 0:
+        raise ValidationError("symplectic form requires even-length vectors")
+    return int(symplectic_dual(x, d) @ y % d)
+
+
 def gram_matrix(rows_a: np.ndarray, rows_b: np.ndarray, d: int) -> np.ndarray:
     """Matrix of pairings <a_i, b_j> mod d."""
     rows_a = np.atleast_2d(np.asarray(rows_a, dtype=np.int64))
@@ -107,11 +118,12 @@ class _DualEchelon:
     earlier g, so the form is also the membership test.  Beside it the
     basis of perp(span g) is kept in place, row for row the nullspace basis
     read off the form: one vector n_c per free column c, in increasing
-    order.  When a row r with pivot p joins, n_p is dropped and every other
-    n_c becomes n_c - r[c] n_p.  The identity columns give representatives
-    y_j with <g_i, y_j> = delta_ij.  A reduced echelon form and the
-    nullspace basis read off it are canonical, so every trial's rows equal
-    those of a form grown from its g alone.
+    order, as `perp` (T, ambient - m, ambient).  When a row r with pivot p
+    joins, n_p is dropped and every other n_c becomes n_c - r[c] n_p.  The
+    identity columns give representatives y_j with <g_i, y_j> = delta_ij.
+    A reduced echelon form and the nullspace basis read off it are
+    canonical, so every trial's rows equal those of a form grown from its g
+    alone.
     """
 
     def __init__(self, d: int, ambient: int, dim: int, trials: int = 1) -> None:
@@ -235,11 +247,6 @@ class _DualEchelon:
         """The vectors g_i of every trial: (T, m, ambient)."""
         return self.gens[:, :self.size]
 
-    def perp_basis(self) -> np.ndarray:
-        """Basis rows of perp(span g) of every trial, one per free column in
-        increasing order: (T, ambient - m, ambient)."""
-        return self.perp
-
     def reps(self) -> np.ndarray:
         """Rows y_j with <g_i, y_j> = delta_ij of every trial: (T, m, ambient)."""
         m, ambient = self.size, self.ambient
@@ -295,7 +302,7 @@ class Subspace:
         self._form = form
         self.basis = form.basis()[0]
         self.basis.setflags(write=False)
-        self.canonical = form.perp_basis()[0]
+        self.canonical = form.perp[0]
 
     @property
     def dim(self) -> int:
@@ -336,12 +343,13 @@ def perp(L: Subspace) -> Subspace:
 
 @dataclass(frozen=True, eq=False)
 class HyperbolicBasis:
-    """n hyperbolic pairs (g_i, h_i) spanning F_d^{2n}; compared by identity."""
+    """n hyperbolic pairs (g_i, h_i) spanning F_d^{2n}, with the matrix chi
+    whose (chi @ x) % d is (w_1, z_1, ..., w_n, z_n); compared by identity."""
 
     d: int
     g: np.ndarray  # (n, 2n)
     h: np.ndarray  # (n, 2n)
-    _chi: np.ndarray = field(init=False, repr=False)
+    chi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=np.int64) % self.d
@@ -358,7 +366,7 @@ class HyperbolicBasis:
         chi.setflags(write=False)
         g.setflags(write=False)
         h.setflags(write=False)
-        object.__setattr__(self, "_chi", chi)
+        object.__setattr__(self, "chi", chi)
 
     @property
     def n(self) -> int:
@@ -373,17 +381,13 @@ class HyperbolicBasis:
         gh = gram_matrix(self.g, self.h, d)
         return (not gg.any()) and (not hh.any()) and bool((gh == np.eye(n, dtype=np.int64)).all())
 
-    def chi_matrix(self) -> np.ndarray:
-        """Matrix C with (C @ x) % d = (w_1, z_1, ..., w_n, z_n)."""
-        return self._chi
-
     def coordinates(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Chi coordinates: the (w, z) arrays with x = sum_i w_i g_i + z_i h_i,
         where z_i = <g_i, x> and w_i = <x, h_i>."""
         x = np.asarray(x, dtype=np.int64)
         if x.shape != (2 * self.n,):
             raise ValidationError("vector length does not match the basis")
-        full = (self._chi @ x) % self.d
+        full = (self.chi @ x) % self.d
         return full[0::2], full[1::2]
 
 
@@ -405,7 +409,7 @@ def hyperbolic_complete(L: Subspace, rng_seed: int) -> HyperbolicBasis:
         """A uniform h with <x, h> = 1 for row i and 0 for every other row
         of the form so far, added to the form."""
         h = grown.reps()[0, i]
-        perp_basis = grown.perp_basis()[0]
+        perp_basis = grown.perp[0]
         h = (h + rng.integers(0, d, len(perp_basis)) @ perp_basis) % d
         grown.add(h[None])
         return h
@@ -416,7 +420,7 @@ def hyperbolic_complete(L: Subspace, rng_seed: int) -> HyperbolicBasis:
     # stage 2: split the orthogonal remainder into fresh hyperbolic planes
     gs = list(L.basis)
     for _ in range(nk, n):
-        perp_basis = grown.perp_basis()[0]
+        perp_basis = grown.perp[0]
         while not (coeffs := rng.integers(0, d, len(perp_basis))).any():
             pass
         g = coeffs @ perp_basis % d

@@ -184,7 +184,7 @@ def completion_syndrome(basis: HyperbolicBasis, x: np.ndarray, n_minus_k: int) -
     """The first n-k pairings (<g_i, x>)_i identifying the coset of perp(L),
     read off the z rows of the completion's chi matrix."""
     x = np.asarray(x, dtype=np.int64)
-    return (basis.chi_matrix()[1:2 * n_minus_k:2] @ x) % basis.d
+    return (basis.chi[1:2 * n_minus_k:2] @ x) % basis.d
 
 
 def pushforward(code: StabilizerCode, channel: PauliChannel) -> np.ndarray:
@@ -193,7 +193,7 @@ def pushforward(code: StabilizerCode, channel: PauliChannel) -> np.ndarray:
     the reference for the split build, which must match it bit for bit."""
     d, n, k = code.d, code.n, code.k
     nk, m = n - k, n + k
-    full = code.completion.chi_matrix()
+    full = code.completion.chi
     chi = np.concatenate([full[2 * nk:], full[1:2 * nk:2]])
     letters = np.indices((d, d)).reshape(2, -1).T
     shifts = (letters @ chi.reshape(m, n, 2).transpose(1, 2, 0)) % d

@@ -13,7 +13,6 @@ from qcap import (
     PauliChannel,
     StabilizerCode,
     ValidationError,
-    bound_sweep,
     catalog,
     coherent_bound,
     depolarizing,
@@ -314,9 +313,7 @@ def test_exponent_has_no_polish_knobs(tmp_path):
         (exponent_grid_oracle, (code, ch, 0.0, 2), "max_cells"),
         (probability_array, (code, ch), "max_cells"),
         (coherent_bound, (code, ch), "max_cells"),
-        (bound_sweep, (code, [ch]), "max_cells"),
         (StabilizerCode, (code.subspace,), "seed"),
-        (StabilizerCode.from_generators, (2, 1, []), "seed"),
         (read_code_file, (path,), "seed"),
     ]
     for fn, args, kwarg in table:

@@ -18,7 +18,7 @@ from qcap import (
     sample_self_orthogonal,
 )
 from qcap import qoracle
-from qcap.gf import symplectic_form
+from qcap.symplectic import symplectic_form
 from qcap.qoracle import (
     _channel_states,
     code_projector,

@@ -264,7 +264,7 @@ def test_shared_echelon_matches_nullspace_dense_sampler_and_explicit_context(d, 
         assert added == (rref(np.vstack([rows, row]), d)[0].shape[0] > rows.shape[0])
         if added:
             rows = np.vstack([rows, row])
-        assert np.array_equal(grown.perp_basis()[0],
+        assert np.array_equal(grown.perp[0],
                               nullspace(symplectic_dual(rows, d), d, ambient))
     assert np.array_equal(grown.basis()[0], rows)
     # the sampler draws what the dense reference draws
@@ -274,13 +274,13 @@ def test_shared_echelon_matches_nullspace_dense_sampler_and_explicit_context(d, 
                                                         np.random.default_rng(seed))[0])
     # a context on the sampler's form equals one grown from the same rows
     explicit = _DualEchelon.of(d, basis)
-    assert np.array_equal(sampled.perp_basis(), explicit.perp_basis())
+    assert np.array_equal(sampled.perp, explicit.perp)
     assert np.array_equal(sampled.reps(), explicit.reps())
     assert np.array_equal(symplectic_dual(basis, d) @ sampled.reps()[0].T % d,
                           np.eye(dim, dtype=np.int64))
     inner = catalog(f"trivial{k}", d)
-    ctx = _Contexts(inner, N, sampled.perp_basis())
-    explicit_ctx = _Contexts(inner, N, explicit.perp_basis())
+    ctx = _Contexts(inner, N, sampled.perp)
+    explicit_ctx = _Contexts(inner, N, explicit.perp)
     members = rng.integers(0, d, (10, dim)) @ basis % d
     xs = np.vstack([members, rng.integers(0, d, (20, ambient))])
     assert np.array_equal(ctx.contains(xs), explicit_ctx.contains(xs))
@@ -557,9 +557,26 @@ def test_fidelity_bound_guard_refuses_large_inner_codes_before_the_array(monkeyp
         raise AssertionError("the probability array was built")
 
     monkeypatch.setattr("qcap.simconcat.probability_array", unbuilt)
-    for name, N in (("trivial14", 1), ("rep26", 2), ("trivial12", 1), ("rep24", 2)):
+    for name, d, N in (("trivial14", 2, 1), ("rep26", 2, 2), ("trivial12", 2, 1), ("rep24", 2, 2),
+                       ("rep7", 3, 3), ("rep8", 3, 2)):
         with pytest.raises(GuardError):
-            fidelity_bound_exact(catalog(name, 2), N, 0, depolarizing(2, 0.1))
+            fidelity_bound_exact(catalog(name, d), N, 0, depolarizing(d, 0.1))
+
+
+def test_fidelity_bound_lists_only_the_occupied_rows():
+    # rep7/d=3 has 729 syndrome rows: N = 2 occupies at most 2 of them, so
+    # its 266,085 z-marginals fit the guard, while N = 3 (64.8 million
+    # z-marginals) and rep8/d=3 at N = 2 (2.4 million of 2187 rows) do not.
+    # CPU time, not wall time, so that a busy host does not fail the test.
+    ch = depolarizing(3, 0.05)
+    start = time.process_time()
+    assert fidelity_bound_exact(catalog("rep7", 3), 2, 1, ch) <= 1.0
+    assert time.process_time() - start < 10.0
+    for name, N in (("rep7", 3), ("rep8", 2)):
+        start = time.process_time()
+        with pytest.raises(GuardError):
+            fidelity_bound_exact(catalog(name, 3), N, 1, ch)
+        assert time.process_time() - start < 1.0
 
 
 def test_empirical_failure_below_bound():

@@ -20,7 +20,7 @@ from qcap import (
 from qcap import _util, spectra
 from qcap.channels import shannon_entropy
 from qcap.gf import index_to_digits
-from qcap.spectra import bound_from_array, bound_sweep
+from qcap.spectra import bound_from_array
 from qcap.symplectic import hyperbolic_complete, sample_self_orthogonal
 
 from oracles import completion_syndrome, product_prob, pushforward
@@ -84,6 +84,20 @@ def test_normalization():
         assert abs(arr.table.sum() - 1.0) < 1e-12
 
 
+def test_channel_mass_off_one_within_the_channel_tolerance_still_bounds():
+    # PauliChannel admits letter sums within 1e-12 of 1, and the array sums to
+    # that sum to the n-th power: 1 + 6.3e-12 on rep7 for letters summing to
+    # 1 + 9e-13.  The bound must run and match the normalised channel's.
+    for d in (2, 3):
+        probs = depolarizing(d, 0.1).matrix.copy()
+        probs[0, 0] += 9e-13
+        heavy, normal = PauliChannel(d, probs), PauliChannel(d, probs / probs.sum())
+        for n in range(2, 8):
+            code = catalog(f"rep{n}", d)
+            assert coherent_bound(code, heavy).c_n == pytest.approx(
+                coherent_bound(code, normal).c_n, abs=1e-11)
+
+
 def test_syndrome_marginal_matches_direct_binning():
     code = catalog("rep3", 2)
     ch = depolarizing(2, 0.17)
@@ -141,7 +155,7 @@ def test_base_conversion():
 def test_bound_sweep_order_and_monotone_scan():
     code = catalog("rep3", 2)
     ps = np.linspace(0.0, 0.75, 16)
-    reports = bound_sweep(code, (depolarizing(2, p) for p in ps), base=2)
+    reports = [coherent_bound(code, depolarizing(2, p), base=2) for p in ps]
     assert len(reports) == 16
     vals = [r.c_n for r in reports]
     # numerical regression: nonincreasing on [0, (d^2-1)/d^2] for this family

@@ -37,7 +37,7 @@ def random_self_orthogonal(d, n, dim, seed):
 def test_rref_and_nullspace_mod3():
     # the nullspace of the dual rows, read off their [dual | I] form
     rows = np.array([[1, 2, 0, 1], [0, 1, 1, 2]])
-    ker = _DualEchelon.of(3, rows).perp_basis()[0]
+    ker = _DualEchelon.of(3, rows).perp[0]
     assert ker.shape == (2, 4)
     assert not (symplectic_dual(rows, 3) @ ker.T % 3).any()
 
@@ -59,7 +59,7 @@ def test_subspace_rejects_dependent_generators():
         with pytest.raises(ValidationError, match="length 4"):
             Subspace(2, 4, bad)
     with pytest.raises(ValidationError, match="length 4"):
-        StabilizerCode.from_generators(2, 2, [[1, 0], [0, 1]])
+        StabilizerCode(Subspace(2, 4, [[1, 0], [0, 1]]))
     with pytest.raises(ValidationError, match="at least 2"):
         Subspace(3, 0, [])
     # ragged rows and non-integer entries are refused, never coerced
@@ -311,7 +311,7 @@ def test_echelon_matches_dense_oracle(d, nrows, ncols, seed):
             rows = np.vstack([rows, row])
     grown = _DualEchelon.of(d, rows)
     dual = symplectic_dual(rows, d)
-    assert np.array_equal(grown.perp_basis()[0], nullspace(dual, d, ambient))
+    assert np.array_equal(grown.perp[0], nullspace(dual, d, ambient))
     if len(rows):
         assert np.array_equal(grown.reps()[0],
                               solve_affine_multi(dual, np.eye(len(rows), dtype=np.int64), d))
@@ -373,7 +373,7 @@ def test_trial_axis_sampler_matches_per_trial_dense_sampler(d, ambient, dim, tri
     for t, rows in enumerate(dense):
         assert np.array_equal(grown.basis()[t], rows)
         dual = symplectic_dual(rows, d)
-        assert np.array_equal(grown.perp_basis()[t], nullspace(dual, d, ambient))
+        assert np.array_equal(grown.perp[t], nullspace(dual, d, ambient))
         if dim:
             assert np.array_equal(grown.reps()[t],
                                   solve_affine_multi(dual, np.eye(dim, dtype=np.int64), d))
