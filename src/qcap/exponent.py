@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import ConvergenceError, GuardError, ValidationError, entropy_nats
+from ._util import ConvergenceError, GuardError, ValidationError, entropy_nats, is_int
 from .channels import PauliChannel
 from .codes import StabilizerCode
 from .spectra import ProbabilityArray, probability_array
@@ -287,8 +287,8 @@ def exponent_grid_oracle(code: StabilizerCode, channel: PauliChannel, R: float,
     R = float(R)
     if not 0.0 <= R <= 1.0:
         raise ValidationError(f"rate must lie in [0, 1], got {R}")
-    if grid_steps < 1:
-        raise ValidationError(f"grid_steps must be >= 1, got {grid_steps}")
+    if not is_int(grid_steps) or grid_steps < 1:
+        raise ValidationError(f"grid_steps must be an integer >= 1, got {grid_steps!r}")
     arr = probability_array(code, channel)
     obj = _Objective(arr, code.k, R)
     m = obj.p.size

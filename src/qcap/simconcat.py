@@ -48,17 +48,16 @@ ties go to the lexicographically smallest digit vector.
 
 The exact bound never lists joint types.  A type enters it only through its
 z-marginal a, its key prod c^c, its shell (the number of v per fixed z) and
-its probability, and given a all four factor over syndrome rows.  So each
-row's contents are folded into classes by (row total, key), and the classes
-of the rows a z-marginal occupies are multiplied together once per z-marginal:
-an empty row's only class is the identity.
+its probability, and given a all four factor over syndrome rows.  Each
+row's contents are folded into classes by (row total, key); the keys and
+shells of a class do not depend on the row, so z-marginals whose counts
+form one partition of N share them, and a row-by-row sum over partitions
+of the blocks placed so far collects the probabilities.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -367,36 +366,34 @@ def simulate(cfg: SimConfig) -> SimReport:
 # exact ensemble-average fidelity bound
 
 
-def _row_classes(q: list[float], N: int, lone: bool, powers: list[int], spend
-                 ) -> list[tuple[dict, dict]]:
-    """classes[c] = (shells, probability), two dicts keyed by prod t^t, over
-    the contents t of one syndrome row that hold c blocks in total.
+def _times(x: dict, y: dict, into: dict, spend) -> dict:
+    """Add to `into`, and return it, the product of two sums classed by the
+    key prod c^c: keys multiply, and the values of equal products add up.
+    spend(n) is told of the n dictionary updates before they run."""
+    spend(len(x) * len(y))
+    for x_key, x_value in x.items():
+        for y_key, y_value in y.items():
+            key = x_key * y_key
+            into[key] = into.get(key, 0) + x_value * y_value
+    return into
+
+
+def _row_classes(q: list[float], N: int, powers: list[int], spend) -> list[dict]:
+    """classes[c]: key prod t^t -> sum of shell * prod q^t, over the contents
+    t of one syndrome row that hold c blocks in total.
 
     The shell is the number of logical sequences on those c blocks with the
-    given per-column counts t; the probability sums shell * prod q^t.  The
-    row's columns are folded in one at a time: placing b more blocks on a
-    column multiplies the shells of a row already holding `used` blocks by
-    comb(used + b, b).  A lone row holds all N blocks, so only that total is
-    kept from its last column.  powers[b] = b**b for b <= N.  spend(n) is
-    told of each block of n dictionary updates before the block runs.
+    given per-column counts t, so at q = [1] * cols the sums are the shells
+    themselves, as ints.  The row's columns are folded in one at a time:
+    placing b more blocks on a column multiplies the shells of a row already
+    holding `used` blocks by comb(used + b, b).  powers[b] = b**b for b <= N.
     """
-    classes = [({1: 1}, {1: 1.0})] + [({}, {}) for _ in range(N)]
-    for j, qc in enumerate(q):
-        least = N if lone and j == len(q) - 1 else 0
-        folded = [({}, {}) for _ in range(N + 1)]
-        for used, (shells, probs) in enumerate(classes):
-            if not shells:
-                continue
-            first = max(least - used, 0)
-            spend(len(shells) * (N - used + 1 - first))
-            for b in range(first, N - used + 1):
-                ways = math.comb(used + b, b)
-                weight, power = ways * qc**b, powers[b]
-                to_shells, to_probs = folded[used + b]
-                for key, shell in shells.items():
-                    new = key * power
-                    to_shells[new] = to_shells.get(new, 0) + shell * ways
-                    to_probs[new] = to_probs.get(new, 0.0) + probs[key] * weight
+    classes = [{1: 1}]
+    for qc in q:
+        folded = [{} for _ in range(N + 1)]
+        for used, sums in enumerate(classes):
+            for b in range(N - used + 1):
+                _times(sums, {powers[b]: math.comb(used + b, b) * qc**b}, folded[used + b], spend)
         classes = folded
     return classes
 
@@ -410,14 +407,17 @@ def fidelity_bound_exact(inner: StabilizerCode, N: int, K: int, channel: PauliCh
     sharing z whose joint type has conditional entropy <= that of T (ties
     included, resolved by exact integer keys).
 
-    Per z-marginal a, listed as the multiset of the N blocks' rows, the
-    occupied rows' classes multiply: keys and shells multiply, and the
-    probability starts from N!/prod a_s!.  Sorting a's keys in
-    descending order and accumulating shells gives every competitor count.
-    The guard counts the fold's dictionary updates, weighted by the machine
-    words of an N-block key, a block at a time before the block runs (a
-    lower bound before the array is built), and raises GuardError once they
-    would pass _FOLD_WORK.
+    Given its z-marginal a, a type's key, shell and probability factor over
+    the occupied rows, and the keys and shells of a row holding c blocks do
+    not depend on the row.  So all z-marginals whose nonzero counts form one
+    partition lam of N share their sorted keys, shells and competitor counts,
+    and their weight N!/prod lam_i!; only the probabilities differ.  A
+    row-by-row sum keeps, per partition mu of the blocks placed so far, the
+    probabilities by key; the states are visited in decreasing sum, so a row
+    adds at most one part.  The guard counts the dictionary updates of the
+    folds and products, weighted by the machine words of an N-block key,
+    each product before it runs (a lower bound before the array is built),
+    and raises GuardError once they would pass _FOLD_WORK.
     """
     _check_blocks(inner, N, K)
     d, k = inner.d, inner.k
@@ -432,37 +432,34 @@ def fidelity_bound_exact(inner: StabilizerCode, N: int, K: int, channel: PauliCh
             raise GuardError(f"the type-sum fold needs more than {_FOLD_WORK} word-sized "
                              "dictionary updates (the guard)")
 
-    # the table of the N + 1 keys b**b is built, each array cell is folded,
-    # and each z-marginal touches its at most N occupied rows and sorts
-    rows = d ** (inner.n - k)
+    # the table of the N + 1 keys b**b is built and each array cell is folded
     spend(N + 1)
-    spend(rows * d ** (2 * k))
-    spend(math.comb(N + rows - 1, N) * (min(N, rows) + 1))
+    spend(d ** (inner.n - k) * d ** (2 * k))
     powers = [b**b for b in range(N + 1)]
     arr = probability_array(inner, channel)
-    row_classes = [_row_classes(q, N, arr.rows == 1, powers, spend)
-                   for q in arr.table.tolist()]
+    shells = _row_classes([1] * arr.cols, N, powers, spend)
+    # states[mu]: key -> probability, summed over the z-marginals of the rows
+    # so far whose nonzero counts are the parts of mu
+    states = {(): {1: 1}}
+    for q in arr.table.tolist():
+        row = _row_classes(q, N, powers, spend)
+        for mu in sorted(states, key=sum, reverse=True):
+            for c in range(1, N - sum(mu) + 1):
+                grown = tuple(sorted(mu + (c,)))
+                _times(states[mu], row[c], states.setdefault(grown, {}), spend)
 
     scale = float(d) ** (K - k * N)
     terms = []
-    for blocks in itertools.combinations_with_replacement(range(arr.rows), N):
-        a = Counter(blocks)
-        weight = math.factorial(N) // math.prod(math.factorial(c) for c in a.values())
-        shells, probs = {1: 1}, {1: float(weight)}
-        for row, c in a.items():
-            row_shells, row_probs = row_classes[row][c]
-            spend(len(shells) * len(row_shells))
-            to_shells, to_probs = {}, {}
-            for key, shell in shells.items():
-                prob = probs[key]
-                for row_key, row_shell in row_shells.items():
-                    new = key * row_key
-                    to_shells[new] = to_shells.get(new, 0) + shell * row_shell
-                    to_probs[new] = to_probs.get(new, 0.0) + prob * row_probs[row_key]
-            shells, probs = to_shells, to_probs
+    for lam, probs in states.items():
+        if sum(lam) < N:
+            continue
+        weight = math.factorial(N) // math.prod(map(math.factorial, lam))
+        shell = {1: 1}
+        for c in lam:
+            shell = _times(shell, shells[c], {}, spend)
         cum = 0
-        for key in sorted(shells, reverse=True):
-            cum += shells[key]
-            terms.append(probs[key] * min(cum * scale, 1.0))
+        for key in sorted(shell, reverse=True):
+            cum += shell[key]
+            terms.append(weight * probs[key] * min(cum * scale, 1.0))
     # the probabilities sum to 1 only up to rounding
     return min(math.fsum(terms), 1.0)

@@ -167,6 +167,8 @@ def coherent_bound(code: StabilizerCode, channel: PauliChannel,
 
 def bound_from_array(arr: ProbabilityArray, base: float | None = None) -> BoundReport:
     base = float(base) if base is not None else float(arr.d)
+    if not base > 1.0:
+        raise ValidationError(f"entropy base must exceed 1, got {base}")
     h_cond = arr.conditional_entropy(base)
     c_n = arr.k * math.log(arr.d) / math.log(base) - h_cond
     return BoundReport(

@@ -350,3 +350,25 @@ def test_criterion_11_exact_ensemble_failure_rate():
     assert np.abs(rates - brute).max() <= 1e-12
     print("\nACCEPTANCE 11 PASS: " + "; ".join(lines)
           + f"; {name}/d={d} N={N} equals brute force on all {len(codes)} codes")
+
+
+def test_criterion_12_paper_code_decoder_below_type_bound():
+    """On the paper's rep7/d=3 code at p = 0.05, K = 1, the resampled-outer
+    decoder's failure rate stays below the exact type-sum bound (plus 3
+    binomial sigma) at N = 2 and 4; the error exponent E(1/4) is reported
+    alongside."""
+    inner = catalog("rep7", 3)
+    ch = depolarizing(3, 0.05)
+    trials = 10_000
+    lines = []
+    for N in (2, 4):
+        bound = fidelity_bound_exact(inner, N, 1, ch)
+        cfg = SimConfig(inner=inner, outer=None, N=N, K=1, channel=ch,
+                        trials=trials, seed=2026, resample_outer=True)
+        rate = simulate(cfg).failure_rate
+        sigma = math.sqrt(bound * (1 - bound) / trials)
+        assert rate <= bound + 3 * sigma, (N, rate, bound)
+        lines.append(f"N={N}: emp {rate:.4f} <= bound {bound:.4f} + 3s")
+    e = exponent(inner, ch, 0.25).value
+    print("\nACCEPTANCE 12 PASS: rep7/d=3 p=0.05 K=1: " + "; ".join(lines)
+          + f"; E(1/4) = {e:.4f}")

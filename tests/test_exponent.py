@@ -28,7 +28,7 @@ from qcap.exponent import (
     exponent,
     exponent_grid_oracle,
 )
-from qcap.spectra import ProbabilityArray, probability_array
+from qcap.spectra import ProbabilityArray, bound_from_array, probability_array
 
 from oracles import grid_oracle_dense, kl_divergence, reference_exponent
 
@@ -271,6 +271,19 @@ def test_grid_oracle_rejects_an_empty_grid():
     for steps in (0, -1):
         with pytest.raises(ValidationError):
             exponent_grid_oracle(code, depolarizing(2, 0.1), 0.0, steps)
+
+
+@pytest.mark.parametrize("call", [
+    lambda code, ch: coherent_bound(code, ch, 1.0),
+    lambda code, ch: coherent_bound(code, ch, -2),
+    lambda code, ch: coherent_bound(code, ch, float("nan")),
+    lambda code, ch: bound_from_array(probability_array(code, ch), 0.5),
+    lambda code, ch: exponent_grid_oracle(code, ch, 0.0, 2.5),
+    lambda code, ch: exponent_grid_oracle(code, ch, 0.0, True),
+], ids=["base-1", "base-negative", "base-nan", "array-base-below-1", "grid-float", "grid-bool"])
+def test_bad_base_and_grid_steps_are_validation_errors(call):
+    with pytest.raises(ValidationError):
+        call(catalog("rep3", 2), depolarizing(2, 0.1))
 
 
 def test_exponent_nonnegative_just_below_threshold():

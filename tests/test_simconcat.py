@@ -491,9 +491,11 @@ def type_by_type_bound(inner, N, K, channel):
 
 def test_fidelity_bound_matches_type_by_type_sum():
     # N beyond the reach of the brute force, so that the competitor counts of
-    # types well below the top key stay under d^(kN-K) and their order shows
+    # types well below the top key stay under d^(kN-K) and their order shows;
+    # rep2/d=3 and rep5/d=2 spread the partitions of N over several rows
     for name, d, N, K, p in (("trivial1", 2, 12, 0, 0.02), ("trivial1", 2, 12, 3, 0.05),
-                             ("trivial1", 3, 7, 1, 0.05), ("rep3", 2, 4, 1, 0.05)):
+                             ("trivial1", 3, 7, 1, 0.05), ("rep3", 2, 4, 1, 0.05),
+                             ("rep2", 3, 3, 0, 0.05), ("rep5", 2, 3, 0, 0.02)):
         code, ch = catalog(name, d), depolarizing(d, p)
         assert fidelity_bound_exact(code, N, K, ch) == pytest.approx(
             type_by_type_bound(code, N, K, ch), rel=1e-12)
@@ -557,26 +559,24 @@ def test_fidelity_bound_guard_refuses_large_inner_codes_before_the_array(monkeyp
         raise AssertionError("the probability array was built")
 
     monkeypatch.setattr("qcap.simconcat.probability_array", unbuilt)
-    for name, d, N in (("trivial14", 2, 1), ("rep26", 2, 2), ("trivial12", 2, 1), ("rep24", 2, 2),
-                       ("rep7", 3, 3), ("rep8", 3, 2)):
+    for name, d, N in (("trivial14", 2, 1), ("rep26", 2, 2), ("trivial12", 2, 1), ("rep24", 2, 2)):
         with pytest.raises(GuardError):
             fidelity_bound_exact(catalog(name, d), N, 0, depolarizing(d, 0.1))
 
 
-def test_fidelity_bound_lists_only_the_occupied_rows():
-    # rep7/d=3 has 729 syndrome rows: N = 2 occupies at most 2 of them, so
-    # its 266,085 z-marginals fit the guard, while N = 3 (64.8 million
-    # z-marginals) and rep8/d=3 at N = 2 (2.4 million of 2187 rows) do not.
-    # CPU time, not wall time, so that a busy host does not fail the test.
+def test_fidelity_bound_sums_z_marginals_by_their_partition():
+    # rep7/d=3 has 729 syndrome rows and rep8/d=3 2187: the z-marginals are
+    # summed per partition of N, not listed one by one (64.8 million for
+    # rep7 at N = 3), so all three fit the guard.  CPU time, not wall time,
+    # so that a busy host does not fail the test.
     ch = depolarizing(3, 0.05)
-    start = time.process_time()
-    assert fidelity_bound_exact(catalog("rep7", 3), 2, 1, ch) <= 1.0
-    assert time.process_time() - start < 10.0
-    for name, N in (("rep7", 3), ("rep8", 2)):
+    for name, N in (("rep7", 3), ("rep7", 4), ("rep8", 2)):
         start = time.process_time()
-        with pytest.raises(GuardError):
-            fidelity_bound_exact(catalog(name, 3), N, 1, ch)
-        assert time.process_time() - start < 1.0
+        bound = fidelity_bound_exact(catalog(name, 3), N, 1, ch)
+        assert time.process_time() - start < 2.0
+        assert 0.0 <= bound <= 1.0
+        if N == 4:
+            assert bound < 1.0
 
 
 def test_empirical_failure_below_bound():
