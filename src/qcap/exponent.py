@@ -15,11 +15,14 @@ form, a Renyi-type tilting of P_L.  The dual's slope is gap - H_c(x_beta),
 and with t = 1/(1+beta) both H_c(x_beta) and its derivative,
 Var_w(H_s) + t^3 E_w[Var_s(log cond)] >= 0 over the tilted row weights w and
 rows s, have closed forms.  So the solver runs Newton's method on
-g(beta) = H_c(x_beta) - gap from beta = 0, inside the bracket [0, 1] kept
-from the signs of g seen so far, and bisects the bracket whenever a Newton
-step would leave it, the slope is 0 or |g| fails to halve.  It stops when
-g = 0 or a step moves beta by at most a few ulps of 1: H_c carries about
-1e-16 of round-off, so a finer beta buys nothing.  The tilted distribution at
+g(beta) = H_c(x_beta) - gap, inside the bracket [0, 1] kept from the signs
+of g seen so far, and bisects the bracket whenever a Newton step would leave
+it, the slope is 0 or |g| fails to halve.  Newton starts where the chord
+through (0, g(0)) and (1, g(1)) crosses zero: g(0) = H_c(P_L) - gap and
+g(1) come with the objective, which depends on the code and channel only
+and is kept between calls, so a scan over rates builds one array.  It stops
+when g = 0 or a step moves beta by at most a few ulps of 1: H_c carries
+about 1e-16 of round-off, so a finer beta buys nothing.  The tilted distribution at
 the maximizer is feasible and primal-optimal: at an interior root its hinge is
 zero, and at beta = 1 the hinge is active and its value equals the dual
 bound.  So the solver returns that primal value together with the gap to the
@@ -95,26 +98,32 @@ def compositions(total: int, parts: int) -> np.ndarray:
 
 
 class _Objective:
-    """f(P') = D(P'||P_L) + |threshold_gap - H_c(P')|+, restricted to supp(P_L).
+    """f(P') = D(P'||P_L) + |gap - H_c(P')|+, restricted to supp(P_L), for a
+    hinge threshold gap = k - kR that each method takes as an argument.
 
     Cells are flattened with the row (syndrome) structure kept as an index
-    array, so conditional entropies reduce to segment sums.
+    array, so conditional entropies reduce to segment sums.  Nothing here
+    depends on the rate: h_cond_pl = H_c(P_L) and h_one = H_c(x_1), the
+    tilted entropy at beta = 1, are computed once on construction, and the
+    object never changes after that.
     """
 
-    def __init__(self, arr: ProbabilityArray, k: int, R: float):
+    def __init__(self, arr: ProbabilityArray):
         self.d = arr.d
-        table = arr.table
-        self.support = table.ravel() > 0.0
-        self.p = table.ravel()[self.support]
+        flat = arr.table.ravel()
+        support = flat > 0.0
+        self.p = flat[support]
         # label the rows that hold support 0, 1, ... in order
-        present = self.support.reshape(arr.rows, arr.cols).any(axis=1)
-        self.row_of = np.repeat(np.cumsum(present) - 1, arr.cols)[self.support]
+        present = support.reshape(arr.rows, arr.cols).any(axis=1)
+        self.row_of = np.repeat(np.cumsum(present) - 1, arr.cols)[support]
         self.nrows = int(np.count_nonzero(present))
         self.logd = math.log(self.d)
-        self.gap = k - k * R  # k - kR, the hinge threshold on H_c
         self.marg = self.row_sums(self.p)
         self.log_marg = np.log(self.marg)
         self.log_cond = np.log(self.p / self.marg[self.row_of])
+        # H_c(P_L) = -sum_cells p log cond
+        self.h_cond_pl = -float(self.p @ self.log_cond) / self.logd
+        self.h_one = self.tilted_entropy(1.0)[0]
 
     def row_sums(self, x: np.ndarray) -> np.ndarray:
         return np.bincount(self.row_of, weights=x, minlength=self.nrows)
@@ -123,10 +132,10 @@ class _Objective:
         """H(logical | syndrome) of a support-restricted distribution, base d."""
         return (entropy_nats(x) - entropy_nats(self.row_sums(x))) / self.logd
 
-    def value(self, x: np.ndarray) -> float:
+    def value(self, x: np.ndarray, gap: float) -> float:
         mask = x > 0
-        div = np.sum(x[mask] * np.log(x[mask] / self.p[mask])) / self.logd
-        return div + max(0.0, self.gap - self.h_cond(x))
+        div = float(np.sum(x[mask] * np.log(x[mask] / self.p[mask]))) / self.logd
+        return div + max(0.0, gap - self.h_cond(x))
 
     def _tilt(self, beta: float) -> tuple[np.ndarray, np.ndarray]:
         """cond_beta ∝ cond^(1/(1+beta)) and its row normalizers Z_s."""
@@ -134,14 +143,14 @@ class _Objective:
         z = self.row_sums(tilted)
         return tilted / z[self.row_of], z
 
-    def tilted(self, beta: float) -> tuple[np.ndarray, float]:
+    def tilted(self, beta: float, gap: float) -> tuple[np.ndarray, float]:
         """Closed-form minimizer of D(P'||P_L) - beta * H_c(P') and the value
         of the dual function phi(beta) = beta*gap + that minimum."""
         cond, z = self._tilt(beta)
         row_weight = self.marg * z ** (1.0 + beta)
         total = row_weight.sum()
         x = row_weight[self.row_of] / total * cond
-        return x, beta * self.gap - math.log(total) / self.logd
+        return x, beta * gap - math.log(total) / self.logd
 
     def tilted_entropy(self, beta: float) -> tuple[float, float]:
         """H_c(x_beta) of the minimizer that tilted(beta) returns, and its
@@ -181,10 +190,12 @@ class ExponentReport:
     """Solver output: the exponent value, its certificate, and context.
 
     iterations counts evaluations of the dual function (closed-form tiltings
-    of P_L): one at beta = 1, one per Newton or bisection step, and one for
-    the witness at the maximizer.  It is 0 when the rate is at or above the
-    threshold, 2 when the maximizer is beta = 1, and typically 6 to 10 at an
-    interior root; its worst case is about twice bisection's.
+    of P_L): one at beta = 1, whether the objective made it just now or was
+    kept from an earlier call, one per Newton or bisection step, and one for
+    the witness at the maximizer.  So a report does not depend on what was
+    kept.  It is 0 when the rate is at or above the threshold, 2 when the
+    maximizer is beta = 1, and typically 5 to 8 at an interior root; its
+    worst case is about twice bisection's.
     """
 
     value: float
@@ -203,18 +214,41 @@ class ExponentReport:
         }
 
 
+# The objective of the last (code, channel) pair, as one tuple
+# (code, channel, objective), matched by the identity of both objects; codes
+# and channels are never changed after construction.  It retains one
+# _Objective, not its array: three vectors of the support's size (p, row_of,
+# log_cond) and two of the occupied rows' size, beside the code and channel.
+_last: tuple | None = None
+
+
+def _objective(code: StabilizerCode, channel: PauliChannel) -> _Objective:
+    """The rate-free objective of (code, channel), kept from the last call
+    on the same two objects or built afresh."""
+    global _last
+    last = _last
+    if last is not None and last[0] is code and last[1] is channel:
+        return last[2]
+    _last = None  # free the old objective before the array is built
+    obj = _Objective(probability_array(code, channel))
+    _last = (code, channel, obj)
+    return obj
+
+
 def exponent(code: StabilizerCode, channel: PauliChannel, R: float) -> ExponentReport:
     """The error exponent E(R) for one (code, channel, rate) triple, base d.
 
-    Raises ConvergenceError if the returned value exceeds its dual
-    certificate by more than _RESIDUAL_TOL = 1e-8.
+    Consecutive calls on the same code and channel objects share one array
+    and one objective, so a scan over rates builds them once.  Raises
+    ConvergenceError if the returned value exceeds its dual certificate by
+    more than _RESIDUAL_TOL = 1e-8.
     """
     R = float(R)
     if not 0.0 <= R <= 1.0:
         raise ValidationError(f"rate must lie in [0, 1], got {R}")
-    obj = _Objective(probability_array(code, channel), code.k, R)
-    # k - H_c(P_L), with H_c(P_L) = -sum_cells p log cond
-    threshold = code.k + float(obj.p @ obj.log_cond) / obj.logd
+    obj = _objective(code, channel)
+    gap = code.k - code.k * R  # the hinge threshold on H_c
+    threshold = code.k - obj.h_cond_pl
 
     # the hinge is inactive at P_L itself: P' = P_L attains the global
     # minimum 0 whenever kR >= k - H_c(P_L)
@@ -224,18 +258,20 @@ def exponent(code: StabilizerCode, channel: PauliChannel, R: float) -> ExponentR
     # concave dual line search over the hinge multiplier beta.  The dual
     # derivative is -g(beta) = gap - H_c(x_beta), nonincreasing by concavity,
     # so the maximizer is either beta = 1 (g still <= 0 there) or the root of
-    # g, found by safeguarded Newton steps from beta = 0.
-    evals = 0
+    # g, found by safeguarded Newton steps from the chord's root.  The
+    # objective's evaluation at beta = 1 counts as one, kept or not.
+    evals = 1
+    g0, g1 = code.k * R - threshold, obj.h_one - gap  # g(0) < 0 here
 
     def slack(beta: float) -> tuple[float, float]:
         nonlocal evals
         evals += 1
         h, slope = obj.tilted_entropy(beta)
-        return h - obj.gap, slope
+        return h - gap, slope
 
     beta_star = 1.0
-    if slack(1.0)[0] > 0.0:
-        lo_b, hi_b, beta, last = 0.0, 1.0, 0.0, math.inf
+    if g1 > 0.0:
+        lo_b, hi_b, beta, last = 0.0, 1.0, -g0 / (g1 - g0), math.inf
         while True:
             g, slope = slack(beta)
             if g == 0.0:
@@ -257,11 +293,11 @@ def exponent(code: StabilizerCode, channel: PauliChannel, R: float) -> ExponentR
                 if hi_b - lo_b <= 2.0 * _BETA_TOL:
                     break
         beta_star = beta
-    witness, phi_star = obj.tilted(beta_star)
+    witness, phi_star = obj.tilted(beta_star, gap)
     evals += 1
 
     # E >= 0 by definition; clamp the round-off just below the threshold
-    value = max(obj.value(witness), 0.0)
+    value = max(obj.value(witness, gap), 0.0)
     residual = value - phi_star
     if residual > _RESIDUAL_TOL:
         raise ConvergenceError(
@@ -289,8 +325,7 @@ def exponent_grid_oracle(code: StabilizerCode, channel: PauliChannel, R: float,
         raise ValidationError(f"rate must lie in [0, 1], got {R}")
     if not is_int(grid_steps) or grid_steps < 1:
         raise ValidationError(f"grid_steps must be an integer >= 1, got {grid_steps!r}")
-    arr = probability_array(code, channel)
-    obj = _Objective(arr, code.k, R)
+    obj = _objective(code, channel)
     m = obj.p.size
     npoints = math.comb(grid_steps + m - 1, m - 1)
     height = max(npoints, grid_steps + 1)  # the tables have grid_steps + 1 entries
@@ -324,7 +359,7 @@ def exponent_grid_oracle(code: StabilizerCode, channel: PauliChannel, R: float,
 
     div /= obj.logd
     h /= obj.logd
-    np.subtract(obj.gap, h, out=h)
+    np.subtract(code.k - code.k * R, h, out=h)  # the hinge's gap - H_c
     np.maximum(h, 0.0, out=h)
     div += h
     return float(div.min())

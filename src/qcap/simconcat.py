@@ -378,7 +378,7 @@ def _times(x: dict, y: dict, into: dict, spend) -> dict:
     return into
 
 
-def _row_classes(q: list[float], N: int, powers: list[int], spend) -> list[dict]:
+def _row_classes(q: list[float], N: int, powers: list[int], spend, lone: bool) -> list[dict]:
     """classes[c]: key prod t^t -> sum of shell * prod q^t, over the contents
     t of one syndrome row that hold c blocks in total.
 
@@ -387,12 +387,14 @@ def _row_classes(q: list[float], N: int, powers: list[int], spend) -> list[dict]
     themselves, as ints.  The row's columns are folded in one at a time:
     placing b more blocks on a column multiplies the shells of a row already
     holding `used` blocks by comb(used + b, b).  powers[b] = b**b for b <= N.
+    A lone row of the array holds all N blocks, so then the last column is
+    folded into the total N only and classes[c] stays empty for c < N.
     """
     classes = [{1: 1}]
-    for qc in q:
+    for col, qc in enumerate(q, 1):
         folded = [{} for _ in range(N + 1)]
         for used, sums in enumerate(classes):
-            for b in range(N - used + 1):
+            for b in range(N - used if lone and col == len(q) else 0, N - used + 1):
                 _times(sums, {powers[b]: math.comb(used + b, b) * qc**b}, folded[used + b], spend)
         classes = folded
     return classes
@@ -437,12 +439,13 @@ def fidelity_bound_exact(inner: StabilizerCode, N: int, K: int, channel: PauliCh
     spend(d ** (inner.n - k) * d ** (2 * k))
     powers = [b**b for b in range(N + 1)]
     arr = probability_array(inner, channel)
-    shells = _row_classes([1] * arr.cols, N, powers, spend)
+    lone = arr.rows == 1
+    shells = _row_classes([1] * arr.cols, N, powers, spend, lone)
     # states[mu]: key -> probability, summed over the z-marginals of the rows
     # so far whose nonzero counts are the parts of mu
     states = {(): {1: 1}}
     for q in arr.table.tolist():
-        row = _row_classes(q, N, powers, spend)
+        row = _row_classes(q, N, powers, spend, lone)
         for mu in sorted(states, key=sum, reverse=True):
             for c in range(1, N - sum(mu) + 1):
                 grown = tuple(sorted(mu + (c,)))

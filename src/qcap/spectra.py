@@ -21,8 +21,9 @@ into gathers depend on the code alone: they are built on a code's first
 array and kept on the code, n * d^2 * (d^ceil(m/2) + d^floor(m/2)) ints
 with m = n + k (82 KB for d=3, n=7).  Every array then pays only for its
 channel: per site one gather of row and column permutations of its 2-D
-view and one matrix-vector product, so the many channels of a sweep or the
-many rates of an exponent scan share one table build per code.
+view and one matrix-vector product, so the many channels of a sweep share
+one table build per code.  The many rates of an exponent scan share one
+array: exponent keeps the objective of its last (code, channel) pair.
 """
 
 from __future__ import annotations

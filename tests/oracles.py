@@ -238,12 +238,13 @@ def reference_exponent(code: StabilizerCode, channel: PauliChannel, R: float) ->
     with H_c measured on the built tilted distribution: the solver that
     `exponent()` used before its Newton iteration."""
     arr = probability_array(code, channel)
-    obj = _Objective(arr, code.k, R)
+    obj = _Objective(arr)
+    gap = code.k - code.k * R
     if code.k * R >= code.k - arr.conditional_entropy(code.d):
         return 0.0
 
     def hinge_slack(beta: float) -> float:
-        return obj.h_cond(obj.tilted(beta)[0]) - obj.gap
+        return obj.h_cond(obj.tilted(beta, gap)[0]) - gap
 
     beta_star = 1.0
     if hinge_slack(1.0) > 0.0:
@@ -253,8 +254,8 @@ def reference_exponent(code: StabilizerCode, channel: PauliChannel, R: float) ->
                 lo_b = beta_star
             else:
                 hi_b = beta_star
-    witness, _ = obj.tilted(beta_star)
-    return max(obj.value(witness), 0.0)
+    witness, _ = obj.tilted(beta_star, gap)
+    return max(obj.value(witness, gap), 0.0)
 
 
 def grid_oracle_dense(code: StabilizerCode, channel: PauliChannel, R: float,
@@ -263,7 +264,7 @@ def grid_oracle_dense(code: StabilizerCode, channel: PauliChannel, R: float,
     grid_steps, from float arrays of (grid points x support cells): the body
     `exponent_grid_oracle` had before it read its terms from tables."""
     arr = probability_array(code, channel)
-    obj = _Objective(arr, code.k, float(R))
+    obj = _Objective(arr)
     counts = compositions(grid_steps, obj.p.size).astype(np.float64)
     dist = counts / grid_steps
 
@@ -281,7 +282,7 @@ def grid_oracle_dense(code: StabilizerCode, channel: PauliChannel, R: float,
         h_marg = -np.where(marg > 0, marg * np.log(marg), 0.0).sum(axis=1)
     h_cond = (h_joint - h_marg) / logd
 
-    vals = div + np.maximum(0.0, obj.gap - h_cond)
+    vals = div + np.maximum(0.0, code.k - code.k * float(R) - h_cond)
     return float(vals.min())
 
 

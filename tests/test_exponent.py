@@ -1,6 +1,8 @@
+import importlib
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -31,6 +33,9 @@ from qcap.exponent import (
 from qcap.spectra import ProbabilityArray, bound_from_array, probability_array
 
 from oracles import grid_oracle_dense, kl_divergence, reference_exponent
+
+# the package re-exports the function exponent() under its submodule's name
+exponent_mod = importlib.import_module("qcap.exponent")
 
 # dual evaluations one solve may use: bisection needed up to about 107
 EVAL_BUDGET = 16
@@ -217,7 +222,8 @@ def test_exponent_nonincreasing_in_rate():
 
 def test_objective_convexity_chords():
     arr = probability_array(catalog("rep2", 2), depolarizing(2, 0.12))
-    obj = _Objective(arr, 1, 0.2)
+    obj = _Objective(arr)
+    gap = 1 - 0.2  # k = 1, R = 0.2
     rng = np.random.default_rng(4)
     m = obj.p.size
     for _ in range(300):
@@ -225,7 +231,8 @@ def test_objective_convexity_chords():
         b = rng.dirichlet(np.ones(m))
         lam = rng.random()
         mix = lam * a + (1 - lam) * b
-        assert obj.value(mix) <= lam * obj.value(a) + (1 - lam) * obj.value(b) + 1e-12
+        assert (obj.value(mix, gap)
+                <= lam * obj.value(a, gap) + (1 - lam) * obj.value(b, gap) + 1e-12)
 
 
 def test_objective_row_labels_skip_empty_rows():
@@ -235,11 +242,72 @@ def test_objective_row_labels_skip_empty_rows():
     table[3] = [0.0, 0.2, 0.0, 0.1]
     table[4, 2] = 0.25
     table[6:] = 0.03125
-    obj = _Objective(ProbabilityArray(2, 4, 1, table), 1, 0.5)
+    obj = _Objective(ProbabilityArray(2, 4, 1, table))
     rows = np.repeat(np.arange(8), 4)[table.ravel() > 0]
     uniq, inverse = np.unique(rows, return_inverse=True)
     assert np.array_equal(obj.row_of, inverse)
     assert obj.nrows == uniq.size == 5
+
+
+def count_arrays(monkeypatch) -> list:
+    """Patch the exponent module's probability_array to record each build."""
+    builds = []
+
+    def counted(code, channel):
+        builds.append((code, channel))
+        return probability_array(code, channel)
+
+    monkeypatch.setattr(exponent_mod, "probability_array", counted)
+    return builds
+
+
+def test_a_rate_scan_builds_one_array(monkeypatch):
+    builds = count_arrays(monkeypatch)
+    code, ch = catalog("rep3", 2), depolarizing(2, 0.08)
+    reports = [exponent(code, ch, R) for R in np.linspace(0.0, 1.0, 11)]
+    assert len(builds) == 1
+    assert sum(rep.value > 0.0 for rep in reports) >= 2
+    # the grid oracle reads the same objective
+    ch = depolarizing(2, 0.05)
+    exponent(code, ch, 0.25)
+    exponent_grid_oracle(code, ch, 0.25, 4)
+    assert len(builds) == 2
+
+
+def test_kept_objective_gives_the_cold_report(monkeypatch):
+    code, ch = catalog("rep3", 2), depolarizing(2, 0.03)
+    rates = (0.0, 0.4, 0.6, 1.0)  # maximizer beta = 1, two interior roots, E = 0
+    cold = []
+    for R in rates:
+        monkeypatch.setattr(exponent_mod, "_last", None)
+        cold.append(exponent(code, ch, R))
+    warm = [exponent(code, ch, R) for R in rates]
+    assert warm == cold
+    assert [rep.iterations > 2 for rep in cold] == [False, True, True, False]
+    # a new object of either kind is built afresh and gives the same report
+    builds = count_arrays(monkeypatch)
+    pairs = [(code, depolarizing(2, 0.03)), (catalog("rep3", 2), ch)]
+    for code2, ch2 in pairs:
+        assert [exponent(code2, ch2, R) for R in rates] == cold
+    assert len(builds) == 2
+    assert all(a is c and b is h for (a, b), (c, h) in zip(builds, pairs))
+
+
+def test_a_new_pair_frees_the_kept_objective():
+    code = catalog("rep3", 2)
+    exponent(code, depolarizing(2, 0.05), 0.1)
+    first = weakref.ref(exponent_mod._last[2])
+    exponent(code, depolarizing(2, 0.06), 0.1)
+    assert first() is None
+
+
+def test_report_fields_are_plain_python_numbers():
+    code, ch = catalog("rep3", 2), depolarizing(2, 0.08)
+    for R in (0.0, 0.2, 1.0):
+        rep = exponent(code, ch, R)
+        for field in ("value", "kkt_residual", "rate", "threshold"):
+            assert type(getattr(rep, field)) is float, (R, field)
+        assert type(rep.iterations) is int
 
 
 def test_exponent_rate_validation():
@@ -305,7 +373,7 @@ def test_exponent_nonnegative_just_below_threshold():
 def test_exponent_raises_when_the_certificate_fails(monkeypatch):
     code = catalog("rep3", 2)
     ch = depolarizing(2, 0.08)
-    monkeypatch.setattr(_Objective, "value", lambda self, x: 1.0)
+    monkeypatch.setattr(_Objective, "value", lambda self, x, gap: 1.0)
     with pytest.raises(ConvergenceError):
         exponent(code, ch, 0.0)
 
@@ -365,8 +433,9 @@ def test_exponent_certificate_on_random_codes(case):
     # weak duality: every dual value phi(beta) bounds the exponent from below,
     # and rep.value is the objective at a feasible point, independently of
     # where the solver stopped
-    obj = _Objective(arr, code.k, R)
-    dual = max(obj.tilted(beta)[1] for beta in np.linspace(0.0, 1.0, 41))
+    obj = _Objective(arr)
+    gap = code.k - code.k * R
+    dual = max(obj.tilted(beta, gap)[1] for beta in np.linspace(0.0, 1.0, 41))
     assert rep.value >= dual - 1e-10
     if obj.p.size <= 4:
         assert rep.value <= exponent_grid_oracle(code, ch, R, 60) + 1e-9
@@ -393,12 +462,13 @@ def test_exponent_matches_bisection_on_random_codes(case, beta):
     assert rep.iterations <= EVAL_BUDGET
     # the closed-form slope of H_c(x_beta) against a central difference of
     # the entropy of the built tilted distribution
-    obj = _Objective(probability_array(code, ch), code.k, R)
+    obj = _Objective(probability_array(code, ch))
+    gap = code.k - code.k * R
     h, slope = obj.tilted_entropy(beta)
-    assert h == pytest.approx(obj.h_cond(obj.tilted(beta)[0]), abs=1e-12)
+    assert h == pytest.approx(obj.h_cond(obj.tilted(beta, gap)[0]), abs=1e-12)
     step = 1e-5
-    central = (obj.h_cond(obj.tilted(beta + step)[0])
-               - obj.h_cond(obj.tilted(beta - step)[0])) / (2 * step)
+    central = (obj.h_cond(obj.tilted(beta + step, gap)[0])
+               - obj.h_cond(obj.tilted(beta - step, gap)[0])) / (2 * step)
     assert slope >= 0.0
     assert slope == pytest.approx(central, rel=1e-5, abs=1e-9)
 

@@ -579,6 +579,15 @@ def test_fidelity_bound_sums_z_marginals_by_their_partition():
             assert bound < 1.0
 
 
+def test_fidelity_bound_folds_a_lone_row_into_its_full_total():
+    # an n = k inner code has one syndrome row, which holds all N blocks, so
+    # its last column is folded into the total N only; the values below N = 73
+    # are those of the full fold, and N = 100 fits the guard
+    ch = depolarizing(2, 0.05)
+    assert fidelity_bound_exact(TRIV, 72, 1, ch) == 6.055512656197747e-05
+    assert fidelity_bound_exact(TRIV, 100, 1, ch) == pytest.approx(1.9186e-6, rel=1e-4)
+
+
 def test_empirical_failure_below_bound():
     p = 0.08
     cfg = SimConfig(inner=TRIV, outer=None, N=6, K=1, channel=depolarizing(2, p),
