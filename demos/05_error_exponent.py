@@ -7,12 +7,16 @@ decay constant is a convex minimization over joint distributions:
 
     E(R) = min_P' [ D(P' || P_L) + | k - kR - H(logical|syndrome under P') |+ ].
 
-The solver finds the dual hinge multiplier, whose inner minimum is a
+The solver finds the dual hinge multiplier beta, whose inner minimum is a
 closed-form tilting of P_L, by safeguarded Newton steps on the dual's slope,
 which also has a closed form; a handful of steps resolve it to a few ulps.
-The tilted distribution it lands on is primal-optimal, so the solver returns
-its objective value with the gap to the dual bound as a certified optimality
-residual.  A brute-force grid oracle over the probability simplex validates it.
+Each step also yields the dual's log-partition Lambda(beta), and the tilted
+distribution's divergence from P_L is beta*H_cond - Lambda, so the solver
+reads the objective at that distribution off its last step, without building
+it, and returns it with the gap to the dual bound as a certified optimality
+residual.  At or below the critical rate the maximizer is beta = 1 and E falls
+linearly in R.  A brute-force grid oracle over the probability simplex
+validates the solver.
 """
 
 import numpy as np
@@ -22,8 +26,10 @@ from qcap.exponent import exponent, exponent_grid_oracle
 
 code = catalog("trivial1", 2)
 ch = depolarizing(2, 0.05)
-thr = exponent(code, ch, 0.0).threshold
-print(f"unencoded qubit at p = 0.05: positivity threshold k - H_cond = {thr:.6f}\n")
+rep = exponent(code, ch, 0.0)
+print(f"unencoded qubit at p = 0.05: positivity threshold k - H_cond = {rep.threshold:.6f},")
+# E is affine in R up to the critical rate; here it is negative, so no rate is
+print(f"critical rate 1 - H_c(x_1)/k = {rep.critical_rate:.6f}\n")
 print("  R       E(R)         residual")
 for R in np.linspace(0.0, 1.0, 11):
     rep = exponent(code, ch, float(R))

@@ -10,24 +10,47 @@ restricted to the support.
 
 The objective is convex (relative entropy plus a hinge of an affine term
 minus a concave conditional entropy).  Writing |t|+ = max_{0<=beta<=1} beta*t
-turns it into a concave one-dimensional dual whose inner minimum has a closed
-form, a Renyi-type tilting of P_L.  The dual's slope is gap - H_c(x_beta),
-and with t = 1/(1+beta) both H_c(x_beta) and its derivative,
-Var_w(H_s) + t^3 E_w[Var_s(log cond)] >= 0 over the tilted row weights w and
-rows s, have closed forms.  So the solver runs Newton's method on
-g(beta) = H_c(x_beta) - gap, inside the bracket [0, 1] kept from the signs
-of g seen so far, and bisects the bracket whenever a Newton step would leave
-it, the slope is 0 or |g| fails to halve.  Newton starts where the chord
-through (0, g(0)) and (1, g(1)) crosses zero: g(0) = H_c(P_L) - gap and
-g(1) come with the objective, which depends on the code and channel only
-and is kept between calls, so a scan over rates builds one array.  It stops
-when g = 0 or a step moves beta by at most a few ulps of 1: H_c carries
-about 1e-16 of round-off, so a finer beta buys nothing.  The tilted distribution at
-the maximizer is feasible and primal-optimal: at an interior root its hinge is
-zero, and at beta = 1 the hinge is active and its value equals the dual
-bound.  So the solver returns that primal value together with the gap to the
-dual bound as an auditable optimality residual, and needs no iterative
-polish.
+turns it into a concave one-dimensional dual
+
+    phi(beta) = beta*gap - Lambda(beta),
+    Lambda(beta) = log sum_s P(s) Z_s^(1+beta),  Z_s = sum_l P(l|s)^(1/(1+beta)),
+
+whose inner minimum, min D(P'||P_L) - beta*H_c(P'), is attained at a
+Renyi-type tilting x_beta of P_L: row s keeps P(l|s)^(1/(1+beta)) / Z_s and
+the weight P(s) Z_s^(1+beta) / e^Lambda.  Lambda(beta) is beta times
+Arimoto's conditional Renyi entropy H^A_(1/(1+beta))(L|S), so
+
+    E(R) = max_{0<=beta<=1} beta*(k - kR - H^A_(1/(1+beta))(L|S)),
+
+the form of Csiszar's exponent for linear codes under minimum-entropy
+decoding (IEEE Trans. Inf. Theory 28, 585, 1982), which is how simconcat
+decodes.  The same tilting gives D(x_beta||P_L) = beta*H_c(x_beta) -
+Lambda(beta), so the objective at x_beta is beta*H_c - Lambda +
+|gap - H_c|+: one evaluation at beta yields both the primal value at x_beta
+and the dual bound without building x_beta.
+
+The dual's slope is gap - H_c(x_beta), and with t = 1/(1+beta) both
+H_c(x_beta) and its derivative, Var_w(H_s) + t^3 E_w[Var_s(log cond)] >= 0
+over the tilted row weights w and rows s, have closed forms.  So the solver
+runs Newton's method on g(beta) = H_c(x_beta) - gap, inside the bracket
+[0, 1] kept from the signs of g seen so far, and bisects the bracket
+whenever a Newton step would leave it, the slope is 0 or |g| fails to
+halve.  g(0) = H_c(P_L) - gap, and g(1) and g'(1) come with the objective,
+which depends on the code and channel only and is kept between calls, so a
+scan over rates builds one array.  Newton starts at the root in (0, 1) of
+the quadratic through g(0), g(1) and g'(1), or at the chord's root if the
+quadratic has none there.  The search stops when g = 0 or a step would move
+beta by at most a few ulps of 1: H_c carries about 1e-16 of round-off, so a
+finer beta buys nothing.
+
+The exponent is read off the last evaluation.  At or below the critical
+rate R_crit = 1 - H_c(x_1)/k, g(1) <= 0, the maximizer is beta = 1 and
+E = gap - Lambda(1), affine in R, from the kept evaluation alone.  Above it
+the last evaluation sits within a few ulps of the root of g, where the
+hinge of x_beta is all but inactive.  Either way the solver returns the
+objective at x_beta together with its gap to the dual bound phi(beta),
+beta*g + |-g|+ at that beta's g, as an auditable optimality residual: a
+search that stopped short of the root leaves |g| and so the residual large.
 
 Also hosts the type-combinatorics utilities (compositions, type counts) and
 the brute-force grid oracle used to validate the solver.
@@ -40,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import ConvergenceError, GuardError, ValidationError, entropy_nats, is_int
+from ._util import ConvergenceError, GuardError, ValidationError, is_int
 from .channels import PauliChannel
 from .codes import StabilizerCode
 from .spectra import ProbabilityArray, probability_array
@@ -98,14 +121,15 @@ def compositions(total: int, parts: int) -> np.ndarray:
 
 
 class _Objective:
-    """f(P') = D(P'||P_L) + |gap - H_c(P')|+, restricted to supp(P_L), for a
-    hinge threshold gap = k - kR that each method takes as an argument.
+    """The dual of f(P') = D(P'||P_L) + |gap - H_c(P')|+, restricted to
+    supp(P_L): evaluate(beta) gives H_c(x_beta), its slope and Lambda(beta),
+    none of which depends on the hinge threshold gap = k - kR.
 
     Cells are flattened with the row (syndrome) structure kept as an index
     array, so conditional entropies reduce to segment sums.  Nothing here
-    depends on the rate: h_cond_pl = H_c(P_L) and h_one = H_c(x_1), the
-    tilted entropy at beta = 1, are computed once on construction, and the
-    object never changes after that.
+    depends on the rate: h_cond_pl = H_c(P_L) and at_one = evaluate(1.0)
+    are computed once on construction, and the object never changes after
+    that.
     """
 
     def __init__(self, arr: ProbabilityArray):
@@ -123,56 +147,38 @@ class _Objective:
         self.log_cond = np.log(self.p / self.marg[self.row_of])
         # H_c(P_L) = -sum_cells p log cond
         self.h_cond_pl = -float(self.p @ self.log_cond) / self.logd
-        self.h_one = self.tilted_entropy(1.0)[0]
+        self.at_one = self.evaluate(1.0)
 
     def row_sums(self, x: np.ndarray) -> np.ndarray:
         return np.bincount(self.row_of, weights=x, minlength=self.nrows)
 
-    def h_cond(self, x: np.ndarray) -> float:
-        """H(logical | syndrome) of a support-restricted distribution, base d."""
-        return (entropy_nats(x) - entropy_nats(self.row_sums(x))) / self.logd
+    def evaluate(self, beta: float) -> tuple[float, float, float]:
+        """H_c(x_beta), its derivative in beta, and the log-partition
+        Lambda(beta), all base d, without building x_beta.
 
-    def value(self, x: np.ndarray, gap: float) -> float:
-        mask = x > 0
-        div = float(np.sum(x[mask] * np.log(x[mask] / self.p[mask]))) / self.logd
-        return div + max(0.0, gap - self.h_cond(x))
-
-    def _tilt(self, beta: float) -> tuple[np.ndarray, np.ndarray]:
-        """cond_beta ∝ cond^(1/(1+beta)) and its row normalizers Z_s."""
-        tilted = np.exp(self.log_cond / (1.0 + beta))
-        z = self.row_sums(tilted)
-        return tilted / z[self.row_of], z
-
-    def tilted(self, beta: float, gap: float) -> tuple[np.ndarray, float]:
-        """Closed-form minimizer of D(P'||P_L) - beta * H_c(P') and the value
-        of the dual function phi(beta) = beta*gap + that minimum."""
-        cond, z = self._tilt(beta)
-        row_weight = self.marg * z ** (1.0 + beta)
-        total = row_weight.sum()
-        x = row_weight[self.row_of] / total * cond
-        return x, beta * gap - math.log(total) / self.logd
-
-    def tilted_entropy(self, beta: float) -> tuple[float, float]:
-        """H_c(x_beta) of the minimizer that tilted(beta) returns, and its
-        derivative in beta, both base d, without building x_beta.
-
-        With t = 1/(1+beta), row s holds cond_beta ∝ cond^t with entropy
-        H_s = log Z_s - t E_s[log cond], and carries the row weight
-        w_s ∝ marg_s Z_s^(1/t).  H_c = E_w[H_s], and differentiating in beta
-        gives Var_w(H_s) + t^3 E_w[Var_s(log cond)].
+        With t = 1/(1+beta), row s holds cond_beta ∝ cond^t with normalizer
+        Z_s and entropy H_s = log Z_s - t E_s[log cond], and carries the row
+        weight w_s = marg_s Z_s^(1/t) / e^Lambda.
+        H_c = E_w[H_s], and differentiating in beta gives
+        Var_w(H_s) + t^3 E_w[Var_s(log cond)].
         """
         t = 1.0 / (1.0 + beta)
-        cond, z = self._tilt(beta)
+        tilted = np.exp(self.log_cond / (1.0 + beta))
+        z = self.row_sums(tilted)
+        cond = tilted / z[self.row_of]
         mean = self.row_sums(cond * self.log_cond)
         spread = self.row_sums(cond * (self.log_cond - mean[self.row_of]) ** 2)
         log_z = np.log(z)
         h_rows = log_z - t * mean
         log_w = self.log_marg + log_z / t
-        w = np.exp(log_w - log_w.max())
-        w /= w.sum()
+        top = log_w.max()
+        w = np.exp(log_w - top)
+        total = w.sum()
+        w /= total
         h = w @ h_rows
         slope = w @ (h_rows - h) ** 2 + t**3 * (w @ spread)
-        return float(h / self.logd), float(slope / self.logd)
+        lam = top + math.log(total)
+        return float(h / self.logd), float(slope / self.logd), float(lam / self.logd)
 
 
 # the Newton iteration stops once a step moves beta by at most this much
@@ -191,17 +197,18 @@ class ExponentReport:
 
     iterations counts evaluations of the dual function (closed-form tiltings
     of P_L): one at beta = 1, whether the objective made it just now or was
-    kept from an earlier call, one per Newton or bisection step, and one for
-    the witness at the maximizer.  So a report does not depend on what was
-    kept.  It is 0 when the rate is at or above the threshold, 2 when the
-    maximizer is beta = 1, and typically 5 to 8 at an interior root; its
-    worst case is about twice bisection's.
+    kept from an earlier call, and one per Newton or bisection step.  So a
+    report does not depend on what was kept.  It is 0 when the rate is at
+    or above the threshold, 1 when the maximizer is beta = 1 (at or below
+    the critical rate), and typically 4 to 6 at an interior root; its worst
+    case is about twice bisection's.
     """
 
     value: float
     kkt_residual: float
     rate: float
     threshold: float  # k - H_c(P_L); the exponent is positive iff kR < threshold
+    critical_rate: float  # 1 - H_c(x_1)/k; E is affine in R at or below it
     iterations: int
 
     def as_dict(self) -> dict:
@@ -210,6 +217,7 @@ class ExponentReport:
             "kkt_residual": self.kkt_residual,
             "rate": self.rate,
             "threshold": self.threshold,
+            "critical_rate": self.critical_rate,
             "iterations": self.iterations,
         }
 
@@ -249,31 +257,33 @@ def exponent(code: StabilizerCode, channel: PauliChannel, R: float) -> ExponentR
     obj = _objective(code, channel)
     gap = code.k - code.k * R  # the hinge threshold on H_c
     threshold = code.k - obj.h_cond_pl
+    h, slope, lam = obj.at_one
+    critical_rate = 1.0 - h / code.k
 
     # the hinge is inactive at P_L itself: P' = P_L attains the global
     # minimum 0 whenever kR >= k - H_c(P_L)
     if code.k * R >= threshold:
-        return ExponentReport(0.0, 0.0, R, threshold, 0)
+        return ExponentReport(0.0, 0.0, R, threshold, critical_rate, 0)
 
     # concave dual line search over the hinge multiplier beta.  The dual
     # derivative is -g(beta) = gap - H_c(x_beta), nonincreasing by concavity,
-    # so the maximizer is either beta = 1 (g still <= 0 there) or the root of
-    # g, found by safeguarded Newton steps from the chord's root.  The
-    # objective's evaluation at beta = 1 counts as one, kept or not.
-    evals = 1
-    g0, g1 = code.k * R - threshold, obj.h_one - gap  # g(0) < 0 here
-
-    def slack(beta: float) -> tuple[float, float]:
-        nonlocal evals
-        evals += 1
-        h, slope = obj.tilted_entropy(beta)
-        return h - gap, slope
-
-    beta_star = 1.0
+    # so the maximizer is either beta = 1 (g still <= 0 there, R <= R_crit)
+    # or the root of g, found by safeguarded Newton steps.  The objective's
+    # evaluation at beta = 1 counts as one, kept or not.
+    evals, beta = 1, 1.0
+    g0, g1 = code.k * R - threshold, h - gap  # g(0) < 0 here
     if g1 > 0.0:
-        lo_b, hi_b, beta, last = 0.0, 1.0, -g0 / (g1 - g0), math.inf
+        # start from the root in (0, 1) of the quadratic through g(0), g(1)
+        # and g'(1), written in u = beta - 1, or else from the chord's
+        curve = g0 - g1 + slope
+        denom = slope + math.sqrt(max(slope * slope - 4.0 * curve * g1, 0.0))
+        u = -2.0 * g1 / denom if denom > 0.0 else math.nan
+        beta = 1.0 + u if -1.0 < u < 0.0 else -g0 / (g1 - g0)
+        lo_b, hi_b, last = 0.0, 1.0, math.inf
         while True:
-            g, slope = slack(beta)
+            evals += 1
+            h, slope, lam = obj.evaluate(beta)
+            g = h - gap
             if g == 0.0:
                 break
             if g < 0.0:
@@ -282,28 +292,27 @@ def exponent(code: StabilizerCode, channel: PauliChannel, R: float) -> ExponentR
                 hi_b = beta
             newton = beta - g / slope if slope > 0.0 else math.nan
             if abs(newton - beta) <= _BETA_TOL:
-                beta = min(max(newton, lo_b), hi_b)
                 break
             # bisect when Newton leaves the bracket or, right after a Newton
             # step, |g| did not halve
             if lo_b < newton < hi_b and abs(g) <= 0.5 * last:
                 beta, last = newton, abs(g)
+            elif hi_b - lo_b <= 2.0 * _BETA_TOL:
+                break
             else:
                 beta, last = 0.5 * (lo_b + hi_b), math.inf
-                if hi_b - lo_b <= 2.0 * _BETA_TOL:
-                    break
-        beta_star = beta
-    witness, phi_star = obj.tilted(beta_star, gap)
-    evals += 1
 
-    # E >= 0 by definition; clamp the round-off just below the threshold
-    value = max(obj.value(witness, gap), 0.0)
-    residual = value - phi_star
+    # the objective at the tilted distribution x_beta of the last evaluation,
+    # D(x_beta||P_L) + |gap - H_c|+ with D = beta H_c - Lambda, against the
+    # dual bound beta gap - Lambda; E >= 0 by definition, so clamp the
+    # round-off just below the threshold
+    value = max(beta * h - lam + max(gap - h, 0.0), 0.0)
+    residual = value - (beta * gap - lam)
     if residual > _RESIDUAL_TOL:
         raise ConvergenceError(
             f"exponent solver residual {residual:.3e} above tol {_RESIDUAL_TOL:.1e} "
             f"after {evals} dual evaluations")
-    return ExponentReport(value, max(residual, 0.0), R, threshold, evals)
+    return ExponentReport(value, max(residual, 0.0), R, threshold, critical_rate, evals)
 
 
 def exponent_grid_oracle(code: StabilizerCode, channel: PauliChannel, R: float,

@@ -79,7 +79,7 @@ _BATCH = 64
 # and tail tables
 _DECODE_CELLS = 1 << 19
 # word-sized dictionary updates the exact bound's type-sum fold may make
-_FOLD_WORK = 5_000_000
+_FOLD_WORK = 12_000_000
 
 
 # ---------------------------------------------------------------------------

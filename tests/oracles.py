@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from qcap import GuardError, PauliChannel, SimConfig, StabilizerCode, ValidationError, simconcat
+from qcap._util import entropy_nats
 from qcap.exponent import _Objective, compositions
 from qcap.gf import index_to_digits
 from qcap.simconcat import _cell_cdf
@@ -233,10 +234,41 @@ def kl_divergence(P, Q, base: float) -> float:
     return float(np.sum(P[mask] * np.log(P[mask] / Q[mask])) / math.log(base))
 
 
+def tilted(obj: _Objective, beta: float) -> np.ndarray:
+    """The tilted distribution x_beta built cell by cell: row s keeps the
+    conditional law cond^t / Z_s, t = 1/(1+beta), and the row weight
+    marg_s Z_s^(1+beta) / sum_s' marg_s' Z_s'^(1+beta).  It minimizes
+    D(P'||P_L) - beta H_c(P') over the support."""
+    cond = np.exp(obj.log_cond / (1.0 + beta))
+    z = obj.row_sums(cond)
+    cond /= z[obj.row_of]
+    row_weight = obj.marg * z ** (1.0 + beta)
+    return row_weight[obj.row_of] / row_weight.sum() * cond
+
+
+def h_cond(obj: _Objective, x: np.ndarray) -> float:
+    """H(logical | syndrome) of a support-restricted distribution, base d."""
+    return (entropy_nats(x) - entropy_nats(obj.row_sums(x))) / obj.logd
+
+
+def objective_value(obj: _Objective, x: np.ndarray, gap: float) -> float:
+    """The exponent objective D(x||P_L) + |gap - H_c(x)|+ at a
+    support-restricted distribution, base d."""
+    return kl_divergence(x, obj.p, obj.d) + max(0.0, gap - h_cond(obj, x))
+
+
+def arimoto_entropy(arr: ProbabilityArray, alpha: float) -> float:
+    """Arimoto's conditional Renyi entropy of order alpha != 1 of the
+    logical given the syndrome, base d, straight from the array:
+    alpha/(1-alpha) log sum_s (sum_l P(s,l)^alpha)^(1/alpha)."""
+    inner = (arr.table ** alpha).sum(axis=1) ** (1.0 / alpha)
+    return alpha / (1.0 - alpha) * math.log(inner.sum()) / math.log(arr.d)
+
+
 def reference_exponent(code: StabilizerCode, channel: PauliChannel, R: float) -> float:
     """E(R) by bisection on the hinge multiplier beta down to adjacent floats,
-    with H_c measured on the built tilted distribution: the solver that
-    `exponent()` used before its Newton iteration."""
+    with H_c and the objective measured on the built tilted distribution:
+    the solver that `exponent()` used before its Newton iteration."""
     arr = probability_array(code, channel)
     obj = _Objective(arr)
     gap = code.k - code.k * R
@@ -244,7 +276,7 @@ def reference_exponent(code: StabilizerCode, channel: PauliChannel, R: float) ->
         return 0.0
 
     def hinge_slack(beta: float) -> float:
-        return obj.h_cond(obj.tilted(beta, gap)[0]) - gap
+        return h_cond(obj, tilted(obj, beta)) - gap
 
     beta_star = 1.0
     if hinge_slack(1.0) > 0.0:
@@ -254,8 +286,7 @@ def reference_exponent(code: StabilizerCode, channel: PauliChannel, R: float) ->
                 lo_b = beta_star
             else:
                 hi_b = beta_star
-    witness, _ = obj.tilted(beta_star, gap)
-    return max(obj.value(witness, gap), 0.0)
+    return max(objective_value(obj, tilted(obj, beta_star), gap), 0.0)
 
 
 def grid_oracle_dense(code: StabilizerCode, channel: PauliChannel, R: float,

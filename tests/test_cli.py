@@ -91,6 +91,7 @@ def test_exponent_json(capsys):
     check_schema(payload, "exponent")
     rep = exponent(catalog("trivial1", 2), depolarizing(2, 0.05), 0.0)
     assert payload["result"]["E"] == rep.value
+    assert payload["result"]["critical_rate"] == rep.critical_rate
     # the grid oracle upper-bounds the solver; 60 steps resolve to a few percent
     assert 0 <= payload["result"]["grid_oracle"] - payload["result"]["E"] < 0.05
 

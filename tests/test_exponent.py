@@ -32,7 +32,15 @@ from qcap.exponent import (
 )
 from qcap.spectra import ProbabilityArray, bound_from_array, probability_array
 
-from oracles import grid_oracle_dense, kl_divergence, reference_exponent
+from oracles import (
+    arimoto_entropy,
+    grid_oracle_dense,
+    h_cond,
+    kl_divergence,
+    objective_value,
+    reference_exponent,
+    tilted,
+)
 
 # the package re-exports the function exponent() under its submodule's name
 exponent_mod = importlib.import_module("qcap.exponent")
@@ -231,8 +239,9 @@ def test_objective_convexity_chords():
         b = rng.dirichlet(np.ones(m))
         lam = rng.random()
         mix = lam * a + (1 - lam) * b
-        assert (obj.value(mix, gap)
-                <= lam * obj.value(a, gap) + (1 - lam) * obj.value(b, gap) + 1e-12)
+        assert (objective_value(obj, mix, gap)
+                <= lam * objective_value(obj, a, gap) + (1 - lam) * objective_value(obj, b, gap)
+                + 1e-12)
 
 
 def test_objective_row_labels_skip_empty_rows():
@@ -305,7 +314,7 @@ def test_report_fields_are_plain_python_numbers():
     code, ch = catalog("rep3", 2), depolarizing(2, 0.08)
     for R in (0.0, 0.2, 1.0):
         rep = exponent(code, ch, R)
-        for field in ("value", "kkt_residual", "rate", "threshold"):
+        for field in ("value", "kkt_residual", "rate", "threshold", "critical_rate"):
             assert type(getattr(rep, field)) is float, (R, field)
         assert type(rep.iterations) is int
 
@@ -371,11 +380,20 @@ def test_exponent_nonnegative_just_below_threshold():
 
 
 def test_exponent_raises_when_the_certificate_fails(monkeypatch):
+    # a slope 1e20 times too steep makes the first Newton step vanish, so the
+    # search stops where |g| is still large and the certificate must refuse it
     code = catalog("rep3", 2)
     ch = depolarizing(2, 0.08)
-    monkeypatch.setattr(_Objective, "value", lambda self, x, gap: 1.0)
+    assert exponent(code, ch, 0.0).iterations > 1  # an interior root
+    evaluate = _Objective.evaluate
+
+    def steep(self, beta):
+        h, slope, lam = evaluate(self, beta)
+        return h, slope * 1e20, lam
+
+    monkeypatch.setattr(_Objective, "evaluate", steep)
     with pytest.raises(ConvergenceError):
-        exponent(code, ch, 0.0)
+        exponent(code, depolarizing(2, 0.08), 0.0)
 
 
 def test_exponent_has_no_polish_knobs(tmp_path):
@@ -430,14 +448,15 @@ def test_exponent_certificate_on_random_codes(case):
     assert rep.kkt_residual <= 1e-8
     arr = probability_array(code, ch)
     assert abs(rep.threshold - (code.k - arr.conditional_entropy(code.d))) <= 1e-12
-    # weak duality: every dual value phi(beta) bounds the exponent from below,
-    # and rep.value is the objective at a feasible point, independently of
-    # where the solver stopped
-    obj = _Objective(arr)
+    # weak duality: every dual value phi(beta) = beta (gap - H^A_(1/(1+beta))),
+    # from Arimoto's formula, bounds the exponent from below, and rep.value is
+    # the objective at a feasible point, independently of where the solver
+    # stopped
     gap = code.k - code.k * R
-    dual = max(obj.tilted(beta, gap)[1] for beta in np.linspace(0.0, 1.0, 41))
-    assert rep.value >= dual - 1e-10
-    if obj.p.size <= 4:
+    dual = max(beta * (gap - arimoto_entropy(arr, 1.0 / (1.0 + beta)))
+               for beta in np.linspace(0.0, 1.0, 41)[1:])
+    assert rep.value >= max(dual, 0.0) - 1e-10
+    if np.count_nonzero(arr.table) <= 4:
         assert rep.value <= exponent_grid_oracle(code, ch, R, 60) + 1e-9
 
 
@@ -463,12 +482,44 @@ def test_exponent_matches_bisection_on_random_codes(case, beta):
     # the closed-form slope of H_c(x_beta) against a central difference of
     # the entropy of the built tilted distribution
     obj = _Objective(probability_array(code, ch))
-    gap = code.k - code.k * R
-    h, slope = obj.tilted_entropy(beta)
-    assert h == pytest.approx(obj.h_cond(obj.tilted(beta, gap)[0]), abs=1e-12)
+    h, slope, _ = obj.evaluate(beta)
+    assert h == pytest.approx(h_cond(obj, tilted(obj, beta)), abs=1e-12)
     step = 1e-5
-    central = (obj.h_cond(obj.tilted(beta + step, gap)[0])
-               - obj.h_cond(obj.tilted(beta - step, gap)[0])) / (2 * step)
+    central = (h_cond(obj, tilted(obj, beta + step))
+               - h_cond(obj, tilted(obj, beta - step))) / (2 * step)
     assert slope >= 0.0
     assert slope == pytest.approx(central, rel=1e-5, abs=1e-9)
 
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(random_exponent_case())
+def test_closed_forms_match_the_built_tilted_distribution(case):
+    # the evaluation's H_c and Lambda against the witness x_beta built cell by
+    # cell: D(x_beta||P_L) = beta H_c - Lambda, and Lambda is beta times
+    # Arimoto's conditional Renyi entropy of order 1/(1+beta)
+    code, ch, _ = case
+    arr = probability_array(code, ch)
+    obj = _Objective(arr)
+    for beta in np.linspace(0.05, 1.0, 20):
+        h, _, lam = obj.evaluate(beta)
+        x = tilted(obj, beta)
+        assert abs(h - h_cond(obj, x)) <= 1e-12
+        assert abs(kl_divergence(x, obj.p, code.d) - (beta * h - lam)) <= 1e-12
+        assert abs(lam - beta * arimoto_entropy(arr, 1.0 / (1.0 + beta))) <= 1e-12
+
+
+def test_exponent_is_affine_below_the_critical_rate():
+    code, ch = catalog("rep3", 2), depolarizing(2, 0.03)
+    rep = exponent(code, ch, 0.0)
+    crit = rep.critical_rate
+    assert 0.0 < crit < rep.threshold / code.k
+    # at or below R_crit the maximizer is beta = 1: one evaluation, kept with
+    # the objective, and E = k - kR - Lambda(1)
+    below = [exponent(code, ch, f * crit) for f in (0.2, 0.5, 0.8)]
+    assert all(r.iterations == 1 and r.critical_rate == crit for r in below)
+    values = [r.value for r in below]
+    assert abs(values[0] - 2 * values[1] + values[2]) <= 1e-12
+    # between R_crit and the threshold the root is interior
+    for f in (0.1, 0.5, 0.9):
+        R = crit + f * (rep.threshold / code.k - crit)
+        assert exponent(code, ch, R).iterations > 1

@@ -588,6 +588,15 @@ def test_fidelity_bound_folds_a_lone_row_into_its_full_total():
     assert fidelity_bound_exact(TRIV, 100, 1, ch) == pytest.approx(1.9186e-6, rel=1e-4)
 
 
+def test_fidelity_bound_guard_admits_a_lone_row_at_N_128():
+    # the lone row costs 40-66 ns per charged word; N = 128 charges 9.3
+    # million words and fits the guard, N = 160 charges 22 million and does not
+    ch = depolarizing(2, 0.05)
+    assert fidelity_bound_exact(TRIV, 128, 1, ch) == pytest.approx(5.4727e-8, rel=1e-4)
+    with pytest.raises(GuardError):
+        fidelity_bound_exact(TRIV, 160, 1, ch)
+
+
 def test_empirical_failure_below_bound():
     p = 0.08
     cfg = SimConfig(inner=TRIV, outer=None, N=6, K=1, channel=depolarizing(2, p),
