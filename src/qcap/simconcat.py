@@ -14,15 +14,15 @@ The trials run on a trial axis.  A batch of up to _BATCH trials draws its
 errors, samples its outer codes and decodes as array operations in mod-d
 integer arithmetic, with as many trials decoded at once as keep their
 (N, T, Q) candidate keys within a fixed budget of cells.  The random
-streams follow seed contract v2 (SEED_CONTRACT): batch b, trials
+streams follow seed contract v3 (SEED_CONTRACT): batch b, trials
 b*_BATCH onwards, reads one generator, (seed, b).  One `random((T, N))`
 call gives the batch's error uniforms, row t for its trial t; with a
-resampled outer code, one `integers(0, d, (T, S))` call then gives every
-trial's sampler digits, and a trial that uses its row up reads S more from
-the same stream.  The outer code drawn once for all trials comes from
-(seed, 0, 2).  So the results depend on _BATCH, which is part of the
-contract, but not on the decoding budget.  tests/test_seed_contract.py
-keeps the record of each contract.
+resampled outer code, the isotropic sampler then draws from the same
+stream one block of digits per round of attempts, a row for each trial
+still drawing, in trial order.  The outer code drawn once for all trials
+comes from (seed, 0, 2).  So the results depend on _BATCH, which is part
+of the contract, but not on the decoding budget.
+tests/test_seed_contract.py keeps the record of each contract.
 
 The candidates, the v' with v's outer syndrome, are the coset
 v + perp(C_out), and the winner is a function of that set however it is
@@ -70,7 +70,7 @@ from .spectra import ProbabilityArray, probability_array
 from .symplectic import Subspace, _DualEchelon, is_self_orthogonal, symplectic_dual
 
 # the version of simulate's random streams (see the module docstring)
-SEED_CONTRACT = 2
+SEED_CONTRACT = 3
 _SEARCH_GUARD = 1 << 24
 # trials whose errors and outer codes come from one generator; part of the
 # seed contract
@@ -204,17 +204,12 @@ class _Contexts:
         tail = self._span(perp_basis[:, half:])
         # tail_sums[j, c, s, b]: the symbol of s plus block j of the b-th
         # vector of code c's second-half span, added digit by digit, in a
-        # type that also holds the keys z * cols + symbol of every syndrome
-        # z.  It grows one digit at a time: the symbols s + e d^p, e < d,
-        # come from those of s < d^p by adding (e + tail digit p) mod d.
-        digits = tail.reshape(tail.shape[:2] + (N, 2 * k)).transpose(2, 0, 3, 1)
+        # type that also holds the keys z * cols + symbol of every syndrome z
         dtype = np.min_scalar_type(d ** (inner.n - k) * cols - 1)
-        table = np.zeros(digits.shape[:2] + (1, digits.shape[3]), dtype=dtype)
-        for p, power in enumerate(self.powers.tolist()):
-            added = (_mod(np.arange(d)[:, None] + digits[:, :, p:p + 1], d) * power).astype(dtype)
-            table = (added[:, :, :, None] + table[:, :, None]).reshape(
-                table.shape[:2] + (-1, table.shape[3]))
-        self.tail_sums = table
+        s = index_to_digits(np.arange(cols), d, 2 * k).astype(dtype)
+        digits = tail.reshape(tail.shape[:2] + (N, 2 * k)).transpose(2, 0, 3, 1).astype(dtype)
+        self.tail_sums = sum(_mod(s[:, p, None] + digits[:, :, p, None], d) * power
+                             for p, power in enumerate(self.powers.tolist()))
 
     def _span(self, basis: np.ndarray) -> np.ndarray:
         """All d^h vectors of span(basis) of each basis (C, h, 2kN), as

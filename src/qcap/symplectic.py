@@ -44,7 +44,6 @@ elimination in tests/oracles.py is the reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -87,24 +86,6 @@ def gram_matrix(rows_a: np.ndarray, rows_b: np.ndarray, d: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # the echelon form
-
-
-@lru_cache(maxsize=4)
-def _inverses(d: int) -> np.ndarray:
-    """The table of x^(d-2) mod d for x in [0, d), which is x^-1 for x != 0,
-    by square-and-multiply on the whole table: about 2 log2(d) array
-    operations, where a pow call per entry would take over a second at
-    d near 2^20.  Products stay below d^2 < 2^40."""
-    x = np.arange(d, dtype=np.int64)
-    table = np.ones(d, dtype=np.int64)
-    e = d - 2
-    while e:
-        if e & 1:
-            table = table * x % d
-        x = x * x % d
-        e >>= 1
-    table.setflags(write=False)
-    return table
 
 
 class _DualEchelon:
@@ -165,36 +146,21 @@ class _DualEchelon:
         of the given dimension, all drawn from the one generator rng.
 
         Trial t grows one dimension at a time with a uniform vector from
-        perp(current) \\ current: coefficients on the perp basis, read from
-        trial t's row of digits, len(free) per attempt, until the form takes
-        one.  The rows come from one `integers(0, d, (trials, S))` call with
-        S = sum(ambient - i for i < dim) plus slack.  A trial that would read
-        past the end of its row gets S more digits from rng; within each
-        round of attempts these refills are drawn in increasing trial order.
-        Bounded integer draws concatenate in the stream, so at trials = 1
-        the digits are those of one `integers(0, d, len(free))` call per
-        attempt.
+        perp(current) \\ current, given by its coefficients on the perp
+        basis, until the form takes one.  Each round of attempts at
+        dimension i draws one `integers(0, d, (len(todo), ambient - i))`
+        block, row r for the r-th trial still drawing, in increasing trial
+        order.  Bounded integer draws concatenate in the stream, so at
+        trials = 1 these are the digits of one `integers(0, d, ambient - i)`
+        call per attempt.
         """
         grown = cls(d, ambient, dim, trials)
-        size = sum(ambient - i for i in range(dim)) + ambient
-        digits = rng.integers(0, d, (trials, size))
-        filled = np.full(trials, size)
-        used = np.zeros(trials, dtype=np.int64)
         for i in range(dim):
             gens = np.empty((trials, ambient), dtype=np.int64)
             rows = np.empty((trials, ambient + dim), dtype=np.int64)
             todo = np.arange(trials)
             while todo.size:
-                out = todo[used[todo] + ambient - i > filled[todo]]
-                if out.size:
-                    short = filled[out].max() + size - digits.shape[1]
-                    if short > 0:
-                        digits = np.pad(digits, ((0, 0), (0, short)))
-                    digits[out[:, None], filled[out, None] + np.arange(size)] = rng.integers(
-                        0, d, (out.size, size))
-                    filled[out] += size
-                coeffs = digits[todo[:, None], used[todo, None] + np.arange(ambient - i)]
-                used[todo] += ambient - i
+                coeffs = rng.integers(0, d, (todo.size, ambient - i))
                 g = _mod((coeffs[:, None, :] @ grown.perp[todo])[:, 0], d)
                 r = grown.reduce(g, todo)
                 took = r[:, :ambient].any(axis=1)
@@ -221,7 +187,9 @@ class _DualEchelon:
         d, m = self.d, self.size
         t = np.arange(len(gens))
         p = (rows != 0).argmax(axis=1)
-        r = _mod(rows * _inverses(d)[rows[t, p]][:, None], d)
+        # each pivot's inverse x^(d-2) mod d
+        inverse = np.array([pow(x, d - 2, d) for x in rows[t, p].tolist()], dtype=np.int64)
+        r = _mod(rows * inverse[:, None], d)
         done = self.rows[:, :m]
         done[...] = _mod(done - self.rows[t, :m, p][:, :, None] * r[:, None, :], d)
         keep = self.free != p[:, None]

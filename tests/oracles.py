@@ -95,37 +95,21 @@ def solve_affine_multi(mat: np.ndarray, rhs_cols: np.ndarray, d: int) -> np.ndar
     return out
 
 
-class _DigitRow:
-    """One trial's row of sampler digits, read front to back; a read past
-    its end first appends `size` digits drawn from the shared stream."""
-
-    def __init__(self, row: np.ndarray, rng: np.random.Generator, size: int):
-        self.row, self.rng, self.size, self.used = row, rng, size, 0
-
-    def integers(self, low: int, high: int, n: int) -> np.ndarray:
-        if self.used + n > len(self.row):
-            self.row = np.concatenate([self.row, self.rng.integers(low, high, self.size)])
-        self.used += n
-        return self.row[self.used - n:self.used]
-
-
 def random_isotropic_dense(d: int, ambient: int, dim: int, rng: np.random.Generator,
                            trials: int = 1) -> list[np.ndarray]:
     """The isotropic sampler's rows of `trials` subspaces by dense
     elimination: each step recomputes perp(current) from scratch and tests
     membership against rref.  The digits are read as the library reads
-    them: one (trials, S) draw of rows, and refills of S digits from rng
-    in the order (dimension, round of attempts, trial)."""
-    size = sum(ambient - i for i in range(dim)) + ambient
-    sources = [_DigitRow(row, rng, size) for row in rng.integers(0, d, (trials, size))]
+    them: at dimension i, each round of attempts draws one
+    (len(todo), ambient - i) block, row r for the r-th trial still drawing."""
     rows = [np.zeros((0, ambient), dtype=np.int64) for _ in range(trials)]
-    for _ in range(dim):
+    for i in range(dim):
         perps = [nullspace(symplectic_dual(r, d), d, ambient) for r in rows]
-        todo = range(trials)
+        todo = list(range(trials))
         while todo:
             missed = []
-            for t in todo:
-                v = (sources[t].integers(0, d, perps[t].shape[0]) @ perps[t]) % d
+            for t, coeffs in zip(todo, rng.integers(0, d, (len(todo), ambient - i))):
+                v = (coeffs @ perps[t]) % d
                 if rref(np.vstack([rows[t], v]), d)[0].shape[0] > rows[t].shape[0]:
                     rows[t] = np.vstack([rows[t], v])
                 else:
@@ -429,7 +413,7 @@ def decode_min_conditional_entropy(inner: StabilizerCode, outer: Subspace | Stab
 
 def simulate_per_trial(cfg: SimConfig) -> list[dict]:
     """The trace of simconcat.simulate(cfg), one trial at a time, under seed
-    contract v2.  Batch b of simconcat._BATCH trials reads the generator
+    contract v3.  Batch b of simconcat._BATCH trials reads the generator
     (seed, b): first every trial's error uniforms, then, with a resampled
     outer code, every trial's outer code by the dense sampler.  The
     explicit outer code, or the one drawn from (seed, 0, 2), is shared.
@@ -574,18 +558,85 @@ def ensemble_failure_exact(inner: StabilizerCode, N: int, K: int, channel: Pauli
     iff v - w lies in C, so each code's failure rate is a sum of products
     of array cells over the (z, v) that miss.  The codes are handled about
     2^20 (code, z, v) cells at a time."""
-    d, k = inner.d, inner.k
     arr = probability_array(inner, channel)
+    zs = index_to_digits(np.arange(arr.rows**N), arr.rows, N)
+    return _ensemble_failure(inner, N, K, arr, zs,
+                             lambda symbols: arr.table[zs[:, None, :], symbols[None]].prod(axis=-1))
+
+
+def set_partitions(N: int) -> np.ndarray:
+    """Every set partition of N blocks, as the Bell(N) restricted growth
+    strings a (a_0 = 0, a_j <= 1 + max(a_<j)), in lexicographic order:
+    blocks j and j' share a part iff a_j = a_j'."""
+    strings = [()]
+    for _ in range(N):
+        strings = [a + (c,) for a in strings for c in range(max(a, default=-1) + 2)]
+    return np.array(strings, dtype=np.int64).reshape(len(strings), N)
+
+
+def ensemble_failure_by_pattern(inner: StabilizerCode, N: int, K: int, channel: PauliChannel
+                                ) -> tuple[float, np.ndarray]:
+    """ensemble_failure_exact with one syndrome sequence per equality
+    pattern: Bell(N) of them in place of rows^N.
+
+    The decoder reads z only through the keys z_j * cols + w_j of a
+    candidate w, and only through which blocks share a key: blocks j and j'
+    do iff z_j = z_j' and w_j = w_j'.  The key prod c^c counts those shares,
+    and ties go to the lexicographically smallest w, which does not involve
+    z.  So relabelling the syndromes by any injection leaves v_hat, and
+    whether (z, v) fails, unchanged: both depend on z only through its
+    pattern sigma, the set partition of the blocks into equal syndromes.
+    Each code's rate is then the sum over (sigma, v) of the failure of one
+    representative of sigma times P(sigma, v), the probability that the
+    syndromes have pattern exactly sigma and the logicals are v.
+
+    For a partition pi, the z constant on every part of pi (the z whose
+    pattern is pi or coarser) have total probability
+    F(pi, v) = prod_{B in pi} sum_s prod_{j in B} q[s, v_j], so
+    F(pi) = sum_{sigma >= pi} P(sigma), and Moebius inversion on the
+    partition lattice gives P(sigma) = sum_{pi >= sigma} mu(sigma, pi)
+    F(pi), with mu(sigma, pi) = prod_{B in pi} (-1)^(m-1) (m-1)! where m
+    is the number of parts of sigma merged into B.  The coarser pi are the
+    set partitions of sigma's parts.  A pattern with more parts than the
+    array has rows gets P = 0, up to rounding."""
+    arr = probability_array(inner, channel)
+    patterns = set_partitions(N)
+
+    def pattern_probs(symbols: np.ndarray) -> np.ndarray:
+        # the factors F of every nonempty set of blocks, by its bit mask
+        factor = {mask: arr.table[:, symbols[:, [j for j in range(N) if mask >> j & 1]]]
+                  .prod(axis=-1).sum(axis=0) for mask in range(1, 1 << N)}
+        prob = np.zeros((len(patterns), len(symbols)))
+        for sigma, row in zip(patterns, prob):
+            parts = [int((1 << np.flatnonzero(sigma == b)).sum()) for b in range(sigma.max() + 1)]
+            for merge in set_partitions(len(parts)):
+                term = 1.0
+                for b in range(merge.max() + 1):
+                    merged = np.flatnonzero(merge == b)
+                    m = len(merged)
+                    term *= ((-1) ** (m - 1) * math.factorial(m - 1)
+                             * factor[sum(parts[i] for i in merged)])
+                row += term
+        return prob
+
+    return _ensemble_failure(inner, N, K, arr, patterns, pattern_probs)
+
+
+def _ensemble_failure(inner: StabilizerCode, N: int, K: int, arr: ProbabilityArray,
+                      zs: np.ndarray, probs) -> tuple[float, np.ndarray]:
+    """Each code's failure rate summed over the syndrome sequences zs and
+    every v, weighted by probs(symbols), the (len(zs), d^2kN) probability
+    of each (z, v) given the per-block symbols of every v."""
+    d, k = inner.d, inner.k
     length, dim = 2 * k * N, k * N - K
     codes, in_code = isotropic_subspaces(d, length, dim)
     vecs = _lex_vectors(d, length)
     size = len(vecs)
     symbols = vecs.reshape(size, N, 2 * k) @ d ** np.arange(2 * k)
-    zs = index_to_digits(np.arange(arr.rows**N), arr.rows, N)
     joint = zs[:, None, :] * arr.cols + symbols[None]
     # key[z, v] = prod over blocks of the blocks that share the block's joint symbol
     key = (joint[..., :, None] == joint[..., None, :]).sum(axis=-1).prod(axis=-1)
-    prob = arr.table[zs[:, None, :], symbols[None]].prod(axis=-1)
+    prob = probs(symbols)
     # the vectors of each z in decoding preference; a stable sort keeps the
     # lexicographic order among equal keys
     ranked = np.argsort(-key, axis=1, kind="stable")

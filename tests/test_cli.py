@@ -102,7 +102,7 @@ def test_simulate_json_and_reproducibility(capsys):
             "--resample-outer"]
     payload = run_json(capsys, argv)
     check_schema(payload, "simulate")
-    assert payload["manifest"]["seed_contract"] == 2
+    assert payload["manifest"]["seed_contract"] == 3
     assert "seed_contract" in SCHEMA["properties"]["manifest"]["properties"]
     assert "seed_contract" not in payload["result"]
     again = run_json(capsys, argv)

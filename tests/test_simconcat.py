@@ -32,6 +32,8 @@ from qcap.spectra import ProbabilityArray, probability_array
 
 from oracles import (
     decode_min_conditional_entropy,
+    ensemble_failure_by_pattern,
+    ensemble_failure_exact,
     fidelity_bound_brute,
     nullspace,
     random_isotropic_dense,
@@ -215,6 +217,36 @@ def test_syndrome_invariant_under_code_shifts():
     first = ctx.decode(z, v.reshape(100, 8, 2) @ weights)
     shifted = ctx.decode(z, ((v + c) % 2).reshape(100, 8, 2) @ weights)
     assert np.array_equal(first[0], shifted[0]) and np.array_equal(first[1], shifted[1])
+
+
+@pytest.mark.parametrize("name, d, N, K", [("rep3", 2, 6, 1), ("rep2", 3, 4, 1), ("rep7", 3, 2, 1)])
+def test_decoding_invariant_under_syndrome_relabelling(name, d, N, K):
+    # the decoder reads z only through which blocks share a syndrome, so an
+    # injective relabelling of the syndromes changes no output; the exact
+    # ensemble rate by equality pattern rests on this
+    inner = catalog(name, d)
+    k, rows = inner.k, d ** (inner.n - inner.k)
+    rng = np.random.default_rng(5)
+    trials = 64
+    ctx = _Contexts(inner, N, _DualEchelon.sample(d, 2 * k * N, k * N - K, rng, trials).perp)
+    # few syndromes, so that blocks often share one
+    used = min(rows, 3)
+    z = rng.integers(0, used, (trials, N))
+    v = rng.integers(0, d ** (2 * k), (trials, N))
+    relabel = rng.choice(rows, used, replace=False)
+    first = ctx.decode(z, v)
+    moved = ctx.decode(relabel[z], v)
+    assert np.array_equal(first[0], moved[0]) and np.array_equal(first[1], moved[1])
+
+
+@pytest.mark.parametrize("name, d, N, K, p",
+                         [("rep3", 2, 3, 1, 0.08), ("rep2", 3, 2, 1, 0.1), ("trivial1", 3, 3, 1, 0.1)])
+def test_ensemble_rate_by_pattern_matches_full_oracle(name, d, N, K, p):
+    # per code; on trivial1 (one syndrome row) four of the five patterns
+    # have no syndrome sequence, and their Moebius sums must cancel
+    inner, ch = catalog(name, d), depolarizing(d, p)
+    by_pattern = ensemble_failure_by_pattern(inner, N, K, ch)[1]
+    assert np.abs(by_pattern - ensemble_failure_exact(inner, N, K, ch)[1]).max() <= 1e-15
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

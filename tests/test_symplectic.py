@@ -339,9 +339,10 @@ def test_echelon_matches_dense_oracle(d, nrows, ncols, seed):
 
 @pytest.mark.parametrize("d", (2, 3, 5))
 def test_bounded_integer_draws_concatenate(d):
-    # the trial-axis sampler takes each trial's digits from one draw and reads
-    # on from a refill of the same generator: numpy's bounded integer draws
-    # must concatenate, and leave the stream where the separate draws would
+    # the trial-axis sampler draws one block of digits per round of attempts,
+    # and a one-trial sampler reads the same digits as one draw per attempt:
+    # numpy's bounded integer draws must concatenate, and leave the stream
+    # where the separate draws would
     for seed in range(50):
         a, b = 1 + seed % 17, 1 + seed % 5 * 7
         split = np.random.default_rng(seed)
@@ -378,9 +379,14 @@ def test_trial_axis_sampler_matches_per_trial_dense_sampler(d, ambient, dim, tri
             assert np.array_equal(grown.reps()[t],
                                   solve_affine_multi(dual, np.eye(dim, dtype=np.int64), d))
     if (d, ambient, dim) == (2, 2, 1):
-        # each trial's row holds ambient + ambient = 4 digits; trials that
-        # reject the zero vector twice read on from refills of the stream
-        assert counter.drawn > 4 * trials
+        # one (len(todo), ambient) block per round of attempts: the trials
+        # that drew the zero vector draw again in the next round
+        replay, todo, drawn = np.random.default_rng(7), trials, 0
+        while todo:
+            block = replay.integers(0, d, (todo, ambient))
+            drawn += block.size
+            todo = int((~block.any(axis=1)).sum())
+        assert counter.drawn == drawn > 2 * trials
 
 
 def test_random_isotropic_basis_matches_subspace_contract():
