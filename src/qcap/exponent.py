@@ -39,18 +39,23 @@ halve.  g(0) = H_c(P_L) - gap, and g(1) and g'(1) come with the objective,
 which depends on the code and channel only and is kept between calls, so a
 scan over rates builds one array.  Newton starts at the root in (0, 1) of
 the quadratic through g(0), g(1) and g'(1), or at the chord's root if the
-quadratic has none there.  The search stops when g = 0 or a step would move
-beta by at most a few ulps of 1: H_c carries about 1e-16 of round-off, so a
-finer beta buys nothing.
+quadratic has none there.  The search stops at the first evaluation with
+|g| <= 1e-9 and g^2 <= 1e-17 g', where the Newton estimate g^2 / 2g' of
+what the dual can still rise is below round-off, so a further step would
+move phi by nothing that shows.  It also stops when a step would move beta
+by at most a few ulps of 1, or the bracket is that narrow: H_c carries
+about 1e-16 of round-off, so a finer beta buys nothing.
 
-The exponent is read off the last evaluation.  At or below the critical
-rate R_crit = 1 - H_c(x_1)/k, g(1) <= 0, the maximizer is beta = 1 and
-E = gap - Lambda(1), affine in R, from the kept evaluation alone.  Above it
-the last evaluation sits within a few ulps of the root of g, where the
-hinge of x_beta is all but inactive.  Either way the solver returns the
-objective at x_beta together with its gap to the dual bound phi(beta),
-beta*g + |-g|+ at that beta's g, as an auditable optimality residual: a
-search that stopped short of the root leaves |g| and so the residual large.
+The exponent is read off the last evaluation as the dual bound
+E = max(phi(beta), 0).  At or below the critical rate R_crit =
+1 - H_c(x_1)/k, g(1) <= 0, the maximizer is beta = 1 and E = gap -
+Lambda(1), affine in R, from the kept evaluation alone.  Above it the last
+evaluation sits where the dual is flat to round-off.  Weak duality gives
+phi(beta) <= E(R) <= f(x_beta) for every beta, and the objective at x_beta
+exceeds phi(beta) by beta*g + |-g|+ at that beta's g.  The solver returns
+that gap as an auditable optimality residual, so [E, E + residual] holds
+the exponent, with the reported value at its conservative end: a search
+that stopped short of the root leaves |g| and so the residual large.
 
 Also hosts the type-combinatorics utilities (compositions, type counts) and
 the brute-force grid oracle used to validate the solver.
@@ -181,9 +186,14 @@ class _Objective:
         return float(h / self.logd), float(slope / self.logd), float(lam / self.logd)
 
 
-# the Newton iteration stops once a step moves beta by at most this much
+# the Newton iteration stops once a step moves beta by at most this much,
+# or at an evaluation with |g| <= _G_TOL and g^2 <= _RISE_TOL g', where the
+# Newton estimate g^2 / 2g' of the dual's remaining rise is below round-off
 _BETA_TOL = 4.0 * math.ulp(1.0)
-# exponent() raises ConvergenceError when its value exceeds the dual bound by more
+_G_TOL = 1e-9
+_RISE_TOL = 1e-17
+# exponent() raises ConvergenceError when the objective at x_beta exceeds its
+# value, the dual bound, by more
 _RESIDUAL_TOL = 1e-8
 # exponent_grid_oracle() refuses grids of more (grid points x support cells):
 # it holds one integer count per such cell, one byte each up to 255 steps,
@@ -195,12 +205,17 @@ _ORACLE_CELLS = 2**24
 class ExponentReport:
     """Solver output: the exponent value, its certificate, and context.
 
+    value is the dual bound max(phi(beta), 0) at the last evaluation, the
+    lower end of the certified interval [value, value + kkt_residual]: the
+    objective at that evaluation's tilted distribution exceeds it by
+    kkt_residual.
+
     iterations counts evaluations of the dual function (closed-form tiltings
     of P_L): one at beta = 1, whether the objective made it just now or was
     kept from an earlier call, and one per Newton or bisection step.  So a
     report does not depend on what was kept.  It is 0 when the rate is at
     or above the threshold, 1 when the maximizer is beta = 1 (at or below
-    the critical rate), and typically 4 to 6 at an interior root; its worst
+    the critical rate), and typically 3 to 5 at an interior root; its worst
     case is about twice bisection's.
     """
 
@@ -243,17 +258,27 @@ def _objective(code: StabilizerCode, channel: PauliChannel) -> _Objective:
     return obj
 
 
+def _checked_rate(code: StabilizerCode, R: float) -> float:
+    """R as a float, refused unless it lies in [0, 1] and the code carries
+    k >= 1 logical qudits for the outer code's rate to count."""
+    R = float(R)
+    if not 0.0 <= R <= 1.0:
+        raise ValidationError(f"rate must lie in [0, 1], got {R}")
+    if code.k < 1:
+        raise ValidationError("the exponent needs a code with k >= 1")
+    return R
+
+
 def exponent(code: StabilizerCode, channel: PauliChannel, R: float) -> ExponentReport:
     """The error exponent E(R) for one (code, channel, rate) triple, base d.
 
     Consecutive calls on the same code and channel objects share one array
-    and one objective, so a scan over rates builds them once.  Raises
-    ConvergenceError if the returned value exceeds its dual certificate by
-    more than _RESIDUAL_TOL = 1e-8.
+    and one objective, so a scan over rates builds them once.  The value is
+    the dual bound at the last evaluation; raises ConvergenceError if the
+    objective at that evaluation's tilted distribution exceeds it by more
+    than _RESIDUAL_TOL = 1e-8.
     """
-    R = float(R)
-    if not 0.0 <= R <= 1.0:
-        raise ValidationError(f"rate must lie in [0, 1], got {R}")
+    R = _checked_rate(code, R)
     obj = _objective(code, channel)
     gap = code.k - code.k * R  # the hinge threshold on H_c
     threshold = code.k - obj.h_cond_pl
@@ -271,20 +296,20 @@ def exponent(code: StabilizerCode, channel: PauliChannel, R: float) -> ExponentR
     # or the root of g, found by safeguarded Newton steps.  The objective's
     # evaluation at beta = 1 counts as one, kept or not.
     evals, beta = 1, 1.0
-    g0, g1 = code.k * R - threshold, h - gap  # g(0) < 0 here
-    if g1 > 0.0:
+    g0, g = code.k * R - threshold, h - gap  # g(0) < 0 here
+    if g > 0.0:
         # start from the root in (0, 1) of the quadratic through g(0), g(1)
         # and g'(1), written in u = beta - 1, or else from the chord's
-        curve = g0 - g1 + slope
-        denom = slope + math.sqrt(max(slope * slope - 4.0 * curve * g1, 0.0))
-        u = -2.0 * g1 / denom if denom > 0.0 else math.nan
-        beta = 1.0 + u if -1.0 < u < 0.0 else -g0 / (g1 - g0)
+        curve = g0 - g + slope
+        denom = slope + math.sqrt(max(slope * slope - 4.0 * curve * g, 0.0))
+        u = -2.0 * g / denom if denom > 0.0 else math.nan
+        beta = 1.0 + u if -1.0 < u < 0.0 else -g0 / (g - g0)
         lo_b, hi_b, last = 0.0, 1.0, math.inf
         while True:
             evals += 1
             h, slope, lam = obj.evaluate(beta)
             g = h - gap
-            if g == 0.0:
+            if abs(g) <= _G_TOL and g * g <= _RISE_TOL * slope:
                 break
             if g < 0.0:
                 lo_b = beta
@@ -302,17 +327,18 @@ def exponent(code: StabilizerCode, channel: PauliChannel, R: float) -> ExponentR
             else:
                 beta, last = 0.5 * (lo_b + hi_b), math.inf
 
-    # the objective at the tilted distribution x_beta of the last evaluation,
-    # D(x_beta||P_L) + |gap - H_c|+ with D = beta H_c - Lambda, against the
-    # dual bound beta gap - Lambda; E >= 0 by definition, so clamp the
-    # round-off just below the threshold
-    value = max(beta * h - lam + max(gap - h, 0.0), 0.0)
-    residual = value - (beta * gap - lam)
+    # the dual bound phi(beta) = beta gap - Lambda at the last evaluation;
+    # E >= 0 by definition, so clamp the round-off just below the threshold.
+    # The objective at x_beta, D(x_beta||P_L) + |gap - H_c|+ with
+    # D = beta H_c - Lambda, exceeds phi(beta) by beta g + |-g|+ >= 0, which
+    # is 0 at beta = 1 with g <= 0
+    value = max(beta * gap - lam, 0.0)
+    residual = beta * g + max(-g, 0.0)
     if residual > _RESIDUAL_TOL:
         raise ConvergenceError(
             f"exponent solver residual {residual:.3e} above tol {_RESIDUAL_TOL:.1e} "
             f"after {evals} dual evaluations")
-    return ExponentReport(value, max(residual, 0.0), R, threshold, critical_rate, evals)
+    return ExponentReport(value, residual, R, threshold, critical_rate, evals)
 
 
 def exponent_grid_oracle(code: StabilizerCode, channel: PauliChannel, R: float,
@@ -329,9 +355,7 @@ def exponent_grid_oracle(code: StabilizerCode, channel: PauliChannel, R: float,
     per grid point.  The guard counts (grid points x support cells), or the
     table entries if more, and raises GuardError past _ORACLE_CELLS = 2^24
     before the grid is built."""
-    R = float(R)
-    if not 0.0 <= R <= 1.0:
-        raise ValidationError(f"rate must lie in [0, 1], got {R}")
+    R = _checked_rate(code, R)
     if not is_int(grid_steps) or grid_steps < 1:
         raise ValidationError(f"grid_steps must be an integer >= 1, got {grid_steps!r}")
     obj = _objective(code, channel)

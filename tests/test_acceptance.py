@@ -353,6 +353,32 @@ def test_criterion_11_exact_ensemble_failure_rate():
           + f"; {name}/d={d} N={N} equals brute force on all {len(codes)} codes")
 
 
+def test_criterion_11_random_inner_codes():
+    """On random [[2,1]] inner codes over d in {2, 3, 5} at N = 2, K = 1,
+    p = 0.1, the pattern reduction equals the full exact oracle per outer
+    code, and the resampled-outer simulator agrees with the exact rate
+    within 3 binomial sigma, two-sided.  (The type-sum bound is 1 at N = 2,
+    so it checks nothing here.)"""
+    trials = 2_000
+    lines = []
+    for d in (2, 3, 5):
+        inner = StabilizerCode(sample_self_orthogonal(d, 4, 1, 2026))
+        ch = depolarizing(d, 0.1)
+        exact, rates = ensemble_failure_exact(inner, 2, 1, ch)
+        _, by_pattern = ensemble_failure_by_pattern(inner, 2, 1, ch)
+        assert rates.size == (d**4 - 1) // (d - 1)  # every isotropic line of F_d^4
+        assert np.abs(by_pattern - rates).max() <= 1e-15, d
+        cfg = SimConfig(inner=inner, outer=None, N=2, K=1, channel=ch,
+                        trials=trials, seed=2026, resample_outer=True)
+        rate = simulate(cfg).failure_rate
+        z = (rate - exact) / math.sqrt(exact * (1 - exact) / trials)
+        assert abs(z) <= 3, (d, rate, exact, z)
+        lines.append(f"d={d}: exact {exact:.5f} over {rates.size} codes, sim {rate:.4f} "
+                     f"(z = {z:+.2f})")
+    print("\nACCEPTANCE 11 PASS (random [[2,1]] inner codes, N=2 K=1 p=0.1): "
+          + "; ".join(lines))
+
+
 def test_criterion_12_paper_code_decoder_below_type_bound():
     """On the paper's rep7/d=3 code at p = 0.05, K = 1, the resampled-outer
     decoder's failure rate agrees with the exact ensemble rate within 3

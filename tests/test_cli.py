@@ -212,6 +212,16 @@ def test_exponent_rejects_oracle_grid_zero(capsys):
     capsys.readouterr()
 
 
+def test_exponent_rejects_a_code_with_no_logical_qudits(tmp_path, capsys):
+    # k = 0 leaves no rate to count: a validation error, not a division by zero
+    path = tmp_path / "k0.code"
+    path.write_text("2 1 0\n1 0\n")
+    argv = ["exponent", "--code", str(path), "--d", "2", "--p", "0.05", "--rate", "0.5"]
+    for extra in ([], ["--oracle-grid", "4"]):
+        assert run(argv + extra) == 2
+        assert "k >= 1" in capsys.readouterr().err
+
+
 def test_grid_oracle_guard_counts_cells(capsys):
     # 3,268,760 grid points x 16 support cells: under a guard on points
     # alone this ran for seconds and allocated gigabytes
