@@ -117,8 +117,8 @@ def _cmd_sweep(args, start) -> None:
 def _cmd_exponent(args, start) -> None:
     code = _code_from_spec(args.code, args.d)
     ch = _resolve_channel(args, code.d)
-    rep = exponent(code, ch, args.rate)
-    result = rep.as_dict()
+    result = dataclasses.asdict(exponent(code, ch, args.rate))
+    result["E"] = result.pop("value")
     if args.oracle_grid is not None:
         result["grid_oracle"] = exponent_grid_oracle(code, ch, args.rate, args.oracle_grid)
         result["grid_steps"] = args.oracle_grid
@@ -132,8 +132,9 @@ def _cmd_simulate(args, start) -> None:
     cfg = SimConfig(inner=inner, outer=outer, N=args.N, K=args.K, channel=ch,
                     trials=args.trials, seed=args.seed,
                     resample_outer=args.resample_outer)
-    rep = simulate(cfg)
-    _emit_json(args, start, rep.as_dict(), seed_contract=SEED_CONTRACT)
+    result = dataclasses.asdict(simulate(cfg))
+    del result["trace"]  # never recorded here
+    _emit_json(args, start, result, seed_contract=SEED_CONTRACT)
 
 
 def _cmd_fbound(args, start) -> None:

@@ -226,16 +226,6 @@ class ExponentReport:
     critical_rate: float  # 1 - H_c(x_1)/k; E is affine in R at or below it
     iterations: int
 
-    def as_dict(self) -> dict:
-        return {
-            "E": self.value,
-            "kkt_residual": self.kkt_residual,
-            "rate": self.rate,
-            "threshold": self.threshold,
-            "critical_rate": self.critical_rate,
-            "iterations": self.iterations,
-        }
-
 
 # The objective of the last (code, channel) pair, as one tuple
 # (code, channel, objective), matched by the identity of both objects; codes

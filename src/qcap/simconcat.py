@@ -20,20 +20,21 @@ call gives the batch's error uniforms, row t for its trial t; with a
 resampled outer code, the isotropic sampler then draws from the same
 stream one block of digits per round of attempts, a row for each trial
 still drawing, in trial order.  The outer code drawn once for all trials
-comes from (seed, 0, 2).  So the results depend on _BATCH, which is part
-of the contract, but not on the decoding budget.
+is sample_self_orthogonal(d, 2kN, kN - K, (seed, 0, 2)), decoded as an
+explicit outer code would be.  So the results depend on _BATCH, which is
+part of the contract, but not on the decoding budget.
 tests/test_seed_contract.py keeps the record of each contract.
 
 The candidates, the v' with v's outer syndrome, are the coset
 v + perp(C_out), and the winner is a function of that set however it is
-listed, so the decoder needs only a basis B of perp(C_out): the one the
-isotropic sampler keeps in place as it grows a random outer code's form
-of [dual(C_out) | I], or an explicit Subspace's canonical one.  Splitting
-B into halves B1, B2, the decoder lists the per-block symbols of
-v + span(B1) and of span(B2), about sqrt(d^{kN+K}) vectors each, and forms
-every candidate's symbols by looking up, per block, the sum of a
-v + span(B1) symbol and a span(B2) symbol in a table built once per outer
-code.
+listed, so the decoder needs only a basis B of perp(C_out): a Subspace's
+canonical one, or for a resampled outer code the one the isotropic sampler
+keeps in place as it grows the code's form of [dual(C_out) | I], which is
+the same basis.  Splitting B into halves B1, B2, the decoder lists the
+per-block symbols of v + span(B1) and of span(B2), about sqrt(d^{kN+K})
+vectors each, and forms every candidate's symbols by looking up, per
+block, the sum of a v + span(B1) symbol and a span(B2) symbol in a table
+built once per outer code.
 
 Entropy comparisons between types are resolved exactly: for counts c the
 quantity N*H_c differs from a constant by -log(prod c^c), so candidate
@@ -67,7 +68,8 @@ from .channels import PauliChannel
 from .codes import StabilizerCode
 from .gf import _mod, index_to_digits
 from .spectra import ProbabilityArray, probability_array
-from .symplectic import Subspace, _DualEchelon, is_self_orthogonal, symplectic_dual
+from .symplectic import (Subspace, _DualEchelon, is_self_orthogonal, sample_self_orthogonal,
+                         symplectic_dual)
 
 # the version of simulate's random streams (see the module docstring)
 SEED_CONTRACT = 3
@@ -151,15 +153,6 @@ class SimReport:
     wilson_low: float
     wilson_high: float
     trace: tuple | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "failures": self.failures,
-            "trials": self.trials,
-            "failure_rate": self.failure_rate,
-            "wilson_low": self.wilson_low,
-            "wilson_high": self.wilson_high,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +317,9 @@ def simulate(cfg: SimConfig) -> SimReport:
     cdf = _cell_cdf(arr)
     ambient, dim = 2 * k * N, k * N - K
 
-    if cfg.outer is not None:
-        ctx = _Contexts(inner, N, cfg.outer.canonical[None])
-    elif not cfg.resample_outer:
-        fixed = np.random.default_rng((cfg.seed, 0, 2))
-        ctx = _Contexts(inner, N, _DualEchelon.sample(d, ambient, dim, fixed).perp)
+    if not cfg.resample_outer:
+        outer = cfg.outer or sample_self_orthogonal(d, ambient, dim, (cfg.seed, 0, 2))
+        ctx = _Contexts(inner, N, outer.canonical[None])
 
     step = _decode_size(d, k, N, K)
     failures = 0

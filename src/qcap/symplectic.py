@@ -11,10 +11,13 @@ form of the rows [dual(x) | e_x] (`_DualEchelon`) that L was grown on from
 g_1..g_{n-k}.  Reading it off gives perp of the rows so far (the nullspace
 of the dual rows, one basis vector per free column) and, from the identity
 columns, a representative y_x with <x', y_x> = delta_x'x for every row x'.
-For l = n-k .. 1 the partner h_l is y_{g_l} plus a uniform draw from perp,
-and joins the form; then fresh planes are split off the remaining perp: a
-uniform nonzero g from perp joins, and its partner is found the same way.
-A seed fully determines the output.
+Every new vector is drawn one way: an offset plus a uniform vector of perp,
+drawn again until the form takes the sum, which then joins it.  For l =
+n-k .. 1 the partner h_l is drawn with offset y_{g_l}; it is never refused,
+as g_l pairs to 1 with it and to 0 with the whole span.  Then fresh planes
+are split off the remaining perp: g is drawn with offset 0, and as it lies
+in the perp of a nondegenerate span it is refused exactly when it is zero;
+its partner is drawn with offset y_g.  A seed fully determines the output.
 
 The sampler `sample_self_orthogonal` grows a subspace one dimension at a
 time with a uniform vector from perp(current) \\ current.  At dimension m'
@@ -373,28 +376,27 @@ def hyperbolic_complete(L: Subspace, rng_seed: int) -> HyperbolicBasis:
     rng = np.random.default_rng(rng_seed)
     grown = L._form.widened(2 * n)
 
-    def partner(i: int) -> np.ndarray:
-        """A uniform h with <x, h> = 1 for row i and 0 for every other row
-        of the form so far, added to the form."""
-        h = grown.reps()[0, i]
+    def draw(offset: np.ndarray) -> np.ndarray:
+        """offset plus a uniform vector of perp(form so far), drawn again
+        until the form takes the sum, which then joins it."""
         perp_basis = grown.perp[0]
-        h = (h + rng.integers(0, d, len(perp_basis)) @ perp_basis) % d
-        grown.add(h[None])
-        return h
+        while True:
+            x = (offset + rng.integers(0, d, len(perp_basis)) @ perp_basis) % d
+            if grown.add(x[None]):
+                return x
 
-    # stage 1: pair up the given generators, last to first
-    hs = [partner(i) for i in reversed(range(nk))][::-1]
+    # stage 1: pair up the given generators, last to first; a partner is
+    # never refused, as its generator pairs to 1 with it and to 0 with the
+    # whole span
+    hs = [draw(grown.reps()[0, i]) for i in reversed(range(nk))][::-1]
 
-    # stage 2: split the orthogonal remainder into fresh hyperbolic planes
+    # stage 2: split the orthogonal remainder into fresh hyperbolic planes; a
+    # fresh g lies in the perp of a nondegenerate span, so it is refused
+    # exactly when it is zero
     gs = list(L.basis)
     for _ in range(nk, n):
-        perp_basis = grown.perp[0]
-        while not (coeffs := rng.integers(0, d, len(perp_basis))).any():
-            pass
-        g = coeffs @ perp_basis % d
-        grown.add(g[None])
-        gs.append(g)
-        hs.append(partner(grown.size - 1))
+        gs.append(draw(0))
+        hs.append(draw(grown.reps()[0, -1]))
 
     basis = HyperbolicBasis(d, np.array(gs), np.array(hs))
     if not basis.gram_ok():

@@ -286,6 +286,77 @@ def test_criterion_8_type_bound_equals_brute_force():
     print(f"\nACCEPTANCE 8 PASS: grouped vs brute-force bound, worst gap {worst:.2e}")
 
 
+def test_criterion_9_qubit_window_above_hashing():
+    """c_5 > 0 > c_1 on the qubit depolarizing window [0.1894, 0.1903],
+    above the hashing crossing: rep5/d=2 keeps a positive bound where the
+    unencoded qubit has none."""
+    rep5 = catalog("rep5", 2)
+    triv = catalog("trivial1", 2)
+    ps = np.linspace(0.1894, 0.1903, 10)
+    assert ps[0] > HASHING_CROSSING
+    c5s, c1s = [], []
+    for p in ps:
+        ch = depolarizing(2, float(p))
+        c5s.append(coherent_bound(rep5, ch, base=2).c_n)
+        c1s.append(coherent_bound(triv, ch, base=2).c_n)
+        assert c5s[-1] > 0 > c1s[-1], (p, c5s[-1], c1s[-1])
+    print(f"\nACCEPTANCE 9 PASS: min c_5 {min(c5s):.3e} > 0 > max c_1 {max(c1s):.3e} "
+          "on all 10 grid points")
+
+
+# (inner name, d, p, block counts N) for the exponent sandwich, at K = N/4
+SANDWICH_CONFIGS = [
+    ("trivial1", 2, 0.05, (16, 32, 64, 128)),
+    ("trivial1", 3, 0.1, (8, 12, 16)),
+    ("rep3", 2, 0.05, (4, 8)),
+]
+
+
+def test_criterion_10_exponent_sandwiches_the_type_bound():
+    """The type-sum bound decays at the rate exponent() reports:
+
+        E - 2m log_d(N+1)/N <= -log_d(fbound)/N <= E_grid(N) + 2m log_d(N+1)/N
+
+    with m the number of support cells, R = K/(kN), E = exponent(R) and
+    E_grid(N) the grid oracle at denominator N.  Logarithms are base d,
+    gap = k - kR, so N gap = kN - K, and f(T) = D(T||P) + |gap - H_T(L|S)|+
+    is the exponent's objective at a type T.
+
+    fbound = sum over joint types T of P^N(T) min{C(T) d^-(kN-K), 1}, with
+    C(T) the v' that share z and whose joint type with z has conditional
+    entropy <= H_T(L|S).  By the method of types:
+
+    - Upper end.  Keep the one term of a type T on the support: P^N(T) >=
+      (N+1)^-m d^(-N D(T||P)), and C(T) counts at least T's own shell,
+      prod_s multinomial(N_s; N_sl) >= (N+1)^-m d^(N H_T(L|S)).  So fbound
+      >= (N+1)^-2m d^(-N f(T)), and the best T on the grid gives
+      E_grid(N).
+    - Lower end.  P^N(T) <= d^(-N D(T||P)).  Each conditional type V given
+      z has a shell of at most d^(N H_V) <= d^(N H_T) sequences, and there
+      are at most (N+1)^m of them, since here the channel reaches every
+      cell, so the support is the whole array.  So each term is at most
+      (N+1)^m d^(-N f(T)) <= (N+1)^m d^(-N E), as E is at most the
+      minimum of f, and there are at most (N+1)^m types on the support.
+    """
+    lines = []
+    for name, d, p, Ns in SANDWICH_CONFIGS:
+        code, ch = catalog(name, d), depolarizing(d, p)
+        m = int(np.count_nonzero(probability_array(code, ch).table))
+        assert m == d ** (code.n + code.k)  # the support is the whole array
+        prefactors = []
+        for N in Ns:
+            K = N // 4
+            R = K / (code.k * N)
+            E = exponent(code, ch, R).value
+            rate = -math.log(fidelity_bound_exact(code, N, K, ch), d) / N
+            slack = 2 * m * math.log(N + 1, d) / N
+            grid = exponent_grid_oracle(code, ch, R, N)
+            assert E - slack <= rate <= grid + slack, (name, d, N, E, rate, grid, slack)
+            prefactors.append(f"{N * (rate - E):.2f}")
+        lines.append(f"{name}/d={d} p={p} N={list(Ns)}: N(rate - E) = {', '.join(prefactors)}")
+    print("\nACCEPTANCE 10 PASS: " + "; ".join(lines))
+
+
 # exact ensemble configurations: (inner name, d, N, K, p, number of isotropic
 # outer codes); trivial1 has one syndrome, rep3 and rep2 have several
 EXACT_CONFIGS = [

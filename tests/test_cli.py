@@ -35,6 +35,8 @@ def check_schema(payload, title):
     variants = {v["title"]: v for v in SCHEMA["properties"]["result"]["oneOf"]}
     for key in variants[title]["required"]:
         assert key in payload["result"]
+    # no key outside the variant: a leaked "trace" or "value" fails here
+    assert set(payload["result"]) <= set(variants[title]["properties"])
     for key, spec in variants[title]["properties"].items():
         if key in payload["result"]:
             assert spec.get("minimum", -math.inf) <= payload["result"][key], key
@@ -50,11 +52,27 @@ def test_bound_json_matches_library(capsys):
     assert payload["result"]["H_cond"] == rep.H_cond
 
 
-def test_bound_replay_reproduces_result_bytes(capsys):
-    argv = ["bound", "--code", "rep2", "--d", "3", "--p", "0.2552"]
-    first = run_json(capsys, argv)["result"]
-    second = run_json(capsys, argv)["result"]
-    assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+SIMULATE = ["simulate", "--inner", "rep3", "--d", "2", "--N", "4", "--K", "1", "--p", "0.05",
+            "--trials", "100", "--seed", "7"]
+EXPONENT = ["exponent", "--code", "trivial1", "--d", "2", "--p", "0.05", "--rate", "0.25"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--code", "rep2", "--d", "3", "--p", "0.2552"],
+    EXPONENT,
+    EXPONENT + ["--oracle-grid", "20"],
+    SIMULATE,
+    SIMULATE + ["--resample-outer"],
+    ["fbound", "--inner", "rep3", "--d", "2", "--N", "4", "--K", "1", "--p", "0.05"],
+    ["oracle-check", "--code", "rep2", "--d", "2", "--p", "0.1"],
+], ids=["bound", "exponent", "exponent-oracle-grid", "simulate-fixed", "simulate-resampled",
+        "fbound", "oracle-check"])
+def test_replay_reproduces_result_bytes(capsys, argv):
+    first = run_json(capsys, argv)
+    check_schema(first, argv[0])
+    second = run_json(capsys, argv)
+    assert (json.dumps(first["result"], sort_keys=True)
+            == json.dumps(second["result"], sort_keys=True))
 
 
 def test_bound_from_code_file(tmp_path, capsys):
