@@ -31,7 +31,7 @@ print("\nL = span{(1,0,1,0)} in F_3^4")
 print("self-orthogonal:", is_self_orthogonal(L))
 print("dim perp(L) =", perp(L).dim, "(= 4 - dim L)")
 
-basis = hyperbolic_complete(L, rng_seed=0)
+basis = hyperbolic_complete(L)
 print("hyperbolic completion satisfies the pairing conditions:", basis.gram_ok())
 w, z = basis.coordinates(x)
 print("chi coordinates of x: w =", tuple(w.tolist()), " z =", tuple(z.tolist()))

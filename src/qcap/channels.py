@@ -36,9 +36,6 @@ class PauliChannel:
         self.matrix = mat
         self.matrix.setflags(write=False)
 
-    def entropy(self, base: float | None = None) -> float:
-        return shannon_entropy(self.matrix, base if base is not None else self.d)
-
     def __repr__(self) -> str:
         return f"PauliChannel(d={self.d}, identity={self.matrix[0, 0]:.6g})"
 

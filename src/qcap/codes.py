@@ -29,8 +29,8 @@ class StabilizerCode:
     dim L = n - k; the first n - k completion vectors g_i are L's generators,
     and the remaining k pairs (g_{n-k+m}, h_{n-k+m}) carry the logical labels.
     k = n (an empty L) is allowed and encodes the unencoded n-symbol system.
-    The completion defaults to hyperbolic_complete(subspace, 0); pass
-    hyperbolic_complete(subspace, seed) to choose another.
+    The completion defaults to the canonical hyperbolic_complete(subspace);
+    pass any HyperbolicBasis that starts with the generators to choose another.
     """
 
     def __init__(self, subspace: Subspace, completion: HyperbolicBasis | None = None,
@@ -41,7 +41,7 @@ class StabilizerCode:
         self.k = self.n - subspace.dim
         self.name = name
         if completion is None:
-            completion = hyperbolic_complete(subspace, 0)
+            completion = hyperbolic_complete(subspace)
         else:
             self._check_completion(subspace, completion)
         self.completion = completion
@@ -107,7 +107,7 @@ def catalog_names() -> list[str]:
 
 
 def catalog(name: str, d: int) -> StabilizerCode:
-    """A named code with a deterministic (seed 0) completion.
+    """A named code with the canonical completion.
 
     Supported names: trivial(n) for any n >= 1, rep(n) for any n >= 2 and any
     prime d, five_qubit (d = 2 only).  Parentheses are optional: rep7 == rep(7).

@@ -13,9 +13,10 @@ decoded block succeeds iff v_hat - v lands in C_out.
 The trials run on a trial axis.  A batch of up to _BATCH trials draws its
 errors, samples its outer codes and decodes as array operations in mod-d
 integer arithmetic, with as many trials decoded at once as keep their
-(N, T, Q) candidate keys within a fixed budget of cells.  The random
-streams follow seed contract v3 (SEED_CONTRACT): batch b, trials
-b*_BATCH onwards, reads one generator, (seed, b).  One `random((T, N))`
+(N, T, Q) candidate keys within a fixed budget of cells.  The results
+follow seed contract v4 (SEED_CONTRACT), which fixes the random streams
+and, by the canonical completion, the inner codes' labels.  Batch b,
+trials b*_BATCH onwards, reads one generator, (seed, b).  One `random((T, N))`
 call gives the batch's error uniforms, row t for its trial t; with a
 resampled outer code, the isotropic sampler then draws from the same
 stream one block of digits per round of attempts, a row for each trial
@@ -71,8 +72,8 @@ from .spectra import ProbabilityArray, probability_array
 from .symplectic import (Subspace, _DualEchelon, is_self_orthogonal, sample_self_orthogonal,
                          symplectic_dual)
 
-# the version of simulate's random streams (see the module docstring)
-SEED_CONTRACT = 3
+# the version of simulate's random streams and labels (see the module docstring)
+SEED_CONTRACT = 4
 _SEARCH_GUARD = 1 << 24
 # trials whose errors and outer codes come from one generator; part of the
 # seed contract

@@ -11,13 +11,14 @@ form of the rows [dual(x) | e_x] (`_DualEchelon`) that L was grown on from
 g_1..g_{n-k}.  Reading it off gives perp of the rows so far (the nullspace
 of the dual rows, one basis vector per free column) and, from the identity
 columns, a representative y_x with <x', y_x> = delta_x'x for every row x'.
-Every new vector is drawn one way: an offset plus a uniform vector of perp,
-drawn again until the form takes the sum, which then joins it.  For l =
-n-k .. 1 the partner h_l is drawn with offset y_{g_l}; it is never refused,
-as g_l pairs to 1 with it and to 0 with the whole span.  Then fresh planes
-are split off the remaining perp: g is drawn with offset 0, and as it lies
-in the perp of a nondegenerate span it is refused exactly when it is zero;
-its partner is drawn with offset y_g.  A seed fully determines the output.
+Every new vector is read off the form and then joins it.  For l = n-k .. 1
+the partner h_l is y_{g_l}, which the form takes, as g_l pairs to 1 with it
+and to 0 with the whole span.  Then fresh planes are split off the
+remaining perp: g is its first basis vector, which the form takes, as a
+nonzero vector in the perp of a nondegenerate span lies outside it, and
+its partner is y_g.  Nothing is drawn: the completion is a function of the
+ordered basis of L, and a caller who wants another one builds any
+HyperbolicBasis.
 
 The sampler `sample_self_orthogonal` grows a subspace one dimension at a
 time with a uniform vector from perp(current) \\ current.  At dimension m'
@@ -362,43 +363,33 @@ class HyperbolicBasis:
         return full[0::2], full[1::2]
 
 
-def hyperbolic_complete(L: Subspace, rng_seed: int) -> HyperbolicBasis:
-    """Extend the ordered basis of a self-orthogonal L to n hyperbolic pairs.
+def hyperbolic_complete(L: Subspace) -> HyperbolicBasis:
+    """The canonical extension of the ordered basis of a self-orthogonal L
+    to n hyperbolic pairs.
 
     The first dim(L) vectors g_i are exactly L's generators in their given
-    order; a copy of L's form grows on.  Deterministic for a fixed seed.
+    order; a copy of L's form grows on, and every new vector is read off it
+    (see the module docstring), so the completion is a function of the
+    ordered basis alone.
     """
     if not is_self_orthogonal(L):
         raise ValidationError("subspace is not self-orthogonal")
-    d = L.d
-    n = L.ambient // 2
-    nk = L.dim
-    rng = np.random.default_rng(rng_seed)
+    n, nk = L.ambient // 2, L.dim
     grown = L._form.widened(2 * n)
 
-    def draw(offset: np.ndarray) -> np.ndarray:
-        """offset plus a uniform vector of perp(form so far), drawn again
-        until the form takes the sum, which then joins it."""
-        perp_basis = grown.perp[0]
-        while True:
-            x = (offset + rng.integers(0, d, len(perp_basis)) @ perp_basis) % d
-            if grown.add(x[None]):
-                return x
+    def join(x: np.ndarray) -> np.ndarray:
+        grown.add(x[None])
+        return x
 
-    # stage 1: pair up the given generators, last to first; a partner is
-    # never refused, as its generator pairs to 1 with it and to 0 with the
-    # whole span
-    hs = [draw(grown.reps()[0, i]) for i in reversed(range(nk))][::-1]
-
-    # stage 2: split the orthogonal remainder into fresh hyperbolic planes; a
-    # fresh g lies in the perp of a nondegenerate span, so it is refused
-    # exactly when it is zero
+    # stage 1: pair up the given generators, last to first
+    hs = [join(grown.reps()[0, i]) for i in reversed(range(nk))][::-1]
+    # stage 2: split the orthogonal remainder into fresh hyperbolic planes
     gs = list(L.basis)
     for _ in range(nk, n):
-        gs.append(draw(0))
-        hs.append(draw(grown.reps()[0, -1]))
+        gs.append(join(grown.perp[0, 0]))
+        hs.append(join(grown.reps()[0, -1]))
 
-    basis = HyperbolicBasis(d, np.array(gs), np.array(hs))
+    basis = HyperbolicBasis(L.d, np.array(gs), np.array(hs))
     if not basis.gram_ok():
         raise ValidationError("completion failed the pairing conditions")
     return basis

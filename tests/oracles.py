@@ -118,20 +118,34 @@ def random_isotropic_dense(d: int, ambient: int, dim: int, rng: np.random.Genera
     return rows
 
 
-def hyperbolic_complete_dense(L: Subspace, rng_seed: int) -> tuple[np.ndarray, np.ndarray]:
+def hyperbolic_complete_dense(L: Subspace, rng: np.random.Generator | None = None
+                              ) -> tuple[np.ndarray, np.ndarray]:
     """The completion (g, h) by the classical two-stage pairing on dense
-    matrices, drawing what `hyperbolic_complete` draws.  Each partner solves
-    its constraint system in the coordinates of a basis of the remainder
-    space, which then shrinks to the part orthogonal to the new pair."""
+    matrices.  Each partner solves its constraint system in the coordinates
+    of a basis of the remainder space, which then shrinks to the part
+    orthogonal to the new pair.
+
+    Without rng this is the canonical completion that `hyperbolic_complete`
+    reads off its echelon form: each partner is the particular solution,
+    zero at the free columns, and each fresh g is the first vector of the
+    remainder basis.  With rng, each partner adds a uniform vector of the
+    solution kernel and each fresh g is a uniform nonzero vector of the
+    remainder, which gives another valid completion of the same basis."""
     d, n = L.d, L.ambient // 2
-    rng = np.random.default_rng(rng_seed)
 
     def constrained(v_basis, targets, rhs):
         products = symplectic_dual(targets, d) @ v_basis.T % d
         coeffs = solve_affine(products, rhs, d)
         ker = nullspace(products, d, len(v_basis))
-        if len(ker):
+        if rng is not None and len(ker):
             coeffs = (coeffs + rng.integers(0, d, size=len(ker)) @ ker) % d
+        return coeffs @ v_basis % d
+
+    def fresh(v_basis):
+        if rng is None:
+            return v_basis[0]
+        while not (coeffs := rng.integers(0, d, size=len(v_basis))).any():
+            pass
         return coeffs @ v_basis % d
 
     def shrink(v_basis, g, h):
@@ -145,12 +159,18 @@ def hyperbolic_complete_dense(L: Subspace, rng_seed: int) -> tuple[np.ndarray, n
         hs[l - 1] = constrained(v_basis, np.array(gs[:l]), np.eye(l, dtype=np.int64)[l - 1])
         v_basis = shrink(v_basis, gs[l - 1], hs[l - 1])
     for _ in range(L.dim, n):
-        while not (coeffs := rng.integers(0, d, size=len(v_basis))).any():
-            pass
-        gs.append(coeffs @ v_basis % d)
+        gs.append(fresh(v_basis))
         hs.append(constrained(v_basis, gs[-1][None], np.ones(1, dtype=np.int64)))
         v_basis = shrink(v_basis, gs[-1], hs[-1])
     return np.array(gs), np.array(hs)
+
+
+def random_completion(L: Subspace, seed) -> HyperbolicBasis:
+    """A seeded random hyperbolic completion of L's ordered basis, for tests
+    whose claim must hold for every completion and not only the canonical
+    one."""
+    g, h = hyperbolic_complete_dense(L, np.random.default_rng(seed))
+    return HyperbolicBasis(L.d, g, h)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from oracles import (
     ensemble_failure_exact,
     fidelity_bound_brute,
     isotropic_subspaces,
+    random_completion,
 )
 
 # frozen on first run: zero crossing of the qubit hashing bound 1 - h(p) - p log2(3)
@@ -182,7 +183,7 @@ def test_criterion_5_direct_sum_additivity():
 
 
 def test_criterion_6_structural_property_suites():
-    """Pairing conditions exact on 1000 random completions; the logical
+    """Pairing conditions exact on the completions of 1000 random subspaces; the logical
     embedding preserves the symplectic form on 10000 pairs; H_cond is
     completion-invariant to 1e-12; arrays are normalized to 1e-12."""
     rng = np.random.default_rng(606)
@@ -191,7 +192,7 @@ def test_criterion_6_structural_property_suites():
         n = int(rng.integers(1, 7))
         dim = int(rng.integers(0, n + 1))
         L = sample_self_orthogonal(d, 2 * n, dim, (606, trial))
-        basis = hyperbolic_complete(L, int(rng.integers(0, 1 << 30)))
+        basis = hyperbolic_complete(L)
         assert basis.gram_ok()
 
     pair_count = 0
@@ -209,7 +210,7 @@ def test_criterion_6_structural_property_suites():
         base_code = catalog(name, d)
         ch = depolarizing(d, p)
         values = [probability_array(StabilizerCode(base_code.subspace,
-                                                   hyperbolic_complete(base_code.subspace, seed)),
+                                                   random_completion(base_code.subspace, seed)),
                                     ch).conditional_entropy(d)
                   for seed in range(10)]
         assert max(values) - min(values) <= 1e-12, (name, values)
@@ -306,10 +307,12 @@ def test_criterion_9_qubit_window_above_hashing():
 
 # (inner name, d, p, block counts N) for the exponent sandwich, at K = N/4
 SANDWICH_CONFIGS = [
-    ("trivial1", 2, 0.05, (16, 32, 64, 128)),
+    ("trivial1", 2, 0.05, (16, 32, 64, 113, 128)),
     ("trivial1", 3, 0.1, (8, 12, 16)),
     ("rep3", 2, 0.05, (4, 8)),
 ]
+# the configurations whose measured prefactor is held in a window
+PREFACTOR_WINDOW = {("trivial1", 2, N) for N in (64, 113, 128)}
 
 
 def test_criterion_10_exponent_sandwiches_the_type_bound():
@@ -337,6 +340,13 @@ def test_criterion_10_exponent_sandwiches_the_type_bound():
       cell, so the support is the whole array.  So each term is at most
       (N+1)^m d^(-N f(T)) <= (N+1)^m d^(-N E), as E is at most the
       minimum of f, and there are at most (N+1)^m types on the support.
+
+    That slack is 0.44 to 18.6 against E = 0.02 to 0.12, so it would pass
+    E = 0 or 5E too.  The measured prefactor N (rate - E) is far smaller:
+    at trivial1/d=2 p=0.05 it is 2.13 to 2.37 for N = 64 to 128, about
+    0.34 log_2(N+1).  There the test holds fbound between
+    d^-(NE) / sqrt(N+1) and d^-(NE), that is 0 <= N (rate - E) <=
+    log_d(N+1) / 2, and checks that E = 0 and 5E fall outside.
     """
     lines = []
     for name, d, p, Ns in SANDWICH_CONFIGS:
@@ -352,6 +362,10 @@ def test_criterion_10_exponent_sandwiches_the_type_bound():
             slack = 2 * m * math.log(N + 1, d) / N
             grid = exponent_grid_oracle(code, ch, R, N)
             assert E - slack <= rate <= grid + slack, (name, d, N, E, rate, grid, slack)
+            if (name, d, N) in PREFACTOR_WINDOW:
+                def in_window(e):
+                    return 0 <= N * (rate - e) <= math.log(N + 1, d) / 2
+                assert in_window(E) and not in_window(0) and not in_window(5 * E), (N, E, rate)
             prefactors.append(f"{N * (rate - E):.2f}")
         lines.append(f"{name}/d={d} p={p} N={list(Ns)}: N(rate - E) = {', '.join(prefactors)}")
     print("\nACCEPTANCE 10 PASS: " + "; ".join(lines))

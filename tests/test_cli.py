@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -120,7 +123,7 @@ def test_simulate_json_and_reproducibility(capsys):
             "--resample-outer"]
     payload = run_json(capsys, argv)
     check_schema(payload, "simulate")
-    assert payload["manifest"]["seed_contract"] == 3
+    assert payload["manifest"]["seed_contract"] == 4
     assert "seed_contract" in SCHEMA["properties"]["manifest"]["properties"]
     assert "seed_contract" not in payload["result"]
     again = run_json(capsys, argv)
@@ -153,6 +156,46 @@ def test_oracle_check(capsys):
     payload = json.loads(captured.out)
     check_schema(payload, "oracle-check")
     assert abs(payload["result"]["difference"]) < 1e-9
+
+
+NO_RNG_SCRIPT = """
+import contextlib, io, sys
+from qcap import catalog, concatenate, direct_sum
+from qcap.cli import run
+
+codes = [catalog(f"rep{n}", d) for n in range(2, 8) for d in (2, 3, 5)]
+codes += [catalog(f"trivial{n}", d) for n in range(1, 4) for d in (2, 3, 5)]
+codes += [catalog("five_qubit", 2)]
+concatenate(catalog("rep3", 2), catalog("five_qubit", 2))
+direct_sum(catalog("rep2", 3), catalog("trivial1", 3))
+commands = [
+    ["catalog"],
+    ["bound", "--code", "rep3", "--d", "2", "--p", "0.1"],
+    ["sweep", "--code", "rep7", "--d", "3", "--p-min", "0.2", "--p-max", "0.3", "--steps", "3"],
+    ["fbound", "--inner", "rep3", "--d", "2", "--N", "4", "--K", "1", "--p", "0.05"],
+    ["exponent", "--code", "trivial1", "--d", "2", "--p", "0.05", "--rate", "0.25",
+     "--oracle-grid", "20"],
+    ["oracle-check", "--code", "rep2", "--d", "3", "--p", "0.2"],
+]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    status = [run(argv) for argv in commands]
+    before = "numpy.random" in sys.modules
+    status.append(run(["simulate", "--inner", "rep3", "--d", "2", "--N", "4", "--K", "1",
+                       "--p", "0.05", "--trials", "10"]))
+print(status, before, "numpy.random" in sys.modules)
+"""
+
+
+def test_commands_other_than_simulate_never_load_numpy_random():
+    # codes take the canonical completion, so building them and every
+    # command but simulate leave numpy.random unloaded; simulate, which
+    # draws its errors from it, shows that the check can see it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", NO_RNG_SCRIPT], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "0,", "0,", "0,", "0,", "0,", "0]", "False", "True"]
 
 
 def test_catalog_lists_names(capsys):

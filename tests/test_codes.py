@@ -19,6 +19,8 @@ from qcap.codes import vector_from_digit_string
 from qcap.spectra import probability_array
 from qcap.symplectic import _DualEchelon, hyperbolic_complete
 
+from oracles import random_completion
+
 
 def test_catalog_rep7_matches_digit_strings():
     code = catalog("rep(7)", 3)
@@ -43,7 +45,7 @@ def test_codes_grow_their_rows_once(monkeypatch, name, d, rows):
     assert len(calls) == rows == 2 * code.n
     # completing L leaves L's own form as it was, so a second completion
     # repeats the first
-    again = hyperbolic_complete(code.subspace, 0)
+    again = hyperbolic_complete(code.subspace)
     assert np.array_equal(again.g, code.completion.g)
     assert np.array_equal(again.h, code.completion.h)
     assert code.subspace._form.size == code.n - code.k
@@ -82,7 +84,7 @@ def test_catalog_completion_deterministic():
 def test_codes_compare_by_content_completions_and_arrays_by_identity():
     a, b = catalog("rep3", 2), catalog("rep3", 2)
     assert a == b and hash(a) == hash(b)
-    other = StabilizerCode(a.subspace, hyperbolic_complete(a.subspace, 5))
+    other = StabilizerCode(a.subspace, random_completion(a.subspace, 5))
     assert not np.array_equal(other.completion.h, a.completion.h)
     assert a != other
     # completions and arrays hold ndarrays, so they compare by identity

@@ -39,6 +39,7 @@ from oracles import (
     h_cond,
     kl_divergence,
     objective_value,
+    random_completion,
     reference_exponent,
     tilted,
 )
@@ -427,8 +428,8 @@ def test_exponent_raises_when_the_certificate_fails(monkeypatch):
 
 def test_exponent_has_no_polish_knobs(tmp_path):
     # removed keyword options are refused, not ignored: the solver's polish
-    # knobs and tolerance, the completion seed (pass a completion built by
-    # hyperbolic_complete instead) and the array guard, now the fixed byte
+    # knobs and tolerance, the completion seeds (pass any HyperbolicBasis
+    # instead) and the array guard, now the fixed byte
     # budget of _util.check_array_build
     code = catalog("trivial1", 2)
     ch = depolarizing(2, 0.05)
@@ -442,6 +443,7 @@ def test_exponent_has_no_polish_knobs(tmp_path):
         (probability_array, (code, ch), "max_cells"),
         (coherent_bound, (code, ch), "max_cells"),
         (StabilizerCode, (code.subspace,), "seed"),
+        (hyperbolic_complete, (code.subspace,), "rng_seed"),
         (read_code_file, (path,), "seed"),
     ]
     for fn, args, kwarg in table:
@@ -460,7 +462,7 @@ def random_exponent_case(draw):
     k = draw(st.integers(1, min(n, {2: 6, 3: 3, 5: 2}[d] - n)))
     seed, seed2 = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1))
     subspace = sample_self_orthogonal(d, 2 * n, n - k, seed)
-    code = StabilizerCode(subspace, hyperbolic_complete(subspace, seed2))
+    code = StabilizerCode(subspace, random_completion(subspace, seed2))
     weights = np.array([draw(st.integers(1, 200))]
                        + draw(st.lists(st.integers(0, 4), min_size=d * d - 1,
                                        max_size=d * d - 1)), dtype=float)

@@ -14,7 +14,6 @@ from qcap import (
     catalog,
     coherent_bound,
     depolarizing,
-    hyperbolic_complete,
     sample_self_orthogonal,
 )
 from qcap import qoracle
@@ -26,6 +25,8 @@ from qcap.qoracle import (
     von_neumann_entropy,
     weyl_string,
 )
+
+from oracles import random_completion
 
 
 def test_weyl_qubit_matrices():
@@ -218,7 +219,7 @@ def random_oracle_case(draw):
     k = draw(st.integers(0, min(n, most - n)))
     seed, seed2 = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1))
     subspace = sample_self_orthogonal(d, 2 * n, n - k, seed)
-    code = StabilizerCode(subspace, hyperbolic_complete(subspace, seed2))
+    code = StabilizerCode(subspace, random_completion(subspace, seed2))
     weights = np.array([draw(st.integers(4, 12))]
                        + draw(st.lists(st.integers(0, 3), min_size=d * d - 1,
                                        max_size=d * d - 1)), dtype=float)

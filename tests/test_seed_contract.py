@@ -2,24 +2,32 @@
 the rows of the isotropic sampler and decoder traces, resampled and with
 the one seeded outer code, each pinned by the SHA-256 of its int64 bytes.
 
-The completion and sampler digests were recorded before the subspace
-algebra was moved onto one echelon form for every prime d; that move
-changed no row and no RNG draw.  They are the same under every version of
-simulate's seed contract, since a one-trial sampler draws the same digits
-under all of them.
+The sampler digests were recorded before the subspace algebra was moved
+onto one echelon form for every prime d; that move changed no row and no
+RNG draw.  They are the same under every version of simulate's seed
+contract, since a one-trial sampler draws the same digits under all of
+them.
 
-The trace digests are versioned with simulate's seed contract:
+The trace and completion digests are versioned with simulate's seed
+contract:
 - v1 gave every trial its own generators: error uniforms from (seed, t), a
   resampled outer code from (seed, t, 1).
 - v2 gives batch b of simconcat._BATCH trials one generator, (seed, b):
   first the batch's error uniforms, then its outer codes' digits, one
   (T, S) block and S-digit refills for the trials that read past its end.
-- v3 (current) keeps v2's generators and error uniforms; the outer codes'
-  sampler draws one block of digits per round of attempts, a row for each
-  trial still drawing, in trial order.  Only resampled traces changed.
-The digests of v1 and v2 are kept below as the record, and no test reads
-them.  Under all three, the outer code drawn once for all trials comes from
-(seed, 0, 2), and its traces are the same under v2 and v3.
+- v3 keeps v2's generators and error uniforms; the outer codes' sampler
+  draws one block of digits per round of attempts, a row for each trial
+  still drawing, in trial order.  Only resampled traces changed.  Under v1
+  to v3 every catalog completion was drawn from default_rng(0).
+- v4 (current) keeps v3's random streams; every code takes the canonical
+  completion, which draws nothing.  The catalog completions changed (that
+  of trivial3 is now the standard pairs (X_i, Z_i), the same digits at
+  every d), and with rep3's labels both rep3 traces.  The trivial1 traces
+  did not: a depolarizing channel's array for a code with no stabilizer is
+  the same under every completion.
+The digests of v1 to v3 are kept below as the record, and no test reads
+them.  Under all four, the outer code drawn once for all trials comes from
+(seed, 0, 2).
 A change to any digest here is a change of seed contract: version it and
 write it down in CHANGES.md rather than refreshing the digest.
 """
@@ -71,6 +79,107 @@ def trace_digest(report):
 
 FROZEN = {
     ("completion", "rep2", 2):
+        "694bfe6177e453a634fa12d8a8c97d3801dca18fee0dfe90fe5f2d56a4b78008",
+    ("completion", "rep2", 3):
+        "f61cd626da493ce3b41b538fc48983a04855d861b459d47c16ec830a4e41a024",
+    ("completion", "rep2", 5):
+        "b180afcc36ecd10b3b8c89131de8b00f549cad9a95436678071b7b5a0d7b5cab",
+    ("completion", "rep3", 2):
+        "610e74ff8006c9765de13c359b5a7a934b8ddd799c3b0ebd0627e823798af7eb",
+    ("completion", "rep3", 3):
+        "39d9e4d2d2338d898f45a76492d346a1c017c66c145b4da2e696d69d09a3d2fb",
+    ("completion", "rep3", 5):
+        "5b176ee0480a31c4880a8a89e64164e4f0082ad84217145f381f591b94475485",
+    ("completion", "rep4", 2):
+        "edc95c76a2ed225195d8a7c9a23d7434eb8d91e5c1791931af54365d7659d89e",
+    ("completion", "rep4", 3):
+        "3447f15cf981f1712f8074a946a761814adfce8e811844be7473bbe02f1fb4bd",
+    ("completion", "rep4", 5):
+        "6ac26500d0defcb34f3486f3f2eee1f0da7856a1aeed417bdd18ed687ef82d00",
+    ("completion", "rep5", 2):
+        "6f981c8bb938bb3a2375938dd983f857e4bb57c30a0f0c08d959c83ad0bf705f",
+    ("completion", "rep5", 3):
+        "bc535a3fe0693aa26313d86db2cd4a99384029f0ee5e8ab94559731e01ff4d67",
+    ("completion", "rep5", 5):
+        "c631d9a08deb7fd51508aada74b4d0c1418c3a64e4f8386ac8438f7b9806adb4",
+    ("completion", "rep6", 2):
+        "326c5e63a06d88a17bc5f7725cf8da663c9cdee72590ee8e954019eda5139e1a",
+    ("completion", "rep6", 3):
+        "df1451ac67246c0a9629db48fa6ae23e289280964287fcb9660be198d8d4ecd8",
+    ("completion", "rep6", 5):
+        "3b5faec0c267c83189cd49d6f428104a8b96066ae43508f1df43841a8125591c",
+    ("completion", "rep7", 2):
+        "930327a7652d8ae3263906400c4203696738d4abc1f0f613a2bc3e14e76a05bf",
+    ("completion", "rep7", 3):
+        "5b7c9d46276d7c9e63c0d385ac972b0bddd8ae1d2e61dfc49adb4123a6567da6",
+    ("completion", "rep7", 5):
+        "b2858408d7df46fa3eb40b15b2810b95ebcfcd10eccac9f96d21ae02ad507971",
+    ("completion", "trivial3", 2):
+        "3851faf44265a2d0bd6ca6e99f9596431755309fe34af1d5ce6060063cd53ceb",
+    ("completion", "trivial3", 3):
+        "3851faf44265a2d0bd6ca6e99f9596431755309fe34af1d5ce6060063cd53ceb",
+    ("completion", "trivial3", 5):
+        "3851faf44265a2d0bd6ca6e99f9596431755309fe34af1d5ce6060063cd53ceb",
+    ("completion", "five_qubit", 2):
+        "a995e7602ef7bf1bbc049a0d19366eab1a4fd0e696b9a57c1f7cdbeae7327a14",
+    ("sample", 2, 1, 0):
+        "f8694b65678c8d7b4b6a4ead307493721691baea39cd3fdbb093fadaa1838409",
+    ("sample", 2, 1, 11):
+        "f1471a748efc177d5ff2fe6f5fa6a07f92ad47d40edf419781e38dca4e9351fe",
+    ("sample", 2, 4, 0):
+        "bd2ab72f048f59dd8fafd06d8e8c52d96b653abf8d3783b74bec173de07a0a3d",
+    ("sample", 2, 4, 11):
+        "ddfd51cb735088d965a1bd386398fbb43d82a1a34ff1e2e7295e4a843afeda79",
+    ("sample", 2, 6, 0):
+        "20948dd5895942653835166447312fa06660040c4cc0cfefaca1fedfda822c35",
+    ("sample", 2, 6, 11):
+        "6d1e42d1c3aecd40f27a25c987cade0cec4d78f97844810b93dfe4dc75854299",
+    ("sample", 3, 1, 0):
+        "92d190970612cbe69562b5d3da3b6c4589a1018e1708ffcec00eb4b6d17d2831",
+    ("sample", 3, 1, 11):
+        "ad27635a095070c50c31bc410ea5f51de87107e4102ebde4da9c0f25324f0598",
+    ("sample", 3, 4, 0):
+        "cce8f17b989d6d6b39239aa20590f5c015bf9307901b2808c278de9b1ba2ae7f",
+    ("sample", 3, 4, 11):
+        "5904e704108caac2600b5f4a2e56d42f6b7598ddc3dbd5adfa3b46b333884394",
+    ("sample", 3, 6, 0):
+        "643c1b1c05f359e5675b46c90e914c8955b4df2dae4ed550bb5070082a8041c5",
+    ("sample", 3, 6, 11):
+        "88daeae1a0cd0f682f487abc53684382f783a41288131409789af2fb640b2c25",
+    ("sample", 5, 1, 0):
+        "04891b0f44d308267582d8f16fb8978363a7c88463e5221a046e4d146b144317",
+    ("sample", 5, 1, 11):
+        "6f40f9ad8137a289507c2e4437dc0ef39a7fdc257dc9eb8ffa3902b02197c974",
+    ("sample", 5, 4, 0):
+        "821013db4c2a62ee2b30f45687e17619741f125bc209881d8d50a353014b27dd",
+    ("sample", 5, 4, 11):
+        "77cde00d872d87dbf7ea104ce667cc4345deb733ee257e3d72f54848d324a014",
+    ("sample", 5, 6, 0):
+        "55a7bcf38e13599e4c8f678a35ba5b805c51157e4009938e6885ea467c79a885",
+    ("sample", 5, 6, 11):
+        "d342a82d4228f2c750f5faf6731b92aa82d2a0f05a05673bb71969030908142a",
+    ("trace", 2, "rep3", 6, 1, 0.08):
+        "fa197aba12a4f9a69617f820282da5cde9f2695997b7900f6fdea1f9268e966b",
+    ("trace", 3, "trivial1", 6, 1, 0.1):
+        "4ba897c77ad084b6287505bbf3d795f4d5341c306731d83d4a65335fb62cdeec",
+    ("trace", 5, "trivial1", 4, 1, 0.1):
+        "e8a561f6dcc0dc9d3e14da7151a33560eb59fa58a9df318d9bcc2772e60cf402",
+    ("fixed", 2, "rep3", 6, 1, 0.08):
+        "3dc73e0a0c01a517ead5c8decec4e8ac5b67b89d20d1a6ae810452667fbf8fac",
+    ("fixed", 3, "trivial1", 6, 1, 0.1):
+        "952c47556ac722239e5899b73d0083d08df2284d1423f511afba1b186efa88b2",
+}
+
+# the failures among the 200 resampled trials of each trace under v4; the
+# first and the last are also checked by the console-script step of CI
+FAILURES = {(2, "rep3", 6, 1, 0.08): 42, (3, "trivial1", 6, 1, 0.1): 34,
+            (5, "trivial1", 4, 1, 0.1): 42}
+
+# the record of seed contract v3's catalog completions, drawn from
+# default_rng(0), and of its rep3 traces (200 trials each; failures 42
+# resampled and 50 fixed); its sampler rows and trivial1 traces are those of v4
+FROZEN_V3 = {
+    ("completion", "rep2", 2):
         "b9e8b2a204fd49c078debbd3abaf4c198f5902f3ac830811c02600074db24c9f",
     ("completion", "rep2", 3):
         "77be8d926a1f937d3dec7fc24f0097035562c5246e54cb58d019e52e0842c904",
@@ -114,58 +223,11 @@ FROZEN = {
         "d66238c22822b0cd6ce9f295b2f04f7204df86fe43a65986f52bb6752941864b",
     ("completion", "five_qubit", 2):
         "1a7682f96b7d73a3d40792373d9141c59185408a23ed399ea64ff7ff094b4845",
-    ("sample", 2, 1, 0):
-        "f8694b65678c8d7b4b6a4ead307493721691baea39cd3fdbb093fadaa1838409",
-    ("sample", 2, 1, 11):
-        "f1471a748efc177d5ff2fe6f5fa6a07f92ad47d40edf419781e38dca4e9351fe",
-    ("sample", 2, 4, 0):
-        "bd2ab72f048f59dd8fafd06d8e8c52d96b653abf8d3783b74bec173de07a0a3d",
-    ("sample", 2, 4, 11):
-        "ddfd51cb735088d965a1bd386398fbb43d82a1a34ff1e2e7295e4a843afeda79",
-    ("sample", 2, 6, 0):
-        "20948dd5895942653835166447312fa06660040c4cc0cfefaca1fedfda822c35",
-    ("sample", 2, 6, 11):
-        "6d1e42d1c3aecd40f27a25c987cade0cec4d78f97844810b93dfe4dc75854299",
-    ("sample", 3, 1, 0):
-        "92d190970612cbe69562b5d3da3b6c4589a1018e1708ffcec00eb4b6d17d2831",
-    ("sample", 3, 1, 11):
-        "ad27635a095070c50c31bc410ea5f51de87107e4102ebde4da9c0f25324f0598",
-    ("sample", 3, 4, 0):
-        "cce8f17b989d6d6b39239aa20590f5c015bf9307901b2808c278de9b1ba2ae7f",
-    ("sample", 3, 4, 11):
-        "5904e704108caac2600b5f4a2e56d42f6b7598ddc3dbd5adfa3b46b333884394",
-    ("sample", 3, 6, 0):
-        "643c1b1c05f359e5675b46c90e914c8955b4df2dae4ed550bb5070082a8041c5",
-    ("sample", 3, 6, 11):
-        "88daeae1a0cd0f682f487abc53684382f783a41288131409789af2fb640b2c25",
-    ("sample", 5, 1, 0):
-        "04891b0f44d308267582d8f16fb8978363a7c88463e5221a046e4d146b144317",
-    ("sample", 5, 1, 11):
-        "6f40f9ad8137a289507c2e4437dc0ef39a7fdc257dc9eb8ffa3902b02197c974",
-    ("sample", 5, 4, 0):
-        "821013db4c2a62ee2b30f45687e17619741f125bc209881d8d50a353014b27dd",
-    ("sample", 5, 4, 11):
-        "77cde00d872d87dbf7ea104ce667cc4345deb733ee257e3d72f54848d324a014",
-    ("sample", 5, 6, 0):
-        "55a7bcf38e13599e4c8f678a35ba5b805c51157e4009938e6885ea467c79a885",
-    ("sample", 5, 6, 11):
-        "d342a82d4228f2c750f5faf6731b92aa82d2a0f05a05673bb71969030908142a",
     ("trace", 2, "rep3", 6, 1, 0.08):
         "cfd78862612244a059fafdc3f13df6b1fcf04cf1567ba9376b13f1cd080e42ed",
-    ("trace", 3, "trivial1", 6, 1, 0.1):
-        "4ba897c77ad084b6287505bbf3d795f4d5341c306731d83d4a65335fb62cdeec",
-    ("trace", 5, "trivial1", 4, 1, 0.1):
-        "e8a561f6dcc0dc9d3e14da7151a33560eb59fa58a9df318d9bcc2772e60cf402",
     ("fixed", 2, "rep3", 6, 1, 0.08):
         "d72f6c3c4646000bec88e7249cc4d58ee4f399bc82e89e2167bd86a232a6d7f0",
-    ("fixed", 3, "trivial1", 6, 1, 0.1):
-        "952c47556ac722239e5899b73d0083d08df2284d1423f511afba1b186efa88b2",
 }
-
-# the failures among the 200 resampled trials of each trace under v3; the
-# first and the last are also checked by the console-script step of CI
-FAILURES = {(2, "rep3", 6, 1, 0.08): 42, (3, "trivial1", 6, 1, 0.1): 34,
-            (5, "trivial1", 4, 1, 0.1): 42}
 
 # the record of seed contract v2's resampled traces (200 trials each;
 # failures 51, 33 and 39); its fixed-outer traces are those of v3
@@ -217,5 +279,5 @@ def test_fixed_outer_decoder_traces_are_frozen(case):
 
 def test_seed_contract_version():
     # a new contract gets new trace digests and a new number together
-    assert simconcat.SEED_CONTRACT == 3
+    assert simconcat.SEED_CONTRACT == 4
     assert simconcat._BATCH == 64

@@ -15,7 +15,6 @@ from qcap import (
     ValidationError,
     catalog,
     depolarizing,
-    hyperbolic_complete,
     sample_self_orthogonal,
 )
 from qcap import simconcat
@@ -36,6 +35,7 @@ from oracles import (
     ensemble_failure_exact,
     fidelity_bound_brute,
     nullspace,
+    random_completion,
     random_isotropic_dense,
     rref,
     sample_error,
@@ -165,7 +165,7 @@ def random_decode_case(draw):
     n = draw(st.integers(1, {2: 3, 3: 2, 5: 1}[d]))
     k = draw(st.integers(1, n))
     subspace = sample_self_orthogonal(d, 2 * n, n - k, draw(st.integers(0, 2**32 - 1)))
-    inner = StabilizerCode(subspace, hyperbolic_complete(subspace, draw(st.integers(0, 2**32 - 1))))
+    inner = StabilizerCode(subspace, random_completion(subspace, draw(st.integers(0, 2**32 - 1))))
     n_max = max(N for N in range(1, 13) if d ** (k * N) <= 4096)
     N = draw(st.integers(1, n_max))
     K = draw(st.integers(0, max(K for K in range(k * N + 1) if d ** (k * N + K) <= 4096)))
@@ -198,6 +198,27 @@ def test_decoder_matches_reference_on_random_codes(case, data):
     ctx = _Contexts(inner, N, outer.canonical[None])
     v_hat, _ = ctx.decode(z[None], v[None])
     assert v_hat[0].tolist() == reference_decode(inner, outer, z, sigma).tolist()
+
+
+def test_decoder_resolves_ties_above_float_precision():
+    # trivial1/d=2 at N = 16 under the outer code X-type even weight plus
+    # Z^16 (K = 0): every block has the one syndrome, and the best keys pass
+    # 2^53.  At v = 0 the four constant candidates tie at 16^16; at v = X on
+    # block 0, the 64 candidates with 15 equal blocks and the odd one anywhere
+    # tie at 15^15, which no float holds.  The integer recheck decides both.
+    N = 16
+    gens = np.zeros((N, 2 * N), dtype=np.int64)
+    gens[:N - 1, 0] = 1
+    gens[np.arange(N - 1), 2 * np.arange(1, N)] = 1
+    gens[N - 1, 1::2] = 1
+    outer = Subspace(2, 2 * N, gens)
+    assert float(15**15) != 15**15 and 16**16 > 2**53
+    ctx = _Contexts(TRIV, N, outer.canonical[None])
+    z = np.zeros(N, dtype=np.int64)
+    for v in (np.zeros(N, dtype=np.int64), np.eye(N, dtype=np.int64)[0]):
+        sigma = symplectic_dual(outer.basis, 2) @ index_to_digits(v, 2, 2).ravel() % 2
+        v_hat, _ = ctx.decode(z[None], v[None])
+        assert v_hat[0].tolist() == reference_decode(TRIV, outer, z, sigma).tolist()
 
 
 def test_syndrome_invariant_under_code_shifts():
@@ -347,7 +368,7 @@ def random_simulation(draw):
     k = draw(st.integers(1, n))
     seeds = st.integers(0, 2**32 - 1)
     subspace = sample_self_orthogonal(d, 2 * n, n - k, draw(seeds))
-    inner = StabilizerCode(subspace, hyperbolic_complete(subspace, draw(seeds)))
+    inner = StabilizerCode(subspace, random_completion(subspace, draw(seeds)))
     N = draw(st.sampled_from([N for N in range(1, 7) if d ** (k * N) <= 729]))
     K = draw(st.sampled_from([K for K in range(k * N + 1) if d ** (k * N + K) <= 729]))
     weights = np.array([draw(st.integers(1, 50))]
@@ -548,7 +569,7 @@ def random_bound_case(draw):
     K = draw(st.integers(0, k * N))
     seed, seed2 = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1))
     subspace = sample_self_orthogonal(d, 2 * n, n - k, seed)
-    code = StabilizerCode(subspace, hyperbolic_complete(subspace, seed2))
+    code = StabilizerCode(subspace, random_completion(subspace, seed2))
     weights = np.array([draw(st.integers(1, 200))]
                        + draw(st.lists(st.integers(0, 4), min_size=d * d - 1,
                                        max_size=d * d - 1)), dtype=float)

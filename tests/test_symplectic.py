@@ -21,6 +21,7 @@ from oracles import (
     digits_to_index,
     hyperbolic_complete_dense,
     nullspace,
+    random_completion,
     random_isotropic_dense,
     rref,
     solve_affine_multi,
@@ -124,20 +125,20 @@ def test_perp_against_exhaustive_scan():
 
 
 def test_hyperbolic_complete_trivial_space():
-    B = hyperbolic_complete(Subspace(2, 2, []), 0)
+    B = hyperbolic_complete(Subspace(2, 2, []))
     assert B.n == 1 and B.gram_ok()
 
 
 def test_hyperbolic_complete_single_generator():
     L = Subspace(2, 4, [[1, 0, 1, 0]])
-    B = hyperbolic_complete(L, 5)
+    B = hyperbolic_complete(L)
     assert B.gram_ok()
     assert (B.g[0] == [1, 0, 1, 0]).all()
 
 
 def test_hyperbolic_complete_rejects_non_isotropic():
     with pytest.raises(ValidationError):
-        hyperbolic_complete(Subspace(2, 2, [[1, 0], [0, 1]]), 0)
+        hyperbolic_complete(Subspace(2, 2, [[1, 0], [0, 1]]))
 
 
 def test_hyperbolic_complete_random_gram_exact():
@@ -147,19 +148,29 @@ def test_hyperbolic_complete_random_gram_exact():
         n = int(rng.integers(1, 7))
         dim = int(rng.integers(0, n + 1))
         L = random_self_orthogonal(d, n, dim, (9, trial))
-        B = hyperbolic_complete(L, int(rng.integers(0, 1 << 30)))
+        B = hyperbolic_complete(L)
         assert B.gram_ok()
         if dim:
             assert (B.g[:dim] == L.basis).all()
 
 
-def test_hyperbolic_complete_deterministic_per_seed():
-    L = Subspace(3, 6, [[1, 0, 1, 0, 1, 0]])
-    B1 = hyperbolic_complete(L, 42)
-    B2 = hyperbolic_complete(L, 42)
-    B3 = hyperbolic_complete(L, 43)
-    assert (B1.g == B2.g).all() and (B1.h == B2.h).all()
-    assert not ((B1.g == B3.g).all() and (B1.h == B3.h).all())
+def test_hyperbolic_complete_is_canonical():
+    # the completion depends on the ordered basis alone: the empty subspace
+    # gets the standard pairs (X_i, Z_i), and reordering the basis reorders
+    # the form the completion is read off
+    for d, n in ((2, 1), (3, 3), (5, 2)):
+        B = hyperbolic_complete(Subspace(d, 2 * n, []))
+        eye = np.eye(2 * n, dtype=np.int64)
+        assert np.array_equal(B.g, eye[0::2]) and np.array_equal(B.h, eye[1::2])
+    rows = [[1, 0, 1, 0, 1, 0], [0, 2, 0, 0, 0, 1]]
+    B1 = hyperbolic_complete(Subspace(3, 6, rows))
+    B2 = hyperbolic_complete(Subspace(3, 6, rows))
+    assert np.array_equal(B1.g, B2.g) and np.array_equal(B1.h, B2.h)
+    B3 = hyperbolic_complete(Subspace(3, 6, rows[::-1]))
+    assert np.array_equal(B3.g[:2], B1.g[1::-1]) and B3.gram_ok()
+    assert not np.array_equal(B3.h[:2], B1.h[1::-1])
+    with pytest.raises(TypeError):
+        hyperbolic_complete(Subspace(3, 6, rows), 0)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -169,17 +180,19 @@ def test_completion_and_perp_match_dense_reference(d, n, data, seed):
     # solutions and nullspace bases as the chained dense constraint solves
     # L continues the sampler's form, and its rebuilt copy the constructor's
     L = sample_self_orthogonal(d, 2 * n, data.draw(st.integers(0, n)), seed)
-    for rng_seed in (0, 1, seed):
-        g, h = hyperbolic_complete_dense(L, rng_seed)
-        for sub in (L, Subspace(d, 2 * n, L.basis)):
-            B = hyperbolic_complete(sub, rng_seed)
-            assert np.array_equal(B.g, g) and np.array_equal(B.h, h)
+    g, h = hyperbolic_complete_dense(L)
+    for sub in (L, Subspace(d, 2 * n, L.basis)):
+        B = hyperbolic_complete(sub)
+        assert np.array_equal(B.g, g) and np.array_equal(B.h, h)
+    # the randomized completion the other tests use is another valid one
+    other = random_completion(L, seed)
+    assert other.gram_ok() and np.array_equal(other.g[:L.dim], L.basis)
     assert np.array_equal(perp(L).basis, nullspace(symplectic_dual(L.basis, d), d, 2 * n))
 
 
 def test_chi_coordinates_basis_vectors():
     L = Subspace(2, 6, [[1, 0, 1, 0, 0, 0], [1, 0, 0, 0, 1, 0]])
-    B = hyperbolic_complete(L, 1)
+    B = hyperbolic_complete(L)
     unit = np.eye(B.n, dtype=np.int64)
     for j in range(B.n):
         w, z = B.coordinates(B.g[j])
@@ -195,7 +208,7 @@ def test_chi_coordinates_basis_vectors():
 def test_chi_coordinates_reconstruction_and_linearity():
     rng = np.random.default_rng(21)
     L = Subspace(3, 8, [[1, 0, 1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 1, 0, 0, 0]])
-    B = hyperbolic_complete(L, 2)
+    B = hyperbolic_complete(L)
     d = 3
     for _ in range(2000):
         x = rng.integers(0, d, 8)
@@ -211,7 +224,7 @@ def test_chi_coordinates_reconstruction_and_linearity():
 
 def test_chi_coordinates_injective_exhaustive_small():
     L = Subspace(2, 4, [[1, 0, 1, 0]])
-    B = hyperbolic_complete(L, 0)
+    B = hyperbolic_complete(L)
     seen = set()
     for idx in range(16):
         x = np.array([(idx >> j) & 1 for j in range(4)])
@@ -222,8 +235,8 @@ def test_chi_coordinates_injective_exhaustive_small():
 def test_syndrome_map_depends_only_on_code_basis():
     # two completions of the same ordered basis give identical syndromes
     L = Subspace(2, 8, [[1, 0, 1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 1, 0, 0, 0]])
-    B1 = hyperbolic_complete(L, 10)
-    B2 = hyperbolic_complete(L, 77)
+    B1 = hyperbolic_complete(L)
+    B2 = random_completion(L, 77)
     rng = np.random.default_rng(5)
     for _ in range(500):
         x = rng.integers(0, 2, 8)
