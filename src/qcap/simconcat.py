@@ -13,9 +13,12 @@ decoded block succeeds iff v_hat - v lands in C_out.
 The trials run on a trial axis.  A batch of up to _BATCH trials draws its
 errors, samples its outer codes and decodes as array operations in mod-d
 integer arithmetic, with as many trials decoded at once as keep their
-(N, T, Q) candidate keys within a fixed budget of cells.  The results
-follow seed contract v4 (SEED_CONTRACT), which fixes the random streams
-and, by the canonical completion, the inner codes' labels.  Batch b,
+(N, T, Q) candidate keys within a fixed budget of cells.  The chunks of a
+batch decode into one scratch, made once the batch has sampled its outer
+codes and freed before the next batch samples, so that the key, count and
+score arrays are allocated once a batch rather than once a chunk.  The
+results follow seed contract v4 (SEED_CONTRACT), which fixes the random
+streams and, by the canonical completion, the inner codes' labels.  Batch b,
 trials b*_BATCH onwards, reads one generator, (seed, b).  One `random((T, N))`
 call gives the batch's error uniforms, row t for its trial t; with a
 resampled outer code, the isotropic sampler then draws from the same
@@ -79,7 +82,7 @@ _SEARCH_GUARD = 1 << 24
 # seed contract
 _BATCH = 64
 # the cells that the trials decoded at once may fill with candidate keys
-# and tail tables
+# and tail tables; so it also sizes a batch's decoding scratch
 _DECODE_CELLS = 1 << 19
 # word-sized dictionary updates the exact bound's type-sum fold may make
 _FOLD_WORK = 12_000_000
@@ -199,7 +202,7 @@ class _Contexts:
         # tail_sums[j, c, s, b]: the symbol of s plus block j of the b-th
         # vector of code c's second-half span, added digit by digit, in a
         # type that also holds the keys z * cols + symbol of every syndrome z
-        dtype = np.min_scalar_type(d ** (inner.n - k) * cols - 1)
+        dtype = _key_type(inner)
         s = index_to_digits(np.arange(cols), d, 2 * k).astype(dtype)
         digits = tail.reshape(tail.shape[:2] + (N, 2 * k)).transpose(2, 0, 3, 1).astype(dtype)
         self.tail_sums = sum(_mod(s[:, p, None] + digits[:, :, p, None], d) * power
@@ -227,9 +230,11 @@ class _Contexts:
         """Whether each of the (T, 2kN) digit vectors lies in C_out."""
         return ~_mod(self.perp_dual @ x[:, :, None], self.d).any(axis=(1, 2))
 
-    def decode(self, z: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def decode(self, z: np.ndarray, v: np.ndarray,
+               scratch: _Scratch) -> tuple[np.ndarray, np.ndarray]:
         """Decode T trials, trial t on code t (or on the shared code), from
-        their per-block syndromes z and logical symbols v, (T, N) each.
+        their per-block syndromes z and logical symbols v, (T, N) each, in
+        a scratch sized for at least T trials.
 
         Returns the decoded symbols (T, N) and whether each trial succeeded:
         v_hat - v lies in C_out.  The candidates, the v' with v's outer
@@ -249,32 +254,42 @@ class _Contexts:
         codes = self.tail_sums.shape[1]
         first = (np.arange(N)[:, None] * codes + np.arange(trials) % codes) * cols
         table = self.tail_sums.reshape(-1, self.tail_sums.shape[-1])
-        keys = np.take(table, first[:, :, None] + head, axis=0).reshape(N, trials, -1)
+        keys = _view(scratch.keys, (N, trials, head.shape[-1], table.shape[-1]))
+        # the indices are in range, and mode="raise" would buffer the result
+        np.take(table, first[:, :, None] + head, axis=0, out=keys, mode="wrap")
+        keys = keys.reshape(N, trials, -1)
         keys += (z.T * cols).astype(keys.dtype)[:, :, None]
-        winner = self._winners(keys, z)
+        winner = self._winners(keys, z, scratch)
         v_hat = keys[:, np.arange(trials), winner].T - z * cols
         return v_hat, self.contains(self._digits(v_hat) - v_digits)
 
-    def _winners(self, keys: np.ndarray, z: np.ndarray) -> np.ndarray:
+    def _winners(self, keys: np.ndarray, z: np.ndarray, scratch: _Scratch) -> np.ndarray:
         """Each trial's candidate of minimum conditional type entropy, from
         the (N, T, Q) keys: the largest prod c^c, ties to the
         lexicographically smallest digit vector."""
         N, cols = self.N, self.cols
+        shape = keys.shape
         # counts[j, t, c]: the blocks of trial t's candidate c that share
-        # block j's key
-        counts = np.ones(keys.shape, dtype=np.uint8)
+        # block j's key, from the equality rows of later blocks and their tally
+        counts = _view(scratch.counts, shape)
+        counts.fill(1)
+        work = _view(scratch.work, shape)
+        equal, tally = work[:N - 1].view(np.bool_), work[N - 1]
         for j in range(N - 1):
-            same = (keys[j + 1:] == keys[j]).view(np.uint8)
-            counts[j] += same.sum(axis=0, dtype=np.uint8)
+            same = np.equal(keys[j + 1:], keys[j], out=equal[:N - 1 - j]).view(np.uint8)
+            counts[j] += same.sum(axis=0, dtype=np.uint8, out=tally)
             counts[j + 1:] += same
         # the product over blocks is the entropy key prod c^c; as a float it
         # is exact below 2^53 and within N ulps beyond, so it only screens.
-        # Pairs of counts multiply exactly in 16 bits first.
-        score = np.multiply(counts[0:N - 1:2], counts[1::2], dtype=np.uint16).prod(
-            axis=0, dtype=np.float64)
+        # Pairs of counts multiply exactly in 16 bits first, in place of the
+        # equality rows.
+        pairs = _view(scratch.work, (N // 2,) + shape[1:], np.uint16)
+        np.multiply(counts[0:N - 1:2], counts[1::2], dtype=np.uint16, out=pairs)
+        score = np.prod(pairs, axis=0, dtype=np.float64, out=_view(scratch.score, shape[1:]))
         if N % 2:
             score *= counts[-1]
-        near = score >= score.max(axis=1, keepdims=True) * (1 - 1e-12)
+        near = np.greater_equal(score, score.max(axis=1, keepdims=True) * (1 - 1e-12),
+                                out=_view(scratch.work, shape[1:], np.bool_))
         winner = score.argmax(axis=1)
         for t in np.flatnonzero(near.sum(axis=1) > 1).tolist():
             close = np.flatnonzero(near[t])
@@ -285,6 +300,35 @@ class _Contexts:
             rows = self._digits(symbols).tolist()
             winner[t] = tied[min(range(tied.size), key=rows.__getitem__)]
         return winner
+
+
+def _key_type(inner: StabilizerCode) -> np.dtype:
+    """The smallest unsigned type of the candidate keys z * d^2k + symbol."""
+    return np.min_scalar_type(inner.d ** (inner.n + inner.k) - 1)
+
+
+class _Scratch:
+    """The arrays that decoding up to `trials` trials at once writes into,
+    one decode after another: the (N, T, Q) candidate keys and counts, the
+    work block of N T Q bytes that holds the equality rows and their tally,
+    then the 16-bit pair products and last the near mask, and the (T, Q)
+    float screen, (3N + 8) T Q bytes in all for one-byte keys.  A decode of
+    T trials uses the first cells of each, as arrays of its own shape, and
+    writes every cell it reads."""
+
+    def __init__(self, inner: StabilizerCode, N: int, K: int, trials: int):
+        cells = trials * inner.d ** (inner.k * N + K)
+        self.keys = np.empty(N * cells, dtype=_key_type(inner))
+        self.counts = np.empty(N * cells, dtype=np.uint8)
+        self.work = np.empty(N * cells, dtype=np.uint8)
+        self.score = np.empty(cells)
+
+
+def _view(buffer: np.ndarray, shape: tuple, dtype=None) -> np.ndarray:
+    """The first bytes of a buffer as a C-contiguous array of the shape, in
+    the buffer's type or another."""
+    dtype = np.dtype(dtype or buffer.dtype)
+    return buffer[:math.prod(shape) * dtype.itemsize // buffer.itemsize].view(dtype).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +378,16 @@ def simulate(cfg: SimConfig) -> SimReport:
             perp = _DualEchelon.sample(d, ambient, dim, rng, len(trials)).perp
         v_hat = np.empty_like(v)
         ok = np.empty(len(trials), dtype=bool)
-        for part in np.array_split(np.arange(len(trials)), -(-len(trials) // step)):
+        chunks = np.array_split(np.arange(len(trials)), -(-len(trials) // step))
+        # made after the sampler has run and freed before it runs again, so
+        # that the two never hold memory at once
+        scratch = _Scratch(inner, N, K, len(chunks[0]))
+        for part in chunks:
             at = slice(part[0], part[-1] + 1)
             if cfg.resample_outer:
                 ctx = _Contexts(inner, N, perp[at])
-            v_hat[at], ok[at] = ctx.decode(z[at], v[at])
+            v_hat[at], ok[at] = ctx.decode(z[at], v[at], scratch)
+        del scratch
         failures += int(ok.size - ok.sum())
         if trace is not None:
             trace.extend({"trial": t, "failure": not good, "z": zt, "v": vt, "v_hat": ht}

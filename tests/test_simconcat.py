@@ -24,6 +24,7 @@ from qcap.symplectic import _DualEchelon, symplectic_dual
 from qcap.simconcat import (
     SimConfig,
     _Contexts,
+    _Scratch,
     fidelity_bound_exact,
     simulate,
 )
@@ -107,7 +108,7 @@ def test_decoder_output_satisfies_syndrome():
     col_digits = index_to_digits(np.arange(arr.cols), 2, 2)
     errors = [sample_error(arr, 6, rng) for _ in range(200)]
     z, v = (np.array(part) for part in zip(*errors))
-    v_hat, _ = ctx.decode(z, v)
+    v_hat, _ = ctx.decode(z, v, _Scratch(REP3, 6, 2, 200))
     dual = symplectic_dual(outer.basis, 2)
     sigma = dual @ col_digits[v].reshape(200, -1).T % 2
     assert (dual @ col_digits[v_hat].reshape(200, -1).T % 2 == sigma).all()
@@ -126,7 +127,7 @@ def test_decoder_success_indicator_cross_validated():
                for c in index_to_digits(np.arange(2**outer.dim), 2, outer.dim)}
     errors = [sample_error(arr, N, rng) for _ in range(1000)]
     z, v = (np.array(part) for part in zip(*errors))
-    v_hat, ok = ctx.decode(z, v)
+    v_hat, ok = ctx.decode(z, v, _Scratch(inner, N, K, 1000))
     agree = 0
     for vt, ht, good in zip(v, v_hat, ok.tolist()):
         diff = (col_digits[ht].ravel() - col_digits[vt].ravel()) % 2
@@ -196,7 +197,7 @@ def test_decoder_matches_reference_on_random_codes(case, data):
     assert np.array_equal(dual @ v_digits % d, sigma)
     v = v_digits.reshape(N, 2 * k) @ d ** np.arange(2 * k)
     ctx = _Contexts(inner, N, outer.canonical[None])
-    v_hat, _ = ctx.decode(z[None], v[None])
+    v_hat, _ = ctx.decode(z[None], v[None], _Scratch(inner, N, k * N - outer.dim, 1))
     assert v_hat[0].tolist() == reference_decode(inner, outer, z, sigma).tolist()
 
 
@@ -214,11 +215,38 @@ def test_decoder_resolves_ties_above_float_precision():
     outer = Subspace(2, 2 * N, gens)
     assert float(15**15) != 15**15 and 16**16 > 2**53
     ctx = _Contexts(TRIV, N, outer.canonical[None])
+    scratch = _Scratch(TRIV, N, 0, 1)
     z = np.zeros(N, dtype=np.int64)
     for v in (np.zeros(N, dtype=np.int64), np.eye(N, dtype=np.int64)[0]):
         sigma = symplectic_dual(outer.basis, 2) @ index_to_digits(v, 2, 2).ravel() % 2
-        v_hat, _ = ctx.decode(z[None], v[None])
+        v_hat, _ = ctx.decode(z[None], v[None], scratch)
         assert v_hat[0].tolist() == reference_decode(TRIV, outer, z, sigma).tolist()
+
+
+@pytest.mark.parametrize("name, d, N, K",
+                         [("rep3", 2, 5, 1), ("rep2", 3, 4, 1), ("trivial1", 5, 3, 1)])
+def test_one_scratch_decodes_chunks_of_changing_size(name, d, N, K):
+    # as in simulate's chunk loop, one scratch decodes chunk after chunk, here
+    # of 12, 1, 3 and 12 trials on fresh outer codes, z and v; a chunk must
+    # read nothing that a larger one before it left in the scratch
+    inner = catalog(name, d)
+    k, rows = inner.k, d ** (inner.n - inner.k)
+    rng = np.random.default_rng(d)
+    scratch = _Scratch(inner, N, K, 12)
+    for trials in (12, 1, 3, 12):
+        form = _DualEchelon.sample(d, 2 * k * N, k * N - K, rng, trials)
+        ctx = _Contexts(inner, N, form.perp)
+        # few syndromes, so that candidates often tie
+        z = rng.integers(0, min(rows, 2), (trials, N))
+        v = rng.integers(0, d ** (2 * k), (trials, N))
+        v_hat, ok = ctx.decode(z, v, scratch)
+        for t, basis in enumerate(form.basis()):
+            outer = Subspace(d, 2 * k * N, basis)
+            v_digits = index_to_digits(v[t], d, 2 * k).ravel()
+            sigma = symplectic_dual(basis, d) @ v_digits % d
+            assert v_hat[t].tolist() == reference_decode(inner, outer, z[t], sigma).tolist()
+            diff = (index_to_digits(v_hat[t], d, 2 * k).ravel() - v_digits) % d
+            assert ok[t] == outer.contains(diff)
 
 
 def test_syndrome_invariant_under_code_shifts():
@@ -235,8 +263,9 @@ def test_syndrome_invariant_under_code_shifts():
     # and so is the decoding of a shifted truth
     z = np.zeros((100, 8), dtype=np.int64)
     weights = 2 ** np.arange(2)
-    first = ctx.decode(z, v.reshape(100, 8, 2) @ weights)
-    shifted = ctx.decode(z, ((v + c) % 2).reshape(100, 8, 2) @ weights)
+    scratch = _Scratch(TRIV, 8, 2, 100)
+    first = ctx.decode(z, v.reshape(100, 8, 2) @ weights, scratch)
+    shifted = ctx.decode(z, ((v + c) % 2).reshape(100, 8, 2) @ weights, scratch)
     assert np.array_equal(first[0], shifted[0]) and np.array_equal(first[1], shifted[1])
 
 
@@ -255,8 +284,9 @@ def test_decoding_invariant_under_syndrome_relabelling(name, d, N, K):
     z = rng.integers(0, used, (trials, N))
     v = rng.integers(0, d ** (2 * k), (trials, N))
     relabel = rng.choice(rows, used, replace=False)
-    first = ctx.decode(z, v)
-    moved = ctx.decode(relabel[z], v)
+    scratch = _Scratch(inner, N, K, trials)
+    first = ctx.decode(z, v, scratch)
+    moved = ctx.decode(relabel[z], v, scratch)
     assert np.array_equal(first[0], moved[0]) and np.array_equal(first[1], moved[1])
 
 
@@ -669,7 +699,7 @@ def test_unencoded_inner_scores_ignore_syndromes():
     ctx = _Contexts(TRIV, 5, outer.canonical[None])
     z = np.zeros((50, 5), dtype=np.int64)
     v = np.random.default_rng(0).integers(0, arr.cols, (50, 5))
-    v_hat, _ = ctx.decode(z, v)
+    v_hat, _ = ctx.decode(z, v, _Scratch(TRIV, 5, 1, 50))
     dual = symplectic_dual(outer.basis, 2)
     sigma = dual @ index_to_digits(v.ravel(), 2, 2).reshape(50, -1).T % 2
     assert (dual @ index_to_digits(v_hat.ravel(), 2, 2).reshape(50, -1).T % 2 == sigma).all()
