@@ -11,22 +11,23 @@ for the one whose joint type with z has minimum conditional entropy; the
 decoded block succeeds iff v_hat - v lands in C_out.
 
 The trials run on a trial axis.  A batch of up to _BATCH trials draws its
-errors, samples its outer codes and decodes as array operations in mod-d
-integer arithmetic, with as many trials decoded at once as keep their
-(N, T, Q) candidate keys within a fixed budget of cells.  The chunks of a
-batch decode into one scratch, made once the batch has sampled its outer
-codes and freed before the next batch samples, so that the key, count and
-score arrays are allocated once a batch rather than once a chunk.  The
-results follow seed contract v4 (SEED_CONTRACT), which fixes the random
-streams and, by the canonical completion, the inner codes' labels.  Batch b,
-trials b*_BATCH onwards, reads one generator, (seed, b).  One `random((T, N))`
-call gives the batch's error uniforms, row t for its trial t; with a
-resampled outer code, the isotropic sampler then draws from the same
-stream one block of digits per round of attempts, a row for each trial
-still drawing, in trial order.  The outer code drawn once for all trials
-is sample_self_orthogonal(d, 2kN, kN - K, (seed, 0, 2)), decoded as an
-explicit outer code would be.  So the results depend on _BATCH, which is
-part of the contract, but not on the decoding budget.
+errors, samples its outer codes, certifies the winners it can and decodes
+the other trials as array operations in mod-d integer arithmetic, with as
+many trials decoded at once as keep their (N, T, Q) candidate keys within
+a fixed budget of cells, then tests every trial's success at once.  The
+chunks of a batch decode into one scratch, made once the batch has sampled
+its outer codes and freed before the next batch samples, so that the key,
+count and score arrays are allocated once a batch rather than once a
+chunk.  The results follow seed contract v4 (SEED_CONTRACT), which fixes
+the random streams and, by the canonical completion, the inner codes'
+labels.  Batch b, trials b*_BATCH onwards, reads one generator, (seed, b).
+One `random((T, N))` call gives the batch's error uniforms, row t for its
+trial t; with a resampled outer code, the isotropic sampler then draws
+from the same stream one block of digits per round of attempts, a row for
+each trial still drawing, in trial order.  The outer code drawn once for
+all trials is sample_self_orthogonal(d, 2kN, kN - K, (seed, 0, 2)),
+decoded as an explicit outer code would be.  So the results depend on
+_BATCH, which is part of the contract, but not on the decoding budget.
 tests/test_seed_contract.py keeps the record of each contract.
 
 The candidates, the v' with v's outer syndrome, are the coset
@@ -39,6 +40,21 @@ per-block symbols of v + span(B1) and of span(B2), about sqrt(d^{kN+K})
 vectors each, and forms every candidate's symbols by looking up, per
 block, the sum of a v + span(B1) symbol and a span(B2) symbol in a table
 built once per outer code.
+
+Before anything is listed, a trial whose v is constant on every syndrome
+group is certified.  A group of n_g blocks contributes at most n_g^(n_g) to
+the key prod c^c below, and exactly that when its blocks share one symbol,
+so such a v reaches the largest key any candidate can, and the winner is
+the lexicographically smallest candidate constant on each group.  With y
+the group symbols in order of first appearance, those candidates solve
+A y = A y_v, where A sums the dual of each generator of C_out over a
+group's blocks.  Gauss-Jordan elimination of [A | A y_v] with its pivots
+taken from the rightmost column first, every free variable set to 0, gives
+the smallest solution, at a cost polynomial in 2kG for G groups, never
+d^(2kG).  This is the root of a branch and bound over the candidates,
+whose bound puts every block of a group on one symbol; below the root that
+bound prunes too few candidates to pay for itself, so the other trials are
+enumerated in full.
 
 Entropy comparisons between types are resolved exactly: for counts c the
 quantity N*H_c differs from a constant by -log(prod c^c), so candidate
@@ -179,12 +195,11 @@ def _cell_cdf(array: ProbabilityArray) -> np.ndarray:
 
 
 class _Contexts:
-    """The decoding machinery of C outer codes, one per trial of a batch or
-    one shared by every trial (C = 1): the two halves of the candidate
-    coset enumeration and the membership test, all built from a basis of
-    perp(C_out) of each code, (C, kN+K, 2kN).  Nothing else of the code is
-    needed: the candidates v + perp(C_out) of a trial are a function of v
-    and perp(C_out) alone.
+    """The candidate enumeration of C outer codes, one per trial of a batch
+    or one shared by every trial (C = 1): its two halves, built from a
+    basis of perp(C_out) of each code, (C, kN+K, 2kN).  Nothing else of the
+    code is needed: the candidates v + perp(C_out) of a trial are a
+    function of v and perp(C_out) alone.
     """
 
     def __init__(self, inner: StabilizerCode, N: int, perp_basis: np.ndarray):
@@ -193,9 +208,6 @@ class _Contexts:
         self.N = N
         self.cols = cols = d ** (2 * k)
         self.powers = d ** np.arange(2 * k, dtype=np.int64)
-        # C_out = perp(perp(C_out)): x lies in C_out iff it pairs to zero
-        # with every row of perp_basis
-        self.perp_dual = symplectic_dual(perp_basis, d)
         half = perp_basis.shape[1] // 2
         self.head_span = self._span(perp_basis[:, :half])
         tail = self._span(perp_basis[:, half:])
@@ -226,19 +238,13 @@ class _Contexts:
         """(T, 2kN) digit vectors of (T, N) per-block symbols."""
         return index_to_digits(symbols.ravel(), self.d, len(self.powers)).reshape(len(symbols), -1)
 
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        """Whether each of the (T, 2kN) digit vectors lies in C_out."""
-        return ~_mod(self.perp_dual @ x[:, :, None], self.d).any(axis=(1, 2))
-
-    def decode(self, z: np.ndarray, v: np.ndarray,
-               scratch: _Scratch) -> tuple[np.ndarray, np.ndarray]:
+    def decode(self, z: np.ndarray, v: np.ndarray, scratch: _Scratch) -> np.ndarray:
         """Decode T trials, trial t on code t (or on the shared code), from
         their per-block syndromes z and logical symbols v, (T, N) each, in
         a scratch sized for at least T trials.
 
-        Returns the decoded symbols (T, N) and whether each trial succeeded:
-        v_hat - v lies in C_out.  The candidates, the v' with v's outer
-        syndrome, are the coset v + perp(C_out), enumerated as v +
+        Returns the decoded symbols (T, N).  The candidates, the v' with
+        v's outer syndrome, are the coset v + perp(C_out), enumerated as v +
         span(first half of the basis) plus span(second half), with symbols
         summed block by block.  The winner is a function of that set alone,
         however it is listed.  Each candidate gets the key z_j * cols +
@@ -247,8 +253,7 @@ class _Contexts:
         """
         d, N, cols = self.d, self.N, self.cols
         trials = len(z)
-        v_digits = self._digits(v)
-        head = self._symbols(_mod(self.head_span + v_digits[:, None, :], d))
+        head = self._symbols(_mod(self.head_span + self._digits(v)[:, None, :], d))
         # block j of trial t reads the rows (j, code, head symbol) of
         # tail_sums, where the code is t's own, or the shared one
         codes = self.tail_sums.shape[1]
@@ -260,8 +265,7 @@ class _Contexts:
         keys = keys.reshape(N, trials, -1)
         keys += (z.T * cols).astype(keys.dtype)[:, :, None]
         winner = self._winners(keys, z, scratch)
-        v_hat = keys[:, np.arange(trials), winner].T - z * cols
-        return v_hat, self.contains(self._digits(v_hat) - v_digits)
+        return keys[:, np.arange(trials), winner].T - z * cols
 
     def _winners(self, keys: np.ndarray, z: np.ndarray, scratch: _Scratch) -> np.ndarray:
         """Each trial's candidate of minimum conditional type entropy, from
@@ -332,6 +336,92 @@ def _view(buffer: np.ndarray, shape: tuple, dtype=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the certificate and the success test
+
+
+def _certify(d: int, z: np.ndarray, v: np.ndarray,
+             gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which of T trials have a v constant on every syndrome group, and
+    their winners, found without listing candidates (see the module
+    docstring).
+
+    z and v are the trials' per-block syndromes and logical symbols, (T, N)
+    each, and gens the generators of their outer codes, (T, kN-K, 2kN), or
+    (1, kN-K, 2kN) for one shared code.  Returns the mask of the certified
+    trials and their decoded symbols, (T', N) in trial order.  The symbols
+    y of the groups, numbered by first block, solve A y = A y_v, where A
+    sums dual(g) over each group's blocks for every generator g, and the
+    smallest solution is the winner.  The trials' systems share 2kG
+    columns for the largest G among them; a group that a trial lacks is a
+    zero column, which the solution leaves at 0.
+    """
+    N = z.shape[1]
+    same = z[:, :, None] == z[:, None, :]
+    sure = ~(same & (v[:, :, None] != v[:, None, :])).any(axis=(1, 2))
+    v = v[sure]
+    gens = gens if len(gens) == 1 else gens[sure]
+    width = gens.shape[2] // N
+    # group[t, j]: the group of block j, numbered from 0 by first block, and
+    # spread[t, j, g] whether that is g
+    lead = same[sure].argmax(axis=2)
+    first = lead == np.arange(N)
+    group = np.take_along_axis(first.cumsum(axis=1) - 1, lead, axis=1)
+    groups = int(first.sum(axis=1).max(initial=0))
+    spread = (group[:, :, None] == np.arange(groups)).astype(np.int64)
+    dual = symplectic_dual(gens, d)
+    m = dual.shape[1]
+    blocks = dual.reshape(len(dual), m, N, width).transpose(0, 1, 3, 2)
+    grouped = (blocks @ spread[:, None]).transpose(0, 1, 3, 2).reshape(len(v), m, groups * width)
+    rhs = dual @ index_to_digits(v.ravel(), d, width).reshape(len(v), N * width, 1)
+    y = _smallest_solutions(np.concatenate([grouped, rhs], axis=2) % d, d)
+    symbols = y.reshape(len(v), groups, width) @ d ** np.arange(width)
+    return sure, np.take_along_axis(symbols, group, axis=1)
+
+
+def _smallest_solutions(system: np.ndarray, d: int) -> np.ndarray:
+    """The lexicographically smallest solution y of each consistent system
+    [A | b] (T, m, n + 1) of digits mod d, (T, n).
+
+    Gauss-Jordan elimination takes its pivots from the rightmost column
+    first, so each pivot variable depends only on the free variables left
+    of it.  Walking y from the left, a free variable is then best at 0 and
+    a pivot variable is forced, so the smallest solution sets every free
+    variable to 0 and each pivot variable to its row's reduced b.  The
+    cost is polynomial in m and n, however many solutions there are.
+    """
+    system = system.copy()
+    trials, m, n = system.shape[0], system.shape[1], system.shape[2] - 1
+    pivots = np.full((trials, m), -1)
+    # row[t]: the pivot row of trial t's column c, or 0 if it has none
+    row = np.zeros((trials, n + 1), dtype=np.int64)
+    for c in reversed(range(n)):
+        open_rows = (system[:, :, c] != 0) & (pivots < 0)
+        t = np.flatnonzero(open_rows.any(axis=1))
+        if not t.size:
+            continue
+        r = open_rows[t].argmax(axis=1)
+        inverse = np.array([pow(x, d - 2, d) for x in system[t, r, c].tolist()], dtype=np.int64)
+        row.fill(0)
+        row[t] = system[t, r] * inverse[:, None] % d
+        system -= system[:, :, c, None] * row[:, None, :]
+        system %= d
+        system[t, r] = row[t]
+        pivots[t, r] = c
+    y = np.zeros((trials, n), dtype=np.int64)
+    t, r = np.nonzero(pivots >= 0)
+    y[t, pivots[t, r]] = system[t, r, n]
+    return y
+
+
+def _in_code(perp: np.ndarray, x: np.ndarray, d: int) -> np.ndarray:
+    """Whether each of the (T, 2kN) digit vectors x[t] lies in C_out, given
+    a basis of perp(C_out) of each trial's code, (T, kN+K, 2kN), or of one
+    shared code: C_out = perp(perp(C_out)), so x lies in it iff it pairs to
+    zero with every row."""
+    return ~_mod(perp @ symplectic_dual(x, d)[:, :, None], d).any(axis=(1, 2))
+
+
+# ---------------------------------------------------------------------------
 # simulation
 
 
@@ -364,7 +454,8 @@ def simulate(cfg: SimConfig) -> SimReport:
 
     if not cfg.resample_outer:
         outer = cfg.outer or sample_self_orthogonal(d, ambient, dim, (cfg.seed, 0, 2))
-        ctx = _Contexts(inner, N, outer.canonical[None])
+        gens, perp = outer.basis[None], outer.canonical[None]
+        ctx = _Contexts(inner, N, perp)
 
     step = _decode_size(d, k, N, K)
     failures = 0
@@ -375,19 +466,24 @@ def simulate(cfg: SimConfig) -> SimReport:
         draws = np.searchsorted(cdf, rng.random((len(trials), N)), side="right")
         z, v = draws // arr.cols, draws % arr.cols
         if cfg.resample_outer:
-            perp = _DualEchelon.sample(d, ambient, dim, rng, len(trials)).perp
+            form = _DualEchelon.sample(d, ambient, dim, rng, len(trials))
+            gens, perp = form.basis(), form.perp
         v_hat = np.empty_like(v)
-        ok = np.empty(len(trials), dtype=bool)
-        chunks = np.array_split(np.arange(len(trials)), -(-len(trials) // step))
-        # made after the sampler has run and freed before it runs again, so
-        # that the two never hold memory at once
-        scratch = _Scratch(inner, N, K, len(chunks[0]))
-        for part in chunks:
-            at = slice(part[0], part[-1] + 1)
-            if cfg.resample_outer:
-                ctx = _Contexts(inner, N, perp[at])
-            v_hat[at], ok[at] = ctx.decode(z[at], v[at], scratch)
-        del scratch
+        sure, certified = _certify(d, z, v, gens)
+        v_hat[sure] = certified
+        rest = np.flatnonzero(~sure)
+        if rest.size:
+            chunks = np.array_split(rest, -(-rest.size // step))
+            # made after the sampler has run and freed before it runs
+            # again, so that the two never hold memory at once
+            scratch = _Scratch(inner, N, K, len(chunks[0]))
+            for part in chunks:
+                if cfg.resample_outer:
+                    ctx = _Contexts(inner, N, perp[part])
+                v_hat[part] = ctx.decode(z[part], v[part], scratch)
+            del scratch
+        diff = index_to_digits(v_hat.ravel(), d, 2 * k) - index_to_digits(v.ravel(), d, 2 * k)
+        ok = _in_code(perp, diff.reshape(len(v), -1), d)
         failures += int(ok.size - ok.sum())
         if trace is not None:
             trace.extend({"trial": t, "failure": not good, "z": zt, "v": vt, "v_hat": ht}
