@@ -21,7 +21,7 @@ import time
 from . import __version__
 from ._util import ConvergenceError, GuardError, QcapError, ValidationError
 from .channels import PauliChannel, channel_from_file, depolarizing
-from .codes import StabilizerCode, catalog, catalog_names, read_code_file
+from .codes import StabilizerCode, catalog, catalog_names, read_code_file, read_generators
 from .exponent import exponent, exponent_grid_oracle
 from .qoracle import oracle_report
 from .simconcat import SEED_CONTRACT, SimConfig, fidelity_bound_exact, simulate
@@ -128,13 +128,12 @@ def _cmd_exponent(args, start) -> None:
 def _cmd_simulate(args, start) -> None:
     inner = _code_from_spec(args.inner, args.d)
     ch = _resolve_channel(args, inner.d)
-    outer = None if args.outer == "random" else read_code_file(args.outer).subspace
+    outer = (None if args.outer == "random"
+             else read_generators(args.outer, (inner.d, inner.k * args.N)))
     cfg = SimConfig(inner=inner, outer=outer, N=args.N, K=args.K, channel=ch,
                     trials=args.trials, seed=args.seed,
                     resample_outer=args.resample_outer)
-    result = dataclasses.asdict(simulate(cfg))
-    del result["trace"]  # never recorded here
-    _emit_json(args, start, result, seed_contract=SEED_CONTRACT)
+    _emit_json(args, start, dataclasses.asdict(simulate(cfg)), seed_contract=SEED_CONTRACT)
 
 
 def _cmd_fbound(args, start) -> None:

@@ -157,6 +157,14 @@ def write_code_file(code: StabilizerCode, path) -> None:
 
 
 def read_code_file(path) -> StabilizerCode:
+    return StabilizerCode(read_generators(path))
+
+
+def read_generators(path, shape: tuple[int, int] | None = None) -> Subspace:
+    """A code file's generators as a Subspace of F_d^{2n}.  Before any row
+    is built, the header must give shape = (d, n) if that is given, as an
+    outer code over an inner code's kN labels must, or else pass the array
+    guard (check_array_build): no array of an outer code is ever built."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1)
                  if ln.strip() and not ln.lstrip().startswith("#")]
@@ -171,7 +179,10 @@ def read_code_file(path) -> StabilizerCode:
     if not 0 <= k <= n:
         raise ValidationError(f"code file header needs 0 <= k <= n, got k = {k} with n = {n}")
     d = _check_modulus(d)
-    check_array_build(d, n, k)
+    if shape is None:
+        check_array_build(d, n, k)
+    elif (d, n) != shape:
+        raise ValidationError(f"code file header has (d, n) = {(d, n)}, expected {shape}")
     rows = []
     for no, ln in lines[1:]:
         if " " in ln:
@@ -193,7 +204,7 @@ def read_code_file(path) -> StabilizerCode:
                 raise ValidationError(f"line {no}: {exc}") from None
     if len(rows) != n - k:
         raise ValidationError(f"expected {n - k} generators, found {len(rows)}")
-    return StabilizerCode(Subspace(d, 2 * n, rows))
+    return Subspace(d, 2 * n, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,16 @@ def index_to_digits(indices: np.ndarray, d: int, length: int) -> np.ndarray:
     return ((indices[:, None] // powers) % d).astype(np.int64)
 
 
+def digits_to_index(digits: np.ndarray, d: int) -> np.ndarray:
+    """Indices of little-endian base-d counters with their digits on the
+    last axis, in the digits' type, which must hold them: the inverse of
+    index_to_digits.  Horner's rule reads one digit slice at a time."""
+    index = np.zeros(digits.shape[:-1], dtype=digits.dtype)
+    for p in reversed(range(digits.shape[-1])):
+        index = index * d + digits[..., p]
+    return index
+
+
 def _mod(x: np.ndarray, d: int) -> np.ndarray:
     """x mod d for an integer array, as x - (x // d) * d: numpy divides an
     array by a scalar several times faster than it takes the remainder."""

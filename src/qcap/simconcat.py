@@ -12,34 +12,32 @@ decoded block succeeds iff v_hat - v lands in C_out.
 
 The trials run on a trial axis.  A batch of up to _BATCH trials draws its
 errors, samples its outer codes, certifies the winners it can and decodes
-the other trials as array operations in mod-d integer arithmetic, with as
-many trials decoded at once as keep their (N, T, Q) candidate keys within
-a fixed budget of cells, then tests every trial's success at once.  The
-chunks of a batch decode into one scratch, made once the batch has sampled
-its outer codes and freed before the next batch samples, so that the key,
-count and score arrays are allocated once a batch rather than once a
-chunk.  The results follow seed contract v4 (SEED_CONTRACT), which fixes
-the random streams and, by the canonical completion, the inner codes'
-labels.  Batch b, trials b*_BATCH onwards, reads one generator, (seed, b).
-One `random((T, N))` call gives the batch's error uniforms, row t for its
-trial t; with a resampled outer code, the isotropic sampler then draws
-from the same stream one block of digits per round of attempts, a row for
-each trial still drawing, in trial order.  The outer code drawn once for
-all trials is sample_self_orthogonal(d, 2kN, kN - K, (seed, 0, 2)),
-decoded as an explicit outer code would be.  So the results depend on
-_BATCH, which is part of the contract, but not on the decoding budget.
-tests/test_seed_contract.py keeps the record of each contract.
+the other trials as array operations in mod-d integer arithmetic, as many
+at once as keep their (N, T, Q) candidate keys within a fixed budget of
+cells, into one scratch made after the batch has sampled and freed before
+the next batch samples.  It then tests every trial's success at once and
+yields one record (_batches): simulate sums its failures, and the tests
+read it trial by trial.  The results follow seed contract v4
+(SEED_CONTRACT), which fixes the random streams and, by the canonical
+completion, the inner codes' labels.  Batch b, trials b*_BATCH onwards,
+reads one generator, (seed, b): one `random((T, N))` call gives its error
+uniforms, row t for its trial t, and with a resampled outer code the
+isotropic sampler then draws one block of digits per round of attempts,
+a row for each trial still drawing, in trial order.  The outer code drawn
+once for all trials is sample_self_orthogonal(d, 2kN, kN - K,
+(seed, 0, 2)), decoded as an explicit outer code would be.  So the
+results depend on _BATCH, part of the contract, but not on the decoding
+budget; tests/test_seed_contract.py keeps the record of each contract.
 
 The candidates, the v' with v's outer syndrome, are the coset
 v + perp(C_out), and the winner is a function of that set however it is
 listed, so the decoder needs only a basis B of perp(C_out): a Subspace's
 canonical one, or for a resampled outer code the one the isotropic sampler
 keeps in place as it grows the code's form of [dual(C_out) | I], which is
-the same basis.  Splitting B into halves B1, B2, the decoder lists the
-per-block symbols of v + span(B1) and of span(B2), about sqrt(d^{kN+K})
-vectors each, and forms every candidate's symbols by looking up, per
-block, the sum of a v + span(B1) symbol and a span(B2) symbol in a table
-built once per outer code.
+the same basis.  Each half B1, B2 of B gets one table per outer code, the
+per-block sums of every symbol and every vector of its span (about
+sqrt(d^{kN+K}) vectors): the head table at v's symbols lists v + span(B1),
+and the tail table at each of those adds span(B2).
 
 Before anything is listed, a trial whose v is constant on every syndrome
 group is certified.  A group of n_g blocks contributes at most n_g^(n_g) to
@@ -86,7 +84,7 @@ import numpy as np
 from ._util import GuardError, ValidationError, is_int, wilson_interval
 from .channels import PauliChannel
 from .codes import StabilizerCode
-from .gf import _mod, index_to_digits
+from .gf import _mod, digits_to_index, index_to_digits
 from .spectra import ProbabilityArray, probability_array
 from .symplectic import (Subspace, _DualEchelon, is_self_orthogonal, sample_self_orthogonal,
                          symplectic_dual)
@@ -123,7 +121,6 @@ class SimConfig:
     trials: int
     seed: int
     resample_outer: bool = False
-    record_trace: bool = False
 
     def __post_init__(self):
         k, N, K = self.inner.k, self.N, self.K
@@ -172,7 +169,6 @@ class SimReport:
     failure_rate: float
     wilson_low: float
     wilson_high: float
-    trace: tuple | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -196,47 +192,32 @@ def _cell_cdf(array: ProbabilityArray) -> np.ndarray:
 
 class _Contexts:
     """The candidate enumeration of C outer codes, one per trial of a batch
-    or one shared by every trial (C = 1): its two halves, built from a
-    basis of perp(C_out) of each code, (C, kN+K, 2kN).  Nothing else of the
-    code is needed: the candidates v + perp(C_out) of a trial are a
-    function of v and perp(C_out) alone.
-    """
+    or one shared by every trial (C = 1): a symbol-sum table of each half of
+    a basis of perp(C_out) of each code, (C, kN+K, 2kN).  Nothing else of
+    the code is needed: a trial's candidates v + perp(C_out) are a function
+    of v and perp(C_out) alone."""
 
     def __init__(self, inner: StabilizerCode, N: int, perp_basis: np.ndarray):
-        self.d = d = inner.d
-        k = inner.k
-        self.N = N
-        self.cols = cols = d ** (2 * k)
-        self.powers = d ** np.arange(2 * k, dtype=np.int64)
+        self.d, self.N, self.width = inner.d, N, 2 * inner.k
+        self.cols = inner.d ** self.width
         half = perp_basis.shape[1] // 2
-        self.head_span = self._span(perp_basis[:, :half])
-        tail = self._span(perp_basis[:, half:])
-        # tail_sums[j, c, s, b]: the symbol of s plus block j of the b-th
-        # vector of code c's second-half span, added digit by digit, in a
-        # type that also holds the keys z * cols + symbol of every syndrome z
-        dtype = _key_type(inner)
-        s = index_to_digits(np.arange(cols), d, 2 * k).astype(dtype)
-        digits = tail.reshape(tail.shape[:2] + (N, 2 * k)).transpose(2, 0, 3, 1).astype(dtype)
-        self.tail_sums = sum(_mod(s[:, p, None] + digits[:, :, p, None], d) * power
-                             for p, power in enumerate(self.powers.tolist()))
+        self.heads = self._sums(perp_basis[:, :half], _key_type(inner))
+        self.tails = self._sums(perp_basis[:, half:], _key_type(inner))
 
-    def _span(self, basis: np.ndarray) -> np.ndarray:
-        """All d^h vectors of span(basis) of each basis (C, h, 2kN), as
-        (C, d^h, 2kN) digit rows.  The float product is exact: its entries
-        are at most h (d-1)^2."""
-        h = basis.shape[1]
-        coeffs = index_to_digits(np.arange(self.d**h), self.d, h).astype(np.float64)
-        return _mod((coeffs @ basis).astype(np.int64), self.d)
-
-    def _symbols(self, vecs: np.ndarray) -> np.ndarray:
-        """(N, T, m) per-block symbols of (T, m, 2kN) digit vectors."""
-        blocks = vecs.reshape(vecs.shape[:2] + (self.N, -1))
-        symbols = sum(blocks[..., p] * power for p, power in enumerate(self.powers.tolist()))
-        return symbols.transpose(2, 0, 1)
-
-    def _digits(self, symbols: np.ndarray) -> np.ndarray:
-        """(T, 2kN) digit vectors of (T, N) per-block symbols."""
-        return index_to_digits(symbols.ravel(), self.d, len(self.powers)).reshape(len(symbols), -1)
+    def _sums(self, basis: np.ndarray, dtype: np.dtype) -> np.ndarray:
+        """sums[j, c, s, b]: the symbol of s plus block j of the b-th vector
+        of span(basis[c]), added digit by digit, for bases (C, h, 2kN), in a
+        type that also holds every key z * cols + symbol.  The float product
+        that spans them is exact: its entries are at most h (d-1)^2."""
+        d, h = self.d, basis.shape[1]
+        coeffs = index_to_digits(np.arange(d**h), d, h).astype(np.float64)
+        digits = _mod((coeffs @ basis).astype(np.int64), d).reshape(-1, d**h, self.N, self.width)
+        # digit p of block j of code c's b-th vector at [p, j, c, b]: with
+        # the digit axis outermost, each digit's sums are one contiguous block
+        digits = np.ascontiguousarray(digits.transpose(3, 2, 0, 1), dtype)
+        s = index_to_digits(np.arange(self.cols), d, self.width).T.astype(dtype)
+        sums = _mod(s[:, None, None, :, None] + digits[:, :, :, None], d)
+        return digits_to_index(np.moveaxis(sums, 0, -1), d)
 
     def decode(self, z: np.ndarray, v: np.ndarray, scratch: _Scratch) -> np.ndarray:
         """Decode T trials, trial t on code t (or on the shared code), from
@@ -244,21 +225,20 @@ class _Contexts:
         a scratch sized for at least T trials.
 
         Returns the decoded symbols (T, N).  The candidates, the v' with
-        v's outer syndrome, are the coset v + perp(C_out), enumerated as v +
-        span(first half of the basis) plus span(second half), with symbols
-        summed block by block.  The winner is a function of that set alone,
-        however it is listed.  Each candidate gets the key z_j * cols +
-        symbol in every block j, so blocks with different syndromes never
-        share a key.
+        v's outer syndrome, are the coset v + perp(C_out): the head table
+        at v's symbols lists v + span(first half of the basis), and the tail
+        table at each of those adds span(second half).  Each candidate gets
+        the key z_j * cols + symbol in every block j, so blocks with
+        different syndromes never share a key.
         """
-        d, N, cols = self.d, self.N, self.cols
+        N, cols = self.N, self.cols
         trials = len(z)
-        head = self._symbols(_mod(self.head_span + self._digits(v)[:, None, :], d))
-        # block j of trial t reads the rows (j, code, head symbol) of
-        # tail_sums, where the code is t's own, or the shared one
-        codes = self.tail_sums.shape[1]
+        # block j of trial t reads the rows (j, code, symbol) of either
+        # table, where the code is t's own, or the shared one
+        codes = self.tails.shape[1]
         first = (np.arange(N)[:, None] * codes + np.arange(trials) % codes) * cols
-        table = self.tail_sums.reshape(-1, self.tail_sums.shape[-1])
+        head = self.heads.reshape(-1, self.heads.shape[-1])[first + v.T]
+        table = self.tails.reshape(-1, self.tails.shape[-1])
         keys = _view(scratch.keys, (N, trials, head.shape[-1], table.shape[-1]))
         # the indices are in range, and mode="raise" would buffer the result
         np.take(table, first[:, :, None] + head, axis=0, out=keys, mode="wrap")
@@ -300,8 +280,8 @@ class _Contexts:
             exact = [math.prod(col) for col in counts[:, t, close].T.tolist()]
             top = max(exact)
             tied = close[[key == top for key in exact]]
-            symbols = keys[:, t, tied].T - z[t] * cols
-            rows = self._digits(symbols).tolist()
+            symbols = (keys[:, t, tied].T - z[t] * cols).ravel()
+            rows = index_to_digits(symbols, self.d, self.width).reshape(tied.size, -1).tolist()
             winner[t] = tied[min(range(tied.size), key=rows.__getitem__)]
         return winner
 
@@ -374,7 +354,7 @@ def _certify(d: int, z: np.ndarray, v: np.ndarray,
     grouped = (blocks @ spread[:, None]).transpose(0, 1, 3, 2).reshape(len(v), m, groups * width)
     rhs = dual @ index_to_digits(v.ravel(), d, width).reshape(len(v), N * width, 1)
     y = _smallest_solutions(np.concatenate([grouped, rhs], axis=2) % d, d)
-    symbols = y.reshape(len(v), groups, width) @ d ** np.arange(width)
+    symbols = digits_to_index(y.reshape(len(v), groups, width), d)
     return sure, np.take_along_axis(symbols, group, axis=1)
 
 
@@ -428,7 +408,8 @@ def _in_code(perp: np.ndarray, x: np.ndarray, d: int) -> np.ndarray:
 def _decode_size(d: int, k: int, N: int, K: int) -> int:
     """Trials decoded at once: as many as keep the candidate keys (N, T, Q)
     and the tail tables (N, T, d^2k, Q_tail) within _DECODE_CELLS cells,
-    at least one and at most a batch."""
+    at least one and at most a batch; the head tables, Q_head <= Q_tail,
+    are no larger than the tail tables."""
     size = k * N + K
     per_trial = N * (d**size + d ** (2 * k + size - size // 2))
     return min(max(1, _DECODE_CELLS // per_trial), _BATCH)
@@ -443,6 +424,14 @@ def simulate(cfg: SimConfig) -> SimReport:
     count a failure when the decoded and true labels differ by a vector
     outside C_out.  The trials run in batches on a trial axis.
     """
+    failures = sum(int(ok.size - ok.sum()) for *_, ok in _batches(cfg))
+    low, high = wilson_interval(failures, cfg.trials)
+    return SimReport(failures, cfg.trials, failures / cfg.trials, low, high)
+
+
+def _batches(cfg: SimConfig):
+    """simulate's trials batch by batch: yields each batch's trial numbers
+    (a range), its z, v and v_hat, (T, N) each, and its success mask (T,)."""
     inner = cfg.inner
     d, k, N, K = inner.d, inner.k, cfg.N, cfg.K
     # the exponent is capped so that no big power is formed: d^25 > 2^24
@@ -458,8 +447,6 @@ def simulate(cfg: SimConfig) -> SimReport:
         ctx = _Contexts(inner, N, perp)
 
     step = _decode_size(d, k, N, K)
-    failures = 0
-    trace = [] if cfg.record_trace else None
     for batch, start in enumerate(range(0, cfg.trials, _BATCH)):
         trials = range(start, min(start + _BATCH, cfg.trials))
         rng = np.random.default_rng((cfg.seed, batch))
@@ -483,15 +470,7 @@ def simulate(cfg: SimConfig) -> SimReport:
                 v_hat[part] = ctx.decode(z[part], v[part], scratch)
             del scratch
         diff = index_to_digits(v_hat.ravel(), d, 2 * k) - index_to_digits(v.ravel(), d, 2 * k)
-        ok = _in_code(perp, diff.reshape(len(v), -1), d)
-        failures += int(ok.size - ok.sum())
-        if trace is not None:
-            trace.extend({"trial": t, "failure": not good, "z": zt, "v": vt, "v_hat": ht}
-                         for t, good, zt, vt, ht in zip(trials, ok.tolist(), z.tolist(),
-                                                         v.tolist(), v_hat.tolist()))
-    low, high = wilson_interval(failures, cfg.trials)
-    return SimReport(failures, cfg.trials, failures / cfg.trials, low, high,
-                     tuple(trace) if trace is not None else None)
+        yield trials, z, v, v_hat, _in_code(perp, diff.reshape(len(v), -1), d)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ import numpy as np
 from ._util import ValidationError, check_array_build, entropy_nats
 from .channels import PauliChannel
 from .codes import StabilizerCode
+from .gf import digits_to_index, index_to_digits
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,10 +98,9 @@ def _site_tables(code: StabilizerCode) -> tuple[np.ndarray, np.ndarray]:
     letters = np.indices((d, d)).reshape(2, -1).T  # (u, v) in the order of matrix.ravel()
     shifts = (letters @ chi.reshape(m, n, 2).transpose(1, 2, 0)) % d  # (site, letter, digit)
     h = m // 2
-    weights = d ** np.arange(m - h)
-    digits = (np.arange(d ** (m - h))[:, None] // weights) % d
-    low = ((digits[:d ** h, :h] - shifts[..., None, :h]) % d) @ weights[:h]
-    high = ((digits - shifts[..., None, h:]) % d) @ weights
+    digits = index_to_digits(np.arange(d ** (m - h)), d, m - h)
+    low = digits_to_index((digits[:d ** h, :h] - shifts[..., None, :h]) % d, d)
+    high = digits_to_index((digits - shifts[..., None, h:]) % d, d)
     high.setflags(write=False)
     low.setflags(write=False)
     return high, low

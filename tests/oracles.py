@@ -17,14 +17,6 @@ from qcap.spectra import ProbabilityArray, probability_array
 from qcap.symplectic import HyperbolicBasis, Subspace, symplectic_dual
 
 
-def digits_to_index(digits: np.ndarray, d: int) -> np.ndarray:
-    """Fold little-endian base-d digit rows back into integer indices: the
-    inverse of qcap.gf.index_to_digits."""
-    digits = np.asarray(digits, dtype=np.int64)
-    powers = d ** np.arange(digits.shape[-1], dtype=np.int64)
-    return digits @ powers
-
-
 # ---------------------------------------------------------------------------
 # dense Gauss-Jordan elimination mod a prime: the reference for the library's
 # incremental echelon forms, at every d
@@ -431,9 +423,18 @@ def decode_min_conditional_entropy(inner: StabilizerCode, outer: Subspace | Stab
     return decode_ctx(inner, ctx, np.asarray(z_indices), np.asarray(sigma))
 
 
+def trial_rows(cfg: SimConfig) -> list[dict]:
+    """The trials of simconcat.simulate(cfg), one row each, read off the
+    records of its batches (simconcat._batches)."""
+    return [{"trial": t, "failure": not good, "z": zt, "v": vt, "v_hat": ht}
+            for trials, z, v, v_hat, ok in simconcat._batches(cfg)
+            for t, good, zt, vt, ht in zip(trials, ok.tolist(), z.tolist(), v.tolist(),
+                                           v_hat.tolist())]
+
+
 def simulate_per_trial(cfg: SimConfig) -> list[dict]:
-    """The trace of simconcat.simulate(cfg), one trial at a time, under seed
-    contract v3.  Batch b of simconcat._BATCH trials reads the generator
+    """The rows of trial_rows(cfg), one trial at a time, under seed
+    contract v4.  Batch b of simconcat._BATCH trials reads the generator
     (seed, b): first every trial's error uniforms, then, with a resampled
     outer code, every trial's outer code by the dense sampler.  The
     explicit outer code, or the one drawn from (seed, 0, 2), is shared.

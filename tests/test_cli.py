@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qcap import PauliChannel, catalog, coherent_bound, depolarizing, write_code_file
+from qcap import (PauliChannel, SimConfig, StabilizerCode, catalog, coherent_bound, depolarizing,
+                  sample_self_orthogonal, simulate, write_code_file)
 from qcap.cli import SWEEP_COLUMNS, SWEEP_SCHEMA, run
 from qcap.exponent import exponent
 from qcap.gf import is_prime
@@ -58,6 +60,9 @@ def test_bound_json_matches_library(capsys):
 SIMULATE = ["simulate", "--inner", "rep3", "--d", "2", "--N", "4", "--K", "1", "--p", "0.05",
             "--trials", "100", "--seed", "7"]
 EXPONENT = ["exponent", "--code", "trivial1", "--d", "2", "--p", "0.05", "--rate", "0.25"]
+# an outer code for SIMULATE's kN = 4 labels and K = 1, which the tests that
+# pass it as --outer outer.code write to their working directory
+OUTER = sample_self_orthogonal(2, 8, 3, 5)
 
 
 @pytest.mark.parametrize("argv", [
@@ -66,11 +71,14 @@ EXPONENT = ["exponent", "--code", "trivial1", "--d", "2", "--p", "0.05", "--rate
     EXPONENT + ["--oracle-grid", "20"],
     SIMULATE,
     SIMULATE + ["--resample-outer"],
+    SIMULATE + ["--outer", "outer.code"],
     ["fbound", "--inner", "rep3", "--d", "2", "--N", "4", "--K", "1", "--p", "0.05"],
     ["oracle-check", "--code", "rep2", "--d", "2", "--p", "0.1"],
 ], ids=["bound", "exponent", "exponent-oracle-grid", "simulate-fixed", "simulate-resampled",
-        "fbound", "oracle-check"])
-def test_replay_reproduces_result_bytes(capsys, argv):
+        "simulate-explicit", "fbound", "oracle-check"])
+def test_replay_reproduces_result_bytes(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    write_code_file(StabilizerCode(OUTER), "outer.code")
     first = run_json(capsys, argv)
     check_schema(first, argv[0])
     second = run_json(capsys, argv)
@@ -128,6 +136,35 @@ def test_simulate_json_and_reproducibility(capsys):
     assert "seed_contract" not in payload["result"]
     again = run_json(capsys, argv)
     assert payload["result"] == again["result"]
+
+
+def test_simulate_outer_file_matches_library(tmp_path, capsys):
+    path = tmp_path / "outer.code"
+    write_code_file(StabilizerCode(OUTER), path)
+    payload = run_json(capsys, SIMULATE + ["--outer", str(path)])
+    check_schema(payload, "simulate")
+    cfg = SimConfig(inner=catalog("rep3", 2), outer=OUTER, N=4, K=1,
+                    channel=depolarizing(2, 0.05), trials=100, seed=7)
+    report = simulate(cfg)
+    assert report.failures > 0
+    assert payload["result"] == dataclasses.asdict(report)
+
+
+def test_simulate_outer_file_is_checked_against_the_inner_code_only(tmp_path, capsys):
+    # as a code of its own, an outer code over trivial1/d=13's kN = 6 labels
+    # would have a 13^6-cell array, over the array guard; no such array is
+    # built, so its header is checked against the inner code's d and kN only
+    path = tmp_path / "outer.code"
+    write_code_file(StabilizerCode(sample_self_orthogonal(13, 12, 6, 0)), path)
+    argv = ["simulate", "--inner", "trivial1", "--d", "13", "--N", "6", "--K", "0",
+            "--p", "0.0", "--trials", "2", "--outer", str(path)]
+    assert run_json(capsys, argv)["result"]["failures"] == 0
+    # a header with n != kN is refused before its rows, whose digits are out
+    # of range, are read
+    path.write_text("13 5 0\n" + "99 " * 10 + "\n")
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "(d, n) = (13, 5), expected (13, 6)" in err and "line 2" not in err
 
 
 def test_fbound_json(capsys):

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from qcap import PauliChannel, Subspace, ValidationError, catalog, depolarizing, symplectic_form
-from qcap.gf import _check_modulus, index_to_digits, is_prime
-
-from oracles import digits_to_index
+from qcap.gf import _check_modulus, digits_to_index, index_to_digits, is_prime
 
 
 def test_is_prime():
@@ -99,6 +97,9 @@ def test_index_digit_round_trip():
     digits = index_to_digits(idx, 3, 5)
     assert (digits_to_index(digits, 3) == idx).all()
     assert (digits[4] == [1, 1, 0, 0, 0]).all()
+    # over the last axis of any shape, in the digits' own type
+    small = digits_to_index(digits.reshape(3, 81, 5).astype(np.uint8), 3)
+    assert small.dtype == np.uint8 and (small == idx.reshape(3, 81)).all()
 
 
 def test_pairs_layout():

@@ -33,11 +33,14 @@ write it down in CHANGES.md rather than refreshing the digest.
 """
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qcap import SimConfig, catalog, depolarizing, sample_self_orthogonal, simconcat, simulate
+
+from oracles import trial_rows
 
 COMPLETIONS = [(f"rep{n}", d) for n in range(2, 8) for d in (2, 3, 5)]
 COMPLETIONS += [("trivial3", d) for d in (2, 3, 5)] + [("five_qubit", 2)]
@@ -67,13 +70,15 @@ def sample_digest(d, dim, seed):
 
 
 def run_trace(d, inner, N, K, p, resample_outer=True):
+    """simulate's failure count on 200 trials, with the per-trial rows of
+    its batch records."""
     cfg = SimConfig(inner=catalog(inner, d), outer=None, N=N, K=K, channel=depolarizing(d, p),
-                    trials=200, seed=2024, resample_outer=resample_outer, record_trace=True)
-    return simulate(cfg)
+                    trials=200, seed=2024, resample_outer=resample_outer)
+    return SimpleNamespace(failures=simulate(cfg).failures, rows=trial_rows(cfg))
 
 
 def trace_digest(report):
-    rows = [t["z"] + t["v"] + t["v_hat"] + [t["failure"]] for t in report.trace]
+    rows = [t["z"] + t["v"] + t["v_hat"] + [t["failure"]] for t in report.rows]
     return digest(np.array(rows))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from unittest.mock import patch
@@ -23,6 +24,7 @@ from qcap.gf import index_to_digits
 from qcap.symplectic import _DualEchelon, symplectic_dual
 from qcap.simconcat import (
     SimConfig,
+    SimReport,
     _Contexts,
     _Scratch,
     fidelity_bound_exact,
@@ -42,6 +44,7 @@ from oracles import (
     sample_error,
     simulate_per_trial,
     solve_affine,
+    trial_rows,
 )
 
 
@@ -456,21 +459,21 @@ def random_simulation(draw):
              if mode == "explicit" else None)
     return dict(inner=inner, outer=outer, N=N, K=K,
                 channel=PauliChannel(d, weights / weights.sum()), seed=draw(seeds),
-                resample_outer=mode == "resampled", record_trace=True)
+                resample_outer=mode == "resampled")
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(random_simulation(), st.sampled_from((None, -1, 0, 1)), st.sampled_from((1, 1 << 12, None)))
 def test_trial_axis_matches_per_trial_reference(config, offset, cells):
-    # trace for trace against the decoder run one trial at a time, with one
+    # row for row against the decoder run one trial at a time, with one
     # trial or B - 1, B and B + 1 around the batch size B, and budgets that
     # decode one trial, a few, or a whole batch at a time
     trials = 1 if offset is None else simconcat._BATCH + offset
     cfg = SimConfig(trials=trials, **config)
     with patch.object(simconcat, "_DECODE_CELLS", cells or simconcat._DECODE_CELLS):
-        report = simulate(cfg)
+        rows, report = trial_rows(cfg), simulate(cfg)
     want = simulate_per_trial(cfg)
-    assert list(report.trace) == want
+    assert rows == want
     assert report.failures == sum(t["failure"] for t in want)
 
 
@@ -482,9 +485,8 @@ def test_trial_axis_matches_per_trial_reference_on_catalog_codes(name, d, N, K, 
     outer = (sample_self_orthogonal(d, 2 * code.k * N, code.k * N - K, 5)
              if mode == "explicit" else None)
     cfg = SimConfig(inner=code, outer=outer, N=N, K=K, channel=depolarizing(d, 0.1),
-                    trials=simconcat._BATCH + 1, seed=3, resample_outer=mode == "resampled",
-                    record_trace=True)
-    assert list(simulate(cfg).trace) == simulate_per_trial(cfg)
+                    trials=simconcat._BATCH + 1, seed=3, resample_outer=mode == "resampled")
+    assert trial_rows(cfg) == simulate_per_trial(cfg)
 
 
 def test_trial_axis_matches_per_trial_reference_one_trial_at_a_time():
@@ -493,16 +495,28 @@ def test_trial_axis_matches_per_trial_reference_one_trial_at_a_time():
         code = catalog(name, d)
         assert simconcat._decode_size(d, code.k, N, K) == 1
         cfg = SimConfig(inner=code, outer=None, N=N, K=K, channel=depolarizing(d, p),
-                        trials=3, seed=11, resample_outer=True, record_trace=True)
-        assert list(simulate(cfg).trace) == simulate_per_trial(cfg)
+                        trials=3, seed=11, resample_outer=True)
+        assert trial_rows(cfg) == simulate_per_trial(cfg)
 
 
 def test_simulate_trace():
+    # the batch records that tests read trial by trial hold simulate's trials
     cfg = SimConfig(inner=TRIV, outer=None, N=4, K=1, channel=depolarizing(2, 0.1),
-                    trials=5, seed=2, record_trace=True)
-    rep = simulate(cfg)
-    assert rep.trace is not None and len(rep.trace) == 5
-    assert {"trial", "failure", "z", "v", "v_hat"} <= set(rep.trace[0])
+                    trials=simconcat._BATCH + 5, seed=2)
+    rows = trial_rows(cfg)
+    assert [row["trial"] for row in rows] == list(range(cfg.trials))
+    assert {"trial", "failure", "z", "v", "v_hat"} == set(rows[0])
+    assert sum(row["failure"] for row in rows) == simulate(cfg).failures
+
+
+def test_simulate_has_no_trace_option():
+    # the removed option is refused, not ignored, and the report holds the
+    # five numbers that the CLI prints
+    with pytest.raises(TypeError):
+        SimConfig(inner=TRIV, outer=None, N=4, K=1, channel=depolarizing(2, 0.1),
+                  trials=5, seed=2, record_trace=True)
+    assert [f.name for f in dataclasses.fields(SimReport)] == [
+        "failures", "trials", "failure_rate", "wilson_low", "wilson_high"]
 
 
 def test_simconfig_validation():

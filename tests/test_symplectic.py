@@ -13,12 +13,11 @@ from qcap import (
     sample_self_orthogonal,
     symplectic_form,
 )
-from qcap.gf import index_to_digits
+from qcap.gf import digits_to_index, index_to_digits
 from qcap.symplectic import _DualEchelon, gram_matrix, symplectic_dual
 
 from oracles import (
     completion_syndrome,
-    digits_to_index,
     hyperbolic_complete_dense,
     nullspace,
     random_completion,
