@@ -24,7 +24,7 @@ from .channels import PauliChannel, channel_from_file, depolarizing
 from .codes import StabilizerCode, catalog, catalog_names, read_code_file, read_generators
 from .exponent import exponent, exponent_grid_oracle
 from .qoracle import oracle_report
-from .simconcat import SEED_CONTRACT, SimConfig, fidelity_bound_exact, simulate
+from .simconcat import SEED_CONTRACT, SimConfig, _check_blocks, fidelity_bound_exact, simulate
 from .spectra import coherent_bound
 
 SWEEP_SCHEMA = "qcap-sweep-v1"
@@ -128,6 +128,8 @@ def _cmd_exponent(args, start) -> None:
 def _cmd_simulate(args, start) -> None:
     inner = _code_from_spec(args.inner, args.d)
     ch = _resolve_channel(args, inner.d)
+    # N and K as SimConfig checks them, before an outer file is read against kN
+    _check_blocks(inner, args.N, args.K)
     outer = (None if args.outer == "random"
              else read_generators(args.outer, (inner.d, inner.k * args.N)))
     cfg = SimConfig(inner=inner, outer=outer, N=args.N, K=args.K, channel=ch,

@@ -10,31 +10,36 @@ with the observed outer syndrome (a coset of perp(C_out), of size d^{kN+K})
 for the one whose joint type with z has minimum conditional entropy; the
 decoded block succeeds iff v_hat - v lands in C_out.
 
-The trials run on a trial axis.  A batch of up to _BATCH trials draws its
-errors, samples its outer codes, certifies the winners it can and decodes
-the other trials as array operations in mod-d integer arithmetic, as many
-at once as keep their (N, T, Q) candidate keys within a fixed budget of
-cells, into one scratch made after the batch has sampled and freed before
-the next batch samples.  It then tests every trial's success at once and
-yields one record (_batches): simulate sums its failures, and the tests
-read it trial by trial.  The results follow seed contract v4
-(SEED_CONTRACT), which fixes the random streams and, by the canonical
+The trials run on a trial axis in batches of _BATCH, and consecutive
+batches run together as one group, as many as _group_size allows.  A
+group draws its errors, samples its outer codes, certifies the winners it
+can and decodes the other trials as array operations in mod-d integer
+arithmetic, as many at once as keep their (N, T, Q) candidate keys within
+a fixed budget of cells and no more than a batch's share of the group's,
+into one scratch made after the group has sampled and freed before the
+next group samples.  It then tests every trial's success at once and
+yields one record per batch (_batches): simulate sums their failures,
+and the tests read them trial by trial.  The results follow seed contract
+v4 (SEED_CONTRACT), which fixes the random streams and, by the canonical
 completion, the inner codes' labels.  Batch b, trials b*_BATCH onwards,
 reads one generator, (seed, b): one `random((T, N))` call gives its error
 uniforms, row t for its trial t, and with a resampled outer code the
 isotropic sampler then draws one block of digits per round of attempts,
-a row for each trial still drawing, in trial order.  The outer code drawn
-once for all trials is sample_self_orthogonal(d, 2kN, kN - K,
-(seed, 0, 2)), decoded as an explicit outer code would be.  So the
-results depend on _BATCH, part of the contract, but not on the decoding
-budget; tests/test_seed_contract.py keeps the record of each contract.
+a row for each of the batch's trials still drawing, in trial order; in a
+group each generator reads just these digits.  The outer code drawn once
+for all trials is sample_self_orthogonal(d, 2kN, kN - K, (seed, 0, 2)),
+decoded as an explicit outer code would be, and its tables are built on
+the first group with a trial to enumerate.  So the results depend on
+_BATCH, part of the contract, but neither on the decoding budget nor on
+how many batches run together; tests/test_seed_contract.py keeps the
+record of each contract.
 
 The candidates, the v' with v's outer syndrome, are the coset
 v + perp(C_out), and the winner is a function of that set however it is
 listed, so the decoder needs only a basis B of perp(C_out): a Subspace's
-canonical one, or for a resampled outer code the one the isotropic sampler
-keeps in place as it grows the code's form of [dual(C_out) | I], which is
-the same basis.  Each half B1, B2 of B gets one table per outer code, the
+canonical one, or for a resampled outer code the one read off the rows of
+the isotropic sampler's form of [dual(C_out) | I], which is the same
+basis.  Each half B1, B2 of B gets one table per outer code, the
 per-block sums of every symbol and every vector of its span (about
 sqrt(d^{kN+K}) vectors): the head table at v's symbols lists v + span(B1),
 and the tail table at each of those adds span(B2).
@@ -347,20 +352,23 @@ def _certify(d: int, z: np.ndarray, v: np.ndarray,
     first = lead == np.arange(N)
     group = np.take_along_axis(first.cumsum(axis=1) - 1, lead, axis=1)
     groups = int(first.sum(axis=1).max(initial=0))
-    spread = (group[:, :, None] == np.arange(groups)).astype(np.int64)
-    dual = symplectic_dual(gens, d)
+    # the smallest signed type of the sums below, at most (d-1)^2 2kN
+    dtype = np.min_scalar_type(-1 - (d - 1) ** 2 * gens.shape[2])
+    spread = (group[:, :, None] == np.arange(groups)).astype(dtype)
+    dual = symplectic_dual(gens, d).astype(dtype)
     m = dual.shape[1]
     blocks = dual.reshape(len(dual), m, N, width).transpose(0, 1, 3, 2)
     grouped = (blocks @ spread[:, None]).transpose(0, 1, 3, 2).reshape(len(v), m, groups * width)
-    rhs = dual @ index_to_digits(v.ravel(), d, width).reshape(len(v), N * width, 1)
-    y = _smallest_solutions(np.concatenate([grouped, rhs], axis=2) % d, d)
+    rhs = dual @ index_to_digits(v.ravel(), d, width).astype(dtype).reshape(len(v), N * width, 1)
+    y = _smallest_solutions(_mod(np.concatenate([grouped, rhs], axis=2), d), d)
     symbols = digits_to_index(y.reshape(len(v), groups, width), d)
     return sure, np.take_along_axis(symbols, group, axis=1)
 
 
 def _smallest_solutions(system: np.ndarray, d: int) -> np.ndarray:
     """The lexicographically smallest solution y of each consistent system
-    [A | b] (T, m, n + 1) of digits mod d, (T, n).
+    [A | b] (T, m, n + 1) of digits mod d, in a signed type that holds
+    (d-1)^2, (T, n).
 
     Gauss-Jordan elimination takes its pivots from the rightmost column
     first, so each pivot variable depends only on the free variables left
@@ -369,22 +377,23 @@ def _smallest_solutions(system: np.ndarray, d: int) -> np.ndarray:
     variable to 0 and each pivot variable to its row's reduced b.  The
     cost is polynomial in m and n, however many solutions there are.
     """
-    system = system.copy()
     trials, m, n = system.shape[0], system.shape[1], system.shape[2] - 1
     pivots = np.full((trials, m), -1)
     # row[t]: the pivot row of trial t's column c, or 0 if it has none
-    row = np.zeros((trials, n + 1), dtype=np.int64)
+    row = np.zeros((trials, n + 1), dtype=system.dtype)
     for c in reversed(range(n)):
         open_rows = (system[:, :, c] != 0) & (pivots < 0)
         t = np.flatnonzero(open_rows.any(axis=1))
         if not t.size:
             continue
         r = open_rows[t].argmax(axis=1)
-        inverse = np.array([pow(x, d - 2, d) for x in system[t, r, c].tolist()], dtype=np.int64)
         row.fill(0)
-        row[t] = system[t, r] * inverse[:, None] % d
-        system -= system[:, :, c, None] * row[:, None, :]
-        system %= d
+        row[t] = system[t, r]
+        if d > 2:
+            # each pivot's inverse x^(d-2) mod d; over F_2 every pivot is 1
+            inverse = [pow(x, d - 2, d) for x in system[t, r, c].tolist()]
+            row[t] = _mod(row[t] * np.array(inverse, dtype=system.dtype)[:, None], d)
+        system = _mod(system - system[:, :, c, None] * row[:, None, :], d)
         system[t, r] = row[t]
         pivots[t, r] = c
     y = np.zeros((trials, n), dtype=np.int64)
@@ -408,11 +417,19 @@ def _in_code(perp: np.ndarray, x: np.ndarray, d: int) -> np.ndarray:
 def _decode_size(d: int, k: int, N: int, K: int) -> int:
     """Trials decoded at once: as many as keep the candidate keys (N, T, Q)
     and the tail tables (N, T, d^2k, Q_tail) within _DECODE_CELLS cells,
-    at least one and at most a batch; the head tables, Q_head <= Q_tail,
-    are no larger than the tail tables."""
+    at least one; the head tables, Q_head <= Q_tail, are no larger than
+    the tail tables."""
     size = k * N + K
     per_trial = N * (d**size + d ** (2 * k + size - size // 2))
-    return min(max(1, _DECODE_CELLS // per_trial), _BATCH)
+    return max(1, _DECODE_CELLS // per_trial)
+
+
+def _group_size(k: int, N: int) -> int:
+    """Batches run together on one trial axis: as many as keep a
+    (T, 2kN, 2kN) array of eight-byte words within _DECODE_CELLS bytes, at
+    least one.  Such an array bounds each of a group's outer codes,
+    certificate systems and success tests."""
+    return max(1, _DECODE_CELLS // (8 * _BATCH * (2 * k * N) ** 2))
 
 
 def simulate(cfg: SimConfig) -> SimReport:
@@ -431,7 +448,8 @@ def simulate(cfg: SimConfig) -> SimReport:
 
 def _batches(cfg: SimConfig):
     """simulate's trials batch by batch: yields each batch's trial numbers
-    (a range), its z, v and v_hat, (T, N) each, and its success mask (T,)."""
+    (a range), its z, v and v_hat, (T, N) each, and its success mask (T,).
+    Consecutive batches run as one group on the trial axis."""
     inner = cfg.inner
     d, k, N, K = inner.d, inner.k, cfg.N, cfg.K
     # the exponent is capped so that no big power is formed: d^25 > 2^24
@@ -441,36 +459,50 @@ def _batches(cfg: SimConfig):
     cdf = _cell_cdf(arr)
     ambient, dim = 2 * k * N, k * N - K
 
+    ctx = None
     if not cfg.resample_outer:
         outer = cfg.outer or sample_self_orthogonal(d, ambient, dim, (cfg.seed, 0, 2))
-        gens, perp = outer.basis[None], outer.canonical[None]
-        ctx = _Contexts(inner, N, perp)
+        shared = outer.basis[None], outer.canonical[None]
 
     step = _decode_size(d, k, N, K)
-    for batch, start in enumerate(range(0, cfg.trials, _BATCH)):
-        trials = range(start, min(start + _BATCH, cfg.trials))
-        rng = np.random.default_rng((cfg.seed, batch))
-        draws = np.searchsorted(cdf, rng.random((len(trials), N)), side="right")
-        z, v = draws // arr.cols, draws % arr.cols
+    span = _group_size(k, N) * _BATCH
+    for first in range(0, cfg.trials, span):
+        trials = range(first, min(first + span, cfg.trials))
+        batches = [trials[i:i + _BATCH] for i in range(0, len(trials), _BATCH)]
+        streams = [(np.random.default_rng((cfg.seed, b.start // _BATCH)), len(b)) for b in batches]
+        uniforms = np.concatenate([rng.random((n, N)) for rng, n in streams])
+        z, v = np.divmod(np.searchsorted(cdf, uniforms, side="right"), arr.cols)
         if cfg.resample_outer:
-            form = _DualEchelon.sample(d, ambient, dim, rng, len(trials))
-            gens, perp = form.basis(), form.perp
+            form = _DualEchelon.sample(d, ambient, dim, streams)
+            # the group's perp bases are held in the form's small type, and
+            # the form and the generators are freed before the scratch is made
+            gens, perp = form.basis(), form.perp.astype(form.rows.dtype)
+            del form
+        else:
+            gens, perp = shared
         v_hat = np.empty_like(v)
         sure, certified = _certify(d, z, v, gens)
+        del gens
         v_hat[sure] = certified
         rest = np.flatnonzero(~sure)
         if rest.size:
-            chunks = np.array_split(rest, -(-rest.size // step))
-            # made after the sampler has run and freed before it runs
-            # again, so that the two never hold memory at once
+            if ctx is None and not cfg.resample_outer:
+                # built on the first group with a trial to enumerate
+                ctx = _Contexts(inner, N, perp)
+            # no more than a batch's share of them at once, so that the
+            # scratch stays the size that one batch needs
+            most = min(step, -(-rest.size // len(batches)))
+            chunks = np.array_split(rest, -(-rest.size // most))
             scratch = _Scratch(inner, N, K, len(chunks[0]))
             for part in chunks:
-                if cfg.resample_outer:
-                    ctx = _Contexts(inner, N, perp[part])
-                v_hat[part] = ctx.decode(z[part], v[part], scratch)
-            del scratch
+                tables = ctx if ctx is not None else _Contexts(inner, N, perp[part])
+                v_hat[part] = tables.decode(z[part], v[part], scratch)
+            del scratch, tables
         diff = index_to_digits(v_hat.ravel(), d, 2 * k) - index_to_digits(v.ravel(), d, 2 * k)
-        yield trials, z, v, v_hat, _in_code(perp, diff.reshape(len(v), -1), d)
+        ok = _in_code(perp, diff.reshape(len(v), -1), d)
+        for b in batches:
+            part = slice(b.start - first, b.stop - first)
+            yield b, z[part], v[part], v_hat[part], ok[part]
 
 
 # ---------------------------------------------------------------------------

@@ -26,17 +26,18 @@ in ambient dimension 2m the number of valid extension vectors is
 d**(2m - m') - d**m', a function of m' alone, so every isotropic subspace of
 the target dimension is reached with equal probability.  On the same kind
 of form a drawn v lies in the span exactly when dual(v) reduces to zero on
-the first 2m columns, and perp(current) is updated in place when a row with
-a new pivot p joins (drop n_p, subtract r[c] n_p from every other n_c).
-Every Subspace keeps the form grown from its generators (for a sampled
-subspace, the sampler's own form) and reads its perp basis off it, which
-is all the decoder needs of an outer code; the completion continues a
-widened copy of that form, so each subspace's generator rows are reduced
-once.
+the first 2m columns, and no basis of perp(current) is kept: v is read off
+the reduced rows, its coefficients at the free columns and at each pivot
+p_j minus the sum of r_j[c] times the coefficient at c over the free
+columns c.  Every Subspace keeps the form grown from its generators (for
+a sampled subspace, the sampler's own form) and reads its perp basis off
+it once, which is all the decoder needs of an outer code; the completion
+continues a widened copy of that form, so each subspace's generator rows
+are reduced once.
 
 The form is held for T independent lists of vectors on a leading trial
-axis: the decoder samples the outer codes of a whole batch of trials at
-once, and everything else uses T = 1.  Over any field the reduced row
+axis: the decoder samples the outer codes of a group of batches at once,
+each batch from its own generator, and everything else uses T = 1.  Over any field the reduced row
 echelon form of a row space is unique, and so is the nullspace basis read
 off it, so every trial's rows equal those of a form grown alone.  For the
 same reason a Subspace's perp basis is a canonical form: L = perp(perp(L)),
@@ -47,6 +48,7 @@ elimination in tests/oracles.py is the reference.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,17 +100,22 @@ class _DualEchelon:
     trial on a leading axis; every list has the same length m.
 
     Each form is the reduced row echelon form of its rows, kept as (T, m,
-    ambient + dim) rows with their pivot columns.  A row's pivot lies left
-    of the identity columns exactly when g is outside the span of the
-    earlier g, so the form is also the membership test.  Beside it the
-    basis of perp(span g) is kept in place, row for row the nullspace basis
-    read off the form: one vector n_c per free column c, in increasing
-    order, as `perp` (T, ambient - m, ambient).  When a row r with pivot p
-    joins, n_p is dropped and every other n_c becomes n_c - r[c] n_p.  The
-    identity columns give representatives y_j with <g_i, y_j> = delta_ij.
-    A reduced echelon form and the nullspace basis read off it are
-    canonical, so every trial's rows equal those of a form grown from its g
-    alone.
+    ambient + dim) rows with their pivot columns and the mask of the free
+    columns.  A row's pivot lies left of the identity columns exactly when
+    g is outside the span of the earlier g, so the form is also the
+    membership test.  The basis of perp(span g) is the nullspace basis read
+    off the rows, built on demand as `perp` (T, ambient - m, ambient): one
+    vector n_c per free column c, in increasing order, with digit 1 at c, 0
+    at the other free columns and -r_j[c] at the pivot p_j of each row r_j.
+    So the vector with coefficients x_c on it has the digit x_c at each free
+    column c and -sum_c r_j[c] x_c at p_j.  The identity columns give
+    representatives y_j with <g_i, y_j> = delta_ij.  A reduced echelon form
+    and the nullspace basis read off it are canonical, so every trial's
+    rows equal those of a form grown from its g alone.
+
+    The digits are held in the smallest signed type that holds
+    (d-1)^2 (ambient + dim), which bounds every sum the form makes before
+    it reduces mod d; basis(), perp and reps() are int64.
     """
 
     def __init__(self, d: int, ambient: int, dim: int, trials: int = 1) -> None:
@@ -116,11 +123,11 @@ class _DualEchelon:
         self.ambient = ambient
         self.dim = dim
         self.size = 0
-        self.gens = np.zeros((trials, dim, ambient), dtype=np.int64)
-        self.rows = np.zeros((trials, dim, ambient + dim), dtype=np.int64)
+        dtype = np.min_scalar_type(-1 - (d - 1) ** 2 * (ambient + dim))
+        self.gens = np.zeros((trials, dim, ambient), dtype=dtype)
+        self.rows = np.zeros((trials, dim, ambient + dim), dtype=dtype)
         self.pivots = np.zeros((trials, dim), dtype=np.int64)
-        self.free = np.repeat(np.arange(ambient)[None], trials, axis=0)
-        self.perp = np.repeat(np.eye(ambient, dtype=np.int64)[None], trials, axis=0)
+        self.free = np.ones((trials, ambient), dtype=np.bool_)
 
     @classmethod
     def of(cls, d: int, gens: np.ndarray) -> "_DualEchelon":
@@ -140,46 +147,62 @@ class _DualEchelon:
         out = _DualEchelon(self.d, ambient, dim, len(self.rows))
         out.gens[:, :m], out.pivots[:, :m] = self.gens[:, :m], self.pivots[:, :m]
         out.rows[:, :m, :ambient + m] = self.rows[:, :m, :ambient + m]
-        out.size, out.free, out.perp = m, self.free.copy(), self.perp.copy()
+        out.size, out.free = m, self.free.copy()
         return out
 
     @classmethod
-    def sample(cls, d: int, ambient: int, dim: int, rng: np.random.Generator,
-               trials: int = 1) -> "_DualEchelon":
-        """The forms of `trials` uniformly random self-orthogonal subspaces
-        of the given dimension, all drawn from the one generator rng.
+    def sample(cls, d: int, ambient: int, dim: int, streams) -> "_DualEchelon":
+        """The forms of uniformly random self-orthogonal subspaces of the
+        given dimension, for the trials of every (generator, trials) pair of
+        streams, in order.
 
         Trial t grows one dimension at a time with a uniform vector from
         perp(current) \\ current, given by its coefficients on the perp
         basis, until the form takes one.  Each round of attempts at
-        dimension i draws one `integers(0, d, (len(todo), ambient - i))`
-        block, row r for the r-th trial still drawing, in increasing trial
-        order.  Bounded integer draws concatenate in the stream, so at
-        trials = 1 these are the digits of one `integers(0, d, ambient - i)`
-        call per attempt.
+        dimension i draws, from each generator with trials still drawing,
+        one `integers(0, d, (len(todo), ambient - i))` block, row r for its
+        r-th trial still drawing, in increasing trial order.  So each
+        generator reads the digits it would read alone, and bounded integer
+        draws concatenate in the stream, so at one trial these are the
+        digits of one `integers(0, d, ambient - i)` call per attempt.
         """
-        grown = cls(d, ambient, dim, trials)
+        # stream j holds the trials edges[j] .. edges[j + 1] - 1
+        edges = [0, *itertools.accumulate(trials for _, trials in streams)]
+        grown = cls(d, ambient, dim, edges[-1])
         for i in range(dim):
-            gens = np.empty((trials, ambient), dtype=np.int64)
-            rows = np.empty((trials, ambient + dim), dtype=np.int64)
-            todo = np.arange(trials)
+            gens = np.empty((len(grown.rows), ambient), dtype=grown.rows.dtype)
+            rows = np.empty((len(grown.rows), ambient + dim), dtype=grown.rows.dtype)
+            todo = np.arange(len(grown.rows))
             while todo.size:
-                coeffs = rng.integers(0, d, (todo.size, ambient - i))
-                g = _mod((coeffs[:, None, :] @ grown.perp[todo])[:, 0], d)
+                cuts = np.searchsorted(todo, edges).tolist()
+                coeffs = [rng.integers(0, d, (stop - start, ambient - i))
+                          for (rng, _), start, stop in zip(streams, cuts, cuts[1:]) if stop > start]
+                g = grown.read(np.concatenate(coeffs), todo)
                 r = grown.reduce(g, todo)
-                took = r[:, :ambient].any(axis=1)
-                gens[todo[took]] = g[took]
-                rows[todo[took]] = r[took]
-                todo = todo[~took]
+                # a trial that missed is written over in the next round
+                gens[todo], rows[todo] = g, r
+                todo = todo[~r[:, :ambient].any(axis=1)]
             grown.insert(gens, rows)
         return grown
+
+    def read(self, coeffs: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """The vectors of perp with the given coefficients on its basis, one
+        for each trial at: coeffs[t, i] at the i-th free column, and at the
+        pivot of row j minus the sum of row j's digits times them."""
+        m = self.size
+        x = np.zeros((len(coeffs), self.ambient), dtype=self.rows.dtype)
+        x[self.free[at]] = coeffs.ravel()
+        sums = (self.rows[at, :m, :self.ambient] @ x[:, :, None])[:, :, 0]
+        x[np.arange(len(x))[:, None], self.pivots[at, :m]] = _mod(-sums, self.d)
+        return x
 
     def reduce(self, g: np.ndarray, at=slice(None)) -> np.ndarray:
         """The rows [dual(g_i) | e_m] reduced by the forms of the trials at:
         zero in the first ambient columns iff g_i lies in the span."""
         m, ambient = self.size, self.ambient
-        r = np.zeros((len(g), ambient + self.dim), dtype=np.int64)
-        r[:, :ambient] = symplectic_dual(g, self.d)
+        r = np.zeros((len(g), ambient + self.dim), dtype=self.rows.dtype)
+        r[:, 0:ambient:2] = -g[:, 1::2]
+        r[:, 1:ambient:2] = g[:, 0::2]
         r[:, ambient + m] = 1
         # each form row is zero at the other rows' pivots: one pass reduces
         coeffs = r[np.arange(len(r))[:, None], self.pivots[at, :m]]
@@ -191,16 +214,14 @@ class _DualEchelon:
         d, m = self.d, self.size
         t = np.arange(len(gens))
         p = (rows != 0).argmax(axis=1)
-        # each pivot's inverse x^(d-2) mod d
-        inverse = np.array([pow(x, d - 2, d) for x in rows[t, p].tolist()], dtype=np.int64)
-        r = _mod(rows * inverse[:, None], d)
+        r = rows
+        if d > 2:
+            # each pivot's inverse x^(d-2) mod d; over F_2 every pivot is 1
+            inverse = [pow(x, d - 2, d) for x in rows[t, p].tolist()]
+            r = _mod(rows * np.array(inverse, dtype=rows.dtype)[:, None], d)
         done = self.rows[:, :m]
         done[...] = _mod(done - self.rows[t, :m, p][:, :, None] * r[:, None, :], d)
-        keep = self.free != p[:, None]
-        n_p = self.perp[~keep]
-        self.free = self.free[keep].reshape(len(t), -1)
-        perp = self.perp[keep].reshape(len(t), -1, self.ambient)
-        self.perp = _mod(perp - r[t[:, None], self.free][:, :, None] * n_p[:, None, :], d)
+        self.free[t, p] = False
         self.gens[:, m] = gens
         self.rows[:, m] = r
         self.pivots[:, m] = p
@@ -217,7 +238,20 @@ class _DualEchelon:
 
     def basis(self) -> np.ndarray:
         """The vectors g_i of every trial: (T, m, ambient)."""
-        return self.gens[:, :self.size]
+        return self.gens[:, :self.size].astype(np.int64)
+
+    @property
+    def perp(self) -> np.ndarray:
+        """The basis of perp(span g) of every trial read off its rows:
+        (T, ambient - m, ambient)."""
+        m, ambient = self.size, self.ambient
+        trials = len(self.rows)
+        # row c of full is e_c with -r_j[c] at each pivot p_j: the free rows
+        # are the basis
+        full = np.zeros((trials, ambient, ambient), dtype=self.rows.dtype)
+        full.reshape(trials, -1)[:, ::ambient + 1] = 1
+        full[np.arange(trials)[:, None], :, self.pivots[:, :m]] = _mod(-self.rows[:, :m, :ambient], self.d)
+        return full[self.free].reshape(trials, ambient - m, ambient).astype(np.int64)
 
     def reps(self) -> np.ndarray:
         """Rows y_j with <g_i, y_j> = delta_ij of every trial: (T, m, ambient)."""
@@ -411,4 +445,4 @@ def sample_self_orthogonal(d: int, ambient: int, dim: int, rng_seed) -> Subspace
     if not is_int(dim) or not 0 <= dim <= m:
         raise ValidationError(f"no isotropic subspace of dimension {dim!r} in dimension {ambient}")
     rng = np.random.default_rng(rng_seed)
-    return Subspace._of_form(_DualEchelon.sample(d, ambient, dim, rng))
+    return Subspace._of_form(_DualEchelon.sample(d, ambient, dim, [(rng, 1)]))

@@ -167,6 +167,17 @@ def test_simulate_outer_file_is_checked_against_the_inner_code_only(tmp_path, ca
     assert "(d, n) = (13, 5), expected (13, 6)" in err and "line 2" not in err
 
 
+def test_simulate_outer_file_with_no_blocks_names_the_blocks(tmp_path, capsys):
+    # N is checked before the file's header is compared with kN = 0
+    path = tmp_path / "outer.code"
+    write_code_file(StabilizerCode(OUTER), path)
+    argv = SIMULATE + ["--outer", str(path)]
+    argv[argv.index("--N") + 1] = "0"
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "need at least one outer block" in err and "(d, n)" not in err
+
+
 def test_fbound_json(capsys):
     # at N = K = 2, p = 0.065 the type probabilities sum to just above 1
     for N, K, p in ((6, 1, 0.1), (2, 2, 0.065)):

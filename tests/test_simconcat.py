@@ -291,7 +291,7 @@ def test_one_scratch_decodes_chunks_of_changing_size(name, d, N, K):
     rng = np.random.default_rng(d)
     scratch = _Scratch(inner, N, K, 12)
     for trials in (12, 1, 3, 12):
-        form = _DualEchelon.sample(d, 2 * k * N, k * N - K, rng, trials)
+        form = _DualEchelon.sample(d, 2 * k * N, k * N - K, [(rng, trials)])
         ctx = _Contexts(inner, N, form.perp)
         # few syndromes, so that candidates often tie
         z = rng.integers(0, min(rows, 2), (trials, N))
@@ -334,7 +334,7 @@ def test_decoding_invariant_under_syndrome_relabelling(name, d, N, K):
     k, rows = inner.k, d ** (inner.n - inner.k)
     rng = np.random.default_rng(5)
     trials = 64
-    ctx = _Contexts(inner, N, _DualEchelon.sample(d, 2 * k * N, k * N - K, rng, trials).perp)
+    ctx = _Contexts(inner, N, _DualEchelon.sample(d, 2 * k * N, k * N - K, [(rng, trials)]).perp)
     # few syndromes, so that blocks often share one
     used = min(rows, 3)
     z = rng.integers(0, used, (trials, N))
@@ -404,7 +404,7 @@ def test_shared_echelon_matches_nullspace_dense_sampler_and_explicit_context(d, 
                               nullspace(symplectic_dual(rows, d), d, ambient))
     assert np.array_equal(grown.basis()[0], rows)
     # the sampler draws what the dense reference draws
-    sampled = _DualEchelon.sample(d, ambient, dim, np.random.default_rng(seed))
+    sampled = _DualEchelon.sample(d, ambient, dim, [(np.random.default_rng(seed), 1)])
     basis = sampled.basis()[0]
     assert np.array_equal(basis, random_isotropic_dense(d, ambient, dim,
                                                         np.random.default_rng(seed))[0])
@@ -497,6 +497,47 @@ def test_trial_axis_matches_per_trial_reference_one_trial_at_a_time():
         cfg = SimConfig(inner=code, outer=None, N=N, K=K, channel=depolarizing(d, p),
                         trials=3, seed=11, resample_outer=True)
         assert trial_rows(cfg) == simulate_per_trial(cfg)
+
+
+@pytest.mark.parametrize("name, d, N, K, mode", [
+    ("rep3", 2, 3, 1, "resampled"), ("rep3", 2, 2, 1, "fixed"), ("rep2", 3, 2, 1, "resampled"),
+    ("trivial1", 3, 3, 1, "fixed"), ("trivial1", 5, 2, 1, "resampled")])
+@pytest.mark.parametrize("cells", (None, 1 << 14, 1))
+def test_batch_groups_change_no_record(name, d, N, K, mode, cells):
+    # 2B + 5 trials for the batch size B: three batches, the last one part
+    # full, in one group that has room for more at the default budget, and
+    # in groups of one or two batches, the last one part full, at the small
+    # budgets, which also decode fewer trials at once
+    code = catalog(name, d)
+    cfg = SimConfig(inner=code, outer=None, N=N, K=K, channel=depolarizing(d, 0.15),
+                    trials=2 * simconcat._BATCH + 5, seed=9, resample_outer=mode == "resampled")
+    with patch.object(simconcat, "_DECODE_CELLS", cells or simconcat._DECODE_CELLS):
+        per_group = simconcat._group_size(code.k, N)
+        assert per_group > 3 if cells is None else per_group <= 2
+        rows = trial_rows(cfg)
+    assert rows == simulate_per_trial(cfg)
+    assert [row["trial"] for row in rows] == list(range(cfg.trials))
+
+
+@pytest.mark.parametrize("mode", ("fixed", "explicit"))
+def test_certified_run_builds_no_context(monkeypatch, mode):
+    # at p = 0 every v is constant on the one syndrome group, so every trial
+    # is certified and no trial reads the shared outer code's tables
+    d, N, K = 3, 4, 1
+    outer = sample_self_orthogonal(d, 2 * N, N - K, 4) if mode == "explicit" else None
+    cfg = SimConfig(inner=catalog("trivial1", d), outer=outer, N=N, K=K,
+                    channel=depolarizing(d, 0.0), trials=simconcat._BATCH + 3, seed=1)
+    built = []
+    monkeypatch.setattr(simconcat, "_Contexts",
+                        lambda *args: built.append(1) or _Contexts(*args))
+    rows = trial_rows(cfg)
+    assert not built
+    assert rows == simulate_per_trial(cfg)
+    assert not any(row["failure"] for row in rows)
+    # with noise some trial enumerates, and the shared tables are built once
+    noisy = dataclasses.replace(cfg, channel=depolarizing(d, 0.3))
+    assert trial_rows(noisy) == simulate_per_trial(noisy)
+    assert len(built) == 1
 
 
 def test_simulate_trace():

@@ -380,7 +380,7 @@ class _CountingDraws:
                          [(2, 2, 1, 300), (2, 8, 4, 100), (3, 6, 3, 60), (5, 4, 2, 60),
                           (3, 10, 0, 5)])
 def test_trial_axis_sampler_matches_per_trial_dense_sampler(d, ambient, dim, trials):
-    grown = _DualEchelon.sample(d, ambient, dim, np.random.default_rng(7), trials)
+    grown = _DualEchelon.sample(d, ambient, dim, [(np.random.default_rng(7), trials)])
     counter = _CountingDraws(np.random.default_rng(7))
     dense = random_isotropic_dense(d, ambient, dim, counter, trials)
     for t, rows in enumerate(dense):
@@ -399,6 +399,31 @@ def test_trial_axis_sampler_matches_per_trial_dense_sampler(d, ambient, dim, tri
             drawn += block.size
             todo = int((~block.any(axis=1)).sum())
         assert counter.drawn == drawn > 2 * trials
+
+
+@pytest.mark.parametrize("d, ambient, dim", [(2, 2, 1), (2, 8, 4), (3, 6, 3), (5, 4, 2), (3, 10, 0)])
+def test_sampler_draws_many_generators_as_each_alone(d, ambient, dim):
+    # one draw over several generators, as simulate draws a group of
+    # batches, equals the draws of each generator alone, concatenated, and
+    # leaves each generator where its own draw would
+    sizes = (5, 1, 9, 3)
+    streams = [(np.random.default_rng((d, s)), n) for s, n in enumerate(sizes)]
+    together = _DualEchelon.sample(d, ambient, dim, streams)
+    alone = [_DualEchelon.sample(d, ambient, dim, [(np.random.default_rng((d, s)), n)])
+             for s, n in enumerate(sizes)]
+    for read in (lambda f: f.basis(), lambda f: f.perp, lambda f: f.reps()):
+        assert np.array_equal(read(together), np.concatenate([read(f) for f in alone]))
+    assert together.basis().dtype == together.perp.dtype == together.reps().dtype == np.int64
+    dense = [rows for s, n in enumerate(sizes)
+             for rows in random_isotropic_dense(d, ambient, dim, np.random.default_rng((d, s)), n)]
+    assert np.array_equal(together.basis(), np.array(dense))
+    for s, (rng, n) in enumerate(streams):
+        replay = np.random.default_rng((d, s))
+        _DualEchelon.sample(d, ambient, dim, [(replay, n)])
+        assert np.array_equal(rng.integers(0, d, 9), replay.integers(0, d, 9))
+    perp = together.perp
+    for t, rows in enumerate(dense):
+        assert np.array_equal(perp[t], nullspace(symplectic_dual(rows, d), d, ambient))
 
 
 def test_random_isotropic_basis_matches_subspace_contract():
