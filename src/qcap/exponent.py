@@ -89,8 +89,9 @@ def compositions(total: int, parts: int) -> np.ndarray:
     """All nonnegative integer vectors of the given length summing to total,
     one per row, in lexicographic order, in the narrowest unsigned integer
     type that holds total."""
-    if parts < 1 or total < 0:
-        raise ValidationError("compositions needs parts >= 1 and total >= 0")
+    if not (is_int(total) and is_int(parts)) or parts < 1 or total < 0:
+        raise ValidationError(f"compositions needs integers parts >= 1 and total >= 0, "
+                              f"got total={total!r}, parts={parts!r}")
     # Each step prepends a column.  With the last k columns filled, their
     # first comb(total + k, k) rows hold the compositions into k parts of
     # s = total, total - 1, ..., 0 in turn, each in lexicographic order, and
@@ -195,10 +196,12 @@ _RISE_TOL = 1e-17
 # exponent() raises ConvergenceError when the objective at x_beta exceeds its
 # value, the dual bound, by more
 _RESIDUAL_TOL = 1e-8
-# exponent_grid_oracle() refuses grids of more (grid points x support cells):
-# it holds one integer count per such cell, one byte each up to 255 steps,
-# beside a few float vectors with one entry per grid point
+# exponent_grid_oracle() refuses grids of more (grid points x support cells),
+# the terms it adds up, whatever the blocks it streams them in
 _ORACLE_CELLS = 2**24
+# and evaluates at most this many grid points at once, from a table of at most
+# this many counts
+_ORACLE_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -337,14 +340,21 @@ def exponent_grid_oracle(code: StabilizerCode, channel: PauliChannel, R: float,
     support simplex with denominator grid_steps.  Upper-bounds the true
     exponent; refining the grid never increases it.
 
-    The grid is held as the integer counts of `compositions`, one byte per
-    (grid point x support cell) up to 255 steps.  Every coordinate is
-    count / grid_steps, so the terms x log(x / p_c) and x log x are read
-    from tables over the counts, and a row marginal is the integer sum of
-    its cells' counts; the terms add up into float vectors with one entry
-    per grid point.  The guard counts (grid points x support cells), or the
-    table entries if more, and raises GuardError past _ORACLE_CELLS = 2^24
-    before the grid is built."""
+    Every coordinate is count / grid_steps, so the terms x log(x / p_c) and
+    x log x are read from tables over the counts, and a row marginal is the
+    integer sum of its cells' counts.  The grid is streamed, never held.  The
+    counts of the first `split` support cells are enumerated by their sum t;
+    the rest of a point's counts come from a row of the table
+    compositions(grid_steps, m - split) whose first count is at least t,
+    less t on that count.  Those rows are a tail of the table, and each
+    block pairs a run of leading counts with a run of the tail, at most
+    _ORACLE_BLOCK points.  `split` is the fewest cells that leave a table of
+    at most _ORACLE_BLOCK entries, or 0 when the grid is too thin for its
+    blocks to pay, which keeps the whole grid's table.  Each point's terms
+    are added cell by cell in the order the whole grid used, so the minimum
+    is the same to the bit.  The guard counts the work, (grid points x
+    support cells) or the table entries if more, and raises GuardError past
+    _ORACLE_CELLS = 2^24 before any block is evaluated."""
     R = _checked_rate(code, R)
     if not is_int(grid_steps) or grid_steps < 1:
         raise ValidationError(f"grid_steps must be an integer >= 1, got {grid_steps!r}")
@@ -355,34 +365,91 @@ def exponent_grid_oracle(code: StabilizerCode, channel: PauliChannel, R: float,
     if height * m > _ORACLE_CELLS:
         raise GuardError(f"grid of {height} points or table entries x {m} support cells "
                          f"exceeds the oracle guard of {_ORACLE_CELLS} cells")
-    counts = compositions(grid_steps, m)
+    terms = _GridTerms(obj, grid_steps, code.k - code.k * R)
 
-    # x log(x / p_c) for every cell c and x log x, at x = count / grid_steps
-    x = np.arange(1, grid_steps + 1) / grid_steps
-    div_table = np.zeros((m, grid_steps + 1))
-    div_table[:, 1:] = x * np.log(x / obj.p[:, None])
-    xlogx = np.zeros(grid_steps + 1)
-    xlogx[1:] = x * np.log(x)
+    split = _oracle_split(m, grid_steps, npoints)
+    # the leading cells' counts for every sum t <= grid_steps, after a first
+    # count grid_steps - t, and the other cells' counts for every sum <=
+    # grid_steps, one contiguous vector per cell; both first counts ascend
+    lead = compositions(grid_steps, split + 1)
+    div0, h0 = np.zeros(lead.shape[0]), np.zeros(lead.shape[0])
+    marg0 = terms.add(0, (lead[:, c].astype(np.intp) for c in range(1, split + 1)),
+                      div0, h0, None)
+    table = np.ascontiguousarray(compositions(grid_steps, m - split).T)
+    best = math.inf
+    for t in range(grid_steps + 1 if split else 1):
+        # the leading counts that sum to t, and the table rows whose first
+        # count is at least t, which take the rest: two tails
+        lead_lo = lead.shape[0] - math.comb(t + split, split)
+        lead_hi = lead.shape[0] - (math.comb(t - 1 + split, split) if t else 0)
+        rows = table[:, table.shape[1] - math.comb(grid_steps - t + m - split - 1,
+                                                   m - split - 1):]
+        step = min(rows.shape[1], _ORACLE_BLOCK)
+        lead_step = max(1, _ORACLE_BLOCK // step)
+        for lo in range(0, rows.shape[1], step):
+            for a in range(lead_lo, lead_hi, lead_step):
+                run = slice(a, min(a + lead_step, lead_hi))
+                best = min(best, terms.block_min(
+                    split, rows[:, lo:lo + step], t, div0[run], h0[run],
+                    None if marg0 is None else marg0[run, None]))
+    return best
 
-    div = np.zeros(npoints)
-    h = np.zeros(npoints)  # H(logical | syndrome) in nats
-    marg = np.empty(npoints, dtype=counts.dtype)
-    index = np.empty(npoints, dtype=np.intp)  # take() would convert each index array
-    # support cells are flattened row by row, so each row's cells are a run
-    bounds = np.flatnonzero(np.diff(obj.row_of, prepend=-1, append=obj.nrows))
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        marg[:] = 0
-        for c in range(lo, hi):
-            index[:] = counts[:, c]
-            div += div_table[c].take(index)
-            h -= xlogx.take(index)
-            marg += counts[:, c]
-        index[:] = marg
-        h += xlogx.take(index)
 
-    div /= obj.logd
-    h /= obj.logd
-    np.subtract(code.k - code.k * R, h, out=h)  # the hinge's gap - H_c
-    np.maximum(h, 0.0, out=h)
-    div += h
-    return float(div.min())
+def _oracle_split(m: int, grid_steps: int, npoints: int) -> int:
+    """How many leading support cells the grid oracle enumerates: the fewest
+    that leave a table of at most _ORACLE_BLOCK entries, or none when the
+    grid averages fewer than _ORACLE_BLOCK / 32 points per leading sum, too
+    thin for the per-block work to pay (two support cells, say)."""
+    if npoints * 32 < (grid_steps + 1) * _ORACLE_BLOCK:
+        return 0
+    # split = m - 1 leaves the one-entry table (grid_steps)
+    return next(split for split in range(m) if math.comb(
+        grid_steps + m - 1 - split, m - 1 - split) * (m - split) <= _ORACLE_BLOCK)
+
+
+class _GridTerms:
+    """The grid oracle's terms: x log(x / p_c) for each support cell c and
+    x log x, over the counts 0, ..., grid_steps, and where each row ends."""
+
+    def __init__(self, obj: _Objective, grid_steps: int, gap: float):
+        # x log(x / p_c) for every cell c and x log x, at x = count / grid_steps
+        x = np.arange(1, grid_steps + 1) / grid_steps
+        self.div_table = np.zeros((obj.p.size, grid_steps + 1))
+        self.div_table[:, 1:] = x * np.log(x / obj.p[:, None])
+        self.xlogx = np.zeros(grid_steps + 1)
+        self.xlogx[1:] = x * np.log(x)
+        # support cells are flattened row by row, so each row's cells are a run
+        self.row_end = np.append(np.diff(obj.row_of) != 0, True).tolist()
+        self.logd = obj.logd
+        self.gap = gap  # the hinge threshold on H_c
+
+    def add(self, first: int, counts, div: np.ndarray, h: np.ndarray, marg):
+        """Add the terms of cells first, first + 1, ... at the given counts
+        (intp) to div and to h, H(logical | syndrome) in nats, closing each
+        row with + x log x of its marginal.  marg holds the open row's counts
+        so far, or None; returns the open row's counts after the last cell."""
+        for c, count in enumerate(counts, first):
+            div += self.div_table[c].take(count)
+            h -= self.xlogx.take(count)
+            marg = count if marg is None else marg + count
+            if self.row_end[c]:
+                h += self.xlogx.take(marg)
+                marg = None
+        return marg
+
+    def block_min(self, first: int, rows: np.ndarray, t: int, div0: np.ndarray,
+                  h0: np.ndarray, marg0) -> float:
+        """The objective's minimum over the points that pair each leading
+        entry (div0, h0 and marg0, which is None or a column) with each
+        column of rows: the counts of cells first, first + 1, ..., the first
+        of them t too high."""
+        div = np.repeat(div0[:, None], rows.shape[1], axis=1)
+        h = np.repeat(h0[:, None], rows.shape[1], axis=1)
+        counts = (row.astype(np.intp) for row in (rows[0] - t, *rows[1:]))
+        self.add(first, counts, div, h, marg0)
+        div /= self.logd
+        h /= self.logd
+        np.subtract(self.gap, h, out=h)  # the hinge's gap - H_c
+        np.maximum(h, 0.0, out=h)
+        div += h
+        return float(div.min())

@@ -285,6 +285,49 @@ def reference_exponent(code: StabilizerCode, channel: PauliChannel, R: float) ->
     return max(objective_value(obj, tilted(obj, beta_star), gap), 0.0)
 
 
+def grid_oracle_tables(code: StabilizerCode, channel: PauliChannel, R: float,
+                       grid_steps: int) -> float:
+    """The exponent objective's minimum over the grid with denominator
+    grid_steps, from the whole grid's integer counts: the body
+    `exponent_grid_oracle` had before it streamed the grid in blocks.  Each
+    point's terms are read from tables over the counts and added cell by
+    cell, in float vectors with one entry per grid point."""
+    obj = _Objective(probability_array(code, channel))
+    m = obj.p.size
+    counts = compositions(grid_steps, m)
+    npoints = counts.shape[0]
+
+    # x log(x / p_c) for every cell c and x log x, at x = count / grid_steps
+    x = np.arange(1, grid_steps + 1) / grid_steps
+    div_table = np.zeros((m, grid_steps + 1))
+    div_table[:, 1:] = x * np.log(x / obj.p[:, None])
+    xlogx = np.zeros(grid_steps + 1)
+    xlogx[1:] = x * np.log(x)
+
+    div = np.zeros(npoints)
+    h = np.zeros(npoints)  # H(logical | syndrome) in nats
+    marg = np.empty(npoints, dtype=counts.dtype)
+    index = np.empty(npoints, dtype=np.intp)  # take() would convert each index array
+    # support cells are flattened row by row, so each row's cells are a run
+    bounds = np.flatnonzero(np.diff(obj.row_of, prepend=-1, append=obj.nrows))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        marg[:] = 0
+        for c in range(lo, hi):
+            index[:] = counts[:, c]
+            div += div_table[c].take(index)
+            h -= xlogx.take(index)
+            marg += counts[:, c]
+        index[:] = marg
+        h += xlogx.take(index)
+
+    div /= obj.logd
+    h /= obj.logd
+    np.subtract(code.k - code.k * float(R), h, out=h)  # the hinge's gap - H_c
+    np.maximum(h, 0.0, out=h)
+    div += h
+    return float(div.min())
+
+
 def grid_oracle_dense(code: StabilizerCode, channel: PauliChannel, R: float,
                       grid_steps: int) -> float:
     """The exponent objective's minimum over the grid with denominator

@@ -36,6 +36,7 @@ from qcap.spectra import ProbabilityArray, bound_from_array, probability_array
 from oracles import (
     arimoto_entropy,
     grid_oracle_dense,
+    grid_oracle_tables,
     h_cond,
     kl_divergence,
     objective_value,
@@ -98,6 +99,12 @@ def test_compositions_with_many_parts():
     arr = compositions(1, 1000)
     assert arr.shape == (1000, 1000)
     assert (arr == np.eye(1000, dtype=int)[::-1]).all()
+
+
+def test_compositions_refuse_non_integers():
+    for total, parts in ((2.5, 2), (3, 2.0), (True, 2)):
+        with pytest.raises(ValidationError, match="integers"):
+            compositions(total, parts)
 
 
 def stars_and_bars(total, parts):
@@ -202,6 +209,112 @@ def test_grid_oracle_memory_per_grid_cell():
     finally:
         tracemalloc.stop()
     assert peak <= 12 * cells, peak / cells
+
+
+def test_grid_oracle_streams_the_grid_in_bounded_memory():
+    # 1.37M grid points x 4 support cells: holding their counts and one float
+    # per point peaked at 48.5 MB
+    code, ch = catalog("trivial1", 2), depolarizing(2, 0.05)
+    probability_array(code, ch)  # the code's kept site tables are not the oracle's
+    tracemalloc.start()
+    try:
+        exponent_grid_oracle(code, ch, 0.25, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
+def spy_blocks(monkeypatch) -> list:
+    """Record the shape (leading entries, table rows) of every block the
+    grid oracle evaluates."""
+    shapes = []
+    real = exponent_mod._GridTerms.block_min
+
+    def spied(self, first, rows, t, div0, *rest):
+        shapes.append((div0.size, rows.shape[1]))
+        return real(self, first, rows, t, div0, *rest)
+
+    monkeypatch.setattr(exponent_mod._GridTerms, "block_min", spied)
+    return shapes
+
+
+@pytest.mark.parametrize("name, d, p, R, steps, block, blocks", [
+    ("trivial1", 2, 0.05, 0.25, 20, None, (1, 1)),  # the whole grid, as one table
+    ("rep3", 2, 0.0, 0.25, 1000, None, (1, 1)),  # one support cell: one grid point
+    ("rep2", 3, 0.1, 0.2, 4, None, (2, 10)),
+    ("five_qubit", 2, 0.05, 0.5, 3, None, (2, 10)),
+    ("rep3", 2, 0.05, 0.3, 8, None, (10, 40)),
+    ("trivial1", 2, 0.01, 0.0, 100, None, (100, 200)),
+    ("rep3", 2, 0.1, 0.1, 6, 64, (500, 2000)),
+    ("trivial1", 3, 0.1, 0.1, 9, 16, (1000, 20000)),
+])
+def test_streamed_grid_oracle_equals_the_whole_grid(monkeypatch, name, d, p, R, steps, block,
+                                                    blocks):
+    if block is not None:
+        monkeypatch.setattr(exponent_mod, "_ORACLE_BLOCK", block)
+    shapes = spy_blocks(monkeypatch)
+    code, ch = catalog(name, d), depolarizing(d, p)
+    assert exponent_grid_oracle(code, ch, R, steps) == grid_oracle_tables(code, ch, R, steps)
+    assert blocks[0] <= len(shapes) <= blocks[1]
+    assert max(a * b for a, b in shapes) <= exponent_mod._ORACLE_BLOCK
+    m = int(np.count_nonzero(probability_array(code, ch).table))
+    assert sum(a * b for a, b in shapes) == math.comb(steps + m - 1, m - 1)
+
+
+def test_streamed_grid_oracle_reference_value():
+    code, ch = catalog("trivial1", 2), depolarizing(2, 0.01)
+    assert exponent_grid_oracle(code, ch, 0.0, 100) == 0.5514780781660824
+    assert grid_oracle_tables(code, ch, 0.0, 100) == 0.5514780781660824
+
+
+def test_thin_grid_streams_runs_of_its_table(monkeypatch):
+    # two support cells: a one-dimensional grid, one point per leading count,
+    # so the oracle splits off no cell and cuts its table into runs of rows
+    monkeypatch.setattr(exponent_mod, "_ORACLE_BLOCK", 64)
+    shapes = spy_blocks(monkeypatch)
+    code, ch = catalog("trivial1", 2), PauliChannel(2, [0.9, 0.1, 0.0, 0.0])
+    assert exponent_grid_oracle(code, ch, 0.3, 5000) == grid_oracle_tables(code, ch, 0.3, 5000)
+    assert shapes == [(1, 64)] * 78 + [(1, 5001 - 78 * 64)]
+
+
+def draw_code_and_channel(draw, d: int, n: int, k: int):
+    """A random isotropic [[n, k]] code over d with a random completion, and
+    a random Pauli channel whose integer weights leave some letters at
+    probability 0.  The identity letter gets a heavier weight so that many
+    draws fall below the exponent's threshold."""
+    seed, seed2 = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1))
+    subspace = sample_self_orthogonal(d, 2 * n, n - k, seed)
+    code = StabilizerCode(subspace, random_completion(subspace, seed2))
+    weights = np.array([draw(st.integers(1, 200))]
+                       + draw(st.lists(st.integers(0, 4), min_size=d * d - 1,
+                                       max_size=d * d - 1)), dtype=float)
+    return code, PauliChannel(d, weights / weights.sum())
+
+
+@st.composite
+def random_grid_case(draw):
+    """A random code with n - k >= 1 stabilizers, so that its support can
+    span several syndrome rows, a random channel, a rate and a grid of at
+    most 2 * 10^4 (points x support cells)."""
+    d = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(2, {2: 3, 3: 2, 5: 2}[d]))
+    code, ch = draw_code_and_channel(draw, d, n, draw(st.integers(1, n - 1)))
+    m = int(np.count_nonzero(probability_array(code, ch).table))
+    steps = draw(st.integers(1, 12))
+    while steps > 1 and math.comb(steps + m - 1, m - 1) * m > 20_000:
+        steps -= 1
+    return code, ch, draw(st.floats(0.0, 1.0)), steps
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(random_grid_case(), st.sampled_from((2**15, 64, 4)))
+def test_streamed_grid_oracle_equals_the_whole_grid_on_random_codes(case, block):
+    code, ch, R, steps = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exponent_mod, "_ORACLE_BLOCK", block)
+        got = exponent_grid_oracle(code, ch, R, steps)
+    assert got == grid_oracle_tables(code, ch, R, steps)
 
 
 def test_grid_oracle_refinement_is_monotone():
@@ -460,14 +573,7 @@ def random_exponent_case(draw):
     d = draw(st.sampled_from((2, 3, 5)))
     n = draw(st.integers(1, {2: 3, 3: 2, 5: 1}[d]))
     k = draw(st.integers(1, min(n, {2: 6, 3: 3, 5: 2}[d] - n)))
-    seed, seed2 = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1))
-    subspace = sample_self_orthogonal(d, 2 * n, n - k, seed)
-    code = StabilizerCode(subspace, random_completion(subspace, seed2))
-    weights = np.array([draw(st.integers(1, 200))]
-                       + draw(st.lists(st.integers(0, 4), min_size=d * d - 1,
-                                       max_size=d * d - 1)), dtype=float)
-    R = draw(st.floats(0.0, 1.0))
-    return code, PauliChannel(d, weights / weights.sum()), R
+    return *draw_code_and_channel(draw, d, n, k), draw(st.floats(0.0, 1.0))
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
